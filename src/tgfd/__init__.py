@@ -12,7 +12,6 @@ from .graph import (
     TemporalGraph,
     Vertex,
     apply_changes,
-    fragment_view,
     induced_subgraph,
     load_graph,
 )
@@ -27,7 +26,7 @@ from .model import (
     pair_satisfies,
     parse_tgfd_file,
 )
-from .matcher import IncrementalMatcher, PathPattern, decompose, lmatch, match_snapshot
+from .matcher import IncrementalMatcher, PathPattern, decompose, match_snapshot
 from .detection import (
     ConstantViolation,
     MatchIndex,
@@ -45,7 +44,7 @@ from .foundations import (
     closure_for_implication,
     find_embedding,
 )
-from .parallel import Assignment, Job, Joblet, gen_assign, make_fragments, run_parallel
+from .parallel import Assignment, Job, gen_assign, make_fragments, run_parallel
 from .evaluation import Metrics, generate_synthetic, inject_errors, score
 
 __version__ = "0.1.0"

@@ -32,7 +32,7 @@ from .detection import (
     pair_id,
 )
 from .model import parse_tgfd_file
-from .parallel import ParallelResult, build_jobs, gen_assign, make_fragments, run_parallel
+from .parallel import ParallelResult, build_jobs, clamp_job, gen_assign, make_fragments, run_parallel
 
 
 class _Parser(argparse.ArgumentParser):
@@ -334,11 +334,8 @@ def _run_plan(args) -> int:
     graph, tgfds = _load_inputs(args)
     fragments = make_fragments(graph, args.workers, args.seed)
     jobs = build_jobs(graph, tgfds, fragments)
-    clamped = [
-        type(j)(j.tgfd, j.home, j.joblets, min(max(j.size, args.tl), args.tu), j.ship_in, j.ship_all)
-        for j in jobs
-    ]
-    assignment = gen_assign(clamped, args.workers, (args.tl, args.tu))
+    bounds = (args.tl, args.tu)
+    assignment = gen_assign([clamp_job(j, bounds) for j in jobs], args.workers, bounds)
     lines = [
         f"makespan={assignment.makespan:.6g} ccost={assignment.total_cost:.6g}"
     ]

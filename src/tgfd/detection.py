@@ -1,8 +1,7 @@
 """Incremental violation detection over a stream of match sets.
 
 Matches are partitioned by the values realizing the antecedent literals
-(an X key), sub-partitioned by consequent values (an XY key), with the
-timestamps of each class recorded.  A new match at time t is compared only
+(an X key), with the timestamps of each class recorded.  A new match at time t is compared only
 against indexed matches whose timestamps fall in its permissible range.
 """
 
@@ -12,7 +11,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .graph import ChangeSet, TemporalGraph, derive_changesets
-from .matcher import IncrementalMatcher, tgfd_paths
+from .matcher import IncrementalMatcher
 from .model import (
     ConstantLiteral,
     Delta,
@@ -24,7 +23,6 @@ from .model import (
 )
 
 XKey = Tuple
-XYKey = Tuple
 
 
 @dataclass(frozen=True)
@@ -228,34 +226,24 @@ class IndexEntry:
 
 
 class MatchIndex:
-    """Per-rule partitions of indexed matches by X and XY values."""
+    """Per-rule partitions of indexed matches by X values."""
 
     def __init__(self, plan: RulePlan):
         self.plan = plan
         self.pi_x: Dict[XKey, List[IndexEntry]] = {}
-        self.pi_xy: Dict[XKey, Dict[XYKey, List[IndexEntry]]] = {}
         self.gamma_x: Dict[XKey, List[int]] = {}
-        self.gamma_xy: Dict[Tuple[XKey, XYKey], List[int]] = {}
         self.pairs_compared = 0
 
     def insert(self, entry: IndexEntry) -> None:
         key = entry.profile.xkey
         self.pi_x.setdefault(key, []).append(entry)
         self.gamma_x.setdefault(key, []).append(entry.t)
-        xy = entry.profile.y_self
-        self.pi_xy.setdefault(key, {}).setdefault(xy, []).append(entry)
-        self.gamma_xy.setdefault((key, xy), []).append(entry.t)
 
     def partners(self, entry: IndexEntry, rng: Sequence[int]) -> Iterable[IndexEntry]:
         allowed = set(rng)
         for other in self.pi_x.get(entry.profile.xkey, ()):
             if other.t in allowed:
                 yield other
-
-
-def mu_x(index: MatchIndex, entry: IndexEntry) -> Optional[XYKey]:
-    """The XY class an indexed match belongs to."""
-    return entry.profile.y_self
 
 
 def incted_step(
@@ -374,8 +362,7 @@ def detect_sequential(
     indexes: Dict[str, MatchIndex] = {}
     violations: Dict[str, List[Violation]] = {}
     for sigma in rules:
-        paths = tgfd_paths(sigma)
-        matchers[sigma.name] = IncrementalMatcher(sigma.pattern, paths, graph.view(1))
+        matchers[sigma.name] = IncrementalMatcher(sigma.pattern, graph.view(1))
         indexes[sigma.name] = MatchIndex(RulePlan(sigma))
         violations[sigma.name] = []
 

@@ -213,11 +213,10 @@ class TemporalGraph:
 
 @dataclass(frozen=True)
 class Fragment:
-    """One worker's share of the vertex set, plus edges shipped to it."""
+    """One worker's share of the vertex set."""
 
     worker_id: int
     owned_vertices: frozenset
-    borrowed_edges: frozenset = frozenset()
 
 
 def apply_changes(graph: TemporalGraph, cs: ChangeSet) -> TemporalGraph:
@@ -285,24 +284,6 @@ def ball_vertices(view: GraphView, center: str, d: int) -> Set[str]:
                 reached.add(nxt)
                 frontier.append((nxt, dist + 1))
     return reached
-
-
-def fragment_view(graph: TemporalGraph, frag: Fragment, t: int) -> GraphView:
-    """Snapshot t restricted to a fragment: owned vertices, their induced
-    edges, plus whatever borrowed edges exist at t (with their endpoints)."""
-    snap = graph.snapshot(t)
-    owned = frag.owned_vertices
-    edges = {e for e in snap.edges if e[0] in owned and e[2] in owned}
-    for e in frag.borrowed_edges:
-        if e in snap.edges:
-            edges.add(e)
-    vids = set(owned)
-    for src, _, dst in edges:
-        vids.add(src)
-        vids.add(dst)
-    types = {vid: graph.vertices[vid].type_label for vid in vids}
-    attrs = {vid: snap.attrs[vid] for vid in vids if vid in snap.attrs}
-    return GraphView(t, types, edges, attrs)
 
 
 def diff_snapshots(prev: Snapshot, cur: Snapshot) -> ChangeSet:

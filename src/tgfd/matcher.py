@@ -1,21 +1,20 @@
 """Pattern matching: path decomposition, snapshot matching, and incremental
 match maintenance under single changes.
 
-A pattern is decomposed into maximal directed paths whose union covers every
-pattern edge.  Per path we maintain the topological matches plus the set of
-constant literals each match currently fails; complete pattern matches are
-the consistent joins of the per-path matches, maintained incrementally.
-Attribute changes only touch the literal bookkeeping; edge insertions run a
-localized search anchored at the new edge; edge deletions can only remove
-matches.
+The incremental matcher keeps one set of complete pattern matches over a
+working view that holds vertex types and edges only.  An edge insertion
+seeds a whole-pattern search at every pattern edge the new edge can play; an
+edge deletion drops the matches indexed under that edge; attribute changes
+never touch the matches, since literals are evaluated in detection.  Path
+decomposition remains for the parallel engine's workload estimates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
-from .graph import AttrDelete, AttrSet, Change, EdgeDelete, EdgeInsert, GraphView
+from .graph import AttrDelete, AttrSet, Change, Edge, EdgeDelete, EdgeInsert, GraphView
 from .model import (
     WILDCARD,
     ConstantLiteral,
@@ -31,35 +30,11 @@ AssignmentKey = Tuple[Tuple[str, str], ...]  # sorted (var, vid) pairs
 class PathPattern:
     """A maximal directed path of the pattern, with its matching center."""
 
-    index: int
     nodes: Tuple[str, ...]
     edges: Tuple[Tuple[str, str, str], ...]
     center_var: str
     radius: int
     literals: FrozenSet[ConstantLiteral]
-
-    @property
-    def vars(self) -> Tuple[str, ...]:
-        return self.nodes
-
-
-@dataclass
-class PartialMatchState:
-    """A candidate match: per-path match status plus failing literals.
-
-    beta[k] is true only when path k is topologically matched and none of its
-    constant literals fail.  A false beta[k] with failing literals recorded
-    means the topology matched; false with no failing literals means there
-    was no topological match of path k at all.
-    """
-
-    candidate: MatchBinding
-    beta: Tuple[bool, ...]
-    unsat: Tuple[FrozenSet[ConstantLiteral], ...]
-
-    @property
-    def complete(self) -> bool:
-        return all(self.beta)
 
 
 def _label_ok(pattern: GraphPattern, var: str, view: GraphView, vid: str) -> bool:
@@ -79,7 +54,6 @@ def decompose(pattern: GraphPattern, constants: Iterable[ConstantLiteral] = ()) 
         var = pattern.vars[0]
         return [
             PathPattern(
-                index=0,
                 nodes=(var,),
                 edges=(),
                 center_var=var,
@@ -126,7 +100,7 @@ def decompose(pattern: GraphPattern, constants: Iterable[ConstantLiteral] = ()) 
             break
 
     paths: List[PathPattern] = []
-    for k, p in enumerate(chosen):
+    for p in chosen:
         nodes = (p[0][0],) + tuple(e[2] for e in p)
         m = len(p)
         # eccentricity inside the chain; earliest position wins ties
@@ -138,7 +112,6 @@ def decompose(pattern: GraphPattern, constants: Iterable[ConstantLiteral] = ()) 
         lits = frozenset(l for l in constants if l.var in nodes)
         paths.append(
             PathPattern(
-                index=k,
                 nodes=nodes,
                 edges=p,
                 center_var=nodes[best_pos],
@@ -168,7 +141,7 @@ def match_snapshot(pattern: GraphPattern, view: GraphView) -> Set[MatchBinding]:
 
     Attribute literals are not filtered here; they belong to detection.
     """
-    assignments = _match_vars(pattern, pattern.vars, view)
+    assignments = _match_vars(pattern, view)
     return {MatchBinding.of(view.t, a) for a in assignments}
 
 
@@ -181,15 +154,13 @@ def _candidates(pattern: GraphPattern, var: str, view: GraphView) -> Set[str]:
 
 def _match_vars(
     pattern: GraphPattern,
-    variables: Sequence[str],
     view: GraphView,
     seed: Optional[Mapping[str, str]] = None,
 ) -> List[Dict[str, str]]:
-    """Backtracking search binding the given variables, optionally seeded."""
-    variables = list(variables)
+    """Backtracking search binding every pattern variable, optionally seeded."""
     placed: Set[str] = set(seed or ())
     order: List[str] = []
-    remaining = [v for v in variables if v not in placed]
+    remaining = [v for v in pattern.vars if v not in placed]
     while remaining:
         scored = []
         for v in remaining:
@@ -201,9 +172,6 @@ def _match_vars(
         placed.add(chosen)
         remaining.remove(chosen)
 
-    relevant_edges = [
-        e for e in pattern.edges if e[0] in placed and e[2] in placed
-    ]
     results: List[Dict[str, str]] = []
     assignment: Dict[str, str] = dict(seed or {})
     used: Set[str] = set(assignment.values())
@@ -215,7 +183,7 @@ def _match_vars(
         for var, vid in assignment.items():
             if view.type_of(vid) is None or not _label_ok(pattern, var, view, vid):
                 return []
-        for (src, label, dst) in relevant_edges:
+        for (src, label, dst) in pattern.edges:
             if src in assignment and dst in assignment:
                 if not view.has_edge(assignment[src], label, assignment[dst]):
                     return []
@@ -223,7 +191,7 @@ def _match_vars(
     def consistent(var: str, vid: str) -> bool:
         if not _label_ok(pattern, var, view, vid):
             return False
-        for (src, label, dst) in relevant_edges:
+        for (src, label, dst) in pattern.edges:
             if src == var:
                 other = vid if dst == var else assignment.get(dst)
                 if other is not None and not view.has_edge(vid, label, other):
@@ -253,11 +221,6 @@ def _match_vars(
     return results
 
 
-def _path_pattern_graph(path: PathPattern, pattern: GraphPattern) -> GraphPattern:
-    nodes = [(v, pattern.label_of(v)) for v in path.nodes]
-    return GraphPattern(nodes, path.edges)
-
-
 # ---------------------------------------------------------------------------
 # incremental maintenance
 # ---------------------------------------------------------------------------
@@ -267,144 +230,33 @@ class IncrementalMatcher:
     """Maintains the matches of one pattern over one evolving view.
 
     `topological_matches()` tracks exactly what a batch re-match of the
-    current view would return; `satisfied_matches()` additionally requires
-    every attached path constant to hold (the beta vector all true).
-    `iso_searches` counts localized searches triggered by edge insertions;
-    attribute-only change streams never increment it.
+    current view would return.  `iso_searches` counts edge insertions that
+    seeded a localized search; attribute-only change streams never
+    increment it.
     """
 
-    def __init__(self, pattern: GraphPattern, paths: Sequence[PathPattern], view: GraphView):
+    def __init__(self, pattern: GraphPattern, view: GraphView):
         self.pattern = pattern
-        self.paths = list(paths)
-        self.view = view.copy()
+        self.view = GraphView(view.t, view.types, view.edges, {})
         self.iso_searches = 0
-        self._path_graphs = [_path_pattern_graph(p, pattern) for p in self.paths]
-        # per path: assignment key -> set of failing constant literals
-        self._path_matches: List[Dict[AssignmentKey, FrozenSet[ConstantLiteral]]] = []
-        self._by_edge: List[Dict[Tuple[str, str, str], Set[AssignmentKey]]] = []
-        self._by_var_vid: List[Dict[Tuple[str, str], Set[AssignmentKey]]] = []
-        for k, path in enumerate(self.paths):
-            table: Dict[AssignmentKey, FrozenSet[ConstantLiteral]] = {}
-            for a in _match_vars(self._path_graphs[k], path.nodes, self.view):
-                table[_key(a)] = self._failing(path, a)
-            self._path_matches.append(table)
-            self._by_edge.append({})
-            self._by_var_vid.append({})
-            for key in table:
-                self._index_key(k, key)
         self._complete: Set[AssignmentKey] = set()
-        self._complete_by_proj: List[Dict[AssignmentKey, Set[AssignmentKey]]] = [
-            {} for _ in self.paths
-        ]
-        for full in self._initial_join():
-            self._add_complete(full)
+        # data edge -> complete matches that use it
+        self._by_edge: Dict[Edge, Set[AssignmentKey]] = {}
+        for a in _match_vars(pattern, self.view):
+            self._add(_key(a))
 
-    # -- bookkeeping ------------------------------------------------------
-
-    def _failing(self, path: PathPattern, assignment: Mapping[str, str]) -> FrozenSet[ConstantLiteral]:
-        bad = set()
-        for lit in path.literals:
-            vid = assignment.get(lit.var)
-            if vid is None or self.view.attr(vid, lit.attr) != lit.value:
-                bad.add(lit)
-        return frozenset(bad)
-
-    def _index_key(self, k: int, key: AssignmentKey) -> None:
+    def _add(self, key: AssignmentKey) -> None:
+        self._complete.add(key)
         assignment = dict(key)
-        for (src, label, dst) in self.paths[k].edges:
+        for (src, label, dst) in self.pattern.edges:
             e = (assignment[src], label, assignment[dst])
-            self._by_edge[k].setdefault(e, set()).add(key)
-        for var, vid in key:
-            self._by_var_vid[k].setdefault((var, vid), set()).add(key)
-
-    def _unindex_key(self, k: int, key: AssignmentKey) -> None:
-        assignment = dict(key)
-        for (src, label, dst) in self.paths[k].edges:
-            e = (assignment[src], label, assignment[dst])
-            self._by_edge[k].get(e, set()).discard(key)
-        for var, vid in key:
-            self._by_var_vid[k].get((var, vid), set()).discard(key)
-
-    def _candidates_for(self, k: int, partial: Mapping[str, str]) -> Iterable[AssignmentKey]:
-        shared = [v for v in self.paths[k].nodes if v in partial]
-        if not shared:
-            return list(self._path_matches[k].keys())
-        sets = []
-        for v in shared:
-            keys = self._by_var_vid[k].get((v, partial[v]))
-            if not keys:
-                return []
-            sets.append(keys)
-        sets.sort(key=len)
-        out = set(sets[0])
-        for s in sets[1:]:
-            out &= s
-        return out
-
-    def _join_from(self, k0: int, key0: AssignmentKey) -> List[AssignmentKey]:
-        """All complete joins that use key0 as the match for path k0."""
-        order = sorted(
-            (k for k in range(len(self.paths)) if k != k0),
-            key=lambda k: len(self._path_matches[k]),
-        )
-        results: List[AssignmentKey] = []
-
-        def extend(i: int, partial: Dict[str, str]) -> None:
-            if i == len(order):
-                results.append(_key(partial))
-                return
-            k = order[i]
-            for key in self._candidates_for(k, partial):
-                merged = _merge(partial, key)
-                if merged is not None:
-                    extend(i + 1, merged)
-
-        start = _merge({}, key0)
-        if start is not None:
-            extend(0, start)
-        return results
-
-    def _initial_join(self) -> List[AssignmentKey]:
-        if not self.paths:
-            return []
-        k0 = min(range(len(self.paths)), key=lambda k: len(self._path_matches[k]))
-        out: Set[AssignmentKey] = set()
-        for key0 in self._path_matches[k0]:
-            out.update(self._join_from(k0, key0))
-        return sorted(out)
-
-    def _add_complete(self, full: AssignmentKey) -> None:
-        if full in self._complete:
-            return
-        self._complete.add(full)
-        for k, path in enumerate(self.paths):
-            proj = _project(full, path.nodes)
-            self._complete_by_proj[k].setdefault(proj, set()).add(full)
-
-    def _remove_completes_for(self, k: int, proj: AssignmentKey) -> Set[AssignmentKey]:
-        doomed = self._complete_by_proj[k].pop(proj, set())
-        for full in doomed:
-            self._complete.discard(full)
-            for kk, path in enumerate(self.paths):
-                if kk == k:
-                    continue
-                pj = _project(full, path.nodes)
-                bucket = self._complete_by_proj[kk].get(pj)
-                if bucket:
-                    bucket.discard(full)
-        return doomed
+            self._by_edge.setdefault(e, set()).add(key)
 
     # -- change application -------------------------------------------------
 
     def apply(self, change: Change) -> Tuple[Set[AssignmentKey], Set[AssignmentKey]]:
         """Apply one change; returns (added, removed) complete assignments."""
-        if isinstance(change, AttrSet):
-            self.view.set_attr(change.vid, change.name, change.value)
-            self._refresh_literals(change.vid, change.name)
-            return set(), set()
-        if isinstance(change, AttrDelete):
-            self.view.del_attr(change.vid, change.name)
-            self._refresh_literals(change.vid, change.name)
+        if isinstance(change, (AttrSet, AttrDelete)):
             return set(), set()
         if isinstance(change, EdgeInsert):
             e = (change.src, change.label, change.dst)
@@ -420,90 +272,60 @@ class IncrementalMatcher:
             return set(), self._delete_edge(e)
         raise TypeError(f"unknown change {change!r}")
 
-    def sync_vertex(self, vid: str, label: Optional[str], attrs: Optional[Mapping[str, str]] = None) -> None:
+    def sync_vertex(self, vid: str, label: Optional[str]) -> None:
         """Bring a vertex into (or drop it from) the working view.
 
-        Callers must delete the vertex's view edges before dropping it.
-        Single-node paths key their matches on the vertex itself, so entry
-        and exit update those tables here.
+        Callers must delete the vertex's view edges before dropping it, and
+        insert them after bringing it in.  Only an edge-free pattern can
+        match a vertex on its own, so only its matches change here.
         """
         if label is None:
-            for k, path in enumerate(self.paths):
-                if path.edges:
-                    continue
-                key = ((path.nodes[0], vid),)
-                if key in self._path_matches[k]:
-                    del self._path_matches[k][key]
-                    self._unindex_key(k, key)
-                    self._remove_completes_for(k, key)
             self.view.remove_vertex(vid)
         else:
             self.view.add_vertex(vid, label)
-            for name, value in (attrs or {}).items():
-                self.view.set_attr(vid, name, value)
-            for k, path in enumerate(self.paths):
-                if path.edges:
-                    continue
-                if not _label_ok(self._path_graphs[k], path.nodes[0], self.view, vid):
-                    continue
-                key = ((path.nodes[0], vid),)
-                if key not in self._path_matches[k]:
-                    self._path_matches[k][key] = self._failing(path, {path.nodes[0]: vid})
-                    self._index_key(k, key)
-                    for full in self._join_from(k, key):
-                        self._add_complete(full)
+        if self.pattern.edges:
+            return
+        var = self.pattern.vars[0]
+        if label is not None and _label_ok(self.pattern, var, self.view, vid):
+            self._complete.add(((var, vid),))
+        else:
+            self._complete.discard(((var, vid),))
 
-    def _refresh_literals(self, vid: str, name: str) -> None:
-        for k, path in enumerate(self.paths):
-            lits = [l for l in path.literals if l.attr == name]
-            if not lits:
-                continue
-            affected: Set[AssignmentKey] = set()
-            for lit in lits:
-                affected |= self._by_var_vid[k].get((lit.var, vid), set())
-            for key in affected:
-                self._path_matches[k][key] = self._failing(path, dict(key))
-
-    def _insert_edge(self, e: Tuple[str, str, str]) -> Set[AssignmentKey]:
+    def _insert_edge(self, e: Edge) -> Set[AssignmentKey]:
         src, label, dst = e
-        added_complete: Set[AssignmentKey] = set()
-        for k, path in enumerate(self.paths):
-            pg = self._path_graphs[k]
-            hits: List[Dict[str, str]] = []
-            searched = False
-            for (psrc, plabel, pdst) in path.edges:
-                if plabel != label:
-                    continue
-                if psrc == pdst:
-                    continue
-                if not (_label_ok(pg, psrc, self.view, src) and _label_ok(pg, pdst, self.view, dst)):
-                    continue
-                searched = True
-                if src == dst:
-                    continue
-                hits.extend(_match_vars(pg, path.nodes, self.view, seed={psrc: src, pdst: dst}))
-            if searched:
-                # localized isomorphism around the new edge's endpoints
-                self.iso_searches += 1
-            for a in hits:
+        added: Set[AssignmentKey] = set()
+        seeded = False
+        for (psrc, plabel, pdst) in self.pattern.edges:
+            if plabel != label or (psrc == pdst) != (src == dst):
+                continue
+            if not (
+                _label_ok(self.pattern, psrc, self.view, src)
+                and _label_ok(self.pattern, pdst, self.view, dst)
+            ):
+                continue
+            seeded = True
+            for a in _match_vars(self.pattern, self.view, seed={psrc: src, pdst: dst}):
                 key = _key(a)
-                if key not in self._path_matches[k]:
-                    self._path_matches[k][key] = self._failing(path, a)
-                    self._index_key(k, key)
-                    for full in self._join_from(k, key):
-                        if full not in self._complete:
-                            self._add_complete(full)
-                            added_complete.add(full)
-        return added_complete
+                if key not in self._complete:
+                    self._add(key)
+                    added.add(key)
+        if seeded:
+            # localized isomorphism around the new edge's endpoints
+            self.iso_searches += 1
+        return added
 
-    def _delete_edge(self, e: Tuple[str, str, str]) -> Set[AssignmentKey]:
-        removed: Set[AssignmentKey] = set()
-        for k in range(len(self.paths)):
-            doomed = list(self._by_edge[k].get(e, set()))
-            for key in doomed:
-                self._path_matches[k].pop(key, None)
-                self._unindex_key(k, key)
-                removed |= self._remove_completes_for(k, key)
+    def _delete_edge(self, e: Edge) -> Set[AssignmentKey]:
+        removed = self._by_edge.pop(e, set())
+        for key in removed:
+            self._complete.discard(key)
+            assignment = dict(key)
+            for (src, label, dst) in self.pattern.edges:
+                other = (assignment[src], label, assignment[dst])
+                bucket = self._by_edge.get(other)
+                if bucket is not None:
+                    bucket.discard(key)
+                    if not bucket:
+                        del self._by_edge[other]
         return removed
 
     # -- results --------------------------------------------------------------
@@ -514,98 +336,6 @@ class IncrementalMatcher:
     def topological_matches(self, t: int) -> Set[MatchBinding]:
         return {MatchBinding(t=t, items=key) for key in self._complete}
 
-    def satisfied_matches(self, t: int) -> Set[MatchBinding]:
-        out = set()
-        for key in self._complete:
-            if all(self._satisfied(k, key) for k in range(len(self.paths))):
-                out.add(MatchBinding(t=t, items=key))
-        return out
-
-    def _satisfied(self, k: int, complete_key: AssignmentKey) -> bool:
-        proj = _project(complete_key, self.paths[k].nodes)
-        unsat = self._path_matches[k].get(proj)
-        return unsat is not None and not unsat
-
-    def states(self, t: int) -> List[PartialMatchState]:
-        """Candidate states: maximal consistent joins over matched paths.
-
-        Inspection helper for tests and reports; detection consumes
-        topological_matches instead.
-        """
-        combos: List[Tuple[Dict[str, str], FrozenSet[int]]] = [({}, frozenset())]
-        for k in range(len(self.paths)):
-            nxt = list(combos)
-            for partial, used in combos:
-                for key in self._path_matches[k]:
-                    merged = _merge(partial, key)
-                    if merged is not None:
-                        nxt.append((merged, used | {k}))
-            combos = nxt
-        items = {(_key(p), used) for p, used in combos if used}
-        maximal = [
-            (key, used)
-            for key, used in items
-            if not any(
-                (key, used) != (k2, u2) and used <= u2 and set(key) <= set(k2)
-                for k2, u2 in items
-            )
-        ]
-        states = []
-        for key, used in sorted(maximal, key=lambda x: (x[0], sorted(x[1]))):
-            beta = []
-            unsat = []
-            for k in range(len(self.paths)):
-                if k in used:
-                    proj = _project(key, self.paths[k].nodes)
-                    failing = self._path_matches[k].get(proj, frozenset())
-                    beta.append(not failing)
-                    unsat.append(failing)
-                else:
-                    beta.append(False)
-                    unsat.append(frozenset())
-            states.append(
-                PartialMatchState(
-                    candidate=MatchBinding(t=t, items=key),
-                    beta=tuple(beta),
-                    unsat=tuple(unsat),
-                )
-            )
-        return states
-
 
 def _key(assignment: Mapping[str, str]) -> AssignmentKey:
     return tuple(sorted(assignment.items()))
-
-
-def _project(key: AssignmentKey, variables: Sequence[str]) -> AssignmentKey:
-    wanted = set(variables)
-    return tuple((v, vid) for v, vid in key if v in wanted)
-
-
-def _merge(partial: Mapping[str, str], key: AssignmentKey) -> Optional[Dict[str, str]]:
-    """Union of a partial assignment and a path match; None when shared
-    variables disagree or injectivity breaks."""
-    merged = dict(partial)
-    for var, vid in key:
-        if var in merged:
-            if merged[var] != vid:
-                return None
-        else:
-            merged[var] = vid
-    values = list(merged.values())
-    if len(set(values)) != len(values):
-        return None
-    return merged
-
-
-def lmatch(
-    matcher: IncrementalMatcher,
-    change: Change,
-    t: int,
-) -> Tuple[Set[MatchBinding], Set[MatchBinding]]:
-    """Apply one change and report the complete-match delta at timestamp t."""
-    added, removed = matcher.apply(change)
-    return (
-        {MatchBinding(t=t, items=k) for k in added},
-        {MatchBinding(t=t, items=k) for k in removed},
-    )

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 import time as _time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import JobOutOfBounds
@@ -78,22 +78,10 @@ def owner_map(fragments: Sequence[Fragment]) -> Dict[str, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Joblet:
-    tgfd: str
-    path_index: int
-    worker_id: int
-    center: str
-    radius: int
-    estimated_size: float
-    ccost: int
-
-
 @dataclass
 class Job:
     tgfd: str
     home: int
-    joblets: Tuple[Joblet, ...]
     size: float
     ship_in: int   # edges crossing into the home fragment's balls
     ship_all: int  # total ball edges, paid when the job runs elsewhere
@@ -229,8 +217,9 @@ def build_jobs(
     fragments: Sequence[Fragment],
     t: int = 1,
 ) -> List[Job]:
-    """One job per (rule, fragment): all of the rule's joblets whose candidate
-    centers the fragment owns."""
+    """One job per (rule, fragment), covering the rule's path centers the
+    fragment owns: size is the smallest path-match estimate, and the ship
+    costs sum the edges of every owned center's radius ball."""
     rules = normalize_all(tgfds)
     full = graph.view(t)
     jobs: List[Job] = []
@@ -251,7 +240,6 @@ def build_jobs(
         model = build_cardinality_model(owned_view)
         for sigma in rules:
             paths = tgfd_paths(sigma)
-            joblets: List[Joblet] = []
             path_estimates: List[float] = []
             ship_in = 0
             ship_all = 0
@@ -273,30 +261,17 @@ def build_jobs(
                     ball_edges = [
                         e for e in full.edges if e[0] in nodes and e[2] in nodes
                     ]
-                    cc = sum(
+                    ship_in += sum(
                         1
                         for e in ball_edges
                         if e[0] not in frag.owned_vertices or e[2] not in frag.owned_vertices
                     )
-                    ship_in += cc
                     ship_all += len(ball_edges)
-                    joblets.append(
-                        Joblet(
-                            tgfd=sigma.name,
-                            path_index=path.index,
-                            worker_id=frag.worker_id,
-                            center=center,
-                            radius=path.radius,
-                            estimated_size=per_edge,
-                            ccost=cc,
-                        )
-                    )
             size = min(path_estimates) if path_estimates else 0.0
             jobs.append(
                 Job(
                     tgfd=sigma.name,
                     home=frag.worker_id,
-                    joblets=tuple(joblets),
                     size=size,
                     ship_in=ship_in,
                     ship_all=ship_all,
@@ -308,6 +283,11 @@ def build_jobs(
 # ---------------------------------------------------------------------------
 # assignment
 # ---------------------------------------------------------------------------
+
+
+def clamp_job(job: Job, bounds: Tuple[float, float]) -> Job:
+    """The job with its size clamped into the job-time bounds."""
+    return replace(job, size=min(max(job.size, bounds[0]), bounds[1]))
 
 
 def _greedy_pack(jobs: Sequence[Job], n: int, cap: float) -> Optional[Dict[str, int]]:
@@ -415,10 +395,9 @@ class ParallelResult:
 class _JobState:
     """Everything a job carries when it migrates between workers."""
 
-    def __init__(self, job: Job, sigma: Tgfd, paths: List[PathPattern], anchor_var: str):
+    def __init__(self, job: Job, sigma: Tgfd, anchor_var: str):
         self.job = job
         self.sigma = sigma
-        self.paths = paths
         self.anchor_var = anchor_var
         self.matcher: Optional[IncrementalMatcher] = None
         self.index = MatchIndex(RulePlan(sigma))
@@ -457,14 +436,15 @@ def _fragment_working_view(
 
 def _view_delta_ops(prev: GraphView, cur: GraphView) -> List:
     """Operations evolving one working view into the next: edge removals,
-    vertex exits, vertex entries, attribute diffs, edge insertions."""
+    vertex exits, vertex entries (id and type), attribute diffs, edge
+    insertions."""
     ops: List = []
     for e in sorted(prev.edges - cur.edges):
         ops.append(("change", EdgeDelete(*e)))
     for vid in sorted(prev.vertices() - cur.vertices()):
         ops.append(("exit", vid))
     for vid in sorted(cur.vertices() - prev.vertices()):
-        ops.append(("enter", vid, cur.type_of(vid), dict(cur.attrs.get(vid, {}))))
+        ops.append(("enter", vid, cur.type_of(vid)))
     for vid in sorted(prev.vertices() & cur.vertices()):
         before = prev.attrs.get(vid, {})
         after = cur.attrs.get(vid, {})
@@ -488,8 +468,7 @@ def _apply_ops(state: _JobState, ops: Sequence) -> int:
         elif op[0] == "exit":
             matcher.sync_vertex(op[1], None)
         else:
-            _, vid, label, attrs = op
-            matcher.sync_vertex(vid, label, attrs)
+            matcher.sync_vertex(op[1], op[2])
     return applied
 
 
@@ -531,14 +510,10 @@ def run_parallel(
         anchor_specs.append((sigma.pattern.label_of(anchor_var), sigma.pattern.diameter))
         for frag in frags:
             job = jobs_by_name[f"{sigma.name}@f{frag.worker_id}"]
-            states[job.name] = _JobState(job, sigma, tgfd_paths(sigma), anchor_var)
+            states[job.name] = _JobState(job, sigma, anchor_var)
     anchor_specs = sorted(set(anchor_specs))
 
-    def clamp(job: Job) -> Job:
-        size = min(max(job.size, bounds[0]), bounds[1])
-        return Job(job.tgfd, job.home, job.joblets, size, job.ship_in, job.ship_all)
-
-    assignment = gen_assign([clamp(j) for j in jobs], n, bounds, zeta)
+    assignment = gen_assign([clamp_job(j, bounds) for j in jobs], n, bounds, zeta)
     report = RunReport()
     report.assignments.append((1, dict(assignment.mapping)))
 
@@ -579,9 +554,7 @@ def run_parallel(
                 state = states[name]
                 started = _time.perf_counter()
                 if t == 1:
-                    state.matcher = IncrementalMatcher(
-                        state.sigma.pattern, state.paths, views[state.job.home]
-                    )
+                    state.matcher = IncrementalMatcher(state.sigma.pattern, views[state.job.home])
                     applied = 0
                 else:
                     applied = _apply_ops(state, ops_by_fragment[state.job.home])
@@ -674,7 +647,7 @@ def run_parallel(
             for name, state in states.items():
                 state.job = fresh_by_name[name]
             new_assignment = gen_assign(
-                [clamp(j) for j in fresh], n, bounds, zeta
+                [clamp_job(j, bounds) for j in fresh], n, bounds, zeta
             )
             moved_cost = 0.0
             for name, worker in new_assignment.mapping.items():

@@ -15,7 +15,7 @@ from tgfd.foundations import (
     closure_for_implication,
 )
 from tgfd.graph import Fragment, apply_changes
-from tgfd.matcher import IncrementalMatcher, decompose, match_snapshot
+from tgfd.matcher import IncrementalMatcher, match_snapshot
 from tgfd.model import ConstantLiteral, Delta, Tgfd
 from tgfd.parallel import gen_assign, run_parallel
 
@@ -137,7 +137,7 @@ def test_criterion_3_incremental_equals_batch():
         rng = random.Random(2000 + seed)
         g = random_graph(rng, 24, 45)
         pattern = random_tgfd(rng, "r", max_edges=3).pattern
-        matcher = IncrementalMatcher(pattern, decompose(pattern), g.view(1))
+        matcher = IncrementalMatcher(pattern, g.view(1))
         if matcher.topological_matches(1) != match_snapshot(pattern, g.view(1)):
             divergences += 1
         for t in range(2, 6):
@@ -153,7 +153,7 @@ def test_criterion_3_incremental_equals_batch():
         rng = random.Random(3000 + seed)
         g = random_graph(rng, 20, 40)
         pattern = random_tgfd(rng, "r", max_edges=3).pattern
-        matcher = IncrementalMatcher(pattern, decompose(pattern), g.view(1))
+        matcher = IncrementalMatcher(pattern, g.view(1))
         for t in range(2, 6):
             cs = random_changes(rng, g, t, 10, (1.0, 0.0, 0.0))
             g = apply_changes(g, cs)

@@ -195,3 +195,64 @@ def test_plan_prints_assignment(capsys, med_files):
     assert out.startswith("makespan=")
     assert "job=dosage_rule@f1 worker=" in out
     assert "job=dosage_rule@f2 worker=" in out
+
+
+SELF_LOOP_SNAPSHOT = """\
+v a person name=ann
+v b person name=ann
+v c person name=bob
+v s team code=1
+v u team code=2
+e a rates a
+e a plays s
+e b plays u
+e c rates c
+e c plays s
+"""
+
+SELF_LOOP_CHANGES = """\
+t 2
++e b rates b
+-e c rates c
+t 3
+-e a rates a
++e c rates c
++a u code=1
+"""
+
+SELF_LOOP_RULES = """\
+tgfd loop_rule
+vertex x person
+vertex y team
+edge x rates x
+edge x plays y
+delta (0, 2)
+x: x.name == x.name
+y: y.code == y.code
+"""
+
+
+def test_self_loop_rule_detect_and_parallel_agree(tmp_path):
+    snap = tmp_path / "loop.snapshot"
+    snap.write_text(SELF_LOOP_SNAPSHOT)
+    changes = tmp_path / "loop.changes"
+    changes.write_text(SELF_LOOP_CHANGES)
+    rules = tmp_path / "loop.tgfd"
+    rules.write_text(SELF_LOOP_RULES)
+    io = ["--graph", str(snap), "--changes", str(changes), "--tgfds", str(rules)]
+    seq_out = tmp_path / "seq.txt"
+    par_out = tmp_path / "par.txt"
+    assert main(["detect", *io, "--out", str(seq_out)]) == 0
+    assert main(
+        ["detect-parallel", *io, "--workers", "2", "--tl", "0", "--tu", "1e9",
+         "--out", str(par_out)]
+    ) == 0
+    seq_lines = [l for l in seq_out.read_text().splitlines() if l.startswith("loop_rule")]
+    par_lines = [l for l in par_out.read_text().splitlines() if l.startswith("loop_rule")]
+    # b's loop arrives at t=2, a's leaves at t=3, u's code changes at t=3
+    assert seq_lines == [
+        "loop_rule PAIR t_i=1 t_j=2 x=a,y=s x=b,y=u",
+        "loop_rule PAIR t_i=2 t_j=2 x=a,y=s x=b,y=u",
+        "loop_rule PAIR t_i=2 t_j=3 x=b,y=u x=b,y=u",
+    ]
+    assert par_lines == seq_lines

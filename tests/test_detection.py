@@ -217,8 +217,6 @@ def test_index_partitions_are_consistent():
     for t in (1, 2):
         incted_step(index, sigma, [MatchBinding.of(t, {"x": "a", "y": "b"})], graph_attr, g.T)
     for key, entries in index.pi_x.items():
-        nested = [e for bucket in index.pi_xy[key].values() for e in bucket]
-        assert sorted(e.t for e in nested) == sorted(e.t for e in entries)
         assert sorted(index.gamma_x[key]) == sorted(e.t for e in entries)
 
 

@@ -8,12 +8,10 @@ from tgfd.graph import (
     AttrSet,
     EdgeDelete,
     EdgeInsert,
-    Fragment,
     Snapshot,
     TemporalGraph,
     apply_changes,
     changes_to_text,
-    fragment_view,
     graph_to_texts,
     induced_subgraph,
     load_graph,
@@ -152,30 +150,6 @@ def test_induced_subgraph_matches_bfs_and_is_monotone():
             assert view.vertices() == bfs_depth(full, center, d)
             assert prev <= view.vertices()
             prev = view.vertices()
-
-
-def test_fragment_view_single_owner_equals_snapshot():
-    g = star_graph()
-    frag = Fragment(worker_id=1, owned_vertices=frozenset(g.vertices))
-    view = fragment_view(g, frag, 1)
-    assert view.edges == set(g.snapshots[0].edges)
-    assert view.vertices() == set(g.vertices)
-
-
-def test_fragment_view_cut_edges_need_borrowing():
-    g = star_graph()
-    f1 = Fragment(worker_id=1, owned_vertices=frozenset({"c"}))
-    f2 = Fragment(worker_id=2, owned_vertices=frozenset({"a", "b", "d"}))
-    assert not fragment_view(g, f1, 1).edges
-    assert not fragment_view(g, f2, 1).edges
-    shipped = Fragment(
-        worker_id=1,
-        owned_vertices=frozenset({"c"}),
-        borrowed_edges=frozenset({("c", "to", "a")}),
-    )
-    view = fragment_view(g, shipped, 1)
-    assert ("c", "to", "a") in view.edges
-    assert "a" in view.vertices()
 
 
 def test_snapshot_file_roundtrip_with_quoting():

@@ -1,24 +1,69 @@
 import random
 
 import pytest
+from networkx import DiGraph
+from networkx.algorithms.isomorphism import DiGraphMatcher
 
-from tgfd.graph import AttrSet, EdgeDelete, EdgeInsert
+from tgfd.graph import AttrDelete, AttrSet, EdgeDelete, EdgeInsert, apply_changes
 from tgfd.matcher import (
     IncrementalMatcher,
     decompose,
-    lmatch,
     match_snapshot,
     tgfd_paths,
 )
-from tgfd.model import ConstantLiteral, GraphPattern
+from tgfd.model import ConstantLiteral, GraphPattern, MatchBinding
 
 from util import (
+    brute_matches,
     brute_matches_all_maps,
     build_graph,
+    exotic_pattern,
     random_changes,
     random_graph,
     random_pattern,
 )
+
+
+def _labelled_digraph(nodes, edges) -> DiGraph:
+    """One networkx edge per ordered pair, carrying the set of its labels;
+    self-loops included."""
+    g = DiGraph()
+    for node, type_label in nodes:
+        g.add_node(node, type=type_label)
+    for (src, label, dst) in edges:
+        if g.has_edge(src, dst):
+            g[src][dst]["labels"].add(label)
+        else:
+            g.add_edge(src, dst, labels={label})
+    return g
+
+
+def nx_matches(pattern: GraphPattern, view) -> set:
+    """Independent oracle: networkx VF2 monomorphisms of the pattern into the
+    view.  Node match is on type with `_` as a wildcard; edge match requires
+    the pattern's labels to be a subset of the data labels."""
+    data = _labelled_digraph(
+        [(vid, view.type_of(vid)) for vid in view.vertices()], view.edges
+    )
+    pat = _labelled_digraph(pattern.nodes, pattern.edges)
+    gm = DiGraphMatcher(
+        data,
+        pat,
+        node_match=lambda d, p: p["type"] in ("_", d["type"]),
+        edge_match=lambda d, p: p["labels"] <= d["labels"],
+    )
+    return {
+        MatchBinding.of(view.t, {var: vid for vid, var in m.items()})
+        for m in gm.subgraph_monomorphisms_iter()
+    }
+
+
+def assert_matches_current(matcher, pattern, view, where):
+    """The incremental state equals the batch matcher and the networkx
+    oracle on the current view."""
+    got = matcher.topological_matches(view.t)
+    assert got == match_snapshot(pattern, view), f"batch divergence {where}"
+    assert got == nx_matches(pattern, view), f"networkx divergence {where}"
 
 
 # ---------------------------------------------------------------------------
@@ -143,64 +188,11 @@ def test_match_injective():
 # ---------------------------------------------------------------------------
 
 
-def study_fixture():
-    """Example trace: partial matches upgraded by an edge insertion and then
-    an attribute fix, with no search on the attribute step."""
-    g = build_graph(
-        {
-            "Bob": "student",
-            "Adv": "advisor",
-            "Uni": "university",
-            "Dep": "department",
-        },
-        [("Adv", "supervise", "Bob"), ("Dep", "partOf", "Uni")],
-        {"Uni": {"name": "Waterloo"}},
-    )
-    lit = ConstantLiteral("z", "name", "McMaster")
-    paths = decompose(advisor_pattern(), [lit])
-    return g, paths, lit
-
-
-def test_lmatch_trace_edge_then_attr():
-    g, paths, lit = study_fixture()
-    matcher = IncrementalMatcher(advisor_pattern(), paths, g.view(1))
-
-    # t1: the long path has no topological match; the branch path does but
-    # fails the McMaster constant
-    states = matcher.states(1)
-    assert matcher.topological_matches(1) == set()
-    branch = [s for s in states if s.candidate.get("w") == "Dep"]
-    assert branch
-    st = branch[0]
-    assert st.beta == (False, False)
-    k_branch = 1 if len(paths[1].edges) == 1 else 0
-    assert lit in st.unsat[k_branch]
-    assert not st.unsat[1 - k_branch]  # no topological match on the long path
-
-    # t2: the study edge arrives; topology complete but the constant fails
-    added, removed = lmatch(matcher, EdgeInsert("Bob", "study", "Uni"), 2)
-    searches_after_edge = matcher.iso_searches
-    assert searches_after_edge >= 1
-    assert len(added) == 1 and not removed
-    assert matcher.satisfied_matches(2) == set()
-    st = matcher.states(2)[0]
-    assert st.beta == (False, False)
-    assert all(lit in u for u in st.unsat)
-
-    # t3: the rename clears every failing literal with zero searches
-    added, removed = lmatch(matcher, AttrSet("Uni", "name", "McMaster"), 3)
-    assert matcher.iso_searches == searches_after_edge
-    assert not added and not removed  # topology unchanged
-    sat = matcher.satisfied_matches(3)
-    assert len(sat) == 1
-    st = matcher.states(3)[0]
-    assert st.beta == (True, True)
-    assert all(not u for u in st.unsat)
-
-
-def test_lmatch_delete_untouched_candidates():
-    g, paths, _ = study_fixture()
-    g2 = build_graph(
+def study_graph(with_study_edge: bool):
+    edges = [("Adv", "supervise", "Bob"), ("Dep", "partOf", "Uni"), ("o1", "near", "o2")]
+    if with_study_edge:
+        edges.append(("Bob", "study", "Uni"))
+    return build_graph(
         {
             "Bob": "student",
             "Adv": "advisor",
@@ -209,30 +201,48 @@ def test_lmatch_delete_untouched_candidates():
             "o1": "org",
             "o2": "org",
         },
-        [
-            ("Adv", "supervise", "Bob"),
-            ("Bob", "study", "Uni"),
-            ("Dep", "partOf", "Uni"),
-            ("o1", "near", "o2"),
-        ],
+        edges,
+        {"Uni": {"name": "Waterloo"}},
     )
-    matcher = IncrementalMatcher(advisor_pattern(), paths, g2.view(1))
-    before = matcher.topological_matches(1)
-    assert len(before) == 1
-    lmatch(matcher, EdgeDelete("o1", "near", "o2"), 2)
-    assert matcher.topological_matches(2) == {b for b in before} or len(
-        matcher.topological_matches(2)
-    ) == 1
 
 
-def test_lmatch_delete_removes_match():
-    g, paths, _ = study_fixture()
-    matcher = IncrementalMatcher(advisor_pattern(), paths, g.view(1))
-    lmatch(matcher, EdgeInsert("Bob", "study", "Uni"), 2)
-    assert len(matcher.topological_matches(2)) == 1
-    added, removed = lmatch(matcher, EdgeDelete("Adv", "supervise", "Bob"), 3)
-    assert not added and len(removed) == 1
-    assert matcher.topological_matches(3) == set()
+STUDY_MATCH = (("w", "Dep"), ("x", "Adv"), ("y", "Bob"), ("z", "Uni"))
+
+
+def test_attribute_change_returns_nothing_and_never_searches():
+    g = study_graph(with_study_edge=True)
+    matcher = IncrementalMatcher(advisor_pattern(), g.view(1))
+    before = matcher.complete_keys()
+    assert before == {STUDY_MATCH}
+    for change in (AttrSet("Uni", "name", "McMaster"), AttrDelete("Uni", "name")):
+        assert matcher.apply(change) == (set(), set())
+    assert matcher.iso_searches == 0
+    assert matcher.complete_keys() == before
+
+
+def test_edge_insert_adds_exactly_the_new_match():
+    g = study_graph(with_study_edge=False)
+    matcher = IncrementalMatcher(advisor_pattern(), g.view(1))
+    assert matcher.topological_matches(1) == set()
+    added, removed = matcher.apply(EdgeInsert("Bob", "study", "Uni"))
+    assert added == {STUDY_MATCH} and removed == set()
+    assert matcher.iso_searches == 1
+    assert matcher.topological_matches(2) == {MatchBinding(t=2, items=STUDY_MATCH)}
+    # re-inserting a present edge is a no-op
+    assert matcher.apply(EdgeInsert("Bob", "study", "Uni")) == (set(), set())
+    assert matcher.iso_searches == 1
+
+
+def test_edge_delete_removes_exactly_its_match():
+    g = study_graph(with_study_edge=True)
+    matcher = IncrementalMatcher(advisor_pattern(), g.view(1))
+    # an edge no match uses removes nothing
+    assert matcher.apply(EdgeDelete("o1", "near", "o2")) == (set(), set())
+    assert matcher.complete_keys() == {STUDY_MATCH}
+    added, removed = matcher.apply(EdgeDelete("Adv", "supervise", "Bob"))
+    assert added == set() and removed == {STUDY_MATCH}
+    assert matcher.complete_keys() == set()
+    assert matcher.iso_searches == 0
 
 
 @pytest.mark.parametrize("profile", [(0.4, 0.3, 0.3), (0.85, 0.075, 0.075), (0.075, 0.85, 0.075), (0.075, 0.075, 0.85)])
@@ -241,55 +251,79 @@ def test_incremental_equals_batch_random_streams(profile):
         rng = random.Random(seed)
         g = random_graph(rng, 24, 45)
         pattern = random_pattern(rng, 3)
-        paths = decompose(pattern)
-        matcher = IncrementalMatcher(pattern, paths, g.view(1))
-        assert matcher.topological_matches(1) == match_snapshot(pattern, g.view(1))
-        from tgfd.graph import apply_changes
-
+        matcher = IncrementalMatcher(pattern, g.view(1))
+        assert_matches_current(matcher, pattern, g.view(1), f"seed={seed} t=1")
         for t in range(2, 6):
             cs = random_changes(rng, g, t, 8, profile)
             g = apply_changes(g, cs)
             for change in cs.changes:
                 matcher.apply(change)
-            assert matcher.topological_matches(t) == match_snapshot(pattern, g.view(t)), (
-                f"divergence at seed={seed} t={t}"
-            )
+            assert_matches_current(matcher, pattern, g.view(t), f"seed={seed} t={t}")
 
 
 def test_incremental_equals_batch_exotic_patterns():
-    # diamonds, directed cycles, parallel labels, wildcard hubs
-    from util import exotic_pattern
-
+    # diamonds, directed cycles, parallel labels, wildcard hubs, self-loops;
+    # the change streams insert and delete data self-loops
+    loop_patterns = 0
     for seed in range(30):
         rng = random.Random(10_000 + seed)
         g = random_graph(rng, rng.randint(10, 30), rng.randint(20, 60))
         pattern = exotic_pattern(rng)
-        paths = decompose(pattern)
-        covered = set()
-        for p in paths:
-            covered |= set(p.edges)
+        loop_patterns += any(e[0] == e[2] for e in pattern.edges)
+        covered = set().union(*(p.edges for p in decompose(pattern)))
         assert covered == set(pattern.edges)
-        matcher = IncrementalMatcher(pattern, paths, g.view(1))
-        assert matcher.topological_matches(1) == match_snapshot(pattern, g.view(1))
-        from tgfd.graph import apply_changes
-
+        matcher = IncrementalMatcher(pattern, g.view(1))
+        assert_matches_current(matcher, pattern, g.view(1), f"seed={seed} t=1")
         for t in range(2, 5):
-            cs = random_changes(rng, g, t, rng.randint(4, 10))
+            cs = random_changes(rng, g, t, rng.randint(4, 10), loops=rng.randint(2, 6))
             g = apply_changes(g, cs)
             for change in cs.changes:
                 matcher.apply(change)
-            assert matcher.topological_matches(t) == match_snapshot(
-                pattern, g.view(t)
-            ), f"seed={seed} t={t}"
+            assert_matches_current(matcher, pattern, g.view(t), f"seed={seed} t={t}")
+    assert loop_patterns
+
+
+def test_self_loop_patterns_under_loop_heavy_streams():
+    # every stream inserts and deletes self-loops; some matches must appear
+    # and disappear, so the equality is not vacuous
+    seen_added = seen_removed = 0
+    for seed in range(20):
+        rng = random.Random(20_000 + seed)
+        g = random_graph(rng, 8, 16, n_types=2)
+        la, lb = rng.sample(["knows", "in", "plays", "owns"], 2)
+        pattern = [
+            GraphPattern([("x", "person")], [("x", la, "x")]),
+            GraphPattern([("x", "_"), ("y", "city")], [("x", la, "x"), ("x", lb, "y")]),
+            GraphPattern([("x", "person"), ("y", "person")], [("x", la, "y"), ("y", la, "y")]),
+        ][seed % 3]
+        matcher = IncrementalMatcher(pattern, g.view(1))
+        assert_matches_current(matcher, pattern, g.view(1), f"seed={seed} t=1")
+        for t in range(2, 7):
+            cs = random_changes(rng, g, t, 6, loops=6)
+            g = apply_changes(g, cs)
+            for change in cs.changes:
+                added, removed = matcher.apply(change)
+                seen_added += len(added)
+                seen_removed += len(removed)
+            assert_matches_current(matcher, pattern, g.view(t), f"seed={seed} t={t}")
+            assert brute_matches(pattern, g.view(t)) == brute_matches_all_maps(pattern, g.view(t))
+    assert seen_added and seen_removed
+
+
+def test_brute_matches_checks_self_loops():
+    g = build_graph({"a": "person", "b": "person"}, [("a", "knows", "a"), ("a", "in", "b")])
+    loop = GraphPattern([("x", "person")], [("x", "knows", "x")])
+    assert {b.get("x") for b in brute_matches(loop, g.view(1))} == {"a"}
+    both = GraphPattern([("x", "person"), ("y", "person")], [("y", "in", "x"), ("x", "knows", "x")])
+    assert brute_matches(both, g.view(1)) == set()
+    assert brute_matches(both, g.view(1)) == nx_matches(both, g.view(1))
 
 
 def test_attribute_only_stream_never_searches():
     rng = random.Random(3)
     g = random_graph(rng, 20, 40)
     pattern = random_pattern(rng, 3)
-    matcher = IncrementalMatcher(pattern, decompose(pattern), g.view(1))
-    from tgfd.graph import apply_changes
-
+    matcher = IncrementalMatcher(pattern, g.view(1))
     for t in range(2, 6):
         cs = random_changes(rng, g, t, 10, (1.0, 0.0, 0.0))
         g = apply_changes(g, cs)
@@ -306,7 +340,7 @@ def test_locality_of_changes():
         [("a", "knows", "b"), ("far1", "near", "far2")],
     )
     pattern = GraphPattern([("x", "person"), ("y", "person")], [("x", "knows", "y")])
-    matcher = IncrementalMatcher(pattern, decompose(pattern), g.view(1))
+    matcher = IncrementalMatcher(pattern, g.view(1))
     before = matcher.complete_keys()
     matcher.apply(EdgeDelete("far1", "near", "far2"))
     matcher.apply(EdgeInsert("far2", "near", "far1"))

@@ -59,7 +59,7 @@ def extend(graph: TemporalGraph, changes: Sequence) -> TemporalGraph:
 
 def brute_matches(pattern: GraphPattern, view: GraphView) -> Set[MatchBinding]:
     """Injective assignments by plain depth-first enumeration in declaration
-    order, pruning on edges to already-placed variables."""
+    order, pruning on edges among the placed variables (self-loops included)."""
     variables = list(pattern.vars)
     candidates = {}
     for var in variables:
@@ -79,18 +79,14 @@ def brute_matches(pattern: GraphPattern, view: GraphView) -> Set[MatchBinding]:
         for vid in candidates[var]:
             if vid in assignment.values():
                 continue
-            ok = True
-            for (s, l, d) in pattern.edges:
-                if s == var and d in assignment and not view.has_edge(vid, l, assignment[d]):
-                    ok = False
-                    break
-                if d == var and s in assignment and not view.has_edge(assignment[s], l, vid):
-                    ok = False
-                    break
-            if ok:
-                assignment[var] = vid
+            assignment[var] = vid
+            if all(
+                view.has_edge(assignment[s], l, assignment[d])
+                for (s, l, d) in pattern.edges
+                if var in (s, d) and s in assignment and d in assignment
+            ):
                 place(i + 1)
-                del assignment[var]
+            del assignment[var]
 
     place(0)
     return out
@@ -229,8 +225,11 @@ def random_changes(
     t: int,
     count: int,
     profile: Tuple[float, float, float] = (0.4, 0.3, 0.3),
+    loops: int = 0,
 ) -> ChangeSet:
-    """(attr updates, edge deletions, edge insertions) fractions."""
+    """(attr updates, edge deletions, edge insertions) fractions; `loops`
+    adds up to that many deletions of live self-loops and that many
+    self-loop insertions on top."""
     au_frac, ed_frac, ei_frac = profile
     n_ed = round(ed_frac * count)
     n_ei = round(ei_frac * count)
@@ -244,6 +243,18 @@ def random_changes(
     for e in deletable[: min(n_ed, len(deletable))]:
         changes.append(EdgeDelete(*e))
         live.discard(e)
+    if loops:
+        old_loops = sorted(e for e in live if e[0] == e[2])
+        rng.shuffle(old_loops)
+        for e in old_loops[:loops]:
+            changes.append(EdgeDelete(*e))
+            live.discard(e)
+    for _ in range(loops):
+        vid = rng.choice(vids)
+        e = (vid, rng.choice(LABEL_POOL), vid)
+        if e not in live:
+            changes.append(EdgeInsert(*e))
+            live.add(e)
     added = 0
     guard = 0
     while added < n_ei and guard < 100 * n_ei + 50:
@@ -348,10 +359,10 @@ def pair_isolated_instance(
 
 def exotic_pattern(rng: random.Random) -> GraphPattern:
     """Shapes the tree generator never emits: diamonds, directed cycles,
-    parallel labels, wildcard hubs."""
+    parallel labels, wildcard hubs, self-loops."""
     t = lambda: TYPE_POOL[rng.randrange(4)]
     l = lambda: rng.choice(LABEL_POOL)
-    kind = rng.randrange(4)
+    kind = rng.randrange(5)
     if kind == 0:
         return GraphPattern(
             [("x", t()), ("y", t()), ("z", t()), ("w", t())],
@@ -368,9 +379,16 @@ def exotic_pattern(rng: random.Random) -> GraphPattern:
             [("x", t()), ("y", t()), ("z", t())],
             [("x", la, "y"), ("x", lb, "y"), ("y", la, "z")],
         )
+    if kind == 3:
+        return GraphPattern(
+            [("x", "_"), ("y", t()), ("z", t())],
+            [("y", l(), "x"), ("x", l(), "z")],
+        )
+    if rng.random() < 0.5:
+        return GraphPattern([("x", t())], [("x", l(), "x")])
     return GraphPattern(
-        [("x", "_"), ("y", t()), ("z", t())],
-        [("y", l(), "x"), ("x", l(), "z")],
+        [("x", t()), ("y", t())],
+        [("x", l(), "x"), ("x", l(), "y")],
     )
 
 
