@@ -12,7 +12,6 @@ from .graph import (
     TemporalGraph,
     Vertex,
     apply_changes,
-    induced_subgraph,
     load_graph,
 )
 from .model import (

@@ -1,16 +1,18 @@
 """Incremental violation detection over a stream of match sets.
 
 Matches are partitioned by the values realizing the antecedent literals
-(an X key), with the timestamps of each class recorded.  A new match at time t is compared only
-against indexed matches whose timestamps fall in its permissible range.
+(an X key), and each class is bucketed by timestamp.  A new match at time t
+is compared only against the buckets of its class whose timestamps fall in
+its permissible range.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .graph import ChangeSet, TemporalGraph, derive_changesets
+from .graph import ChangeSet, TemporalGraph
 from .matcher import IncrementalMatcher
 from .model import (
     ConstantLiteral,
@@ -93,10 +95,11 @@ def format_violation(v: Violation) -> str:
 
 
 def permissible_range(i: int, delta: Delta, T: int) -> List[int]:
-    """Timestamps j in [1, T] with p <= |j - i| <= q."""
+    """Timestamps j in [1, T] with p <= |j - i| <= q, ascending."""
     if not 1 <= i <= T:
         raise ValueError(f"timestamp {i} outside [1, {T}]")
-    return [j for j in range(1, T + 1) if delta.contains(j - i)]
+    lo, hi = max(1, i - delta.q), min(T, i + delta.q)
+    return [j for j in range(lo, hi + 1) if delta.contains(j - i)]
 
 
 # ---------------------------------------------------------------------------
@@ -226,24 +229,25 @@ class IndexEntry:
 
 
 class MatchIndex:
-    """Per-rule partitions of indexed matches by X values."""
+    """Per-rule partition of indexed matches by X values; each class maps a
+    timestamp to its entries in insertion order."""
 
     def __init__(self, plan: RulePlan):
         self.plan = plan
-        self.pi_x: Dict[XKey, List[IndexEntry]] = {}
-        self.gamma_x: Dict[XKey, List[int]] = {}
+        self.classes: Dict[XKey, Dict[int, List[IndexEntry]]] = {}
         self.pairs_compared = 0
 
     def insert(self, entry: IndexEntry) -> None:
-        key = entry.profile.xkey
-        self.pi_x.setdefault(key, []).append(entry)
-        self.gamma_x.setdefault(key, []).append(entry.t)
+        by_t = self.classes.setdefault(entry.profile.xkey, {})
+        by_t.setdefault(entry.t, []).append(entry)
 
-    def partners(self, entry: IndexEntry, rng: Sequence[int]) -> Iterable[IndexEntry]:
-        allowed = set(rng)
-        for other in self.pi_x.get(entry.profile.xkey, ()):
-            if other.t in allowed:
-                yield other
+    def partners(self, entry: IndexEntry, rng: Sequence[int]) -> Iterator[IndexEntry]:
+        """Entries of entry's class at the ascending timestamps rng, by
+        timestamp, then insertion order."""
+        by_t = self.classes.get(entry.profile.xkey)
+        if by_t:
+            for j in rng:
+                yield from by_t.get(j, ())
 
 
 def incted_step(
@@ -256,7 +260,8 @@ def incted_step(
     cross_only: bool = False,
     checked_pairs: Optional[List] = None,
 ) -> List[Violation]:
-    """Index the new matches of one timestamp and return the new violations.
+    """Index the new matches of one timestamp and return the new violations,
+    in the order found; callers sort them once, with violation_key.
 
     graph_attr(t) must return a (vid, name) -> value lookup for snapshot t.
     With cross_only, only pairs whose entries carry different owners are
@@ -291,7 +296,7 @@ def incted_step(
                 if plan.pair_violates(other, entry):
                     violations.append(PairViolation(sigma.name, other.binding, entry.binding))
         index.insert(entry)
-    return sorted(violations, key=violation_key)
+    return violations
 
 
 def snapshot_attr_fn(graph: TemporalGraph):
@@ -311,12 +316,15 @@ def snapshot_attr_fn(graph: TemporalGraph):
 def nontrivially_exercised(index: MatchIndex, delta: Delta) -> bool:
     """Whether some pair of X-equal matches fell inside the interval, i.e.
     the rule constrained at least one pair."""
-    for ts in index.gamma_x.values():
-        ordered = sorted(ts)
-        for i in range(len(ordered)):
-            for j in range(i + 1, len(ordered)):
-                if delta.contains(ordered[j] - ordered[i]):
-                    return True
+    step = max(delta.p, 1)  # least gap between two distinct timestamps in range
+    for by_t in index.classes.values():
+        if delta.p == 0 and any(len(entries) > 1 for entries in by_t.values()):
+            return True
+        ts = sorted(by_t)
+        for i, t in enumerate(ts):
+            j = bisect_left(ts, t + step, i + 1)
+            if j < len(ts) and ts[j] - t <= delta.q:
+                return True
     return False
 
 
@@ -328,10 +336,12 @@ class DetectionResult:
     iso_searches: int = 0
 
     def all_violations(self) -> List[Violation]:
+        """Every violation in violation_key order: each rule's list is
+        sorted, and the key starts with the rule name."""
         out = []
         for name in sorted(self.violations):
             out.extend(self.violations[name])
-        return sorted(out, key=violation_key)
+        return out
 
 
 def apply_mode(tgfds: Sequence[Tgfd], mode: str) -> List[Tgfd]:
@@ -354,7 +364,7 @@ def detect_sequential(
     indexing each timestamp's matches as it streams by."""
     rules = normalize_all(tgfds)
     if changesets is None:
-        changesets = derive_changesets(graph)
+        changesets = graph.changesets
     by_t = {cs.t: cs for cs in changesets}
     graph_attr = snapshot_attr_fn(graph)
 

@@ -3,7 +3,8 @@
 A temporal graph is a fixed vertex set plus one snapshot per timestamp
 (1-based).  Snapshots store directed labeled edges and string-valued vertex
 attributes.  Snapshots are immutable once built; change sets produce the next
-snapshot from the previous one.
+snapshot from the previous one, and the graph keeps the change sets it was
+built from.
 """
 
 from __future__ import annotations
@@ -172,13 +173,22 @@ class GraphView:
 
 
 class TemporalGraph:
-    """Fixed vertex set plus an ordered sequence of snapshots, t = 1..T."""
+    """Fixed vertex set plus an ordered sequence of snapshots, t = 1..T.
+
+    `changesets` lists the change sets turning snapshot t - 1 into t, for
+    t = 2..T: the ones `apply_changes` applied, or, for a graph built
+    directly from snapshots, their diffs, derived once on first read.
+    Applied change sets are kept as written, no-ops included, so work that
+    counts changes (the matcher's `iso_searches`) is comparable between
+    graphs only when their change files are canonical (`graph_to_texts`).
+    """
 
     def __init__(self, vertices: Mapping[str, Vertex], snapshots: Sequence[Snapshot]):
         if not snapshots:
             raise ValueError("a temporal graph needs at least one snapshot")
         self.vertices: Dict[str, Vertex] = dict(vertices)
         self.snapshots: Tuple[Snapshot, ...] = tuple(snapshots)
+        self._changesets: Optional[Tuple[ChangeSet, ...]] = () if self.T == 1 else None
         for i, snap in enumerate(self.snapshots, start=1):
             if snap.t != i:
                 raise ValueError(f"snapshot {i} carries timestamp {snap.t}")
@@ -188,6 +198,22 @@ class TemporalGraph:
             for vid in snap.attrs:
                 if vid not in self.vertices:
                     raise UnknownVertex(f"attributed vertex {vid} missing at t={i}")
+
+    def _extended(self, snap: Snapshot, cs: ChangeSet) -> "TemporalGraph":
+        """This graph plus snapshot snap, reached by cs.  Only apply_changes
+        calls it, having checked every change, so the earlier snapshots are
+        not validated again."""
+        graph = TemporalGraph.__new__(TemporalGraph)
+        graph.vertices = self.vertices
+        graph.snapshots = self.snapshots + (snap,)
+        graph._changesets = self.changesets + (cs,)
+        return graph
+
+    @property
+    def changesets(self) -> Tuple[ChangeSet, ...]:
+        if self._changesets is None:
+            self._changesets = tuple(derive_changesets(self))
+        return self._changesets
 
     @property
     def T(self) -> int:
@@ -222,7 +248,9 @@ class Fragment:
 def apply_changes(graph: TemporalGraph, cs: ChangeSet) -> TemporalGraph:
     """Materialize snapshot cs.t from snapshot cs.t - 1.
 
-    Changes apply in list order; earlier snapshots are shared, not copied.
+    Changes apply in list order; earlier snapshots are shared, not copied,
+    and only the new snapshot's changes are checked.  The result records cs
+    as its last change set.
     """
     if cs.t != graph.T + 1:
         raise ValueError(f"change set targets t={cs.t}, expected {graph.T + 1}")
@@ -249,26 +277,12 @@ def apply_changes(graph: TemporalGraph, cs: ChangeSet) -> TemporalGraph:
             raise TypeError(f"unknown change {change!r}")
     attrs = {vid: named for vid, named in attrs.items() if named}
     snap = Snapshot(t=cs.t, edges=frozenset(edges), attrs=attrs)
-    return TemporalGraph(graph.vertices, graph.snapshots + (snap,))
+    return graph._extended(snap, cs)
 
 
 def _require_vertex(graph: TemporalGraph, vid: str) -> None:
     if vid not in graph.vertices:
         raise UnknownVertex(vid)
-
-
-def induced_subgraph(graph: TemporalGraph, t: int, center: str, d: int) -> GraphView:
-    """Subgraph of snapshot t within d undirected hops of center."""
-    _require_vertex(graph, center)
-    if d < 0:
-        raise ValueError("hop radius must be non-negative")
-    snap = graph.snapshot(t)
-    full = graph.view(t)
-    reached = ball_vertices(full, center, d)
-    types = {vid: graph.vertices[vid].type_label for vid in reached}
-    edges = {e for e in snap.edges if e[0] in reached and e[2] in reached}
-    attrs = {vid: snap.attrs[vid] for vid in reached if vid in snap.attrs}
-    return GraphView(t, types, edges, attrs)
 
 
 def ball_vertices(view: GraphView, center: str, d: int) -> Set[str]:

@@ -28,7 +28,7 @@ from .graph import (
     TemporalGraph,
     ball_vertices,
 )
-from .matcher import IncrementalMatcher, PathPattern, tgfd_paths
+from .matcher import IncrementalMatcher, tgfd_paths
 from .model import WILDCARD, ConstantLiteral, MatchBinding, Tgfd, normalize_all
 from .detection import (
     MatchIndex,
@@ -184,31 +184,6 @@ def _center_candidates(view: GraphView, label: str, literals: Iterable[ConstantL
         if all(view.attr(vid, l.attr) == l.value for l in lits):
             out.append(vid)
     return sorted(out)
-
-
-def estimate_cardinality(model: CardinalityModel, path: PathPattern, view: GraphView, pattern) -> float:
-    """Expected path-match count: literal-satisfying center candidates times
-    the product of mean fan-outs over the path edges."""
-    centers = _center_candidates(
-        view, pattern.label_of(path.center_var), path.literals, path.center_var
-    )
-    estimate = float(len(centers))
-    for (src, label, dst) in path.edges:
-        estimate *= model.mean_fanout(pattern.label_of(src), label, pattern.label_of(dst))
-    return estimate
-
-
-def ccost_joblet(graph: TemporalGraph, t: int, center: str, radius: int, owned: frozenset) -> int:
-    """Edges of the radius-ball around the center with an endpoint off the
-    owning fragment: what must ship for the joblet to run at home."""
-    view = graph.view(t)
-    nodes = ball_vertices(view, center, radius)
-    count = 0
-    for (src, label, dst) in view.edges:
-        if src in nodes and dst in nodes:
-            if src not in owned or dst not in owned:
-                count += 1
-    return count
 
 
 def build_jobs(
@@ -386,10 +361,12 @@ class ParallelResult:
     nontrivial: Dict[str, bool] = field(default_factory=dict)
 
     def all_violations(self) -> List[Violation]:
+        """Every violation in violation_key order (see
+        DetectionResult.all_violations)."""
         out = []
         for name in sorted(self.violations):
             out.extend(self.violations[name])
-        return sorted(out, key=violation_key)
+        return out
 
 
 class _JobState:

@@ -1,20 +1,36 @@
 import random
 
+from hypothesis import example, given, settings, strategies as st
+
 from tgfd.detection import (
     ConstantViolation,
+    IndexEntry,
     MatchIndex,
     PairViolation,
     RulePlan,
+    ValueProfile,
     apply_mode,
     detect_sequential,
     format_violation,
     incted_step,
+    nontrivially_exercised,
     permissible_range,
     snapshot_attr_fn,
     violation_key,
 )
-from tgfd.graph import AttrSet, apply_changes
+from tgfd.graph import (
+    AttrSet,
+    ChangeSet,
+    EdgeDelete,
+    EdgeInsert,
+    apply_changes,
+    changes_to_text,
+    derive_changesets,
+    load_graph,
+    snapshot_to_text,
+)
 from tgfd.model import (
+    WILDCARD,
     ConstantLiteral,
     Delta,
     GraphPattern,
@@ -199,11 +215,13 @@ def test_incted_step_returns_only_new_violations():
 
 
 def test_index_partitions_are_consistent():
+    names = {"a1": "x", "a2": "x", "a3": "z"}
     g = build_graph(
-        {"a": "person", "b": "team"},
-        [("a", "plays", "b")],
-        {"a": {"name": "x"}, "b": {"code": "1"}},
+        {**{a: "person" for a in names}, "b": "team"},
+        [(a, "plays", "b") for a in names],
+        {**{a: {"name": n} for a, n in names.items()}, "b": {"code": "1"}},
     )
+    g = extend(g, [AttrSet("a3", "name", "x")])
     g = extend(g, [])
     sigma = Tgfd(
         "r",
@@ -214,10 +232,180 @@ def test_index_partitions_are_consistent():
     )
     index = MatchIndex(RulePlan(sigma))
     graph_attr = snapshot_attr_fn(g)
-    for t in (1, 2):
-        incted_step(index, sigma, [MatchBinding.of(t, {"x": "a", "y": "b"})], graph_attr, g.T)
-    for key, entries in index.pi_x.items():
-        assert sorted(index.gamma_x[key]) == sorted(e.t for e in entries)
+    inserted = []
+    for t in (1, 2, 3):
+        matches = [MatchBinding.of(t, {"x": a, "y": "b"}) for a in names]
+        incted_step(index, sigma, matches, graph_attr, g.T)
+        inserted += sorted(matches, key=lambda b: b.items)
+    # every inserted match sits in the bucket of its X value and timestamp,
+    # and buckets keep insertion order
+    want = {}
+    for b in inserted:
+        xkey = (graph_attr(b.t)(b.get("x"), "name"),)
+        want.setdefault(xkey, {}).setdefault(b.t, []).append(b)
+    got = {
+        key: {t: [e.binding for e in entries] for t, entries in by_t.items()}
+        for key, by_t in index.classes.items()
+    }
+    assert got == want
+    assert set(got) == {("x",), ("z",)}
+    assert [b.get("x") for b in got[("x",)][2]] == ["a1", "a2", "a3"]
+
+
+def entry(t: int, key: str, n: int) -> IndexEntry:
+    return IndexEntry(
+        t=t,
+        binding=MatchBinding.of(t, {"x": f"v{n}"}),
+        profile=ValueProfile((key,), (), None, None, ()),
+    )
+
+
+def index_of(entries) -> MatchIndex:
+    sigma = Tgfd("r", GraphPattern([("x", "person")], []), Delta(0, 0), [], [])
+    index = MatchIndex(RulePlan(sigma))
+    for e in entries:
+        index.insert(e)
+    return index
+
+
+# (timestamp, X class) per indexed entry, in insertion order
+entry_specs = st.lists(st.tuples(st.integers(1, 30), st.sampled_from("ab")), max_size=40)
+deltas = st.integers(0, 40).flatmap(lambda p: st.tuples(st.just(p), st.integers(p, 40)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(specs=entry_specs, pq=deltas, T=st.integers(1, 30), probe=st.integers(1, 30))
+def test_partners_are_the_class_entries_in_the_permissible_range(specs, pq, T, probe):
+    specs = [(min(t, T), key) for t, key in specs]
+    entries = [entry(t, key, n) for n, (t, key) in enumerate(specs)]
+    index = index_of(entries)
+    new = entry(min(probe, T), "a", len(entries))
+    rng = permissible_range(new.t, Delta(*pq), T)
+    got = list(index.partners(new, rng))
+    want = sorted(
+        (e for e in entries if e.profile.xkey == ("a",) and Delta(*pq).contains(e.t - new.t)),
+        key=lambda e: e.t,
+    )
+    assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(specs=entry_specs, pq=deltas)
+@example(specs=[(4, "a"), (4, "a")], pq=(0, 0))  # two matches at one t exercise p = 0
+@example(specs=[(4, "a"), (4, "a")], pq=(1, 5))
+@example(specs=[(1, "a"), (4, "b"), (9, "a")], pq=(0, 7))
+@example(specs=[(1, "a"), (4, "b"), (9, "a")], pq=(8, 8))
+def test_nontrivially_exercised_equals_pairwise_definition(specs, pq):
+    entries = [entry(t, key, n) for n, (t, key) in enumerate(specs)]
+    delta = Delta(*pq)
+    pairwise = any(
+        a.profile.xkey == b.profile.xkey and delta.contains(b.t - a.t)
+        for i, a in enumerate(entries)
+        for b in entries[i + 1:]
+    )
+    assert nontrivially_exercised(index_of(entries), delta) == pairwise
+
+
+# ---------------------------------------------------------------------------
+# replaying parsed change sets
+# ---------------------------------------------------------------------------
+
+
+def knows_rule() -> Tgfd:
+    """A pair rule over every `knows` edge: random graphs give it many
+    X-equal pairs inside the interval."""
+    return Tgfd(
+        "k",
+        GraphPattern([("x", WILDCARD), ("y", WILDCARD)], [("x", "knows", "y")]),
+        Delta(0, 2),
+        [VariableLiteral("x", "name", "x", "name")],
+        [VariableLiteral("y", "code", "y", "code")],
+    )
+
+
+def detect_lines(graph, rules, changesets=None):
+    result = detect_sequential(graph, rules, changesets)
+    lines = [format_violation(v) for v in result.all_violations()]
+    return lines, result.nontrivial, result.pairs_compared
+
+
+def iso_searches(graph, rules, changesets=None):
+    return detect_sequential(graph, rules, changesets).iso_searches
+
+
+def test_parsed_changesets_detect_like_derived_ones():
+    team_rule = Tgfd(
+        "r",
+        GraphPattern([("x", "person"), ("y", "team")], [("x", "plays", "y")]),
+        Delta(0, 2),
+        [VariableLiteral("x", "name", "x", "name")],
+        [VariableLiteral("y", "code", "y", "code")],
+    )
+    base = build_graph(
+        {"a1": "person", "a2": "person", "b1": "team", "b2": "team"},
+        [("a1", "plays", "b1")],
+        {"a1": {"name": "n"}, "a2": {"name": "n"}, "b1": {"code": "1"}, "b2": {"code": "2"}},
+    )
+    changes = (
+        "t 2\n"
+        "+e a2 plays b2\n-e a2 plays b2\n"   # insert and delete in one set
+        "+e a1 plays b1\n"                    # re-insert a present edge
+        "+a b1 code=1\n"                      # write the current value
+        "t 3\n"
+        "-e a1 plays b1\n+e a1 plays b1\n"   # delete, then re-insert
+        "+e a2 plays b2\n"
+        "t 4\n"
+        "+a b2 code=1\n+a b2 code=2\n"       # change and change back
+        "+e a2 plays b1\n"
+    )
+    g = load_graph(snapshot_to_text(base), changes)
+    derived = derive_changesets(g)
+    assert list(g.changesets) != derived
+    replayed = detect_lines(g, [team_rule])
+    assert replayed == detect_lines(g, [team_rule], derived)
+    assert replayed[0]  # the rule does fire: b1 and b2 disagree from t=3 on
+    # The searches follow the file as written: the edge inserted and deleted
+    # at t=2 and the one deleted and re-inserted at t=3 each cost one.
+    assert iso_searches(g, [team_rule]) == iso_searches(g, [team_rule], derived) + 2
+    canonical = load_graph(snapshot_to_text(base), changes_to_text(derived))
+    assert iso_searches(canonical, [team_rule]) == iso_searches(g, [team_rule], derived)
+
+    for seed in range(12):
+        rng = random.Random(seed)
+        g = random_graph(rng, 18, 36)
+        noisy = []
+        for t in range(2, 6):
+            cs = random_changes(rng, g, t, 8)
+            g = apply_changes(g, cs)
+            noisy.append(ChangeSet(t, noop_changes(rng, g.snapshots[-2]) + cs.changes))
+        rules = [random_tgfd(rng, f"r{i}", max_edges=2, T=5) for i in range(3)]
+        rules.append(knows_rule())
+        parsed = load_graph(snapshot_to_text(g), changes_to_text(noisy))
+        assert parsed.snapshots == g.snapshots
+        assert list(parsed.changesets) == noisy != derive_changesets(parsed)
+        assert detect_lines(parsed, rules) == detect_lines(parsed, rules, derive_changesets(parsed)), seed
+        assert iso_searches(parsed, rules) >= iso_searches(g, rules, derive_changesets(g)), seed
+
+
+def noop_changes(rng: random.Random, snap):
+    """Changes that leave snap as it is: an insert and delete of an absent
+    edge, a re-insert of a present edge, a delete and re-insert of another,
+    and a write of an attribute's current value."""
+    present = sorted(snap.edges)
+    vids = sorted({e[0] for e in present} | {e[2] for e in present})
+    absent = next(
+        e for e in ((a, "knows", b) for a in vids for b in vids if a != b)
+        if e not in snap.edges
+    )
+    kept, redone = rng.sample(present, 2)
+    vid = rng.choice(sorted(snap.attrs))
+    name = rng.choice(sorted(snap.attrs[vid]))
+    return (
+        EdgeInsert(*absent), EdgeDelete(*absent),
+        EdgeInsert(*kept),
+        EdgeDelete(*redone), EdgeInsert(*redone),
+        AttrSet(vid, name, snap.attrs[vid][name]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +547,9 @@ def test_violation_ordering_deterministic():
         g = random_graph(rng, 18, 36)
         for t in range(2, 5):
             g = apply_changes(g, random_changes(rng, g, t, 8))
-        rules = [random_tgfd(random.Random(seed), "r0", max_edges=2, T=4)]
+        rules = [random_tgfd(random.Random(seed), "r0", max_edges=2, T=4), knows_rule()]
         a = detect_sequential(g, rules).all_violations()
         b = detect_sequential(g, rules).all_violations()
-        assert [violation_key(v) for v in a] == [violation_key(v) for v in b]
+        keys = [violation_key(v) for v in a]
+        assert keys == [violation_key(v) for v in b]
+        assert keys == sorted(keys) and len(set(k[1:3] for k in keys)) > 3

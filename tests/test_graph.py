@@ -6,14 +6,16 @@ from tgfd.errors import DeleteMissingEdge, GraphFormatError, UnknownVertex
 from tgfd.graph import (
     AttrDelete,
     AttrSet,
+    ChangeSet,
     EdgeDelete,
     EdgeInsert,
     Snapshot,
     TemporalGraph,
     apply_changes,
+    ball_vertices,
     changes_to_text,
+    derive_changesets,
     graph_to_texts,
-    induced_subgraph,
     load_graph,
     parse_changes_text,
     parse_snapshot_text,
@@ -108,20 +110,17 @@ def test_snapshot_immutability_under_apply():
     assert before.attr("c", "name") == "center"
 
 
-def test_induced_subgraph_zero_radius():
+def test_ball_vertices_zero_radius():
     g = star_graph()
-    view = induced_subgraph(g, 1, "c", 0)
-    assert view.vertices() == {"c"}
-    assert not view.edges
+    assert ball_vertices(g.view(1), "c", 0) == {"c"}
 
 
-def test_induced_subgraph_star():
+def test_ball_vertices_star():
     g = star_graph()
-    view = induced_subgraph(g, 1, "c", 1)
-    assert view.vertices() == {"a", "b", "c", "d"}
-    assert len(view.edges) == 3
-    with pytest.raises(UnknownVertex):
-        induced_subgraph(g, 1, "zz", 1)
+    assert ball_vertices(g.view(1), "c", 1) == {"a", "b", "c", "d"}
+    # edges point away from the hub, yet a leaf reaches it and its siblings
+    assert ball_vertices(g.view(1), "a", 1) == {"a", "c"}
+    assert ball_vertices(g.view(1), "a", 2) == {"a", "b", "c", "d"}
 
 
 def bfs_depth(view, start, d):
@@ -138,7 +137,7 @@ def bfs_depth(view, start, d):
     return seen
 
 
-def test_induced_subgraph_matches_bfs_and_is_monotone():
+def test_ball_vertices_matches_bfs_and_is_monotone():
     rng = random.Random(11)
     g = random_graph(rng, 25, 40)
     full = g.view(1)
@@ -146,10 +145,24 @@ def test_induced_subgraph_matches_bfs_and_is_monotone():
     for center in vids[:8]:
         prev = set()
         for d in range(0, 4):
-            view = induced_subgraph(g, 1, center, d)
-            assert view.vertices() == bfs_depth(full, center, d)
-            assert prev <= view.vertices()
-            prev = view.vertices()
+            ball = ball_vertices(full, center, d)
+            assert ball == bfs_depth(full, center, d)
+            assert prev <= ball
+            prev = ball
+
+
+def test_changesets_recorded_by_apply_and_derived_for_direct_graphs():
+    base = snapshot_to_text(star_graph())
+    # not canonical: a no-op attribute write, and an insert undone in the same set
+    changes = "t 2\n+a c name=center\n+e a to b\n-e a to b\nt 3\n-e c to a\n"
+    g = load_graph(base, changes)
+    assert g.changesets == tuple(parse_changes_text(changes))
+    direct = TemporalGraph(g.vertices, g.snapshots)
+    assert direct.changesets == tuple(derive_changesets(g))
+    assert [cs.changes for cs in direct.changesets] == [(), (EdgeDelete("c", "to", "a"),)]
+    g4 = extend(direct, [AttrDelete("c", "name")])
+    assert g4.changesets == direct.changesets + (ChangeSet(4, (AttrDelete("c", "name"),)),)
+    assert extend(star_graph(), []).changesets == (ChangeSet(2, ()),)
 
 
 def test_snapshot_file_roundtrip_with_quoting():

@@ -5,7 +5,7 @@ import pytest
 
 from tgfd.errors import JobOutOfBounds
 from tgfd.graph import EdgeDelete, EdgeInsert, Fragment, apply_changes
-from tgfd.matcher import decompose
+from tgfd.matcher import decompose, tgfd_paths
 from tgfd.model import (
     Delta,
     GraphPattern,
@@ -15,10 +15,7 @@ from tgfd.model import (
 from tgfd.detection import detect_sequential
 from tgfd.parallel import (
     Job,
-    build_cardinality_model,
     build_jobs,
-    ccost_joblet,
-    estimate_cardinality,
     gen_assign,
     make_fragments,
     owner_map,
@@ -36,21 +33,84 @@ from util import (
 
 
 # ---------------------------------------------------------------------------
-# cardinality estimation
+# job sizes and ship costs, against counts from scratch
 # ---------------------------------------------------------------------------
 
 
+def brute_job(graph, sigma, owned, t=1):
+    """(size, ship_in, ship_all) of the job running sigma on the fragment
+    that owns `owned`, counted from scratch.  Per path of the rule: the size
+    estimate is the owned center candidates times, per path edge, the owned
+    edges of that signature per owned source-type vertex; the ship costs
+    count the edges inside each center's radius ball of the full snapshot,
+    ship_in only those with an endpoint off the fragment.  The size is the
+    smallest path estimate."""
+    snap = graph.snapshot(t)
+    types = {vid: v.type_label for vid, v in graph.vertices.items()}
+    label = sigma.pattern.label_of
+    owned_edges = [e for e in snap.edges if e[0] in owned and e[2] in owned]
+    estimates, ship_in, ship_all = [], 0, 0
+    for path in tgfd_paths(sigma):
+        centers = [
+            v for v in sorted(owned)
+            if types[v] == label(path.center_var)
+            and all(
+                snap.attr(v, lit.attr) == lit.value
+                for lit in path.literals if lit.var == path.center_var
+            )
+        ]
+        estimate = float(len(centers))
+        for (src, elabel, dst) in path.edges:
+            sources = [v for v in owned if types[v] == label(src)]
+            hits = [
+                e for e in owned_edges
+                if e[1] == elabel and types[e[0]] == label(src) and types[e[2]] == label(dst)
+            ]
+            estimate *= len(hits) / len(sources) if sources else 0.0
+        estimates.append(estimate)
+        for center in centers:
+            ball = {center}
+            for _ in range(path.radius):
+                ball = ball | {
+                    e[2] if e[0] in ball else e[0]
+                    for e in snap.edges if e[0] in ball or e[2] in ball
+                }
+            inside = [e for e in snap.edges if e[0] in ball and e[2] in ball]
+            ship_all += len(inside)
+            ship_in += sum(1 for e in inside if e[0] not in owned or e[2] not in owned)
+    return (min(estimates) if estimates else 0.0), ship_in, ship_all
+
+
+def plain_rule(pattern, name="r"):
+    var = pattern.vars[0]
+    return Tgfd(
+        name, pattern, Delta(0, 1),
+        [VariableLiteral(var, "name", var, "name")],
+        [VariableLiteral(var, "code", var, "code")],
+    )
+
+
+def whole_graph_job(graph, sigma):
+    [job] = build_jobs(graph, [sigma], [Fragment(1, frozenset(graph.vertices))])
+    return job
+
+
+def assert_job_matches_brute(graph, sigma, job, owned, t=1):
+    size, ship_in, ship_all = brute_job(graph, sigma, owned, t)
+    assert job.size == pytest.approx(size)
+    assert (job.ship_in, job.ship_all) == (ship_in, ship_all)
+
+
 def test_estimate_single_edge_unit_fanout():
-    # every source has exactly one matching edge -> estimate = source count
+    # every source has exactly one matching edge -> size = source count
     g = build_graph(
         {"a1": "A", "a2": "A", "a3": "A", "b1": "B", "b2": "B", "b3": "B"},
         [("a1", "l", "b1"), ("a2", "l", "b2"), ("a3", "l", "b3")],
     )
-    pattern = GraphPattern([("x", "A"), ("y", "B")], [("x", "l", "y")])
-    path = decompose(pattern)[0]
-    view = g.view(1)
-    model = build_cardinality_model(view)
-    assert estimate_cardinality(model, path, view, pattern) == pytest.approx(3.0)
+    sigma = plain_rule(GraphPattern([("x", "A"), ("y", "B")], [("x", "l", "y")]))
+    job = whole_graph_job(g, sigma)
+    assert job.size == pytest.approx(3.0)
+    assert_job_matches_brute(g, sigma, job, frozenset(g.vertices))
 
 
 def test_estimate_two_edge_chain_product():
@@ -73,14 +133,16 @@ def test_estimate_two_edge_chain_product():
     path = decompose(chain)[0]
     assert len(path.edges) == 2
     assert path.center_var == "y"  # middle of the chain, 4 candidates
-    view = g.view(1)
-    model = build_cardinality_model(view)
-    assert estimate_cardinality(model, path, view, chain) == pytest.approx(4 * 2 * 3)
+    sigma = plain_rule(chain)
+    job = whole_graph_job(g, sigma)
+    assert job.size == pytest.approx(4 * 2 * 3)
+    assert_job_matches_brute(g, sigma, job, frozenset(g.vertices))
 
 
 def test_estimate_within_factor_four_on_regular_graphs():
     hits = 0
     trials = 100
+    sigma = plain_rule(GraphPattern([("x", "A"), ("y", "B")], [("x", "l", "y")]))
     for seed in range(trials):
         rng = random.Random(seed)
         n = 12
@@ -95,57 +157,48 @@ def test_estimate_within_factor_four_on_regular_graphs():
             for b in rng.sample(range(n), k):
                 edges.add((f"a{i}", "l", f"b{b}"))
         g = build_graph(vertices, sorted(edges))
-        pattern = GraphPattern([("x", "A"), ("y", "B")], [("x", "l", "y")])
-        path = decompose(pattern)[0]
-        view = g.view(1)
-        model = build_cardinality_model(view)
-        est = estimate_cardinality(model, path, view, pattern)
+        est = whole_graph_job(g, sigma).size
         exact = len(edges)
         if exact and est and max(est / exact, exact / est) <= 4.0:
             hits += 1
     assert hits >= 90
 
 
-# ---------------------------------------------------------------------------
-# communication cost
-# ---------------------------------------------------------------------------
-
-
 def test_ccost_zero_when_ball_owned():
     g = build_graph(
         {"a": "A", "b": "B", "c": "C"}, [("a", "l", "b"), ("b", "l", "c")]
     )
-    owned = frozenset({"a", "b", "c"})
-    assert ccost_joblet(g, 1, "b", 1, owned) == 0
+    # the chain's center is y (vertex b); its radius-1 ball holds both edges
+    sigma = plain_rule(
+        GraphPattern([("x", "A"), ("y", "B"), ("z", "C")], [("x", "l", "y"), ("y", "l", "z")])
+    )
+    job = whole_graph_job(g, sigma)
+    assert (job.ship_in, job.ship_all) == (0, 2)
+    assert_job_matches_brute(g, sigma, job, frozenset(g.vertices))
 
 
 def test_ccost_cut_edge_counts_for_both_sides():
-    g = build_graph({"a": "A", "b": "B"}, [("a", "l", "b")])
-    assert ccost_joblet(g, 1, "a", 1, frozenset({"a"})) == 1
-    assert ccost_joblet(g, 1, "b", 1, frozenset({"b"})) == 1
+    g = build_graph({"a": "N", "b": "N"}, [("a", "l", "b")])
+    sigma = plain_rule(GraphPattern([("x", "N"), ("y", "N")], [("x", "l", "y")]))
+    frags = [Fragment(1, frozenset({"a"})), Fragment(2, frozenset({"b"}))]
+    jobs = build_jobs(g, [sigma], frags)
+    assert [(j.home, j.ship_in, j.ship_all) for j in jobs] == [(1, 1, 1), (2, 1, 1)]
 
 
 def test_ccost_matches_direct_count_random():
     for seed in range(10):
         rng = random.Random(seed)
         g = random_graph(rng, 16, 30)
+        g = apply_changes(g, random_changes(rng, g, 2, 8))
+        rules = [random_tgfd(rng, f"r{i}", max_edges=4) for i in range(3)]
         frags = make_fragments(g, 3, seed=seed)
-        owners = owner_map(frags)
-        from tgfd.graph import induced_subgraph
-
-        for frag in frags:
-            for center in sorted(frag.owned_vertices)[:3]:
-                for radius in (0, 1, 2):
-                    ball = induced_subgraph(g, 1, center, radius)
-                    manual = sum(
-                        1
-                        for (s, _, d) in ball.edges
-                        if owners[s] != frag.worker_id or owners[d] != frag.worker_id
-                    )
-                    assert (
-                        ccost_joblet(g, 1, center, radius, frag.owned_vertices)
-                        == manual
-                    )
+        for t in (1, 2):
+            jobs = {j.name: j for j in build_jobs(g, rules, frags, t=t)}
+            assert len(jobs) == len(rules) * len(frags)
+            for sigma in rules:
+                for frag in frags:
+                    job = jobs[f"{sigma.name}@f{frag.worker_id}"]
+                    assert_job_matches_brute(g, sigma, job, frag.owned_vertices, t)
 
 
 # ---------------------------------------------------------------------------
