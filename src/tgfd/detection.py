@@ -73,16 +73,18 @@ def violation_key(v: Violation) -> Tuple:
     )
 
 
+def match_pair_id(tgfd: str, a: MatchBinding, b: MatchBinding) -> Tuple:
+    """(rule, (t, vertex ids) of one match, of the other), sides sorted."""
+    sides = sorted([(a.t, a.vertex_ids()), (b.t, b.vertex_ids())])
+    return (tgfd, sides[0], sides[1])
+
+
 def pair_id(v: Violation) -> Tuple:
     """Scoring identity: (rule, (t_i, ids_i), (t_j, ids_j)); constant
     violations count as degenerate pairs."""
     if isinstance(v, PairViolation):
-        sides = sorted(
-            [(v.binding_i.t, v.binding_i.vertex_ids()), (v.binding_j.t, v.binding_j.vertex_ids())]
-        )
-        return (v.tgfd, sides[0], sides[1])
-    side = (v.binding.t, v.binding.vertex_ids())
-    return (v.tgfd, side, side)
+        return match_pair_id(v.tgfd, v.binding_i, v.binding_j)
+    return match_pair_id(v.tgfd, v.binding, v.binding)
 
 
 def format_violation(v: Violation) -> str:

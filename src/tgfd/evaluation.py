@@ -17,13 +17,23 @@ from .graph import Snapshot, TemporalGraph
 from .matcher import match_snapshot
 from .model import (
     ConstantLiteral,
+    Literal,
     MatchBinding,
     Tgfd,
     literal_sort_key,
     normalize_all,
     pair_satisfies,
 )
-from .detection import Violation, pair_id
+from .detection import (
+    IndexEntry,
+    MatchIndex,
+    RulePlan,
+    Violation,
+    match_pair_id,
+    pair_id,
+    permissible_range,
+    snapshot_attr_fn,
+)
 
 CHANGE_PROFILES = {
     "uniform": (0.40, 0.30, 0.30),      # attr updates, edge deletions, edge insertions
@@ -69,11 +79,6 @@ class Metrics:
     fpr_defined: bool = True
 
 
-def _pair_key(tgfd: str, a: MatchBinding, b: MatchBinding) -> Tuple:
-    sides = sorted([(a.t, a.vertex_ids()), (b.t, b.vertex_ids())])
-    return (tgfd, sides[0], sides[1])
-
-
 def _all_matches(graph: TemporalGraph, sigma: Tgfd) -> Dict[int, List[MatchBinding]]:
     out: Dict[int, List[MatchBinding]] = {}
     for t in range(1, graph.T + 1):
@@ -104,25 +109,13 @@ def _y_targets(sigma: Tgfd, binding: MatchBinding) -> List[Tuple[str, str]]:
     return slots
 
 
-def _x_attr_names(sigma: Tgfd) -> Set[str]:
+def _attr_names(literals: Iterable[Literal]) -> Set[str]:
     names = set()
-    for lit in sigma.x_literals:
+    for lit in literals:
         if isinstance(lit, ConstantLiteral):
             names.add(lit.attr)
         else:
-            names.add(lit.attr1)
-            names.add(lit.attr2)
-    return names
-
-
-def _y_attr_names(sigma: Tgfd) -> Set[str]:
-    names = set()
-    for lit in sigma.y_literals:
-        if isinstance(lit, ConstantLiteral):
-            names.add(lit.attr)
-        else:
-            names.add(lit.attr1)
-            names.add(lit.attr2)
+            names.update((lit.attr1, lit.attr2))
     return names
 
 
@@ -239,7 +232,7 @@ def inject_errors(
                     if pair_satisfies(h, h, list(sigma.x_literals), mutated) and not pair_satisfies(
                         h, h, list(sigma.y_literals), mutated
                     ):
-                        key = _pair_key(sigma.name, h, h)
+                        key = match_pair_id(sigma.name, h, h)
                         _ledger_add(ledger, key, kinds)
         else:
             for hi, hj in pools[sigma.name]:
@@ -247,7 +240,7 @@ def inject_errors(
                 if not kinds:
                     continue
                 if _pair_violates(sigma, hi, hj, mutated):
-                    key = _pair_key(sigma.name, hi, hj)
+                    key = match_pair_id(sigma.name, hi, hj)
                     _ledger_add(ledger, key, kinds)
 
     ledger.gamma_plus.sort()
@@ -260,21 +253,26 @@ def _pool_from_matches(
     sigma: Tgfd,
     matches: Dict[int, List[MatchBinding]],
 ) -> List[Tuple[MatchBinding, MatchBinding]]:
-    lits_x = list(sigma.x_literals)
-    lits_y = list(sigma.y_literals)
+    """Pairs (earlier, later) inside the rule's interval satisfying X and Y,
+    found through detection's X-value partitions; ordered by timestamps,
+    then by the two matches' items."""
+    plan = RulePlan(sigma)
+    index = MatchIndex(plan)
+    graph_attr = snapshot_attr_fn(graph)
     pool = []
-    for ti in range(1, graph.T + 1):
-        for tj in range(ti, graph.T + 1):
-            if not sigma.delta.contains(tj - ti):
+    for t in range(1, graph.T + 1):
+        attr_t = graph_attr(t)
+        rng = permissible_range(t, sigma.delta, graph.T)
+        for match in matches[t]:
+            profile = plan.profile(match, attr_t)
+            if profile is None:
                 continue
-            for hi in matches[ti]:
-                for hj in matches[tj]:
-                    if ti == tj and hi.items >= hj.items:
-                        continue
-                    if pair_satisfies(hi, hj, lits_x, graph) and pair_satisfies(
-                        hi, hj, lits_y, graph
-                    ):
-                        pool.append((hi, hj))
+            entry = IndexEntry(t=t, binding=match, profile=profile)
+            for other in index.partners(entry, rng):
+                if plan.pair_x_ok(other, entry) and plan.pair_y_ok(other, entry):
+                    pool.append((other.binding, match))
+            index.insert(entry)
+    pool.sort(key=lambda p: (p[0].t, p[1].t, p[0].items, p[1].items))
     return pool
 
 
@@ -305,12 +303,12 @@ def _negative_value_pool(
     """For each consequent attribute, values from the antecedent domain of
     some other rule sharing that attribute name."""
     out: Dict[str, List[str]] = {}
-    y_names = _y_attr_names(sigma)
+    y_names = _attr_names(sigma.y_literals)
     for attr in sorted(y_names):
         donors = [
             other
             for other in rules
-            if other.name != sigma.name and attr in _x_attr_names(other)
+            if other.name != sigma.name and attr in _attr_names(other.x_literals)
         ]
         values: Set[str] = set()
         for other in donors:

@@ -73,27 +73,19 @@ class Snapshot:
 
 
 class GraphView:
-    """A queryable slice of one snapshot: a vertex subset with its edges.
+    """A queryable slice of one snapshot: vertex types and edges only.
 
-    Also used as the matcher's working copy of an evolving fragment, so it
-    supports in-place mutation; TemporalGraph itself stays immutable.
+    Attributes are read from `TemporalGraph.snapshot(t)`.  Also used as the
+    matcher's working copy of an evolving fragment, so it supports in-place
+    mutation; TemporalGraph itself stays immutable.
     """
 
-    __slots__ = ("t", "types", "edges", "attrs", "_out", "_in", "_by_type")
+    __slots__ = ("t", "types", "edges", "_out", "_in", "_by_type")
 
-    def __init__(
-        self,
-        t: int,
-        types: Mapping[str, str],
-        edges: Iterable[Edge],
-        attrs: Mapping[str, Mapping[str, str]],
-    ):
+    def __init__(self, t: int, types: Mapping[str, str], edges: Iterable[Edge]):
         self.t = t
         self.types: Dict[str, str] = dict(types)
         self.edges: Set[Edge] = set(edges)
-        self.attrs: Dict[str, Dict[str, str]] = {
-            vid: dict(named) for vid, named in attrs.items() if vid in self.types
-        }
         self._out: Dict[str, Set[Tuple[str, str]]] = {}
         self._in: Dict[str, Set[Tuple[str, str]]] = {}
         self._by_type: Dict[str, Set[str]] = {}
@@ -129,9 +121,6 @@ class GraphView:
         """(label, src) pairs entering vid."""
         return self._in.get(vid, set())
 
-    def attr(self, vid: str, name: str) -> Optional[str]:
-        return self.attrs.get(vid, {}).get(name)
-
     def neighbors(self, vid: str) -> Set[str]:
         seen = {dst for _, dst in self._out.get(vid, ())}
         seen.update(src for _, src in self._in.get(vid, ()))
@@ -148,7 +137,6 @@ class GraphView:
         label = self.types.pop(vid, None)
         if label is not None:
             self._by_type[label].discard(vid)
-        self.attrs.pop(vid, None)
 
     def add_edge(self, e: Edge) -> None:
         if e not in self.edges:
@@ -161,15 +149,6 @@ class GraphView:
             src, label, dst = e
             self._out[src].discard((label, dst))
             self._in[dst].discard((label, src))
-
-    def set_attr(self, vid: str, name: str, value: str) -> None:
-        self.attrs.setdefault(vid, {})[name] = value
-
-    def del_attr(self, vid: str, name: str) -> None:
-        self.attrs.get(vid, {}).pop(name, None)
-
-    def copy(self) -> "GraphView":
-        return GraphView(self.t, self.types, self.edges, self.attrs)
 
 
 class TemporalGraph:
@@ -226,9 +205,8 @@ class TemporalGraph:
 
     def view(self, t: int) -> GraphView:
         """Full snapshot t as a queryable view."""
-        snap = self.snapshot(t)
         types = {vid: v.type_label for vid, v in self.vertices.items()}
-        return GraphView(t, types, snap.edges, snap.attrs)
+        return GraphView(t, types, self.snapshot(t).edges)
 
     def type_of(self, vid: str) -> str:
         try:
@@ -298,6 +276,16 @@ def ball_vertices(view: GraphView, center: str, d: int) -> Set[str]:
                 reached.add(nxt)
                 frontier.append((nxt, dist + 1))
     return reached
+
+
+def ball_edges(view: GraphView, ball: Set[str]) -> Set[Edge]:
+    """Edges of the view with both endpoints in ball, self-loops included."""
+    return {
+        (src, label, dst)
+        for src in ball
+        for label, dst in view.out_edges(src)
+        if dst in ball
+    }
 
 
 def diff_snapshots(prev: Snapshot, cur: Snapshot) -> ChangeSet:

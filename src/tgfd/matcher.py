@@ -237,7 +237,7 @@ class IncrementalMatcher:
 
     def __init__(self, pattern: GraphPattern, view: GraphView):
         self.pattern = pattern
-        self.view = GraphView(view.t, view.types, view.edges, {})
+        self.view = GraphView(view.t, view.types, view.edges)
         self.iso_searches = 0
         self._complete: Set[AssignmentKey] = set()
         # data edge -> complete matches that use it

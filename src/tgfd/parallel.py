@@ -25,7 +25,9 @@ from .graph import (
     EdgeInsert,
     Fragment,
     GraphView,
+    Snapshot,
     TemporalGraph,
+    ball_edges,
     ball_vertices,
 )
 from .matcher import IncrementalMatcher, tgfd_paths
@@ -111,11 +113,10 @@ class Assignment:
 
 @dataclass
 class CardinalityModel:
-    """Per-edge-signature fan-out statistics plus attribute selectivities."""
+    """Per-edge-signature fan-out statistics."""
 
     fanout: Dict[Tuple[str, str, str], Tuple[float, float]]
     type_counts: Dict[str, int]
-    attr_counts: Dict[Tuple[str, str, str], int]
     total_vertices: int
 
     def mean_fanout(self, src_type: str, label: str, dst_type: str) -> float:
@@ -136,15 +137,6 @@ class CardinalityModel:
             denom = self.total_vertices
         return total / denom if denom else 0.0
 
-    def selectivity(self, type_label: str, attr: str, value: str) -> float:
-        if type_label == WILDCARD:
-            n = self.total_vertices
-        else:
-            n = self.type_counts.get(type_label, 0)
-        if not n:
-            return 0.0
-        return self.attr_counts.get((type_label, attr, value), 0) / n
-
 
 def build_cardinality_model(view: GraphView) -> CardinalityModel:
     per_source: Dict[Tuple[str, str, str], Dict[str, int]] = {}
@@ -164,26 +156,24 @@ def build_cardinality_model(view: GraphView) -> CardinalityModel:
         mean = sum(values) / n
         var = sum((v - mean) ** 2 for v in values) / n
         fanout[sig] = (mean, var ** 0.5)
-    attr_counts: Dict[Tuple[str, str, str], int] = {}
-    for vid in view.vertices():
-        tl = view.type_of(vid)
-        for name, value in view.attrs.get(vid, {}).items():
-            key = (tl, name, value)
-            attr_counts[key] = attr_counts.get(key, 0) + 1
-    return CardinalityModel(fanout, type_counts, attr_counts, len(view.vertices()))
+    return CardinalityModel(fanout, type_counts, len(view.vertices()))
 
 
-def _center_candidates(view: GraphView, label: str, literals: Iterable[ConstantLiteral], center_var: str) -> List[str]:
+def _center_candidates(
+    view: GraphView,
+    snap: Snapshot,
+    label: str,
+    literals: Iterable[ConstantLiteral],
+    center_var: str,
+) -> List[str]:
+    """The view's vertices of the center's label whose snapshot attributes
+    meet the center's constant literals, sorted."""
     if label == WILDCARD:
         pool: Iterable[str] = view.vertices()
     else:
         pool = view.vertices_of_type(label)
-    out = []
     lits = [l for l in literals if l.var == center_var]
-    for vid in pool:
-        if all(view.attr(vid, l.attr) == l.value for l in lits):
-            out.append(vid)
-    return sorted(out)
+    return sorted(vid for vid in pool if all(snap.attr(vid, l.attr) == l.value for l in lits))
 
 
 def build_jobs(
@@ -197,20 +187,14 @@ def build_jobs(
     costs sum the edges of every owned center's radius ball."""
     rules = normalize_all(tgfds)
     full = graph.view(t)
+    snap = graph.snapshot(t)
     jobs: List[Job] = []
     for frag in fragments:
+        owned = frag.owned_vertices
         owned_view = GraphView(
             t,
-            {vid: graph.vertices[vid].type_label for vid in frag.owned_vertices},
-            {
-                e
-                for e in graph.snapshot(t).edges
-                if e[0] in frag.owned_vertices and e[2] in frag.owned_vertices
-            },
-            {
-                vid: graph.snapshot(t).attrs.get(vid, {})
-                for vid in frag.owned_vertices
-            },
+            {vid: graph.vertices[vid].type_label for vid in owned},
+            ball_edges(full, owned),
         )
         model = build_cardinality_model(owned_view)
         for sigma in rules:
@@ -226,22 +210,16 @@ def build_jobs(
                     )
                 centers = _center_candidates(
                     owned_view,
+                    snap,
                     sigma.pattern.label_of(path.center_var),
                     path.literals,
                     path.center_var,
                 )
                 path_estimates.append(len(centers) * per_edge)
                 for center in centers:
-                    nodes = ball_vertices(full, center, path.radius)
-                    ball_edges = [
-                        e for e in full.edges if e[0] in nodes and e[2] in nodes
-                    ]
-                    ship_in += sum(
-                        1
-                        for e in ball_edges
-                        if e[0] not in frag.owned_vertices or e[2] not in frag.owned_vertices
-                    )
-                    ship_all += len(ball_edges)
+                    inside = ball_edges(full, ball_vertices(full, center, path.radius))
+                    ship_in += sum(1 for e in inside if e[0] not in owned or e[2] not in owned)
+                    ship_all += len(inside)
             size = min(path_estimates) if path_estimates else 0.0
             jobs.append(
                 Job(
@@ -382,39 +360,30 @@ class _JobState:
 
 
 def _fragment_working_view(
-    graph: TemporalGraph,
-    t: int,
+    full: GraphView,
     frag: Fragment,
     anchor_specs: Sequence[Tuple[str, int]],
 ) -> GraphView:
     """The fragment's owned subgraph plus the induced balls around owned
-    anchor candidates; anchor_specs lists (anchor label, ball radius)."""
-    full = graph.view(t)
-    snap = graph.snapshot(t)
+    anchor candidates of the full view; anchor_specs lists (anchor label,
+    ball radius)."""
     owned = frag.owned_vertices
     nodes: Set[str] = set(owned)
-    edges: Set[Tuple[str, str, str]] = {
-        e for e in snap.edges if e[0] in owned and e[2] in owned
-    }
+    edges = ball_edges(full, owned)
     for label, radius in anchor_specs:
         candidates = owned if label == WILDCARD else [
-            v for v in owned if graph.vertices[v].type_label == label
+            v for v in owned if full.type_of(v) == label
         ]
         for center in sorted(candidates):
             ball = ball_vertices(full, center, radius)
             nodes |= ball
-            for e in snap.edges:
-                if e[0] in ball and e[2] in ball:
-                    edges.add(e)
-    types = {vid: graph.vertices[vid].type_label for vid in nodes}
-    attrs = {vid: snap.attrs[vid] for vid in nodes if vid in snap.attrs}
-    return GraphView(t, types, edges, attrs)
+            edges |= ball_edges(full, ball)
+    return GraphView(full.t, {vid: full.type_of(vid) for vid in nodes}, edges)
 
 
 def _view_delta_ops(prev: GraphView, cur: GraphView) -> List:
     """Operations evolving one working view into the next: edge removals,
-    vertex exits, vertex entries (id and type), attribute diffs, edge
-    insertions."""
+    vertex exits, vertex entries (id and type), edge insertions."""
     ops: List = []
     for e in sorted(prev.edges - cur.edges):
         ops.append(("change", EdgeDelete(*e)))
@@ -422,17 +391,21 @@ def _view_delta_ops(prev: GraphView, cur: GraphView) -> List:
         ops.append(("exit", vid))
     for vid in sorted(cur.vertices() - prev.vertices()):
         ops.append(("enter", vid, cur.type_of(vid)))
-    for vid in sorted(prev.vertices() & cur.vertices()):
-        before = prev.attrs.get(vid, {})
-        after = cur.attrs.get(vid, {})
-        for name in sorted(set(before) - set(after)):
-            ops.append(("change", AttrDelete(vid, name)))
-        for name in sorted(after):
-            if before.get(name) != after[name]:
-                ops.append(("change", AttrSet(vid, name, after[name])))
     for e in sorted(cur.edges - prev.edges):
         ops.append(("change", EdgeInsert(*e)))
     return ops
+
+
+def _changed_attrs(graph: TemporalGraph, t: int) -> List[Tuple[str, str]]:
+    """(vertex, attribute) slots whose value differs between snapshots
+    t - 1 and t, read from the keys change set t touches."""
+    keys = {
+        (c.vid, c.name)
+        for c in graph.changesets[t - 2].changes
+        if isinstance(c, (AttrSet, AttrDelete))
+    }
+    before, after = graph.snapshot(t - 1), graph.snapshot(t)
+    return [k for k in keys if before.attr(*k) != after.attr(*k)]
 
 
 def _apply_ops(state: _JobState, ops: Sequence) -> int:
@@ -463,8 +436,9 @@ def run_parallel(
 ) -> ParallelResult:
     """Detect violations with n workers over T supersteps.
 
-    time_model "size" charges one unit per applied change plus two per
-    localized search plus the live match count (deterministic); "wall"
+    time_model "size" charges one unit per applied edge change and per
+    attribute that changed value on a vertex staying in the job's view, plus
+    two per localized search, plus the live match count (deterministic); "wall"
     measures real elapsed time.  time_hook may rewrite a job's measured
     time (tests use it to force rebalances).
     """
@@ -508,16 +482,21 @@ def run_parallel(
         return owners[binding.assignment[anchor_var]]
 
     for t in range(1, graph.T + 1):
+        full = graph.view(t)
         views = {
-            r: _fragment_working_view(graph, t, frag_by_id[r], anchor_specs)
+            r: _fragment_working_view(full, frag_by_id[r], anchor_specs)
             for r in sorted(frag_by_id)
         }
-        ops_by_fragment: Dict[int, List] = {}
-        for r in sorted(frag_by_id):
-            if t == 1:
-                ops_by_fragment[r] = []
-            else:
+        ops_by_fragment: Dict[int, List] = {r: [] for r in frag_by_id}
+        attr_units: Dict[int, int] = {r: 0 for r in frag_by_id}
+        if t > 1:
+            changed = _changed_attrs(graph, t)
+            for r in sorted(frag_by_id):
                 ops_by_fragment[r] = _view_delta_ops(prev_views[r], views[r])
+                attr_units[r] = sum(
+                    1 for vid, _ in changed
+                    if vid in prev_views[r].types and vid in views[r].types
+                )
 
         worker_jobs: Dict[int, List[str]] = {w: [] for w in range(1, n + 1)}
         for name, worker in assignment.mapping.items():
@@ -534,7 +513,10 @@ def run_parallel(
                     state.matcher = IncrementalMatcher(state.sigma.pattern, views[state.job.home])
                     applied = 0
                 else:
-                    applied = _apply_ops(state, ops_by_fragment[state.job.home])
+                    applied = (
+                        _apply_ops(state, ops_by_fragment[state.job.home])
+                        + attr_units[state.job.home]
+                    )
                 iso_delta = state.matcher.iso_searches - state.last_iso
                 state.last_iso = state.matcher.iso_searches
                 owned_matches = sorted(

@@ -9,9 +9,11 @@ from tgfd.graph import (
     ChangeSet,
     EdgeDelete,
     EdgeInsert,
+    GraphView,
     Snapshot,
     TemporalGraph,
     apply_changes,
+    ball_edges,
     ball_vertices,
     changes_to_text,
     derive_changesets,
@@ -149,6 +151,28 @@ def test_ball_vertices_matches_bfs_and_is_monotone():
             assert ball == bfs_depth(full, center, d)
             assert prev <= ball
             prev = ball
+
+
+def test_ball_edges_equals_induced_edge_filter():
+    rng = random.Random(12)
+    loops = leaving = 0
+    for _ in range(40):
+        vids = [f"v{i}" for i in range(rng.randint(1, 10))]
+        edges = {
+            (rng.choice(vids), rng.choice("ab"), rng.choice(vids))
+            for _ in range(rng.randint(0, 25))
+        }
+        view = GraphView(1, {v: "T" for v in vids}, edges)
+        balls = [
+            set(rng.sample(vids, rng.randint(0, len(vids)))),
+            ball_vertices(view, rng.choice(vids), rng.randint(0, 2)),
+        ]
+        for ball in balls:
+            inside = {e for e in view.edges if e[0] in ball and e[2] in ball}
+            assert ball_edges(view, ball) == inside
+            loops += sum(1 for e in inside if e[0] == e[2])
+            leaving += sum(1 for e in view.edges if (e[0] in ball) != (e[2] in ball))
+    assert loops and leaving
 
 
 def test_changesets_recorded_by_apply_and_derived_for_direct_graphs():

@@ -4,8 +4,15 @@ import random
 import pytest
 
 from tgfd.errors import JobOutOfBounds
-from tgfd.graph import EdgeDelete, EdgeInsert, Fragment, apply_changes
-from tgfd.matcher import decompose, tgfd_paths
+from tgfd.graph import (
+    AttrDelete,
+    AttrSet,
+    EdgeDelete,
+    EdgeInsert,
+    Fragment,
+    apply_changes,
+)
+from tgfd.matcher import decompose, match_snapshot, tgfd_paths
 from tgfd.model import (
     Delta,
     GraphPattern,
@@ -481,6 +488,95 @@ def test_no_double_counting_between_local_and_cross():
         for v in vios
     ]
     assert len(keys) == len(set(keys)) == 1
+
+
+# ---------------------------------------------------------------------------
+# time models
+# ---------------------------------------------------------------------------
+
+
+def net_attr_changes(graph, t):
+    """Attributes whose value differs between snapshots t - 1 and t."""
+    before, after = graph.snapshot(t - 1), graph.snapshot(t)
+    return sum(
+        1
+        for vid in graph.vertices
+        for name in set(before.attrs.get(vid, {})) | set(after.attrs.get(vid, {}))
+        if before.attr(vid, name) != after.attr(vid, name)
+    )
+
+
+def test_size_model_charges_net_attribute_changes():
+    # attribute-only stream with no-op writes: each job's time is one plus
+    # the attributes that really changed plus its live matches
+    rng = random.Random(21)
+    g = random_graph(rng, 16, 30)
+    for t in range(2, 6):
+        snap = g.snapshots[-1]
+        vid = rng.choice(sorted(snap.attrs))
+        name = rng.choice(sorted(snap.attrs[vid]))
+        other = rng.choice(sorted(snap.attrs))
+        noops = [
+            AttrSet(vid, name, snap.attrs[vid][name]),     # the current value
+            AttrSet(other, "rank", "zz"),                  # set, then reset
+            AttrSet(other, "rank", snap.attr(other, "rank")),
+            AttrDelete(vid, "absent"),                     # no such attribute
+        ]
+        real = random_changes(rng, g, t, 4, profile=(1.0, 0.0, 0.0)).changes
+        if t % 2:
+            real += (AttrDelete(other, "name"),)
+        g = extend(g, noops[:2] + list(real) + noops[2:])
+    rules = [
+        simple_rule(),
+        plain_rule(GraphPattern([("x", "person"), ("y", "city")], [("x", "in", "y")]), "s"),
+    ]
+    result = run_parallel(g, rules, n=1, bounds=(0.0, float("inf")))
+    for step in result.report.supersteps[1:]:
+        net = net_attr_changes(g, step.t)
+        assert net > 0
+        assert step.job_times == {
+            f"{sigma.name}@f1": 1.0 + net + len(match_snapshot(sigma.pattern, g.view(step.t)))
+            for sigma in rules
+        }
+
+
+def test_size_model_ignores_attribute_changes_outside_the_view():
+    g = build_graph(
+        {"a1": "person", "b1": "team", "a2": "person", "b2": "team"},
+        [("a1", "plays", "b1"), ("a2", "plays", "b2")],
+    )
+    frags = [
+        Fragment(worker_id=1, owned_vertices=frozenset({"a1", "b1"})),
+        Fragment(worker_id=2, owned_vertices=frozenset({"a2", "b2"})),
+    ]
+    g = extend(g, [AttrSet("a2", "name", "m"), AttrSet("b2", "code", "d")])  # t2
+    g = extend(g, [AttrSet("b1", "code", "e")])  # t3
+    result = run_parallel(g, [simple_rule()], n=2, fragments=frags, bounds=(0.0, float("inf")))
+    # each fragment's view is its own pair, holding one live match
+    assert [s.job_times for s in result.report.supersteps[1:]] == [
+        {"r@f1": 1.0 + 0 + 1, "r@f2": 1.0 + 2 + 1},
+        {"r@f1": 1.0 + 1 + 1, "r@f2": 1.0 + 0 + 1},
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_wall_time_model_equals_sequential(n):
+    for seed in range(4):
+        rng = random.Random(40_000 + seed)
+        g = random_graph(rng, 18, 36)
+        for t in range(2, 5):
+            g = apply_changes(g, random_changes(rng, g, t, 5))
+        rule_rng = random.Random(seed + 60)
+        rules = [random_tgfd(rule_rng, f"r{i}", max_edges=3, T=4) for i in range(2)]
+        seq = detect_sequential(g, rules)
+        par = run_parallel(
+            g, rules, n=n, seed=seed, time_model="wall", bounds=(0.0, float("inf"))
+        )
+        assert engine_violation_keys(par.all_violations()) == engine_violation_keys(
+            seq.all_violations()
+        ), f"seed={seed}"
+        assert par.nontrivial == seq.nontrivial, f"seed={seed}"
+        assert all(s.job_times for s in par.report.supersteps)
 
 
 def test_make_fragments_partition():
