@@ -357,35 +357,43 @@ def apply_mode(tgfds: Sequence[Tgfd], mode: str) -> List[Tgfd]:
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def replay(
+    graph: TemporalGraph,
+    rules: Sequence[Tgfd],
+    changesets: Optional[Sequence[ChangeSet]] = None,
+) -> Iterator[Tuple[int, Dict[str, IncrementalMatcher]]]:
+    """Yield (t, {rule name: matcher}) for t = 1..T, each matcher holding
+    snapshot t: a batch match of the first snapshot, then the change sets
+    (the graph's own unless given) applied in order."""
+    if changesets is None:
+        changesets = graph.changesets
+    by_t = {cs.t: cs for cs in changesets}
+    view = graph.view(1)
+    matchers = {sigma.name: IncrementalMatcher(sigma.pattern, view) for sigma in rules}
+    del view  # each matcher keeps its own copy
+    for t in range(1, graph.T + 1):
+        if t > 1:
+            cs = by_t.get(t)
+            changes = cs.changes if cs else ()
+            for matcher in matchers.values():
+                for change in changes:
+                    matcher.apply(change)
+        yield t, matchers
+
+
 def detect_sequential(
     graph: TemporalGraph,
     tgfds: Sequence[Tgfd],
     changesets: Optional[Sequence[ChangeSet]] = None,
 ) -> DetectionResult:
-    """Full matching on the first snapshot, incremental maintenance after,
-    indexing each timestamp's matches as it streams by."""
+    """Replay the graph through one incremental matcher per rule, indexing
+    each timestamp's matches as it streams by."""
     rules = normalize_all(tgfds)
-    if changesets is None:
-        changesets = graph.changesets
-    by_t = {cs.t: cs for cs in changesets}
     graph_attr = snapshot_attr_fn(graph)
-
+    indexes = {sigma.name: MatchIndex(RulePlan(sigma)) for sigma in rules}
+    violations: Dict[str, List[Violation]] = {sigma.name: [] for sigma in rules}
     matchers: Dict[str, IncrementalMatcher] = {}
-    indexes: Dict[str, MatchIndex] = {}
-    violations: Dict[str, List[Violation]] = {}
-    for sigma in rules:
-        matchers[sigma.name] = IncrementalMatcher(sigma.pattern, graph.view(1))
-        indexes[sigma.name] = MatchIndex(RulePlan(sigma))
-        violations[sigma.name] = []
-
-    for t in range(1, graph.T + 1):
-        if t > 1:
-            cs = by_t.get(t)
-            changes = cs.changes if cs else ()
-            for sigma in rules:
-                matcher = matchers[sigma.name]
-                for change in changes:
-                    matcher.apply(change)
+    for t, matchers in replay(graph, rules, changesets):
         for sigma in rules:
             matches = matchers[sigma.name].topological_matches(t)
             violations[sigma.name].extend(

@@ -59,7 +59,3 @@ class JobOutOfBounds(TgfdError):
         self.job_name = job_name
         self.size = size
         self.bounds = bounds
-
-
-class InsufficientPairs(TgfdError):
-    """The satisfying-pair pool is smaller than the requested injection count."""

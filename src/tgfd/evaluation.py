@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .graph import Snapshot, TemporalGraph
-from .matcher import match_snapshot
 from .model import (
     ConstantLiteral,
     Literal,
@@ -22,7 +21,6 @@ from .model import (
     Tgfd,
     literal_sort_key,
     normalize_all,
-    pair_satisfies,
 )
 from .detection import (
     IndexEntry,
@@ -32,6 +30,7 @@ from .detection import (
     match_pair_id,
     pair_id,
     permissible_range,
+    replay,
     snapshot_attr_fn,
 )
 
@@ -79,17 +78,22 @@ class Metrics:
     fpr_defined: bool = True
 
 
-def _all_matches(graph: TemporalGraph, sigma: Tgfd) -> Dict[int, List[MatchBinding]]:
-    out: Dict[int, List[MatchBinding]] = {}
-    for t in range(1, graph.T + 1):
-        out[t] = sorted(match_snapshot(sigma.pattern, graph.view(t)), key=lambda b: b.items)
+def _all_matches(
+    graph: TemporalGraph, rules: Sequence[Tgfd]
+) -> Dict[str, Dict[int, List[MatchBinding]]]:
+    """{rule name: {t: matches sorted by items}}, from one replay of the
+    change sets."""
+    out: Dict[str, Dict[int, List[MatchBinding]]] = {sigma.name: {} for sigma in rules}
+    for t, matchers in replay(graph, rules):
+        for name, matcher in matchers.items():
+            out[name][t] = sorted(matcher.topological_matches(t), key=lambda b: b.items)
     return out
 
 
 def satisfying_pairs(graph: TemporalGraph, sigma: Tgfd) -> List[Tuple[MatchBinding, MatchBinding]]:
     """Match pairs inside the rule's interval satisfying both X and Y,
     canonicalized as (earlier, later)."""
-    return _pool_from_matches(graph, sigma, _all_matches(graph, sigma))
+    return _pool_from_matches(graph, sigma, _all_matches(graph, [sigma])[sigma.name])
 
 
 def _mutate_snapshot(snap: Snapshot, vid: str, attr: str, value: str) -> Snapshot:
@@ -148,11 +152,11 @@ def inject_errors(
     rng = random.Random(seed)
     ledger = InjectionLedger()
 
-    matches_by_rule: Dict[str, Dict[int, List[MatchBinding]]] = {}
-    pools: Dict[str, List[Tuple[MatchBinding, MatchBinding]]] = {}
-    for sigma in rules:
-        matches_by_rule[sigma.name] = _all_matches(graph, sigma)
-        pools[sigma.name] = _pool_from_matches(graph, sigma, matches_by_rule[sigma.name])
+    matches_by_rule = _all_matches(graph, rules)
+    pools = {
+        sigma.name: _pool_from_matches(graph, sigma, matches_by_rule[sigma.name])
+        for sigma in rules
+    }
     ledger.pool_size = sum(len(p) for p in pools.values())
 
     snapshots = list(graph.snapshots)
@@ -219,32 +223,33 @@ def inject_errors(
             kinds |= slot_kinds.get((binding.t, vid), set())
         return kinds
 
+    # Ledger through detection's rule plan on the mutated graph.  A pair
+    # violates when both matches realize X's constants, agree on the
+    # self-form X values (xkey) and pair_violates holds; mutations can move
+    # X values too.  Candidates are the pool's pairs when Y compares two
+    # matches, each match paired with itself when Y is constant.
+    mutated_attr = snapshot_attr_fn(mutated)
+    plus: Set[Tuple] = set()
+    minus: Set[Tuple] = set()
     for sigma in rules:
-        y_is_constant = all(
-            isinstance(l, ConstantLiteral) for l in sigma.y_literals
-        )
-        if y_is_constant:
-            for t, ms in matches_by_rule[sigma.name].items():
-                for h in ms:
-                    kinds = touched(h)
-                    if not kinds:
-                        continue
-                    if pair_satisfies(h, h, list(sigma.x_literals), mutated) and not pair_satisfies(
-                        h, h, list(sigma.y_literals), mutated
-                    ):
-                        key = match_pair_id(sigma.name, h, h)
-                        _ledger_add(ledger, key, kinds)
+        plan = RulePlan(sigma)
+        if plan.pair_based:
+            candidates = pools[sigma.name]
         else:
-            for hi, hj in pools[sigma.name]:
-                kinds = touched(hi) | touched(hj)
-                if not kinds:
-                    continue
-                if _pair_violates(sigma, hi, hj, mutated):
-                    key = match_pair_id(sigma.name, hi, hj)
-                    _ledger_add(ledger, key, kinds)
+            candidates = [(h, h) for ms in matches_by_rule[sigma.name].values() for h in ms]
+        for hi, hj in candidates:
+            kinds = touched(hi) | touched(hj)
+            if not kinds:
+                continue
+            a = plan.profile(hi, mutated_attr(hi.t))
+            b = plan.profile(hj, mutated_attr(hj.t))
+            if a is None or b is None or a.xkey != b.xkey:
+                continue
+            if plan.pair_violates(IndexEntry(hi.t, hi, a), IndexEntry(hj.t, hj, b)):
+                (minus if "-" in kinds else plus).add(match_pair_id(sigma.name, hi, hj))
 
-    ledger.gamma_plus.sort()
-    ledger.gamma_minus.sort()
+    ledger.gamma_plus = sorted(plus)
+    ledger.gamma_minus = sorted(minus)
     return mutated, ledger
 
 
@@ -274,24 +279,6 @@ def _pool_from_matches(
             index.insert(entry)
     pool.sort(key=lambda p: (p[0].t, p[1].t, p[0].items, p[1].items))
     return pool
-
-
-def _pair_violates(sigma: Tgfd, hi: MatchBinding, hj: MatchBinding, graph: TemporalGraph) -> bool:
-    lits_x = list(sigma.x_literals)
-    lits_y = list(sigma.y_literals)
-    for a, b in ((hi, hj), (hj, hi)):
-        if pair_satisfies(a, b, lits_x, graph) and not pair_satisfies(a, b, lits_y, graph):
-            return True
-    return False
-
-
-def _ledger_add(ledger: InjectionLedger, key: Tuple, kinds: Set[str]) -> None:
-    if "-" in kinds:
-        if key not in ledger.gamma_minus:
-            ledger.gamma_minus.append(key)
-    else:
-        if key not in ledger.gamma_plus:
-            ledger.gamma_plus.append(key)
 
 
 def _negative_value_pool(

@@ -355,6 +355,8 @@ def _tokenize(line: str, lineno: int) -> List[str]:
         raise GraphFormatError("unterminated quote", lineno)
     if buf:
         tokens.append("".join(buf))
+    if not tokens:
+        raise GraphFormatError("record holds only empty tokens", lineno)
     return tokens
 
 
@@ -403,7 +405,8 @@ def parse_snapshot_text(text: str) -> TemporalGraph:
 
 
 def parse_changes_text(text: str) -> List[ChangeSet]:
-    """Parse the change file: `t <k>` headers, then +e/-e/+a/-a records."""
+    """Parse the change file: `t <k>` headers, k = 2, 3, ... in order, each
+    followed by its +e/-e/+a/-a records."""
     sets: List[ChangeSet] = []
     current_t: Optional[int] = None
     current: List[Change] = []
@@ -422,12 +425,16 @@ def parse_changes_text(text: str) -> List[ChangeSet]:
             if len(tokens) != 2:
                 raise GraphFormatError("timestamp header needs one value", lineno)
             flush()
+            expected = 2 if current_t is None else current_t + 1
             try:
                 current_t = int(tokens[1])
             except ValueError:
                 raise GraphFormatError(f"bad timestamp {tokens[1]!r}", lineno) from None
-            if current_t < 2:
-                raise GraphFormatError("change sets start at t=2", lineno)
+            if current_t != expected:
+                raise GraphFormatError(
+                    f"timestamp headers run t 2, 3, ...: expected t {expected}, got t {current_t}",
+                    lineno,
+                )
             current = []
             continue
         if current_t is None:

@@ -229,6 +229,7 @@ def _match_vars(
 class IncrementalMatcher:
     """Maintains the matches of one pattern over one evolving view.
 
+    The initial matches are a batch match of the given view, and
     `topological_matches()` tracks exactly what a batch re-match of the
     current view would return.  `iso_searches` counts edge insertions that
     seeded a localized search; attribute-only change streams never
@@ -242,8 +243,8 @@ class IncrementalMatcher:
         self._complete: Set[AssignmentKey] = set()
         # data edge -> complete matches that use it
         self._by_edge: Dict[Edge, Set[AssignmentKey]] = {}
-        for a in _match_vars(pattern, self.view):
-            self._add(_key(a))
+        for binding in match_snapshot(pattern, self.view):
+            self._add(binding.items)
 
     def _add(self, key: AssignmentKey) -> None:
         self._complete.add(key)

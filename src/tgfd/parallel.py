@@ -15,7 +15,7 @@ import random
 import time as _time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import JobOutOfBounds
 from .graph import (
@@ -103,12 +103,6 @@ class Assignment:
     total_cost: float
     bounds: Tuple[float, float]
     zeta: float = 0.0
-
-    def loads(self, jobs_by_name: Mapping[str, Job]) -> Dict[int, float]:
-        out: Dict[int, float] = {}
-        for name, worker in self.mapping.items():
-            out[worker] = out.get(worker, 0.0) + jobs_by_name[name].size
-        return out
 
 
 @dataclass

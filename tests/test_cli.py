@@ -144,6 +144,25 @@ def test_parse_error_exit_2(capsys, tmp_path):
     assert main(["detect", "--graph", "/nope/missing", "--tgfds", str(rules)]) == 2
 
 
+@pytest.mark.parametrize(
+    "changes, line",
+    [('t 2\n""\n', 2), ("t 2\n+a a name=x\nt 2\n", 3), ("t 3\n", 1)],
+)
+def test_malformed_change_file_exit_2_with_line(capsys, tmp_path, changes, line):
+    snap = tmp_path / "g.snapshot"
+    snap.write_text("v a person name=y\n")
+    changes_file = tmp_path / "g.changes"
+    changes_file.write_text(changes)
+    rules = tmp_path / "r.tgfd"
+    rules.write_text('tgfd r\nvertex x person\ndelta (0, 1)\ny: x.name = "y"\n')
+    code, _, err = run(
+        capsys,
+        ["detect", "--graph", str(snap), "--changes", str(changes_file), "--tgfds", str(rules)],
+    )
+    assert code == 2
+    assert err.startswith(f"error: line {line}: ")
+
+
 def test_gen_inject_eval_pipeline(capsys, tmp_path):
     prefix = tmp_path / "syn"
     code, out, _ = run(

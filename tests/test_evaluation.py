@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from tgfd.detection import apply_mode, detect_sequential
@@ -12,9 +14,23 @@ from tgfd.evaluation import (
     score,
 )
 from tgfd.graph import EdgeDelete, EdgeInsert
-from tgfd.model import pair_satisfies
+from tgfd.model import (
+    ConstantLiteral,
+    Delta,
+    GraphPattern,
+    Tgfd,
+    VariableLiteral,
+    normalize_all,
+    pair_satisfies,
+)
 
-from util import pair_isolated_instance
+from util import (
+    exotic_rule,
+    oracle_ledger,
+    pair_isolated_instance,
+    random_temporal_graph,
+    random_tgfd,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +192,54 @@ def test_negative_injection_uses_overlapping_rule_domain():
     assert neg_values <= {"target"}
     assert ledger.gamma_minus
     assert not (set(ledger.gamma_plus) & set(ledger.gamma_minus))
+
+
+# General form in X and in Y; its X reads `code`, the attribute the other
+# rules' consequents write, so negative errors draw from its domain and move
+# its X values.
+GENERAL_RULE = Tgfd(
+    "general",
+    GraphPattern([("x", "person"), ("y", "_")], [("x", "knows", "y")]),
+    Delta(0, 2),
+    [VariableLiteral("x", "code", "y", "code")],
+    [VariableLiteral("x", "name", "y", "rank")],
+)
+# Its consequent writes x.code, which its own antecedent hashes on, so an
+# injected error also moves the mutated match's X key.
+OVERLAP_RULE = Tgfd(
+    "overlap",
+    GraphPattern([("x", "person"), ("y", "_")], [("x", "knows", "y")]),
+    Delta(0, 2),
+    [VariableLiteral("x", "code", "x", "code")],
+    [VariableLiteral("x", "code", "y", "code")],
+)
+CONSTANT_RULE = Tgfd(
+    "constant",
+    GraphPattern([("x", "person"), ("y", "city")], [("x", "in", "y")]),
+    Delta(0, 1),
+    [VariableLiteral("x", "name", "x", "name")],
+    [ConstantLiteral("y", "code", "a")],
+)
+
+
+def test_ledger_equals_pair_oracle_with_negative_errors():
+    ledgered, negative = set(), set()
+    for seed in range(8):
+        rng = random.Random(seed)
+        graph = random_temporal_graph(rng, n_vertices=30, n_edges=120, T=6, chg=0.15)
+        rules = [random_tgfd(rng, f"r{i}", max_edges=2, T=5) for i in range(3)]
+        rules += [exotic_rule(rng, "exotic"), GENERAL_RULE, OVERLAP_RULE, CONSTANT_RULE]
+        mutated, ledger = inject_errors(graph, rules, 0.2, seed=seed, include_negative=True)
+        plus, minus, pool_size = oracle_ledger(
+            graph, mutated, normalize_all(rules), ledger.mutations
+        )
+        assert ledger.pool_size == pool_size
+        assert ledger.gamma_plus == sorted(plus)
+        assert ledger.gamma_minus == sorted(minus)
+        ledgered |= {key[0] for key in plus | minus}
+        negative |= {key[0] for key in minus}
+    assert {"general", "constant"} <= ledgered
+    assert {"general", "constant"} <= negative
 
 
 def test_ledger_roundtrip():

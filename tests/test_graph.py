@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tgfd.errors import DeleteMissingEdge, GraphFormatError, UnknownVertex
+from tgfd.errors import DeleteMissingEdge, GraphFormatError, TgfdError, UnknownVertex
 from tgfd.graph import (
     AttrDelete,
     AttrSet,
@@ -243,3 +244,76 @@ def test_parse_errors():
         parse_snapshot_text("e a b c\n")  # unknown vertices
     with pytest.raises(GraphFormatError):
         parse_changes_text("+e a b c\n")  # record before header
+
+
+@pytest.mark.parametrize("parse", [parse_snapshot_text, parse_changes_text])
+def test_line_of_empty_tokens_is_a_format_error(parse):
+    with pytest.raises(GraphFormatError) as info:
+        parse('# header\n""\n')
+    assert info.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("t 3\n+e a knows b\n", 1),            # first header skips t 2
+        ("t 2\n+e a knows b\nt 2\n", 3),      # repeated header
+        ("t 2\nt 4\n", 2),                     # skipped header
+        ("t 2\nt 3\nt 2\n", 3),               # out of order
+    ],
+)
+def test_timestamp_headers_must_run_in_order(text, line):
+    with pytest.raises(GraphFormatError) as info:
+        parse_changes_text(text)
+    assert info.value.line == line
+    assert str(info.value).startswith(f"line {line}: ")
+
+
+def _fuzz_base():
+    rng = random.Random(11)
+    g = random_graph(rng, 8, 12)
+    for t in (2, 3, 4):
+        g = apply_changes(g, random_changes(rng, g, t, 4))
+    return [text.splitlines() for text in graph_to_texts(g)]
+
+
+FUZZ_BASE = _fuzz_base()
+
+
+@st.composite
+def mutated_inputs(draw):
+    """The base snapshot and change files after a few line-level mutations:
+    drop, duplicate or swap lines, blank tokens to `""`, renumber a header."""
+    files = [list(lines) for lines in FUZZ_BASE]
+    for _ in range(draw(st.integers(1, 4))):
+        lines = files[draw(st.integers(0, 1))]
+        if not lines:
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["drop", "duplicate", "swap", "blank", "renumber"]))
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "blank":
+            tokens = lines[i].split(" ")
+            for k in draw(st.sets(st.integers(0, len(tokens) - 1), min_size=1)):
+                tokens[k] = '""'
+            lines[i] = " ".join(tokens)
+        else:
+            headers = [k for k, line in enumerate(files[1]) if line.startswith("t ")]
+            if headers:
+                files[1][draw(st.sampled_from(headers))] = f"t {draw(st.integers(0, 6))}"
+    return ["\n".join(lines) + "\n" for lines in files]
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_inputs())
+def test_mutated_inputs_raise_only_engine_errors(texts):
+    try:
+        load_graph(*texts)
+    except TgfdError:
+        pass

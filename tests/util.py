@@ -152,6 +152,62 @@ def oracle_violations(graph: TemporalGraph, sigma: Tgfd) -> Set[Tuple]:
     return out
 
 
+def oracle_ledger(
+    graph: TemporalGraph, mutated: TemporalGraph, rules: Sequence[Tgfd], mutations
+) -> Tuple[Set[Tuple], Set[Tuple], int]:
+    """(gamma_plus, gamma_minus, pool size) of an injection, from first
+    principles.  The pool is every (earlier, later) pair of brute matches
+    inside the interval that satisfies X and Y on the clean graph.  A pair
+    the mutations touch is ledgered when, on the mutated graph, it satisfies
+    X and fails Y in either orientation: each pool pair when Y compares two
+    matches, each match paired with itself when Y is constant.  Rules must
+    be in normal form (one consequent literal each)."""
+    kinds_at: Dict[Tuple[int, str], Set[str]] = {}
+    for m in mutations:
+        kinds_at.setdefault((m.t, m.vid), set()).add(m.kind)
+
+    def touched(h: MatchBinding) -> Set[str]:
+        return set().union(*(kinds_at.get((h.t, vid), set()) for _, vid in h.items))
+
+    def key(name: str, hi: MatchBinding, hj: MatchBinding) -> Tuple:
+        sides = sorted([(hi.t, hi.vertex_ids()), (hj.t, hj.vertex_ids())])
+        return (name, sides[0], sides[1])
+
+    plus: Set[Tuple] = set()
+    minus: Set[Tuple] = set()
+    pool_size = 0
+    for sigma in rules:
+        x, y = list(sigma.x_literals), list(sigma.y_literals)
+        matches = {
+            t: sorted(brute_matches(sigma.pattern, graph.view(t)), key=lambda b: b.items)
+            for t in range(1, graph.T + 1)
+        }
+        pool = [
+            (hi, hj)
+            for ti in range(1, graph.T + 1)
+            for tj in range(ti, graph.T + 1)
+            if sigma.delta.contains(tj - ti)
+            for hi in matches[ti]
+            for hj in matches[tj]
+            if (ti, hi.items) < (tj, hj.items)
+            and pair_satisfies(hi, hj, x, graph)
+            and pair_satisfies(hi, hj, y, graph)
+        ]
+        pool_size += len(pool)
+        if all(isinstance(l, ConstantLiteral) for l in y):
+            candidates = [(h, h) for ms in matches.values() for h in ms]
+        else:
+            candidates = pool
+        for hi, hj in candidates:
+            kinds = touched(hi) | touched(hj)
+            if kinds and any(
+                pair_satisfies(a, b, x, mutated) and not pair_satisfies(a, b, y, mutated)
+                for a, b in ((hi, hj), (hj, hi))
+            ):
+                (minus if "-" in kinds else plus).add(key(sigma.name, hi, hj))
+    return plus, minus, pool_size
+
+
 def engine_violation_keys(violations) -> Set[Tuple]:
     """Project engine violations onto the oracle's key shape."""
     from tgfd.detection import PairViolation
