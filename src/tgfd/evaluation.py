@@ -97,19 +97,24 @@ def satisfying_pairs(graph: TemporalGraph, sigma: Tgfd) -> List[Tuple[MatchBindi
 
 
 def _mutate_snapshot(snap: Snapshot, vid: str, attr: str, value: str) -> Snapshot:
-    attrs = {v: dict(named) for v, named in snap.attrs.items()}
-    attrs.setdefault(vid, {})[attr] = value
+    """snap with one attribute rewritten; only that vertex's attributes are
+    copied, the other vertices' dicts are shared."""
+    attrs = dict(snap.attrs)
+    attrs[vid] = {**snap.attrs.get(vid, {}), attr: value}
     return Snapshot(t=snap.t, edges=snap.edges, attrs=attrs)
 
 
-def _y_targets(sigma: Tgfd, binding: MatchBinding) -> List[Tuple[str, str]]:
-    """(vertex, attribute) slots realizing the consequent on this binding."""
+def _y_targets(sigma: Tgfd, later: MatchBinding) -> List[Tuple[str, str]]:
+    """(vertex, attribute) slots of a pool pair's later match that its
+    consequent reads.  Pool pairs satisfy X as (earlier, later), and that
+    orientation reads a variable literal's right-hand side, var2.attr2, on
+    the later match."""
     slots = []
     for lit in sorted(sigma.y_literals, key=literal_sort_key):
         if isinstance(lit, ConstantLiteral):
-            slots.append((binding.assignment[lit.var], lit.attr))
+            slots.append((later.assignment[lit.var], lit.attr))
         else:
-            slots.append((binding.assignment[lit.var1], lit.attr1))
+            slots.append((later.assignment[lit.var2], lit.attr2))
     return slots
 
 

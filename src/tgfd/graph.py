@@ -290,30 +290,58 @@ def ball_edges(view: GraphView, ball: Set[str]) -> Set[Edge]:
 
 def diff_snapshots(prev: Snapshot, cur: Snapshot) -> ChangeSet:
     """Deterministic change list turning prev into cur."""
-    changes: List[Change] = []
-    for e in sorted(prev.edges - cur.edges):
-        changes.append(EdgeDelete(*e))
-    prev_attrs = {(vid, name) for vid, named in prev.attrs.items() for name in named}
-    cur_attrs = {(vid, name) for vid, named in cur.attrs.items() for name in named}
-    for vid, name in sorted(prev_attrs - cur_attrs):
-        changes.append(AttrDelete(vid, name))
-    sets = []
-    for vid, named in cur.attrs.items():
-        for name, value in named.items():
-            if prev.attrs.get(vid, {}).get(name) != value:
-                sets.append(AttrSet(vid, name, value))
-    changes.extend(sorted(sets, key=lambda c: (c.vid, c.name)))
-    for e in sorted(cur.edges - prev.edges):
-        changes.append(EdgeInsert(*e))
+    keys = {(vid, name) for snap in (prev, cur) for vid, named in snap.attrs.items() for name in named}
+    return _diff_on(prev, cur, prev.edges ^ cur.edges, keys)
+
+
+def _diff_on(prev: Snapshot, cur: Snapshot, edges: Iterable[Edge], keys: Iterable[Tuple[str, str]]) -> ChangeSet:
+    """The change list turning prev into cur, looking only at the given
+    edges and (vertex, attribute) keys, which must hold every one that
+    differs.  Canonical order: edge deletions, attribute deletions,
+    attribute sets, edge insertions, each sorted."""
+    deleted, inserted, unset, sets = [], [], [], []
+    for e in edges:
+        if e in prev.edges:
+            if e not in cur.edges:
+                deleted.append(e)
+        elif e in cur.edges:
+            inserted.append(e)
+    for vid, name in keys:
+        old = prev.attrs.get(vid, {}).get(name)
+        new = cur.attrs.get(vid, {}).get(name)
+        if new is None:
+            if old is not None:
+                unset.append((vid, name))
+        elif new != old:
+            sets.append((vid, name, new))
+    changes: List[Change] = [EdgeDelete(*e) for e in sorted(deleted)]
+    changes.extend(AttrDelete(*k) for k in sorted(unset))
+    changes.extend(AttrSet(*s) for s in sorted(sets))
+    changes.extend(EdgeInsert(*e) for e in sorted(inserted))
     return ChangeSet(t=cur.t, changes=tuple(changes))
 
 
 def derive_changesets(graph: TemporalGraph) -> List[ChangeSet]:
-    """Per-timestamp change sets recovered by diffing consecutive snapshots."""
-    return [
-        diff_snapshots(graph.snapshots[i - 1], graph.snapshots[i])
-        for i in range(1, graph.T)
-    ]
+    """Per-timestamp change sets recovered by diffing consecutive snapshots:
+    canonical, with no no-ops.  When the graph keeps the change sets it was
+    built from, only the edges and attributes they name can differ, so only
+    those are compared; otherwise the snapshots are diffed in full."""
+    kept = graph._changesets
+    if kept is None:
+        return [
+            diff_snapshots(graph.snapshots[i - 1], graph.snapshots[i])
+            for i in range(1, graph.T)
+        ]
+    out = []
+    for cs in kept:
+        edges, keys = set(), set()
+        for c in cs.changes:
+            if isinstance(c, (EdgeInsert, EdgeDelete)):
+                edges.add((c.src, c.label, c.dst))
+            else:
+                keys.add((c.vid, c.name))
+        out.append(_diff_on(graph.snapshots[cs.t - 2], graph.snapshots[cs.t - 1], edges, keys))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +350,7 @@ def derive_changesets(graph: TemporalGraph) -> List[ChangeSet]:
 
 
 def _quote(value: str) -> str:
-    if any(ch in value for ch in (' ', '"', '\t')):
+    if ' ' in value or '"' in value or '\t' in value:
         return '"' + value.replace('"', '\\"') + '"'
     return value
 

@@ -7,12 +7,18 @@ seeds a whole-pattern search at every pattern edge the new edge can play; an
 edge deletion drops the matches indexed under that edge; attribute changes
 never touch the matches, since literals are evaluated in detection.  Path
 decomposition remains for the parallel engine's workload estimates.
+
+Searches are local: a variable's candidates come from the edges of its
+already placed pattern neighbours (the label-filtered adjacency of each,
+intersected), so a search seeded at an inserted edge only walks that edge's
+neighbourhood.  Only the first variable of an unseeded search, which has no
+placed neighbour, scans its whole type class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Collection, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 from .graph import AttrDelete, AttrSet, Change, Edge, EdgeDelete, EdgeInsert, GraphView
 from .model import (
@@ -145,11 +151,13 @@ def match_snapshot(pattern: GraphPattern, view: GraphView) -> Set[MatchBinding]:
     return {MatchBinding.of(view.t, a) for a in assignments}
 
 
-def _candidates(pattern: GraphPattern, var: str, view: GraphView) -> Set[str]:
+def _candidates(pattern: GraphPattern, var: str, view: GraphView) -> Collection[str]:
+    """Every vertex the variable's label admits: its type class, or every
+    vertex for a wildcard.  A read-only view of the graph's own sets."""
     label = pattern.label_of(var)
     if label == WILDCARD:
-        return view.vertices()
-    return set(view.vertices_of_type(label))
+        return view.types.keys()
+    return view.vertices_of_type(label)
 
 
 def _match_vars(
@@ -157,17 +165,34 @@ def _match_vars(
     view: GraphView,
     seed: Optional[Mapping[str, str]] = None,
 ) -> List[Dict[str, str]]:
-    """Backtracking search binding every pattern variable, optionally seeded."""
+    """Backtracking search binding every pattern variable, optionally seeded.
+
+    Variables are placed connected-first, then by the size of their type
+    class.  A variable with placed pattern neighbours takes its candidates
+    from their edges: one label-filtered adjacency set per pattern edge
+    joining them, intersected.  Only a variable with no placed neighbour
+    (the first one of an unseeded search) scans its type class.
+    """
     placed: Set[str] = set(seed or ())
-    order: List[str] = []
     remaining = [v for v in pattern.vars if v not in placed]
+    sizes = {v: len(_candidates(pattern, v, view)) for v in remaining}
+    order: List[str] = []
+    # per variable: (placed neighbour, label, variable is the edge's source)
+    # for every pattern edge joining it to a variable placed before it, and
+    # the labels of its self-loops
+    joins: Dict[str, List[Tuple[str, str, bool]]] = {}
+    loops: Dict[str, List[str]] = {}
     while remaining:
-        scored = []
-        for v in remaining:
-            connected = any(w in placed for w in pattern.neighbors(v)) if placed else True
-            scored.append((not connected, len(_candidates(pattern, v, view)), v))
-        scored.sort()
-        chosen = scored[0][2]
+        chosen = min(
+            remaining,
+            key=lambda v: (bool(placed) and placed.isdisjoint(pattern.neighbors(v)), sizes[v], v),
+        )
+        joins[chosen] = [
+            (dst, label, True) if src == chosen else (src, label, False)
+            for (src, label, dst) in pattern.edges
+            if (src == chosen) != (dst == chosen) and (dst if src == chosen else src) in placed
+        ]
+        loops[chosen] = [label for (src, label, dst) in pattern.edges if src == dst == chosen]
         order.append(chosen)
         placed.add(chosen)
         remaining.remove(chosen)
@@ -188,26 +213,29 @@ def _match_vars(
                 if not view.has_edge(assignment[src], label, assignment[dst]):
                     return []
 
+    def candidates(var: str) -> Collection[str]:
+        sets = []
+        for other, label, var_is_src in joins[var]:
+            if var_is_src:  # var -label-> other
+                sets.append({s for (l, s) in view.in_edges(assignment[other]) if l == label})
+            else:  # other -label-> var
+                sets.append({d for (l, d) in view.out_edges(assignment[other]) if l == label})
+        if not sets:
+            return _candidates(pattern, var, view)
+        return set.intersection(*sets)
+
     def consistent(var: str, vid: str) -> bool:
-        if not _label_ok(pattern, var, view, vid):
+        # candidates() already holds every edge to a placed variable
+        if view.type_of(vid) is None or not _label_ok(pattern, var, view, vid):
             return False
-        for (src, label, dst) in pattern.edges:
-            if src == var:
-                other = vid if dst == var else assignment.get(dst)
-                if other is not None and not view.has_edge(vid, label, other):
-                    return False
-            elif dst == var:
-                other = assignment.get(src)
-                if other is not None and not view.has_edge(other, label, vid):
-                    return False
-        return True
+        return all(view.has_edge(vid, label, vid) for label in loops[var])
 
     def backtrack(i: int) -> None:
         if i == len(order):
             results.append(dict(assignment))
             return
         var = order[i]
-        for vid in sorted(_candidates(pattern, var, view)):
+        for vid in sorted(candidates(var)):
             if vid in used:
                 continue
             if consistent(var, vid):

@@ -1,9 +1,17 @@
+import os
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# CI runs every property test on the same examples, so a red build is
+# reproducible; local runs keep hypothesis' random default.
+settings.register_profile("ci", derandomize=True, max_examples=100, deadline=None, database=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 from tgfd.graph import load_graph
 from tgfd.model import parse_tgfd_file

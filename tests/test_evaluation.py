@@ -154,6 +154,30 @@ def test_detection_finds_exactly_the_ledger():
     assert metrics.f1 == 1.0
 
 
+def test_positive_error_on_general_consequent_is_ledgered():
+    # x.a0 == y.a1 -> x.a2 == y.a2: pool pairs satisfy X as (earlier,
+    # later), which reads y.a2 of the later match; a rewrite of its x.a2
+    # would leave that orientation satisfied
+    sigma = Tgfd(
+        "general",
+        GraphPattern([("x", "T0"), ("y", "T1")], [("x", "l0", "y")]),
+        Delta(0, 3),
+        [VariableLiteral("x", "a0", "y", "a1")],
+        [VariableLiteral("x", "a2", "y", "a2")],
+    )
+    graph = generate_synthetic(120, 360, 4, 3, T=8, chg_rate=0.1, seed=5)
+    mutated, ledger = inject_errors(graph, [sigma], 0.2, seed=1)
+    assert (ledger.pool_size, ledger.sampled_positive) == (41, 8)
+    assert len(ledger.mutations) == 8
+    for m in ledger.mutations:
+        assert any(
+            (m.t, m.vid) in {(t, vid) for t, ids in key[1:] for vid in ids}
+            for key in ledger.gamma_plus
+        ), m
+    metrics = score(detect_sequential(mutated, [sigma]).all_violations(), ledger)
+    assert metrics.recall == 1.0
+
+
 def test_cross_rule_collateral_is_ledgered():
     # two rules share the consequent attribute; mutations sampled for one
     # also break pairs of the other, and the ledger must capture both

@@ -50,13 +50,13 @@ GOLDEN = {
     "gen.stdout": "d3d5525bc1098bf32047a7eb315a477697c7bac6c523a77172ffa299ac2137dc",
     "gen.snapshot": "2977def2f4c833e652eb51333ee6702bc67e8e8b716ccb6bb3a0ba1c28006b80",
     "gen.changes": "f719e652e1da6ee6efa3390aa72539949440a527546c2ef883016af0a8471066",
-    "inject.stdout": "a3e3bf6a9d1f6f782293104a40ad92ec1f066c55ebf39b0550e8268c5a80b8e9",
+    "inject.stdout": "50c5177e6688127d1f9e913bf1c26cf45f0e925569dea125d3b83feb830592a6",
     "mut.snapshot": "bf7ae9eea107840632baaf975a670f80bf3e71d42994a61fa14afabb5eb5821f",
-    "mut.changes": "5012247392bdf39bc81e25194a781e78e5727591fe627a58ac5f1de0afcd9692",
-    "mut.ledger": "1f471fed863a1d6cdd79a1cff865cb803ba47ef820a1a7c737a757c3ded8bc55",
-    "detect.text": "b907bae59d6bbbf502d24faf41d23010efaed6c4ca47446212e3b934ea3afb04",
-    "detect.jsonlike": "1d393d2b396f1cc96443558106bb9e0d528614211e625fd3dec4f45d47712130",
-    "parallel.text": "3f8bc13d087296d26c7dc1b529892a327f6ee0f916d264420f1353cd58a63e5a",
+    "mut.changes": "f2a41b6a617ee91a889a5ea0520092a768b17cbba66e8f5ff64177ce795b2c70",
+    "mut.ledger": "df8f6800f193301d3636bd9b6dd6e5da464d91de440e8fae70cc030dcda8d699",
+    "detect.text": "28e112277e84a5ca202aa34b185727d83294f13dad5c5b372fa8ced850f9e3c5",
+    "detect.jsonlike": "c85a5adad82b7ce1277fb4cb2a0aaca9c2ae1d534630d6b274f1b68341386e79",
+    "parallel.text": "6cc215c49556acdf3c5a74405e0cf1c8bbe6446ab2f75e25522818fbd9e4866b",
 }
 
 

@@ -237,6 +237,33 @@ def test_graph_to_texts_roundtrip_random():
         }
 
 
+def test_derived_changesets_from_kept_sets_equal_full_diffs():
+    # a graph that keeps its change sets is diffed only on the keys they
+    # name; the result must equal the full diff of the same snapshots, also
+    # when sets undo, repeat or restore their own changes
+    for seed in range(20):
+        rng = random.Random(seed)
+        g = random_graph(rng, 12, 24)
+        for t in range(2, 7):
+            snap = g.snapshots[-1]
+            changes = list(random_changes(rng, g, t, 6).changes)
+            vid = rng.choice(sorted(g.vertices))
+            e = (vid, "knows", rng.choice(sorted(g.vertices)))
+            name = rng.choice(["name", "rank", "code"])
+            noise = [
+                [EdgeInsert(*e), EdgeDelete(*e)] if e not in snap.edges else [EdgeDelete(*e), EdgeInsert(*e)],
+                [AttrSet(vid, name, "tmp"), AttrDelete(vid, name)],
+                [AttrDelete(vid, name)],
+                [AttrSet(vid, name, "tmp")] + ([AttrSet(vid, name, snap.attr(vid, name))] if snap.attr(vid, name) else []),
+            ]
+            for extra in rng.sample(noise, rng.randint(0, len(noise))):
+                changes[rng.randint(0, len(changes)):0] = extra
+            g = apply_changes(g, ChangeSet(t, tuple(changes)))
+        direct = TemporalGraph(g.vertices, g.snapshots)
+        assert derive_changesets(g) == derive_changesets(direct), seed
+        assert graph_to_texts(g) == graph_to_texts(direct), seed
+
+
 def test_parse_errors():
     with pytest.raises(GraphFormatError):
         parse_snapshot_text("x what\n")

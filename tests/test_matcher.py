@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 from networkx import DiGraph
 from networkx.algorithms.isomorphism import DiGraphMatcher
 
-from tgfd.graph import AttrDelete, AttrSet, EdgeDelete, EdgeInsert, apply_changes
+from tgfd.graph import AttrDelete, AttrSet, EdgeDelete, EdgeInsert, GraphView, apply_changes
 from tgfd.matcher import (
     IncrementalMatcher,
     decompose,
@@ -345,6 +347,111 @@ def test_locality_of_changes():
     matcher.apply(EdgeDelete("far1", "near", "far2"))
     matcher.apply(EdgeInsert("far2", "near", "far1"))
     assert matcher.complete_keys() == before
+
+
+# ---------------------------------------------------------------------------
+# stateful oracle
+# ---------------------------------------------------------------------------
+
+MACHINE_TYPES = {"a": "person", "b": "person", "c": "person", "d": "city", "e": "city"}
+MACHINE_EDGES = st.tuples(
+    st.sampled_from(sorted(MACHINE_TYPES)),
+    st.sampled_from(["knows", "in"]),
+    st.sampled_from(sorted(MACHINE_TYPES)),
+)
+MACHINE_PATTERNS = [
+    # wildcard labels at both ends
+    GraphPattern([("x", "_"), ("y", "_")], [("x", "in", "y")]),
+    # a self-loop plus an edge to a wildcard
+    GraphPattern([("x", "person"), ("y", "_")], [("x", "knows", "x"), ("x", "in", "y")]),
+    # two parallel pattern edges with different labels
+    GraphPattern([("x", "person"), ("y", "_")], [("x", "knows", "y"), ("x", "in", "y")]),
+    # a directed triangle, whose last variable has two placed neighbours
+    GraphPattern(
+        [("x", "person"), ("y", "person"), ("z", "_")],
+        [("x", "knows", "y"), ("y", "in", "z"), ("z", "knows", "x")],
+    ),
+    # a star: a search seeded at one leaf reaches the others through the centre
+    GraphPattern(
+        [("x", "person"), ("y", "city"), ("z", "_")],
+        [("x", "in", "y"), ("x", "knows", "z")],
+    ),
+    # edge-free
+    GraphPattern([("x", "person")], []),
+]
+
+
+class MatcherMachine(RuleBasedStateMachine):
+    """Random edge inserts and deletes, attribute writes, and vertex exits
+    and entries applied to one IncrementalMatcher, checked after every step
+    against networkx and a batch match of the same view.
+
+    Patterns are connected, so a variable with no placed neighbour occurs
+    only at the start of an unseeded search: the matcher's initial batch
+    match and every `match_snapshot` comparison.
+    """
+
+    @initialize(which=st.integers(0, len(MACHINE_PATTERNS) - 1), edges=st.sets(MACHINE_EDGES, max_size=8))
+    def start(self, which, edges):
+        self.pattern = MACHINE_PATTERNS[which]
+        self.types = dict(MACHINE_TYPES)
+        self.edges = set(edges)
+        self.matcher = IncrementalMatcher(self.pattern, GraphView(1, self.types, self.edges))
+        self.searches = 0
+
+    def _seeds_search(self, e) -> bool:
+        """Whether inserting e seeds a search: some pattern edge can play it."""
+        src, label, dst = e
+        return any(
+            plabel == label
+            and (psrc == pdst) == (src == dst)
+            and self.pattern.label_of(psrc) in ("_", self.types[src])
+            and self.pattern.label_of(pdst) in ("_", self.types[dst])
+            for (psrc, plabel, pdst) in self.pattern.edges
+        )
+
+    @rule(e=MACHINE_EDGES)
+    def insert_edge(self, e):
+        if e[0] not in self.types or e[2] not in self.types:
+            return  # edges join vertices in the view
+        if e not in self.edges and self._seeds_search(e):
+            self.searches += 1
+        self.matcher.apply(EdgeInsert(*e))
+        self.edges.add(e)
+
+    @rule(e=MACHINE_EDGES)
+    def delete_edge(self, e):
+        self.matcher.apply(EdgeDelete(*e))
+        self.edges.discard(e)
+
+    @rule(vid=st.sampled_from(sorted(MACHINE_TYPES)), value=st.sampled_from(["p", "q"]))
+    def write_attribute(self, vid, value):
+        assert self.matcher.apply(AttrSet(vid, "name", value)) == (set(), set())
+
+    @rule(vid=st.sampled_from(sorted(MACHINE_TYPES)))
+    def drop_vertex(self, vid):
+        for e in sorted(self.edges):
+            if vid in (e[0], e[2]):
+                self.matcher.apply(EdgeDelete(*e))
+                self.edges.discard(e)
+        self.matcher.sync_vertex(vid, None)
+        self.types.pop(vid, None)
+
+    @rule(vid=st.sampled_from(sorted(MACHINE_TYPES)))
+    def bring_vertex(self, vid):
+        self.matcher.sync_vertex(vid, MACHINE_TYPES[vid])
+        self.types[vid] = MACHINE_TYPES[vid]
+
+    @invariant()
+    def matches_equal_oracles(self):
+        view = GraphView(1, self.types, self.edges)
+        assert self.matcher.view.types == view.types and self.matcher.view.edges == view.edges
+        assert_matches_current(self.matcher, self.pattern, view, "after step")
+        assert self.matcher.iso_searches == self.searches
+
+
+MatcherMachine.TestCase.settings = settings(stateful_step_count=25, deadline=None)
+test_matcher_state_machine = MatcherMachine.TestCase
 
 
 def test_tgfd_paths_attach_constants(medication_rules):
