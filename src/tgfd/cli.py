@@ -365,7 +365,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return _RUNNERS[args.command](args)
-    except (TgfdError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (TgfdError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

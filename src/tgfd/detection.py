@@ -12,6 +12,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
+from .errors import InvalidGraph, InvalidOption
 from .graph import ChangeSet, TemporalGraph
 from .matcher import IncrementalMatcher
 from .model import (
@@ -99,7 +100,7 @@ def format_violation(v: Violation) -> str:
 def permissible_range(i: int, delta: Delta, T: int) -> List[int]:
     """Timestamps j in [1, T] with p <= |j - i| <= q, ascending."""
     if not 1 <= i <= T:
-        raise ValueError(f"timestamp {i} outside [1, {T}]")
+        raise InvalidGraph(f"timestamp {i} outside [1, {T}]")
     lo, hi = max(1, i - delta.q), min(T, i + delta.q)
     return [j for j in range(lo, hi + 1) if delta.contains(j - i)]
 
@@ -354,7 +355,7 @@ def apply_mode(tgfds: Sequence[Tgfd], mode: str) -> List[Tgfd]:
         return [s.with_delta(Delta(0, 0)) for s in tgfds]
     if mode == "upper-only":
         return [s.with_delta(Delta(0, s.delta.q)) for s in tgfds]
-    raise ValueError(f"unknown mode {mode!r}")
+    raise InvalidOption(f"unknown mode {mode!r}")
 
 
 def replay(

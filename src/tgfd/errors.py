@@ -59,3 +59,20 @@ class JobOutOfBounds(TgfdError):
         self.job_name = job_name
         self.size = size
         self.bounds = bounds
+
+
+# Errors callers may already catch as ValueError: each derives from both.
+
+
+class InvalidOption(TgfdError, ValueError):
+    """An engine option lies outside its domain: a worker or fragment count,
+    an error rate, a generator size or profile, an axiom or a mode name."""
+
+
+class InvalidPattern(TgfdError, ValueError):
+    """A pattern is empty, disconnected, or declares a variable twice."""
+
+
+class InvalidGraph(TgfdError, ValueError):
+    """A temporal graph's snapshots or change sets break the timestamp order
+    1..T, or a query names a timestamp outside it."""

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from .errors import InvalidOption
 from .graph import Snapshot, TemporalGraph
 from .model import (
     ConstantLiteral,
@@ -152,7 +154,7 @@ def inject_errors(
     collateral pairs of the mutated matches.
     """
     if not 0 <= err_rate <= 1:
-        raise ValueError("error rate must lie in [0, 1]")
+        raise InvalidOption("error rate must lie in [0, 1]")
     rules = normalize_all(tgfds)
     rng = random.Random(seed)
     ledger = InjectionLedger()
@@ -403,9 +405,9 @@ def generate_synthetic(
     When hotspot_vids is given, all changes touch only those vertices.
     """
     if profile not in CHANGE_PROFILES:
-        raise ValueError(f"unknown profile {profile!r}")
+        raise InvalidOption(f"unknown profile {profile!r}")
     if vertices < 2 or T < 1:
-        raise ValueError("need at least two vertices and one timestamp")
+        raise InvalidOption("need at least two vertices and one timestamp")
     rng = random.Random(seed)
     from .graph import (
         AttrSet,
@@ -446,15 +448,20 @@ def generate_synthetic(
     if not attr_names:
         n_au = 0
 
+    # live_sorted keeps the live edges in order, so rng.sample sees the same
+    # list at every timestamp without a sort
     live_edges = set(edge_set)
+    live_sorted = sorted(edge_set)
+    pool = set(pool_vids)
     for t in range(2, T + 1):
         changes = []
-        deletable = sorted(
-            e for e in live_edges if not hotspot_vids or (e[0] in pool_vids and e[2] in pool_vids)
-        )
+        deletable = live_sorted
+        if hotspot_vids:
+            deletable = [e for e in live_sorted if e[0] in pool and e[2] in pool]
         for e in rng.sample(deletable, min(n_ed, len(deletable))):
             changes.append(EdgeDelete(*e))
             live_edges.discard(e)
+            del live_sorted[bisect_left(live_sorted, e)]
         inserted = 0
         guard = 0
         while inserted < n_ei and guard < n_ei * 100 + 100:
@@ -467,6 +474,7 @@ def generate_synthetic(
                 continue
             changes.append(EdgeInsert(*e))
             live_edges.add(e)
+            insort(live_sorted, e)
             inserted += 1
         for _ in range(n_au):
             vid = rng.choice(pool_vids)

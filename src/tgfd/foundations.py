@@ -1,19 +1,23 @@
 """Reasoning over rule sets: satisfiability, implication, and the axioms.
 
 Satisfiability and implication both reduce to a closure of literals with
-validity windows.  Validity is computed pointwise over the integer gap
-values 0..horizon: a rule fires at gap g when g lies in its interval and
+validity windows.  A rule fires at gap g when g lies in its interval and
 its antecedent is derivable from the literals valid at g via transitivity
-of equality; the consequent then becomes valid at g.  Maximal runs of gaps
-form the validity intervals, which makes interval merging exact.
+of equality; the consequent then becomes valid at g.  The closure at g
+depends only on which intervals contain g, so it is constant between
+consecutive interval endpoints (every p and every q + 1).  The gaps
+0..horizon are therefore cut at those endpoints into elementary segments,
+the closure is computed once per segment, and neighbouring segments with
+the same result merge into maximal validity intervals.  The cost grows with
+the number of rules, not with the width of their intervals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .errors import ArityMismatch
+from .errors import ArityMismatch, InvalidOption
 from .model import (
     WILDCARD,
     ConstantLiteral,
@@ -27,17 +31,6 @@ from .model import (
 )
 
 Interval = Tuple[int, int]
-
-
-def runs_to_intervals(points: Iterable[int]) -> Tuple[Interval, ...]:
-    """Maximal runs of consecutive integers."""
-    out: List[Interval] = []
-    for p in sorted(set(points)):
-        if out and p == out[-1][1] + 1:
-            out[-1] = (out[-1][0], p)
-        else:
-            out.append((p, p))
-    return tuple(out)
 
 
 def intervals_contain(intervals: Sequence[Interval], delta: Delta) -> Optional[Interval]:
@@ -129,7 +122,7 @@ def find_embedding(q_small: GraphPattern, q_big: GraphPattern) -> Optional[Embed
 
 
 # ---------------------------------------------------------------------------
-# pointwise closure
+# segment-wise closure
 # ---------------------------------------------------------------------------
 
 
@@ -147,8 +140,10 @@ class _EqualityAtoms:
     variable literal ties its left side to the partner's right side.  A
     self-form literal is therefore not a tautology here."""
 
-    def __init__(self):
+    def __init__(self, literals: Iterable[Literal] = ()):
         self.parent: Dict = {}
+        for lit in literals:
+            self.add(lit)
 
     def _find(self, x):
         self.parent.setdefault(x, x)
@@ -211,19 +206,15 @@ def _translated_rules(members: Sequence[Tuple[Tgfd, Embedding]]) -> List[_Rule]:
 def _closure_at_gap(
     gap: int,
     seeds: Sequence[Literal],
-    seed_delta: Optional[Delta],
+    seed_delta: Delta,
     rules: Sequence[_Rule],
 ) -> Set[Literal]:
     """Literals valid at one gap value, to fixpoint."""
-    active: Set[Literal] = set()
-    if seed_delta is None or seed_delta.contains(gap):
-        active.update(seeds)
+    active: Set[Literal] = set(seeds) if seed_delta.contains(gap) else set()
     changed = True
     while changed:
         changed = False
-        atoms = _EqualityAtoms()
-        for lit in active:
-            atoms.add(lit)
+        atoms = _EqualityAtoms(active)
         for rule in rules:
             if not rule.delta.contains(gap):
                 continue
@@ -233,6 +224,41 @@ def _closure_at_gap(
                         active.add(y)
                         changed = True
     return active
+
+
+def _segments(horizon: int, deltas: Iterable[Delta]) -> List[Interval]:
+    """The elementary segments of the gaps 0..horizon: the maximal runs
+    that each delta either wholly contains or wholly misses, in order."""
+    end = horizon + 1
+    if end <= 0:
+        return []
+    cuts = {0, end}
+    for d in deltas:
+        cuts.update(c for c in (d.p, d.q + 1) if 0 < c < end)
+    bounds = sorted(cuts)
+    return [(lo, hi - 1) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _segment_closures(
+    seeds: Sequence[Literal],
+    seed_delta: Delta,
+    rules: Sequence[_Rule],
+    horizon: int,
+) -> Iterator[Tuple[int, int, Set[Literal]]]:
+    """(lo, hi, literals valid on every gap lo..hi), one closure per
+    elementary segment, in gap order."""
+    deltas = [seed_delta] + [r.delta for r in rules]
+    for lo, hi in _segments(horizon, deltas):
+        yield lo, hi, _closure_at_gap(lo, seeds, seed_delta, rules)
+
+
+def _add_run(runs: List[Interval], lo: int, hi: int) -> None:
+    """Append the gaps lo..hi to runs in gap order, merging with the last
+    run when they touch."""
+    if runs and runs[-1][1] + 1 == lo:
+        runs[-1] = (runs[-1][0], hi)
+    else:
+        runs.append((lo, hi))
 
 
 def closure_for_implication(
@@ -247,13 +273,13 @@ def closure_for_implication(
     seeds = sorted(set(x_literals), key=literal_sort_key)
     if horizon is None:
         horizon = max([delta.q] + [r.delta.q for r in rules], default=delta.q)
-    valid_points: Dict[Literal, List[int]] = {}
-    for gap in range(0, horizon + 1):
-        for lit in _closure_at_gap(gap, seeds, delta, rules):
-            valid_points.setdefault(lit, []).append(gap)
+    valid_runs: Dict[Literal, List[Interval]] = {}
+    for lo, hi, active in _segment_closures(seeds, delta, rules, horizon):
+        for lit in active:
+            _add_run(valid_runs.setdefault(lit, []), lo, hi)
     entries = [
-        ClosureEntry(literal=lit, validity=runs_to_intervals(points))
-        for lit, points in valid_points.items()
+        ClosureEntry(literal=lit, validity=tuple(runs))
+        for lit, runs in valid_runs.items()
     ]
     return sorted(entries, key=lambda e: literal_sort_key(e.literal))
 
@@ -299,36 +325,44 @@ def embedded_class(anchor_pattern: GraphPattern, tgfds: Sequence[Tgfd]) -> List[
     return members
 
 
+def _conflicting_pairs(active: Set[Literal]) -> List[Tuple[ConstantLiteral, ConstantLiteral]]:
+    """Pairs of distinct constants the literals join, in literal order."""
+    consts = sorted(
+        (l for l in active if isinstance(l, ConstantLiteral)),
+        key=literal_sort_key,
+    )
+    atoms = _EqualityAtoms(active)
+    return [
+        (a, b)
+        for i, a in enumerate(consts)
+        for b in consts[i + 1:]
+        if a.value != b.value and atoms.constants_joined(a.value, b.value)
+    ]
+
+
 def _conflict_scan(
     anchor: Tgfd,
     rules: Sequence[_Rule],
-) -> Optional[Tuple[ConstantLiteral, ConstantLiteral, List[int]]]:
-    """Gap values where the closure of the anchor's antecedent binds one
-    attribute to two distinct constants."""
+) -> Optional[Tuple[ConstantLiteral, ConstantLiteral, Interval]]:
+    """The first pair of distinct constants that the closure of the anchor's
+    antecedent binds to one attribute, in gap order, and the first run of
+    gaps on which it does."""
     horizon = max([anchor.delta.q] + [r.delta.q for r in rules])
     seeds = sorted(set(anchor.x_literals), key=literal_sort_key)
-    found_at: List[Tuple[int, Tuple[ConstantLiteral, ConstantLiteral]]] = []
-    for gap in range(0, horizon + 1):
-        active = _closure_at_gap(gap, seeds, anchor.delta, rules)
-        consts = sorted(
-            (l for l in active if isinstance(l, ConstantLiteral)),
-            key=literal_sort_key,
-        )
-        atoms = _EqualityAtoms()
-        for lit in active:
-            atoms.add(lit)
-        for i in range(len(consts)):
-            for j in range(i + 1, len(consts)):
-                a, b = consts[i], consts[j]
-                if a.value == b.value:
-                    continue
-                if atoms.constants_joined(a.value, b.value):
-                    found_at.append((gap, (a, b)))
-    if not found_at:
+    witness: Optional[Tuple[ConstantLiteral, ConstantLiteral]] = None
+    run: Interval = (0, 0)
+    for lo, hi, active in _segment_closures(seeds, anchor.delta, rules, horizon):
+        pairs = _conflicting_pairs(active)
+        if witness is None:
+            if pairs:
+                witness, run = pairs[0], (lo, hi)
+        elif witness in pairs:
+            run = (run[0], hi)
+        else:
+            break
+    if witness is None:
         return None
-    witness = found_at[0][1]
-    points = [gap for gap, pair in found_at if pair == witness]
-    return witness[0], witness[1], points
+    return witness[0], witness[1], run
 
 
 def check_satisfiability(tgfds: Sequence[Tgfd]) -> SatResult:
@@ -341,8 +375,7 @@ def check_satisfiability(tgfds: Sequence[Tgfd]) -> SatResult:
         translated = _translated_rules(members)
         hit = _conflict_scan(anchor, translated)
         if hit is not None:
-            lit_a, lit_b, points = hit
-            interval = runs_to_intervals(points)[0]
+            lit_a, lit_b, interval = hit
             return SatResult(
                 satisfiable=False,
                 conflict=Conflict(anchor.name, lit_a, lit_b, interval),
@@ -373,15 +406,11 @@ def check_implication(tgfds: Sequence[Tgfd], sigma: Tgfd) -> ImplicationResult:
         horizon = max([query.delta.q] + [r.delta.q for r in rules])
         seeds = sorted(set(query.x_literals), key=literal_sort_key)
         y = query.y_literal
-        good_points: List[int] = []
-        for gap in range(0, horizon + 1):
-            active = _closure_at_gap(gap, seeds, query.delta, rules)
-            atoms = _EqualityAtoms()
-            for lit in active:
-                atoms.add(lit)
-            if atoms.derivable(y):
-                good_points.append(gap)
-        validity = runs_to_intervals(good_points)
+        runs: List[Interval] = []
+        for lo, hi, active in _segment_closures(seeds, query.delta, rules, horizon):
+            if _EqualityAtoms(active).derivable(y):
+                _add_run(runs, lo, hi)
+        validity = tuple(runs)
         if intervals_contain(validity, query.delta) is None:
             return ImplicationResult(
                 implied=False,
@@ -426,7 +455,7 @@ def _translated_match(
 def axiom_check(rule: str, premises: Sequence[Tgfd], conclusion: Tgfd) -> bool:
     """Whether premises/conclusion instantiate the named inference schema."""
     if rule not in AXIOM_ARITY:
-        raise ValueError(f"unknown axiom {rule!r}")
+        raise InvalidOption(f"unknown axiom {rule!r}")
     if len(premises) != AXIOM_ARITY[rule]:
         raise ArityMismatch(f"{rule} takes {AXIOM_ARITY[rule]} premises, got {len(premises)}")
 

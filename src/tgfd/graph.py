@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from .errors import DeleteMissingEdge, GraphFormatError, UnknownVertex
+from .errors import DeleteMissingEdge, GraphFormatError, InvalidGraph, UnknownVertex
 
 Edge = Tuple[str, str, str]  # (src-id, edge-label, dst-id)
 
@@ -164,13 +164,13 @@ class TemporalGraph:
 
     def __init__(self, vertices: Mapping[str, Vertex], snapshots: Sequence[Snapshot]):
         if not snapshots:
-            raise ValueError("a temporal graph needs at least one snapshot")
+            raise InvalidGraph("a temporal graph needs at least one snapshot")
         self.vertices: Dict[str, Vertex] = dict(vertices)
         self.snapshots: Tuple[Snapshot, ...] = tuple(snapshots)
         self._changesets: Optional[Tuple[ChangeSet, ...]] = () if self.T == 1 else None
         for i, snap in enumerate(self.snapshots, start=1):
             if snap.t != i:
-                raise ValueError(f"snapshot {i} carries timestamp {snap.t}")
+                raise InvalidGraph(f"snapshot {i} carries timestamp {snap.t}")
             for src, _, dst in snap.edges:
                 if src not in self.vertices or dst not in self.vertices:
                     raise UnknownVertex(f"edge endpoint missing at t={i}: {src}->{dst}")
@@ -200,7 +200,7 @@ class TemporalGraph:
 
     def snapshot(self, t: int) -> Snapshot:
         if not 1 <= t <= self.T:
-            raise ValueError(f"timestamp {t} outside [1, {self.T}]")
+            raise InvalidGraph(f"timestamp {t} outside [1, {self.T}]")
         return self.snapshots[t - 1]
 
     def view(self, t: int) -> GraphView:
@@ -227,14 +227,24 @@ def apply_changes(graph: TemporalGraph, cs: ChangeSet) -> TemporalGraph:
     """Materialize snapshot cs.t from snapshot cs.t - 1.
 
     Changes apply in list order; earlier snapshots are shared, not copied,
-    and only the new snapshot's changes are checked.  The result records cs
-    as its last change set.
+    and only the new snapshot's changes are checked.  The new snapshot also
+    shares with the previous one the attribute dict of every vertex cs does
+    not write; a written vertex's dict is copied on its first write.  The
+    result records cs as its last change set.
     """
     if cs.t != graph.T + 1:
-        raise ValueError(f"change set targets t={cs.t}, expected {graph.T + 1}")
+        raise InvalidGraph(f"change set targets t={cs.t}, expected {graph.T + 1}")
     prev = graph.snapshots[-1]
     edges = set(prev.edges)
-    attrs = {vid: dict(named) for vid, named in prev.attrs.items()}
+    attrs = dict(prev.attrs)
+    written: Set[str] = set()
+
+    def writable(vid: str) -> Dict[str, str]:
+        if vid not in written:
+            written.add(vid)
+            attrs[vid] = dict(attrs.get(vid, {}))
+        return attrs[vid]
+
     for change in cs.changes:
         if isinstance(change, EdgeInsert):
             _require_vertex(graph, change.src)
@@ -247,13 +257,15 @@ def apply_changes(graph: TemporalGraph, cs: ChangeSet) -> TemporalGraph:
             edges.discard(e)
         elif isinstance(change, AttrSet):
             _require_vertex(graph, change.vid)
-            attrs.setdefault(change.vid, {})[change.name] = change.value
+            writable(change.vid)[change.name] = change.value
         elif isinstance(change, AttrDelete):
             _require_vertex(graph, change.vid)
-            attrs.get(change.vid, {}).pop(change.name, None)
+            writable(change.vid).pop(change.name, None)
         else:  # pragma: no cover - guarded by Change union
             raise TypeError(f"unknown change {change!r}")
-    attrs = {vid: named for vid, named in attrs.items() if named}
+    for vid in written:
+        if not attrs[vid]:
+            del attrs[vid]
     snap = Snapshot(t=cs.t, edges=frozenset(edges), attrs=attrs)
     return graph._extended(snap, cs)
 

@@ -12,7 +12,13 @@ import re
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from .errors import EmptyConsequent, InvalidDelta, TgfdSyntaxError, UnknownVariable
+from .errors import (
+    EmptyConsequent,
+    InvalidDelta,
+    InvalidPattern,
+    TgfdSyntaxError,
+    UnknownVariable,
+)
 
 WILDCARD = "_"
 
@@ -107,10 +113,10 @@ class GraphPattern:
         self.labels: Dict[str, str] = {}
         for var, label in self.nodes:
             if var in self.labels:
-                raise ValueError(f"duplicate pattern variable {var}")
+                raise InvalidPattern(f"duplicate pattern variable {var}")
             self.labels[var] = label
         if not self.labels:
-            raise ValueError("a pattern needs at least one node")
+            raise InvalidPattern("a pattern needs at least one node")
         for src, _, dst in self.edges:
             if src not in self.labels or dst not in self.labels:
                 raise UnknownVariable(f"edge ({src}, {dst}) uses undeclared variable")
@@ -119,7 +125,7 @@ class GraphPattern:
             self._adj[src].add(dst)
             self._adj[dst].add(src)
         if not self._connected():
-            raise ValueError("pattern must be connected")
+            raise InvalidPattern("pattern must be connected")
 
     def _connected(self) -> bool:
         start = next(iter(self.labels))
@@ -336,7 +342,7 @@ def parse_tgfd_file(text: str) -> List[Tgfd]:
             raise EmptyConsequent(f"rule {block['name']} has no consequent")
         try:
             pattern = GraphPattern(block["nodes"], block["edges"])
-        except ValueError as exc:
+        except InvalidPattern as exc:
             raise TgfdSyntaxError(f"rule {block['name']}: {exc}", lineno) from None
         rules.extend(
             normalize(Tgfd(block["name"], pattern, block["delta"], block["x"], block["y"]))

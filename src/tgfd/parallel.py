@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .errors import JobOutOfBounds
+from .errors import InvalidOption, JobOutOfBounds
 from .graph import (
     AttrDelete,
     AttrSet,
@@ -54,7 +54,7 @@ REBALANCE_EDGE_UNIT = 0.01
 def make_fragments(graph: TemporalGraph, n: int, seed: Optional[int] = None) -> List[Fragment]:
     """Partition the vertex set over n workers; seeded order when given."""
     if n < 1:
-        raise ValueError("need at least one worker")
+        raise InvalidOption("need at least one worker")
     vids = sorted(graph.vertices)
     if seed is not None:
         random.Random(seed).shuffle(vids)
@@ -437,11 +437,11 @@ def run_parallel(
     time (tests use it to force rebalances).
     """
     if n < 1:
-        raise ValueError("need at least one worker")
+        raise InvalidOption("need at least one worker")
     rules = normalize_all(tgfds)
     frags = list(fragments) if fragments is not None else make_fragments(graph, n, seed)
     if len(frags) != n:
-        raise ValueError("fragment count must equal worker count")
+        raise InvalidOption("fragment count must equal worker count")
     owners = owner_map(frags)
     frag_by_id = {f.worker_id: f for f in frags}
     graph_attr = snapshot_attr_fn(graph)

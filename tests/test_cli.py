@@ -163,6 +163,52 @@ def test_malformed_change_file_exit_2_with_line(capsys, tmp_path, changes, line)
     assert err.startswith(f"error: line {line}: ")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["detect-parallel", "--workers", "0", "--tl", "0", "--tu", "1"],
+         "error: need at least one worker"),
+        (["inject", "--err", "2", "--out-prefix", "unused"], "error: error rate must lie in [0, 1]"),
+    ],
+)
+def test_option_errors_exit_2(capsys, med_files, argv, message):
+    snap, changes, rules = med_files
+    io = ["--graph", str(snap), "--changes", str(changes), "--tgfds", str(rules)]
+    code, _, err = run(capsys, [argv[0], *io, *argv[1:]])
+    assert code == 2
+    assert err.startswith(message)
+
+
+def test_gen_size_error_exit_2(capsys, tmp_path):
+    code, _, err = run(
+        capsys,
+        ["gen", "--vertices", "1", "--edges", "1", "--types", "1", "--attrs", "1",
+         "--T", "2", "--chg", "0.1", "--seed", "1", "--out-prefix", str(tmp_path / "g")],
+    )
+    assert code == 2
+    assert err == "error: need at least two vertices and one timestamp\n"
+
+
+def test_undecodable_input_exit_2(capsys, tmp_path):
+    rules = tmp_path / "r.tgfd"
+    rules.write_bytes(b"tgfd r\xff\n")
+    code, _, err = run(capsys, ["sat", "--tgfds", str(rules)])
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_internal_value_error_is_not_an_input_error(capsys, monkeypatch, tmp_path):
+    # only engine errors map to exit 2; a bare ValueError is a bug and surfaces
+    def broken(tgfds):
+        raise ValueError("internal invariant")
+
+    monkeypatch.setattr("tgfd.cli.check_satisfiability", broken)
+    rules = tmp_path / "r.tgfd"
+    rules.write_text(CONFLICT_RULES)
+    with pytest.raises(ValueError, match="internal invariant"):
+        main(["sat", "--tgfds", str(rules)])
+
+
 def test_gen_inject_eval_pipeline(capsys, tmp_path):
     prefix = tmp_path / "syn"
     code, out, _ = run(

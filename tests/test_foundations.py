@@ -2,17 +2,26 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tgfd.errors import ArityMismatch
 from tgfd.foundations import (
+    ClosureEntry,
+    Conflict,
+    ImplicationResult,
+    SatResult,
+    _closure_at_gap,
+    _EqualityAtoms,
+    _translated_rules,
     all_embeddings,
     axiom_check,
     check_implication,
     check_satisfiability,
     closure_for_implication,
+    embedded_class,
     find_embedding,
     intervals_contain,
-    runs_to_intervals,
+    overlap_class,
 )
 from tgfd.model import (
     ConstantLiteral,
@@ -20,8 +29,12 @@ from tgfd.model import (
     GraphPattern,
     Tgfd,
     VariableLiteral,
+    literal_sort_key,
+    normalize_all,
+    parse_tgfd_file,
 )
 
+from conftest import CONFLICT_RULES
 from util import random_pattern
 
 
@@ -37,6 +50,87 @@ BIGGER = pat(
     [("x", "patient"), ("y", "medication"), ("w", "dosage"), ("r", "symptom")],
     [("x", "prescribed", "y"), ("y", "dose", "w"), ("x", "shows", "r")],
 )
+
+
+# ---------------------------------------------------------------------------
+# pointwise reference: one closure per integer gap
+# ---------------------------------------------------------------------------
+
+
+def runs_to_intervals(points):
+    """Maximal runs of consecutive integers."""
+    out = []
+    for p in sorted(set(points)):
+        if out and p == out[-1][1] + 1:
+            out[-1] = (out[-1][0], p)
+        else:
+            out.append((p, p))
+    return tuple(out)
+
+
+def pointwise_closure(x_literals, members, delta, horizon=None):
+    rules = _translated_rules(members)
+    seeds = sorted(set(x_literals), key=literal_sort_key)
+    if horizon is None:
+        horizon = max([delta.q] + [r.delta.q for r in rules])
+    valid_points = {}
+    for gap in range(0, horizon + 1):
+        for lit in _closure_at_gap(gap, seeds, delta, rules):
+            valid_points.setdefault(lit, []).append(gap)
+    entries = [
+        ClosureEntry(literal=lit, validity=runs_to_intervals(points))
+        for lit, points in valid_points.items()
+    ]
+    return sorted(entries, key=lambda e: literal_sort_key(e.literal))
+
+
+def pointwise_satisfiability(tgfds):
+    """The first conflicting constant pair in gap order and its first run."""
+    rules_nf = normalize_all(tgfds)
+    for anchor in sorted(rules_nf, key=lambda s: s.name):
+        rules = _translated_rules(overlap_class(anchor, rules_nf))
+        horizon = max([anchor.delta.q] + [r.delta.q for r in rules])
+        seeds = sorted(set(anchor.x_literals), key=literal_sort_key)
+        found_at = []
+        for gap in range(0, horizon + 1):
+            active = _closure_at_gap(gap, seeds, anchor.delta, rules)
+            consts = sorted(
+                (l for l in active if isinstance(l, ConstantLiteral)),
+                key=literal_sort_key,
+            )
+            atoms = _EqualityAtoms(active)
+            for i in range(len(consts)):
+                for j in range(i + 1, len(consts)):
+                    a, b = consts[i], consts[j]
+                    if a.value != b.value and atoms.constants_joined(a.value, b.value):
+                        found_at.append((gap, (a, b)))
+        if found_at:
+            witness = found_at[0][1]
+            points = [gap for gap, pair in found_at if pair == witness]
+            interval = runs_to_intervals(points)[0]
+            return SatResult(False, Conflict(anchor.name, witness[0], witness[1], interval))
+    return SatResult(True)
+
+
+def pointwise_implication(tgfds, sigma):
+    rules_nf = normalize_all(tgfds)
+    witness = None
+    for query in normalize_all([sigma]):
+        rules = _translated_rules(embedded_class(query.pattern, rules_nf))
+        horizon = max([query.delta.q] + [r.delta.q for r in rules])
+        seeds = sorted(set(query.x_literals), key=literal_sort_key)
+        y = query.y_literal
+        good_points = [
+            gap
+            for gap in range(0, horizon + 1)
+            if _EqualityAtoms(_closure_at_gap(gap, seeds, query.delta, rules)).derivable(y)
+        ]
+        validity = runs_to_intervals(good_points)
+        if intervals_contain(validity, query.delta) is None:
+            entry = ClosureEntry(literal=y, validity=validity) if validity else None
+            return ImplicationResult(implied=False, entry=entry)
+        witness = ClosureEntry(literal=y, validity=validity)
+    return ImplicationResult(implied=True, entry=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +346,128 @@ def test_implication_negative():
         "o", BASE, Delta(0, 2), X1, [ConstantLiteral("w", "val", "20mL")]
     )
     assert not check_implication([premise], other).implied
+
+
+# ---------------------------------------------------------------------------
+# segment-wise reasoning equals the pointwise reference
+# ---------------------------------------------------------------------------
+
+SMALL = pat([("x", "patient"), ("y", "medication")], [("x", "prescribed", "y")])
+PATTERNS = (SMALL, BASE, BIGGER)
+ATTRS = ("a", "b")
+VALUES = ("1", "2", "3")
+
+
+@st.composite
+def literals(draw, variables):
+    var = st.sampled_from(variables)
+    attr = st.sampled_from(ATTRS)
+    if draw(st.booleans()):
+        return ConstantLiteral(draw(var), draw(attr), draw(st.sampled_from(VALUES)))
+    return VariableLiteral(draw(var), draw(attr), draw(var), draw(attr))
+
+
+@st.composite
+def rules(draw, name, max_q=60):
+    pattern = draw(st.sampled_from(PATTERNS))
+    variables = sorted(pattern.vars)
+    p = draw(st.integers(0, max_q))
+    q = draw(st.integers(p, max_q))
+    x = draw(st.lists(literals(variables), max_size=2))
+    y = draw(st.lists(literals(variables), min_size=1, max_size=2))
+    return Tgfd(name, pattern, Delta(p, q), x, y)
+
+
+rule_sets = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(*[rules(f"r{i}") for i in range(n)])
+)
+
+
+@settings(deadline=None)
+@given(
+    rule_set=rule_sets,
+    anchor=st.sampled_from(PATTERNS),
+    data=st.data(),
+    horizon=st.one_of(st.none(), st.integers(-1, 70)),
+)
+def test_segment_closure_equals_pointwise(rule_set, anchor, data, horizon):
+    x = data.draw(st.lists(literals(sorted(anchor.vars)), max_size=3))
+    p = data.draw(st.integers(0, 60))
+    delta = Delta(p, data.draw(st.integers(p, 60)))
+    members = embedded_class(anchor, rule_set)
+    assert closure_for_implication(x, members, delta, horizon) == pointwise_closure(
+        x, members, delta, horizon
+    )
+
+
+@settings(deadline=None)
+@given(rule_set=rule_sets)
+def test_segment_satisfiability_equals_pointwise(rule_set):
+    assert check_satisfiability(rule_set) == pointwise_satisfiability(rule_set)
+
+
+@settings(deadline=None)
+@given(rule_set=rule_sets, sigma=rules("sigma"))
+def test_segment_implication_equals_pointwise(rule_set, sigma):
+    assert check_implication(rule_set, sigma) == pointwise_implication(rule_set, sigma)
+
+
+def test_closure_horizon_shorter_than_rule_interval():
+    # the horizon cuts s2's interval (3, 40) and X's own (0, 20)
+    x = ConstantLiteral("x", "a", "1")
+    y = ConstantLiteral("w", "b", "2")
+    s1 = Tgfd("s1", BASE, Delta(5, 30), [x], [y])
+    s2 = Tgfd("s2", BASE, Delta(3, 40), [y], [ConstantLiteral("y", "a", "3")])
+    members = [(s1, ident(BASE)), (s2, ident(BASE))]
+    for horizon in (-1, 0, 4, 12, 25):
+        got = closure_for_implication([x], members, Delta(0, 20), horizon)
+        assert got == pointwise_closure([x], members, Delta(0, 20), horizon), horizon
+    got = {e.literal: e.validity for e in closure_for_implication([x], members, Delta(0, 20), 12)}
+    assert got[x] == ((0, 12),)
+    assert got[y] == ((5, 12),)
+    assert got[ConstantLiteral("y", "a", "3")] == ((5, 12),)
+
+
+def test_conflict_witness_is_its_first_run():
+    # the 1 vs 2 conflict holds on gaps 5..10 and again on 30..40
+    two = Tgfd("r0", BASE, Delta(0, 60), [], [ConstantLiteral("w", "b", "2")])
+    early = Tgfd("r1", BASE, Delta(5, 10), [], [ConstantLiteral("w", "b", "1")])
+    late = Tgfd("r2", BASE, Delta(30, 40), [], [ConstantLiteral("w", "b", "1")])
+    verdict = check_satisfiability([two, early, late])
+    assert verdict == pointwise_satisfiability([two, early, late])
+    assert verdict.conflict.anchor == "r0"
+    assert verdict.conflict.interval == (5, 10)
+
+
+def test_reasoning_at_q_one_billion():
+    # gaps in seconds over ~30 years: no per-gap loop could answer this
+    q = 10 ** 9
+    conflict_text = CONFLICT_RULES.replace("delta (30, 120)", f"delta (30, {q})")
+    conflict = parse_tgfd_file(conflict_text)
+    verdict = check_satisfiability(conflict)
+    assert not verdict.satisfiable
+    assert verdict.conflict.anchor == "symptom_dosage"
+    assert verdict.conflict.interval == (30, q)
+
+    disjoint = parse_tgfd_file(
+        conflict_text.replace(
+            f"delta (30, {q})\nx: x.name == x.name; r.name == r.name",
+            "delta (20, 25)\nx: x.name == x.name; r.name == r.name",
+        )
+    )
+    assert disjoint[1].delta == Delta(20, 25)
+    assert check_satisfiability(disjoint).satisfiable
+
+    base = conflict[0]
+    narrow = base.with_delta(Delta(40, q - 10), "_narrow")
+    res = check_implication(conflict, narrow)
+    assert res.implied
+    assert res.entry.validity == ((40, q - 10),)
+
+    wide = base.with_delta(Delta(10, q + 10), "_wide")
+    res = check_implication(disjoint, wide)
+    assert not res.implied
+    assert res.entry.validity == ((30, q),)
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,25 @@ def test_pattern_validation():
         GraphPattern([("x", "a")], [("x", "l", "zz")])
 
 
+def test_input_errors_are_engine_errors():
+    # still ValueErrors for existing callers, and TgfdErrors for the CLI
+    from tgfd.errors import InvalidGraph, InvalidOption, InvalidPattern, TgfdError
+    from tgfd.evaluation import generate_synthetic
+    from tgfd.parallel import make_fragments
+
+    for exc in (InvalidGraph, InvalidOption, InvalidPattern):
+        assert issubclass(exc, TgfdError) and issubclass(exc, ValueError)
+    with pytest.raises(InvalidPattern):
+        GraphPattern([], [])
+    g = build_graph({"a": "p", "b": "p"}, [("a", "l", "b")], {})
+    with pytest.raises(InvalidGraph):
+        g.snapshot(2)
+    with pytest.raises(InvalidOption):
+        make_fragments(g, 0)
+    with pytest.raises(InvalidOption):
+        generate_synthetic(5, 5, 1, 1, T=2, chg_rate=0.1, seed=1, profile="nope")
+
+
 def test_pattern_diameter_and_center():
     chain = GraphPattern(
         [("a", "t"), ("b", "t"), ("c", "t"), ("d", "t")],
