@@ -8,6 +8,7 @@ verdict was unsatisfiable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -42,7 +43,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The parser, built once per process: building it costs more than a
+    whole `sat` run, and parsing leaves it unchanged."""
     parser = _Parser(prog="tgfd", description="Temporal graph dependency engine")
     sub = parser.add_subparsers(dest="command", required=True)
 

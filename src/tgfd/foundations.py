@@ -15,7 +15,7 @@ the number of rules, not with the width of their intervals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import ArityMismatch, InvalidOption
 from .model import (
@@ -433,23 +433,6 @@ AXIOM_ARITY = {
     "interval-intersection": 2,
     "interval-containment": 1,
 }
-
-
-def _lits(ls: Iterable[Literal]) -> FrozenSet[Literal]:
-    return frozenset(ls)
-
-
-def _translated_match(
-    small: GraphPattern,
-    big: GraphPattern,
-    small_lits: FrozenSet[Literal],
-    big_lits: FrozenSet[Literal],
-) -> Optional[Embedding]:
-    """An embedding of small into big under which the literal sets align."""
-    for f in all_embeddings(small, big):
-        if frozenset(f.translate(l) for l in small_lits) == big_lits:
-            return f
-    return None
 
 
 def axiom_check(rule: str, premises: Sequence[Tgfd], conclusion: Tgfd) -> bool:

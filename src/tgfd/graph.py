@@ -275,19 +275,26 @@ def _require_vertex(graph: TemporalGraph, vid: str) -> None:
         raise UnknownVertex(vid)
 
 
-def ball_vertices(view: GraphView, center: str, d: int) -> Set[str]:
-    """Vertices within d undirected hops of center in the view."""
-    reached = {center}
-    frontier = deque([(center, 0)])
+def ball_vertices(
+    view: GraphView, center: str, d: int, hops: Optional[Dict[str, int]] = None
+) -> Set[str]:
+    """Vertices within d undirected hops of center in the view.  An empty
+    dict passed as hops receives each reached vertex's hop distance."""
+    if hops is None:
+        hops = {}
+    hops[center] = 0
+    frontier = deque([center])
     while frontier:
-        vid, dist = frontier.popleft()
+        vid = frontier.popleft()
+        dist = hops[vid]
         if dist == d:
             continue
-        for nxt in view.neighbors(vid):
-            if nxt not in reached:
-                reached.add(nxt)
-                frontier.append((nxt, dist + 1))
-    return reached
+        for adjacent in (view.out_edges(vid), view.in_edges(vid)):
+            for _, nxt in adjacent:
+                if nxt not in hops:
+                    hops[nxt] = dist + 1
+                    frontier.append(nxt)
+    return set(hops)
 
 
 def ball_edges(view: GraphView, ball: Set[str]) -> Set[Edge]:

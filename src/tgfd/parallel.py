@@ -7,6 +7,14 @@ fragment plus the induced balls around its candidate anchor vertices (the
 workers maintain matches and detect violations among matches anchored on
 their own fragment, the coordinator pairs matches across fragments, and job
 runtimes outside the allowed band trigger a workload reassignment.
+
+Fragment views are built once, at t = 1, and then advanced in place from
+each change set (IncEval in the sense of GRAPE): one full view takes the
+change set's edge changes, and each fragment recomputes only the balls that
+hold an endpoint of a flipped edge strictly inside their radius, then
+re-checks the flipped edges and those incident to vertices that entered or
+left a ball.  The ops it emits are the ones a full diff of the rebuilt view
+would give.
 """
 
 from __future__ import annotations
@@ -21,6 +29,8 @@ from .errors import InvalidOption, JobOutOfBounds
 from .graph import (
     AttrDelete,
     AttrSet,
+    ChangeSet,
+    Edge,
     EdgeDelete,
     EdgeInsert,
     Fragment,
@@ -353,41 +363,134 @@ class _JobState:
         self.last_iso = 0
 
 
-def _fragment_working_view(
-    full: GraphView,
-    frag: Fragment,
-    anchor_specs: Sequence[Tuple[str, int]],
-) -> GraphView:
-    """The fragment's owned subgraph plus the induced balls around owned
-    anchor candidates of the full view; anchor_specs lists (anchor label,
-    ball radius)."""
-    owned = frag.owned_vertices
-    nodes: Set[str] = set(owned)
-    edges = ball_edges(full, owned)
-    for label, radius in anchor_specs:
-        candidates = owned if label == WILDCARD else [
-            v for v in owned if full.type_of(v) == label
-        ]
-        for center in sorted(candidates):
-            ball = ball_vertices(full, center, radius)
-            nodes |= ball
-            edges |= ball_edges(full, ball)
-    return GraphView(full.t, {vid: full.type_of(vid) for vid in nodes}, edges)
+def _advance_full(full: GraphView, cs: ChangeSet) -> List[Edge]:
+    """Apply cs's edge changes to the full view in place; returns the edges
+    whose presence flipped, sorted (an edge inserted and deleted again in
+    one change set, or inserted while present, does not flip)."""
+    before: Dict[Edge, bool] = {}
+    for c in cs.changes:
+        if isinstance(c, (EdgeInsert, EdgeDelete)):
+            e = (c.src, c.label, c.dst)
+            before.setdefault(e, e in full.edges)
+            if isinstance(c, EdgeInsert):
+                full.add_edge(e)
+            else:
+                full.remove_edge(e)
+    full.t = cs.t
+    return sorted(e for e, was in before.items() if (e in full.edges) != was)
 
 
-def _view_delta_ops(prev: GraphView, cur: GraphView) -> List:
-    """Operations evolving one working view into the next: edge removals,
-    vertex exits, vertex entries (id and type), edge insertions."""
-    ops: List = []
-    for e in sorted(prev.edges - cur.edges):
-        ops.append(("change", EdgeDelete(*e)))
-    for vid in sorted(prev.vertices() - cur.vertices()):
-        ops.append(("exit", vid))
-    for vid in sorted(cur.vertices() - prev.vertices()):
-        ops.append(("enter", vid, cur.type_of(vid)))
-    for e in sorted(cur.edges - prev.edges):
-        ops.append(("change", EdgeInsert(*e)))
-    return ops
+class _FragmentView:
+    """A fragment's working view, kept across supersteps: the owned vertices
+    plus the radius balls of the full view around owned anchor candidates,
+    and every full-view edge whose endpoints are both owned or lie in one
+    ball.  anchor_specs lists (anchor label, ball radius)."""
+
+    def __init__(self, full: GraphView, owned: frozenset, anchor_specs: Sequence[Tuple[str, int]]):
+        self.owned = owned
+        # (center, radius) -> hop distance of every vertex in the ball
+        self.balls: Dict[Tuple[str, int], Dict[str, int]] = {}
+        # vertex -> keys of the balls holding it
+        self.holders: Dict[str, Set[Tuple[str, int]]] = {}
+        edges = ball_edges(full, owned)
+        for label, radius in anchor_specs:
+            candidates = owned if label == WILDCARD else [
+                v for v in owned if full.type_of(v) == label
+            ]
+            for center in sorted(candidates):
+                key = (center, radius)
+                if key not in self.balls:
+                    hops: Dict[str, int] = {}
+                    edges |= ball_edges(full, ball_vertices(full, center, radius, hops))
+                    self.balls[key] = hops
+                    for vid in hops:
+                        self.holders.setdefault(vid, set()).add(key)
+        nodes = set(owned).union(self.holders)
+        self.view = GraphView(full.t, {vid: full.type_of(vid) for vid in nodes}, edges)
+        # cross edges new to the view at its last move: owned sets never
+        # change, so after the first build these are the inserted ones
+        self.shipped = self._count_cross(edges)
+        self.attr_units = 0
+
+    def _holds(self, src: str, dst: str) -> bool:
+        if src in self.owned and dst in self.owned:
+            return True
+        a, b = self.holders.get(src), self.holders.get(dst)
+        return a is not None and b is not None and not a.isdisjoint(b)
+
+    def advance(
+        self, full: GraphView, flipped: Sequence[Edge], changed: Sequence[Tuple[str, str]]
+    ) -> List:
+        """Move the view to the full view after the given edge flips; returns
+        the ops applied: edge removals, vertex exits, vertex entries (id and
+        type), edge insertions, each sorted.  changed lists the (vertex,
+        attribute) slots that changed value; `attr_units` counts those on
+        vertices that stay in the view."""
+        # A ball (its vertices and their hop distances) can change only if
+        # a flipped edge has an endpoint fewer than radius hops from the
+        # center: on a path of at most radius hops, the first flipped edge
+        # is reached in fewer hops, over edges that did not flip.
+        stale = {
+            key
+            for src, _, dst in flipped
+            for vid in (src, dst)
+            for key in self.holders.get(vid, ())
+            if self.balls[key][vid] < key[1]
+        }
+        moved: Set[str] = set()
+        for key in stale:
+            old = self.balls[key]
+            hops: Dict[str, int] = {}
+            ball_vertices(full, key[0], key[1], hops)
+            self.balls[key] = hops
+            for vid in old.keys() - hops.keys():
+                keys = self.holders[vid]
+                keys.discard(key)
+                if not keys:
+                    del self.holders[vid]
+                moved.add(vid)
+            for vid in hops.keys() - old.keys():
+                self.holders.setdefault(vid, set()).add(key)
+                moved.add(vid)
+
+        view = self.view
+        recheck = set(flipped)
+        for vid in moved:
+            recheck.update((vid, label, dst) for label, dst in full.out_edges(vid))
+            recheck.update((src, label, vid) for label, src in full.in_edges(vid))
+        deleted, inserted = [], []
+        for e in recheck:
+            now = e in full.edges and self._holds(e[0], e[2])
+            if now != (e in view.edges):
+                (inserted if now else deleted).append(e)
+        exits, enters = [], []
+        for vid in moved:
+            now = vid in self.owned or vid in self.holders
+            if now != (vid in view.types):
+                (enters if now else exits).append(vid)
+
+        ops: List = []
+        for e in sorted(deleted):
+            view.remove_edge(e)
+            ops.append(("change", EdgeDelete(*e)))
+        for vid in sorted(exits):
+            view.remove_vertex(vid)
+            ops.append(("exit", vid))
+        for vid in sorted(enters):
+            view.add_vertex(vid, full.type_of(vid))
+            ops.append(("enter", vid, full.type_of(vid)))
+        for e in sorted(inserted):
+            view.add_edge(e)
+            ops.append(("change", EdgeInsert(*e)))
+        view.t = full.t
+        self.shipped = self._count_cross(inserted)
+        self.attr_units = sum(
+            1 for vid, _ in changed if vid in view.types and vid not in enters
+        )
+        return ops
+
+    def _count_cross(self, edges: Iterable[Edge]) -> int:
+        return sum(1 for src, _, dst in edges if src not in self.owned or dst not in self.owned)
 
 
 def _changed_attrs(graph: TemporalGraph, t: int) -> List[Tuple[str, str]]:
@@ -466,8 +569,11 @@ def run_parallel(
     coord_checked: Dict[str, List[Tuple[MatchBinding, MatchBinding]]] = {s.name: [] for s in rules}
     violations: Dict[str, List[Violation]] = {s.name: [] for s in rules}
 
-    prev_views: Dict[int, GraphView] = {}
-    prev_shipped: Dict[int, Set[Tuple[str, str, str]]] = {r: set() for r in frag_by_id}
+    full = graph.view(1)
+    kept = {
+        r: _FragmentView(full, frag_by_id[r].owned_vertices, anchor_specs)
+        for r in sorted(frag_by_id)
+    }
 
     lo_band = (1 - zeta) * bounds[0]
     hi_band = (1 + zeta) * bounds[1]
@@ -475,145 +581,130 @@ def run_parallel(
     def owner_of(binding: MatchBinding, anchor_var: str) -> int:
         return owners[binding.assignment[anchor_var]]
 
-    for t in range(1, graph.T + 1):
-        full = graph.view(t)
-        views = {
-            r: _fragment_working_view(full, frag_by_id[r], anchor_specs)
-            for r in sorted(frag_by_id)
-        }
-        ops_by_fragment: Dict[int, List] = {r: [] for r in frag_by_id}
-        attr_units: Dict[int, int] = {r: 0 for r in frag_by_id}
-        if t > 1:
-            changed = _changed_attrs(graph, t)
-            for r in sorted(frag_by_id):
-                ops_by_fragment[r] = _view_delta_ops(prev_views[r], views[r])
-                attr_units[r] = sum(
-                    1 for vid, _ in changed
-                    if vid in prev_views[r].types and vid in views[r].types
-                )
+    # threads start on first use, so one worker never starts any
+    with ThreadPoolExecutor(max_workers=n) as pool:
+        for t in range(1, graph.T + 1):
+            ops_by_fragment: Dict[int, List] = {r: [] for r in frag_by_id}
+            if t > 1:
+                flipped = _advance_full(full, graph.changesets[t - 2])
+                changed = _changed_attrs(graph, t)
+                for r in sorted(frag_by_id):
+                    ops_by_fragment[r] = kept[r].advance(full, flipped, changed)
 
-        worker_jobs: Dict[int, List[str]] = {w: [] for w in range(1, n + 1)}
-        for name, worker in assignment.mapping.items():
-            worker_jobs[worker].append(name)
-        for w in worker_jobs:
-            worker_jobs[w].sort()
+            worker_jobs: Dict[int, List[str]] = {w: [] for w in range(1, n + 1)}
+            for name, worker in assignment.mapping.items():
+                worker_jobs[worker].append(name)
+            for w in worker_jobs:
+                worker_jobs[w].sort()
 
-        def run_worker(w: int):
-            results = []
-            for name in worker_jobs[w]:
-                state = states[name]
-                started = _time.perf_counter()
-                if t == 1:
-                    state.matcher = IncrementalMatcher(state.sigma.pattern, views[state.job.home])
-                    applied = 0
-                else:
-                    applied = (
-                        _apply_ops(state, ops_by_fragment[state.job.home])
-                        + attr_units[state.job.home]
+            def run_worker(w: int):
+                results = []
+                for name in worker_jobs[w]:
+                    state = states[name]
+                    started = _time.perf_counter()
+                    if t == 1:
+                        state.matcher = IncrementalMatcher(
+                            state.sigma.pattern, kept[state.job.home].view
+                        )
+                        applied = 0
+                    else:
+                        applied = (
+                            _apply_ops(state, ops_by_fragment[state.job.home])
+                            + kept[state.job.home].attr_units
+                        )
+                    iso_delta = state.matcher.iso_searches - state.last_iso
+                    state.last_iso = state.matcher.iso_searches
+                    owned_matches = sorted(
+                        (
+                            b
+                            for b in state.matcher.topological_matches(t)
+                            if owner_of(b, state.anchor_var) == state.job.home
+                        ),
+                        key=lambda b: b.items,
                     )
-                iso_delta = state.matcher.iso_searches - state.last_iso
-                state.last_iso = state.matcher.iso_searches
-                owned_matches = sorted(
-                    (
-                        b
-                        for b in state.matcher.topological_matches(t)
-                        if owner_of(b, state.anchor_var) == state.job.home
-                    ),
-                    key=lambda b: b.items,
-                )
-                local = incted_step(
-                    state.index, state.sigma, owned_matches, graph_attr, graph.T
-                )
-                elapsed = _time.perf_counter() - started
-                if time_model == "wall":
-                    measured = elapsed
-                else:
-                    measured = 1.0 + applied + 2.0 * iso_delta + len(owned_matches)
-                if time_hook is not None:
-                    measured = time_hook(t, name, measured)
-                results.append((name, owned_matches, local, measured))
-            return results
+                    local = incted_step(
+                        state.index, state.sigma, owned_matches, graph_attr, graph.T
+                    )
+                    elapsed = _time.perf_counter() - started
+                    if time_model == "wall":
+                        measured = elapsed
+                    else:
+                        measured = 1.0 + applied + 2.0 * iso_delta + len(owned_matches)
+                    if time_hook is not None:
+                        measured = time_hook(t, name, measured)
+                    results.append((name, owned_matches, local, measured))
+                return results
 
-        if n == 1:
-            gathered = {1: run_worker(1)}
-        else:
-            with ThreadPoolExecutor(max_workers=n) as pool:
+            if n == 1:
+                gathered = {1: run_worker(1)}
+            else:
                 futures = {w: pool.submit(run_worker, w) for w in sorted(worker_jobs)}
                 gathered = {w: futures[w].result() for w in sorted(futures)}
 
-        job_times: Dict[str, float] = {}
-        per_rule_matches: Dict[str, List[MatchBinding]] = {s.name: [] for s in rules}
-        for w in sorted(gathered):
-            for name, owned_matches, local, measured in gathered[w]:
-                state = states[name]
-                violations[state.sigma.name].extend(local)
-                per_rule_matches[state.sigma.name].extend(owned_matches)
-                job_times[name] = measured
+            job_times: Dict[str, float] = {}
+            per_rule_matches: Dict[str, List[MatchBinding]] = {s.name: [] for s in rules}
+            for w in sorted(gathered):
+                for name, owned_matches, local, measured in gathered[w]:
+                    state = states[name]
+                    violations[state.sigma.name].extend(local)
+                    per_rule_matches[state.sigma.name].extend(owned_matches)
+                    job_times[name] = measured
 
-        # coordinator: pair matches across fragments
-        for sigma in rules:
-            anchor = rule_anchor(sigma)
-            matches = sorted(
-                per_rule_matches[sigma.name],
-                key=lambda b: (owners[b.assignment[anchor]], b.items),
-            )
-            cross = incted_step(
-                coord_index[sigma.name],
-                sigma,
-                matches,
-                graph_attr,
-                graph.T,
-                owner_of=lambda b, a=anchor: owner_of(b, a),
-                cross_only=True,
-                checked_pairs=coord_checked[sigma.name],
-            )
-            violations[sigma.name].extend(cross)
+            # coordinator: pair matches across fragments
+            for sigma in rules:
+                anchor = rule_anchor(sigma)
+                matches = sorted(
+                    per_rule_matches[sigma.name],
+                    key=lambda b: (owners[b.assignment[anchor]], b.items),
+                )
+                cross = incted_step(
+                    coord_index[sigma.name],
+                    sigma,
+                    matches,
+                    graph_attr,
+                    graph.T,
+                    owner_of=lambda b, a=anchor: owner_of(b, a),
+                    cross_only=True,
+                    checked_pairs=coord_checked[sigma.name],
+                )
+                violations[sigma.name].extend(cross)
 
-        shipped_now: Dict[int, int] = {}
-        for r in sorted(frag_by_id):
-            owned = frag_by_id[r].owned_vertices
-            cross_edges = {
-                e for e in views[r].edges if e[0] not in owned or e[2] not in owned
+            shipped_now = {r: kept[r].shipped for r in sorted(frag_by_id)}
+            worker_times = {
+                w: sum(job_times[name] for name in worker_jobs[w]) for w in sorted(worker_jobs)
             }
-            shipped_now[r] = len(cross_edges - prev_shipped[r])
-            prev_shipped[r] = cross_edges
-
-        worker_times = {
-            w: sum(job_times[name] for name in worker_jobs[w]) for w in sorted(worker_jobs)
-        }
-        step = SuperstepReport(
-            t=t,
-            worker_jobs={w: len(worker_jobs[w]) for w in sorted(worker_jobs)},
-            worker_times=worker_times,
-            job_times=dict(sorted(job_times.items())),
-            shipped_edges=shipped_now,
-        )
-        report.total_time += max(worker_times.values()) if worker_times else 0.0
-
-        out_of_band = [
-            name for name, measured in sorted(job_times.items())
-            if measured < lo_band or measured > hi_band
-        ]
-        if out_of_band and t < graph.T:
-            fresh = build_jobs(graph, rules, frags, t=t)
-            fresh_by_name = {j.name: j for j in fresh}
-            for name, state in states.items():
-                state.job = fresh_by_name[name]
-            new_assignment = gen_assign(
-                [clamp_job(j, bounds) for j in fresh], n, bounds, zeta
+            step = SuperstepReport(
+                t=t,
+                worker_jobs={w: len(worker_jobs[w]) for w in sorted(worker_jobs)},
+                worker_times=worker_times,
+                job_times=dict(sorted(job_times.items())),
+                shipped_edges=shipped_now,
             )
-            moved_cost = 0.0
-            for name, worker in new_assignment.mapping.items():
-                if assignment.mapping.get(name) != worker:
-                    moved_cost += fresh_by_name[name].cost_on(worker)
-            assignment = new_assignment
-            report.rebalances += 1
-            report.rebalance_overhead += REBALANCE_FIXED_COST + REBALANCE_EDGE_UNIT * moved_cost
-            report.assignments.append((t + 1, dict(assignment.mapping)))
-            step.rebalanced = True
+            report.total_time += max(worker_times.values()) if worker_times else 0.0
 
-        report.supersteps.append(step)
-        prev_views = views
+            out_of_band = [
+                name for name, measured in sorted(job_times.items())
+                if measured < lo_band or measured > hi_band
+            ]
+            if out_of_band and t < graph.T:
+                fresh = build_jobs(graph, rules, frags, t=t)
+                fresh_by_name = {j.name: j for j in fresh}
+                for name, state in states.items():
+                    state.job = fresh_by_name[name]
+                new_assignment = gen_assign(
+                    [clamp_job(j, bounds) for j in fresh], n, bounds, zeta
+                )
+                moved_cost = 0.0
+                for name, worker in new_assignment.mapping.items():
+                    if assignment.mapping.get(name) != worker:
+                        moved_cost += fresh_by_name[name].cost_on(worker)
+                assignment = new_assignment
+                report.rebalances += 1
+                report.rebalance_overhead += REBALANCE_FIXED_COST + REBALANCE_EDGE_UNIT * moved_cost
+                report.assignments.append((t + 1, dict(assignment.mapping)))
+                step.rebalanced = True
+
+            report.supersteps.append(step)
 
     report.total_time += report.rebalance_overhead
     report.cross_checked = {

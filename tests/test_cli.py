@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tgfd
 from tgfd.cli import main
 
 from conftest import (
@@ -321,3 +326,29 @@ def test_self_loop_rule_detect_and_parallel_agree(tmp_path):
         "loop_rule PAIR t_i=2 t_j=3 x=b,y=u x=b,y=u",
     ]
     assert par_lines == seq_lines
+
+
+def test_parser_reused_after_usage_error(capsys, tmp_path):
+    """The parser is built once per process: a usage error must leave it
+    fit for the next call, which must match a run in a fresh process."""
+    rules = tmp_path / "bad.tgfd"
+    rules.write_text(CONFLICT_RULES)
+    out_file = tmp_path / "sat.out"
+    argv = ["sat", "--tgfds", str(rules), "--out", str(out_file)]
+    src = str(Path(tgfd.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    fresh = subprocess.run(
+        [sys.executable, "-c", "import sys; from tgfd.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    fresh_out = out_file.read_text()
+    out_file.unlink()
+
+    assert main(["sat", "--no-such-option"]) == 1
+    capsys.readouterr()
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert code == 3
+    assert out_file.read_text() == fresh_out

@@ -21,6 +21,8 @@ from tgfd.graph import (
     TemporalGraph,
     Vertex,
     apply_changes,
+    ball_edges,
+    ball_vertices,
 )
 from tgfd.model import (
     ConstantLiteral,
@@ -110,6 +112,43 @@ def brute_matches_all_maps(pattern: GraphPattern, view: GraphView) -> Set[MatchB
         ):
             out.add(MatchBinding.of(view.t, assignment))
     return out
+
+
+# ---------------------------------------------------------------------------
+# fragment views from scratch
+# ---------------------------------------------------------------------------
+
+
+def fragment_view_from_scratch(
+    full: GraphView, owned: frozenset, anchor_specs: Sequence[Tuple[str, int]]
+) -> GraphView:
+    """A fragment's working view built from the full view alone: the owned
+    subgraph plus the induced balls around owned anchor candidates;
+    anchor_specs lists (anchor label, ball radius)."""
+    nodes: Set[str] = set(owned)
+    edges = ball_edges(full, owned)
+    for label, radius in anchor_specs:
+        candidates = owned if label == "_" else [v for v in owned if full.type_of(v) == label]
+        for center in sorted(candidates):
+            ball = ball_vertices(full, center, radius)
+            nodes |= ball
+            edges |= ball_edges(full, ball)
+    return GraphView(full.t, {vid: full.type_of(vid) for vid in nodes}, edges)
+
+
+def view_delta_ops(prev: GraphView, cur: GraphView) -> List:
+    """The full diff of two working views as ops: edge removals, vertex
+    exits, vertex entries (id and type), edge insertions, each sorted."""
+    ops: List = []
+    for e in sorted(prev.edges - cur.edges):
+        ops.append(("change", EdgeDelete(*e)))
+    for vid in sorted(prev.vertices() - cur.vertices()):
+        ops.append(("exit", vid))
+    for vid in sorted(cur.vertices() - prev.vertices()):
+        ops.append(("enter", vid, cur.type_of(vid)))
+    for e in sorted(cur.edges - prev.edges):
+        ops.append(("change", EdgeInsert(*e)))
+    return ops
 
 
 # ---------------------------------------------------------------------------
