@@ -22,7 +22,6 @@ from .model import (
     Tgfd,
     VariableLiteral,
     normalize,
-    pair_satisfies,
     parse_tgfd_file,
 )
 from .matcher import IncrementalMatcher, PathPattern, decompose, match_snapshot

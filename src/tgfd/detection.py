@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import InvalidGraph, InvalidOption
-from .graph import ChangeSet, TemporalGraph
+from .graph import TemporalGraph, advance_view
 from .matcher import IncrementalMatcher
 from .model import (
     ConstantLiteral,
@@ -359,34 +359,23 @@ def apply_mode(tgfds: Sequence[Tgfd], mode: str) -> List[Tgfd]:
 
 
 def replay(
-    graph: TemporalGraph,
-    rules: Sequence[Tgfd],
-    changesets: Optional[Sequence[ChangeSet]] = None,
+    graph: TemporalGraph, rules: Sequence[Tgfd]
 ) -> Iterator[Tuple[int, Dict[str, IncrementalMatcher]]]:
     """Yield (t, {rule name: matcher}) for t = 1..T, each matcher holding
-    snapshot t: a batch match of the first snapshot, then the change sets
-    (the graph's own unless given) applied in order."""
-    if changesets is None:
-        changesets = graph.changesets
-    by_t = {cs.t: cs for cs in changesets}
+    snapshot t.  One view of the first snapshot is batch-matched once per
+    rule, then advanced by each change set in turn; every matcher reads that
+    view and takes each flipped edge from it."""
     view = graph.view(1)
     matchers = {sigma.name: IncrementalMatcher(sigma.pattern, view) for sigma in rules}
-    del view  # each matcher keeps its own copy
-    for t in range(1, graph.T + 1):
-        if t > 1:
-            cs = by_t.get(t)
-            changes = cs.changes if cs else ()
+    yield 1, matchers
+    for cs in graph.changesets:
+        for e in advance_view(view, cs):
             for matcher in matchers.values():
-                for change in changes:
-                    matcher.apply(change)
-        yield t, matchers
+                matcher.apply(e)
+        yield cs.t, matchers
 
 
-def detect_sequential(
-    graph: TemporalGraph,
-    tgfds: Sequence[Tgfd],
-    changesets: Optional[Sequence[ChangeSet]] = None,
-) -> DetectionResult:
+def detect_sequential(graph: TemporalGraph, tgfds: Sequence[Tgfd]) -> DetectionResult:
     """Replay the graph through one incremental matcher per rule, indexing
     each timestamp's matches as it streams by."""
     rules = normalize_all(tgfds)
@@ -394,7 +383,7 @@ def detect_sequential(
     indexes = {sigma.name: MatchIndex(RulePlan(sigma)) for sigma in rules}
     violations: Dict[str, List[Violation]] = {sigma.name: [] for sigma in rules}
     matchers: Dict[str, IncrementalMatcher] = {}
-    for t, matchers in replay(graph, rules, changesets):
+    for t, matchers in replay(graph, rules):
         for sigma in rules:
             matches = matchers[sigma.name].topological_matches(t)
             violations[sigma.name].extend(

@@ -92,12 +92,6 @@ def _all_matches(
     return out
 
 
-def satisfying_pairs(graph: TemporalGraph, sigma: Tgfd) -> List[Tuple[MatchBinding, MatchBinding]]:
-    """Match pairs inside the rule's interval satisfying both X and Y,
-    canonicalized as (earlier, later)."""
-    return _pool_from_matches(graph, sigma, _all_matches(graph, [sigma])[sigma.name])
-
-
 def _mutate_snapshot(snap: Snapshot, vid: str, attr: str, value: str) -> Snapshot:
     """snap with one attribute rewritten; only that vertex's attributes are
     copied, the other vertices' dicts are shared."""

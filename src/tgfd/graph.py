@@ -75,9 +75,11 @@ class Snapshot:
 class GraphView:
     """A queryable slice of one snapshot: vertex types and edges only.
 
-    Attributes are read from `TemporalGraph.snapshot(t)`.  Also used as the
-    matcher's working copy of an evolving fragment, so it supports in-place
-    mutation; TemporalGraph itself stays immutable.
+    Attributes are read from `TemporalGraph.snapshot(t)`.  A view evolves
+    in place: a replay advances one full view by each change set
+    (`advance_view`), and the parallel engine also moves each fragment's
+    view.  Matchers only read the view they are given; TemporalGraph itself
+    stays immutable.
     """
 
     __slots__ = ("t", "types", "edges", "_out", "_in", "_by_type")
@@ -126,7 +128,7 @@ class GraphView:
         seen.update(src for _, src in self._in.get(vid, ()))
         return seen
 
-    # -- mutation (matcher working copies only) --------------------------
+    # -- mutation (views being advanced) ---------------------------------
 
     def add_vertex(self, vid: str, label: str) -> None:
         if vid not in self.types:
@@ -155,11 +157,9 @@ class TemporalGraph:
     """Fixed vertex set plus an ordered sequence of snapshots, t = 1..T.
 
     `changesets` lists the change sets turning snapshot t - 1 into t, for
-    t = 2..T: the ones `apply_changes` applied, or, for a graph built
-    directly from snapshots, their diffs, derived once on first read.
-    Applied change sets are kept as written, no-ops included, so work that
-    counts changes (the matcher's `iso_searches`) is comparable between
-    graphs only when their change files are canonical (`graph_to_texts`).
+    t = 2..T: the ones `apply_changes` applied, as written, no-ops
+    included, or, for a graph built directly from snapshots, their diffs,
+    derived once on first read.
     """
 
     def __init__(self, vertices: Mapping[str, Vertex], snapshots: Sequence[Snapshot]):
@@ -273,6 +273,23 @@ def apply_changes(graph: TemporalGraph, cs: ChangeSet) -> TemporalGraph:
 def _require_vertex(graph: TemporalGraph, vid: str) -> None:
     if vid not in graph.vertices:
         raise UnknownVertex(vid)
+
+
+def advance_view(view: GraphView, cs: ChangeSet) -> List[Edge]:
+    """Apply cs's edge changes to view in place and move it to cs.t; returns
+    the edges whose presence flipped, sorted (an edge inserted and deleted
+    again in one change set, or inserted while present, does not flip)."""
+    before: Dict[Edge, bool] = {}
+    for c in cs.changes:
+        if isinstance(c, (EdgeInsert, EdgeDelete)):
+            e = (c.src, c.label, c.dst)
+            before.setdefault(e, e in view.edges)
+            if isinstance(c, EdgeInsert):
+                view.add_edge(e)
+            else:
+                view.remove_edge(e)
+    view.t = cs.t
+    return sorted(e for e, was in before.items() if (e in view.edges) != was)
 
 
 def ball_vertices(

@@ -2,10 +2,10 @@
 match maintenance under single changes.
 
 The incremental matcher keeps one set of complete pattern matches over a
-working view that holds vertex types and edges only.  An edge insertion
-seeds a whole-pattern search at every pattern edge the new edge can play; an
-edge deletion drops the matches indexed under that edge; attribute changes
-never touch the matches, since literals are evaluated in detection.  Path
+view that holds vertex types and edges only, and that its caller advances.
+An inserted edge seeds a whole-pattern search at every pattern edge it can
+play; a deleted edge drops the matches indexed under it; attribute changes
+never reach the matcher, since literals are evaluated in detection.  Path
 decomposition remains for the parallel engine's workload estimates.
 
 Searches are local: a variable's candidates come from the edges of its
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Collection, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
-from .graph import AttrDelete, AttrSet, Change, Edge, EdgeDelete, EdgeInsert, GraphView
+from .graph import Edge, GraphView
 from .model import (
     WILDCARD,
     ConstantLiteral,
@@ -257,21 +257,23 @@ def _match_vars(
 class IncrementalMatcher:
     """Maintains the matches of one pattern over one evolving view.
 
-    The initial matches are a batch match of the given view, and
+    The matcher keeps the view it is given and never writes it: whoever
+    advances the view (a replay, a parallel fragment) hands each edge whose
+    presence flipped to `apply`, and each vertex that entered or left to
+    `sync_vertex`.  The initial matches are a batch match of the view, and
     `topological_matches()` tracks exactly what a batch re-match of the
-    current view would return.  `iso_searches` counts edge insertions that
-    seeded a localized search; attribute-only change streams never
-    increment it.
+    current view would return.  `iso_searches` counts inserted edges that
+    seeded a localized search.
     """
 
     def __init__(self, pattern: GraphPattern, view: GraphView):
         self.pattern = pattern
-        self.view = GraphView(view.t, view.types, view.edges)
+        self.view = view
         self.iso_searches = 0
         self._complete: Set[AssignmentKey] = set()
         # data edge -> complete matches that use it
         self._by_edge: Dict[Edge, Set[AssignmentKey]] = {}
-        for binding in match_snapshot(pattern, self.view):
+        for binding in match_snapshot(pattern, view):
             self._add(binding.items)
 
     def _add(self, key: AssignmentKey) -> None:
@@ -281,41 +283,27 @@ class IncrementalMatcher:
             e = (assignment[src], label, assignment[dst])
             self._by_edge.setdefault(e, set()).add(key)
 
-    # -- change application -------------------------------------------------
+    # -- flips of the view ----------------------------------------------------
 
-    def apply(self, change: Change) -> Tuple[Set[AssignmentKey], Set[AssignmentKey]]:
-        """Apply one change; returns (added, removed) complete assignments."""
-        if isinstance(change, (AttrSet, AttrDelete)):
-            return set(), set()
-        if isinstance(change, EdgeInsert):
-            e = (change.src, change.label, change.dst)
-            if e in self.view.edges:
-                return set(), set()
-            self.view.add_edge(e)
+    def apply(self, e: Edge) -> Tuple[Set[AssignmentKey], Set[AssignmentKey]]:
+        """Update the matches for one edge whose presence flipped, as the
+        view already shows: an edge the view now holds seeds a search, one
+        it lost drops the matches that used it.  Flips of one change set may
+        come in any order.  Returns (added, removed) complete assignments."""
+        if e in self.view.edges:
             return self._insert_edge(e), set()
-        if isinstance(change, EdgeDelete):
-            e = (change.src, change.label, change.dst)
-            if e not in self.view.edges:
-                return set(), set()
-            self.view.remove_edge(e)
-            return set(), self._delete_edge(e)
-        raise TypeError(f"unknown change {change!r}")
+        return set(), self._delete_edge(e)
 
-    def sync_vertex(self, vid: str, label: Optional[str]) -> None:
-        """Bring a vertex into (or drop it from) the working view.
+    def sync_vertex(self, vid: str) -> None:
+        """Update the matches for a vertex that entered or left the view.
 
-        Callers must delete the vertex's view edges before dropping it, and
-        insert them after bringing it in.  Only an edge-free pattern can
-        match a vertex on its own, so only its matches change here.
+        Only an edge-free pattern can match a vertex on its own; any other
+        pattern's matches change through the flips of the vertex's edges.
         """
-        if label is None:
-            self.view.remove_vertex(vid)
-        else:
-            self.view.add_vertex(vid, label)
         if self.pattern.edges:
             return
         var = self.pattern.vars[0]
-        if label is not None and _label_ok(self.pattern, var, self.view, vid):
+        if self.view.type_of(vid) is not None and _label_ok(self.pattern, var, self.view, vid):
             self._complete.add(((var, vid),))
         else:
             self._complete.discard(((var, vid),))

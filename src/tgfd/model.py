@@ -272,33 +272,6 @@ def normalize_all(tgfds: Iterable[Tgfd]) -> List[Tgfd]:
     return out
 
 
-def pair_satisfies(hi: MatchBinding, hj: MatchBinding, lits: Iterable[Literal], graph) -> bool:
-    """Whether the match pair satisfies every literal.
-
-    Constant u.A=c needs both matches to carry value c; variable u.A=u'.A'
-    compares hi's left side to hj's right side.  A missing attribute fails
-    the literal.
-    """
-    si = graph.snapshot(hi.t)
-    sj = graph.snapshot(hj.t)
-    for lit in lits:
-        if isinstance(lit, ConstantLiteral):
-            vi, vj = hi.get(lit.var), hj.get(lit.var)
-            if vi is None or vj is None:
-                return False
-            if si.attr(vi, lit.attr) != lit.value or sj.attr(vj, lit.attr) != lit.value:
-                return False
-        else:
-            vi, vj = hi.get(lit.var1), hj.get(lit.var2)
-            if vi is None or vj is None:
-                return False
-            a = si.attr(vi, lit.attr1)
-            b = sj.attr(vj, lit.attr2)
-            if a is None or b is None or a != b:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # rule definition language
 # ---------------------------------------------------------------------------

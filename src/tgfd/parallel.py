@@ -13,8 +13,9 @@ each change set (IncEval in the sense of GRAPE): one full view takes the
 change set's edge changes, and each fragment recomputes only the balls that
 hold an endpoint of a flipped edge strictly inside their radius, then
 re-checks the flipped edges and those incident to vertices that entered or
-left a ball.  The ops it emits are the ones a full diff of the rebuilt view
-would give.
+left a ball.  The coordinator thread advances the views between supersteps;
+every job's matcher reads its home fragment's view and takes that view's
+flips, which equal a full diff of the rebuilt view.
 """
 
 from __future__ import annotations
@@ -29,14 +30,12 @@ from .errors import InvalidOption, JobOutOfBounds
 from .graph import (
     AttrDelete,
     AttrSet,
-    ChangeSet,
     Edge,
-    EdgeDelete,
-    EdgeInsert,
     Fragment,
     GraphView,
     Snapshot,
     TemporalGraph,
+    advance_view,
     ball_edges,
     ball_vertices,
 )
@@ -274,6 +273,10 @@ def gen_assign(
     """Bisection on the candidate makespan with greedy packing at each probe;
     returns the feasible assignment with the smallest makespan found."""
     t_l, t_u = bounds
+    if not t_l <= t_u:  # also false when either bound is NaN
+        raise InvalidOption(
+            f"job-time bounds [{t_l:.6g}, {t_u:.6g}] must be numbers with t_l <= t_u"
+        )
     for job in jobs:
         if not (t_l <= job.size <= t_u):
             raise JobOutOfBounds(job.name, job.size, bounds)
@@ -363,23 +366,6 @@ class _JobState:
         self.last_iso = 0
 
 
-def _advance_full(full: GraphView, cs: ChangeSet) -> List[Edge]:
-    """Apply cs's edge changes to the full view in place; returns the edges
-    whose presence flipped, sorted (an edge inserted and deleted again in
-    one change set, or inserted while present, does not flip)."""
-    before: Dict[Edge, bool] = {}
-    for c in cs.changes:
-        if isinstance(c, (EdgeInsert, EdgeDelete)):
-            e = (c.src, c.label, c.dst)
-            before.setdefault(e, e in full.edges)
-            if isinstance(c, EdgeInsert):
-                full.add_edge(e)
-            else:
-                full.remove_edge(e)
-    full.t = cs.t
-    return sorted(e for e, was in before.items() if (e in full.edges) != was)
-
-
 class _FragmentView:
     """A fragment's working view, kept across supersteps: the owned vertices
     plus the radius balls of the full view around owned anchor candidates,
@@ -420,12 +406,12 @@ class _FragmentView:
 
     def advance(
         self, full: GraphView, flipped: Sequence[Edge], changed: Sequence[Tuple[str, str]]
-    ) -> List:
+    ) -> Tuple[List[Edge], List[str]]:
         """Move the view to the full view after the given edge flips; returns
-        the ops applied: edge removals, vertex exits, vertex entries (id and
-        type), edge insertions, each sorted.  changed lists the (vertex,
-        attribute) slots that changed value; `attr_units` counts those on
-        vertices that stay in the view."""
+        the view's own flips: the edges whose presence changed and the
+        vertices that entered or left, each sorted.  changed lists the
+        (vertex, attribute) slots that changed value; `attr_units` counts
+        those on vertices that stay in the view."""
         # A ball (its vertices and their hop distances) can change only if
         # a flipped edge has an endpoint fewer than radius hops from the
         # center: on a path of at most radius hops, the first flipped edge
@@ -469,25 +455,20 @@ class _FragmentView:
             if now != (vid in view.types):
                 (enters if now else exits).append(vid)
 
-        ops: List = []
-        for e in sorted(deleted):
+        for e in deleted:
             view.remove_edge(e)
-            ops.append(("change", EdgeDelete(*e)))
-        for vid in sorted(exits):
+        for vid in exits:
             view.remove_vertex(vid)
-            ops.append(("exit", vid))
-        for vid in sorted(enters):
+        for vid in enters:
             view.add_vertex(vid, full.type_of(vid))
-            ops.append(("enter", vid, full.type_of(vid)))
-        for e in sorted(inserted):
+        for e in inserted:
             view.add_edge(e)
-            ops.append(("change", EdgeInsert(*e)))
         view.t = full.t
         self.shipped = self._count_cross(inserted)
         self.attr_units = sum(
             1 for vid, _ in changed if vid in view.types and vid not in enters
         )
-        return ops
+        return sorted(deleted + inserted), sorted(exits + enters)
 
     def _count_cross(self, edges: Iterable[Edge]) -> int:
         return sum(1 for src, _, dst in edges if src not in self.owned or dst not in self.owned)
@@ -503,20 +484,6 @@ def _changed_attrs(graph: TemporalGraph, t: int) -> List[Tuple[str, str]]:
     }
     before, after = graph.snapshot(t - 1), graph.snapshot(t)
     return [k for k in keys if before.attr(*k) != after.attr(*k)]
-
-
-def _apply_ops(state: _JobState, ops: Sequence) -> int:
-    applied = 0
-    matcher = state.matcher
-    for op in ops:
-        if op[0] == "change":
-            matcher.apply(op[1])
-            applied += 1
-        elif op[0] == "exit":
-            matcher.sync_vertex(op[1], None)
-        else:
-            matcher.sync_vertex(op[1], op[2])
-    return applied
 
 
 def run_parallel(
@@ -541,6 +508,8 @@ def run_parallel(
     """
     if n < 1:
         raise InvalidOption("need at least one worker")
+    if time_model not in ("size", "wall"):
+        raise InvalidOption(f"unknown time model {time_model!r}")
     rules = normalize_all(tgfds)
     frags = list(fragments) if fragments is not None else make_fragments(graph, n, seed)
     if len(frags) != n:
@@ -584,12 +553,13 @@ def run_parallel(
     # threads start on first use, so one worker never starts any
     with ThreadPoolExecutor(max_workers=n) as pool:
         for t in range(1, graph.T + 1):
-            ops_by_fragment: Dict[int, List] = {r: [] for r in frag_by_id}
+            # the views move here, on this thread; the workers only read them
+            flips: Dict[int, Tuple[List[Edge], List[str]]] = {}
             if t > 1:
-                flipped = _advance_full(full, graph.changesets[t - 2])
+                flipped = advance_view(full, graph.changesets[t - 2])
                 changed = _changed_attrs(graph, t)
                 for r in sorted(frag_by_id):
-                    ops_by_fragment[r] = kept[r].advance(full, flipped, changed)
+                    flips[r] = kept[r].advance(full, flipped, changed)
 
             worker_jobs: Dict[int, List[str]] = {w: [] for w in range(1, n + 1)}
             for name, worker in assignment.mapping.items():
@@ -601,24 +571,25 @@ def run_parallel(
                 results = []
                 for name in worker_jobs[w]:
                     state = states[name]
+                    home = state.job.home
                     started = _time.perf_counter()
                     if t == 1:
-                        state.matcher = IncrementalMatcher(
-                            state.sigma.pattern, kept[state.job.home].view
-                        )
+                        state.matcher = IncrementalMatcher(state.sigma.pattern, kept[home].view)
                         applied = 0
                     else:
-                        applied = (
-                            _apply_ops(state, ops_by_fragment[state.job.home])
-                            + kept[state.job.home].attr_units
-                        )
+                        edges, vertices = flips[home]
+                        for e in edges:
+                            state.matcher.apply(e)
+                        for vid in vertices:
+                            state.matcher.sync_vertex(vid)
+                        applied = len(edges) + kept[home].attr_units
                     iso_delta = state.matcher.iso_searches - state.last_iso
                     state.last_iso = state.matcher.iso_searches
                     owned_matches = sorted(
                         (
                             b
                             for b in state.matcher.topological_matches(t)
-                            if owner_of(b, state.anchor_var) == state.job.home
+                            if owner_of(b, state.anchor_var) == home
                         ),
                         key=lambda b: b.items,
                     )

@@ -8,13 +8,13 @@ import random
 import time
 
 from tgfd.detection import apply_mode, detect_sequential
-from tgfd.evaluation import inject_errors, satisfying_pairs, score
+from tgfd.evaluation import inject_errors, score
 from tgfd.foundations import (
     check_implication,
     check_satisfiability,
     closure_for_implication,
 )
-from tgfd.graph import Fragment, apply_changes
+from tgfd.graph import Fragment, advance_view, apply_changes
 from tgfd.matcher import IncrementalMatcher, match_snapshot
 from tgfd.model import ConstantLiteral, Delta, Tgfd
 from tgfd.parallel import gen_assign, run_parallel
@@ -34,6 +34,7 @@ from util import (
     random_changes,
     random_graph,
     random_tgfd,
+    satisfying_pairs,
 )
 
 
@@ -137,14 +138,15 @@ def test_criterion_3_incremental_equals_batch():
         rng = random.Random(2000 + seed)
         g = random_graph(rng, 24, 45)
         pattern = random_tgfd(rng, "r", max_edges=3).pattern
-        matcher = IncrementalMatcher(pattern, g.view(1))
+        view = g.view(1)
+        matcher = IncrementalMatcher(pattern, view)
         if matcher.topological_matches(1) != match_snapshot(pattern, g.view(1)):
             divergences += 1
         for t in range(2, 6):
             cs = random_changes(rng, g, t, 8, profile)
             g = apply_changes(g, cs)
-            for change in cs.changes:
-                matcher.apply(change)
+            for e in advance_view(view, cs):
+                matcher.apply(e)
             if matcher.topological_matches(t) != match_snapshot(pattern, g.view(t)):
                 divergences += 1
     # attribute-only streams: the localized search never runs
@@ -153,12 +155,13 @@ def test_criterion_3_incremental_equals_batch():
         rng = random.Random(3000 + seed)
         g = random_graph(rng, 20, 40)
         pattern = random_tgfd(rng, "r", max_edges=3).pattern
-        matcher = IncrementalMatcher(pattern, g.view(1))
+        view = g.view(1)
+        matcher = IncrementalMatcher(pattern, view)
         for t in range(2, 6):
             cs = random_changes(rng, g, t, 10, (1.0, 0.0, 0.0))
             g = apply_changes(g, cs)
-            for change in cs.changes:
-                matcher.apply(change)
+            for e in advance_view(view, cs):
+                matcher.apply(e)
             assert matcher.topological_matches(t) == match_snapshot(pattern, g.view(t))
         searches += matcher.iso_searches
     verdict(

@@ -174,6 +174,10 @@ def test_malformed_change_file_exit_2_with_line(capsys, tmp_path, changes, line)
         (["detect-parallel", "--workers", "0", "--tl", "0", "--tu", "1"],
          "error: need at least one worker"),
         (["inject", "--err", "2", "--out-prefix", "unused"], "error: error rate must lie in [0, 1]"),
+        (["detect-parallel", "--workers", "2", "--tl", "5", "--tu", "1"],
+         "error: job-time bounds [5, 1] must be numbers with t_l <= t_u"),
+        (["detect-parallel", "--workers", "2", "--tl", "nan", "--tu", "1"],
+         "error: job-time bounds [nan, 1] must be numbers with t_l <= t_u"),
     ],
 )
 def test_option_errors_exit_2(capsys, med_files, argv, message):

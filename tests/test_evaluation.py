@@ -10,7 +10,6 @@ from tgfd.evaluation import (
     inject_errors,
     ledger_from_text,
     ledger_to_text,
-    satisfying_pairs,
     score,
 )
 from tgfd.graph import EdgeDelete, EdgeInsert
@@ -21,15 +20,16 @@ from tgfd.model import (
     Tgfd,
     VariableLiteral,
     normalize_all,
-    pair_satisfies,
 )
 
 from util import (
     exotic_rule,
     oracle_ledger,
     pair_isolated_instance,
+    pair_satisfies,
     random_temporal_graph,
     random_tgfd,
+    satisfying_pairs,
 )
 
 

@@ -3,7 +3,7 @@
 The parallel engine builds each fragment's working view once and advances
 it from every change set.  At every timestamp it must hold exactly the view
 that `util.fragment_view_from_scratch` builds from the full snapshot, emit
-exactly the ops of the full diff `util.view_delta_ops`, and count the same
+exactly the flips of the full diff `util.view_delta`, and count the same
 shipped edges and size-model attribute units.
 """
 
@@ -12,10 +12,9 @@ import random
 import pytest
 
 from tgfd.detection import detect_sequential
-from tgfd.graph import AttrSet, ChangeSet, EdgeDelete, EdgeInsert, apply_changes
+from tgfd.graph import AttrSet, ChangeSet, EdgeDelete, EdgeInsert, advance_view, apply_changes
 from tgfd.model import normalize_all
 from tgfd.parallel import (
-    _advance_full,
     _changed_attrs,
     _FragmentView,
     make_fragments,
@@ -32,7 +31,7 @@ from util import (
     fragment_view_from_scratch,
     random_graph,
     random_tgfd,
-    view_delta_ops,
+    view_delta,
 )
 
 
@@ -133,7 +132,7 @@ def test_kept_views_equal_views_from_scratch(seed):
         assert fv.shipped == len(cross_edges(want, frag.owned_vertices))
 
     for t in range(2, graph.T + 1):
-        flipped = _advance_full(full, graph.changesets[t - 2])
+        flipped = advance_view(full, graph.changesets[t - 2])
         assert full.t == t
         assert full.edges == set(graph.snapshot(t).edges)
         assert set(flipped) == graph.snapshot(t - 1).edges ^ graph.snapshot(t).edges
@@ -142,8 +141,8 @@ def test_kept_views_equal_views_from_scratch(seed):
         for i, frag in enumerate(frags):
             owned = frag.owned_vertices
             want = fragment_view_from_scratch(graph.view(t), owned, specs)
-            ops = kept[i].advance(full, flipped, changed)
-            assert ops == view_delta_ops(prev[i], want)
+            flips = kept[i].advance(full, flipped, changed)
+            assert flips == view_delta(prev[i], want)
             assert_same_view(kept[i].view, want)
             assert kept[i].shipped == len(cross_edges(want, owned) - cross_edges(prev[i], owned))
             assert kept[i].attr_units == sum(
@@ -161,7 +160,7 @@ def test_single_node_balls_hold_only_their_center():
     full = graph.view(1)
     fv = _FragmentView(full, frag.owned_vertices, [("_", 0)])
     for t in range(2, graph.T + 1):
-        fv.advance(full, _advance_full(full, graph.changesets[t - 2]), _changed_attrs(graph, t))
+        fv.advance(full, advance_view(full, graph.changesets[t - 2]), _changed_attrs(graph, t))
         assert all(ball.keys() == {center} for (center, _), ball in fv.balls.items())
         assert set(fv.view.types) == set(frag.owned_vertices)
         assert_same_view(fv.view, fragment_view_from_scratch(graph.view(t), frag.owned_vertices, [("_", 0)]))

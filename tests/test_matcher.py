@@ -6,7 +6,15 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from networkx import DiGraph
 from networkx.algorithms.isomorphism import DiGraphMatcher
 
-from tgfd.graph import AttrDelete, AttrSet, EdgeDelete, EdgeInsert, GraphView, apply_changes
+from tgfd.graph import (
+    AttrDelete,
+    AttrSet,
+    ChangeSet,
+    EdgeInsert,
+    GraphView,
+    advance_view,
+    apply_changes,
+)
 from tgfd.matcher import (
     IncrementalMatcher,
     decompose,
@@ -66,6 +74,25 @@ def assert_matches_current(matcher, pattern, view, where):
     got = matcher.topological_matches(view.t)
     assert got == match_snapshot(pattern, view), f"batch divergence {where}"
     assert got == nx_matches(pattern, view), f"networkx divergence {where}"
+
+
+def flip(view, matcher, e):
+    """Flip edge e in the shared view, then hand the flip to the matcher."""
+    if e in view.edges:
+        view.remove_edge(e)
+    else:
+        view.add_edge(e)
+    return matcher.apply(e)
+
+
+def advance(view, cs, *matchers):
+    """Advance the shared view by cs and hand every flipped edge to each
+    matcher; returns the flips."""
+    flipped = advance_view(view, cs)
+    for e in flipped:
+        for matcher in matchers:
+            matcher.apply(e)
+    return flipped
 
 
 # ---------------------------------------------------------------------------
@@ -213,35 +240,39 @@ STUDY_MATCH = (("w", "Dep"), ("x", "Adv"), ("y", "Bob"), ("z", "Uni"))
 
 def test_attribute_change_returns_nothing_and_never_searches():
     g = study_graph(with_study_edge=True)
-    matcher = IncrementalMatcher(advisor_pattern(), g.view(1))
+    view = g.view(1)
+    matcher = IncrementalMatcher(advisor_pattern(), view)
     before = matcher.complete_keys()
     assert before == {STUDY_MATCH}
-    for change in (AttrSet("Uni", "name", "McMaster"), AttrDelete("Uni", "name")):
-        assert matcher.apply(change) == (set(), set())
+    cs = ChangeSet(2, (AttrSet("Uni", "name", "McMaster"), AttrDelete("Uni", "name")))
+    assert advance(view, cs, matcher) == []
     assert matcher.iso_searches == 0
     assert matcher.complete_keys() == before
 
 
 def test_edge_insert_adds_exactly_the_new_match():
     g = study_graph(with_study_edge=False)
-    matcher = IncrementalMatcher(advisor_pattern(), g.view(1))
+    view = g.view(1)
+    matcher = IncrementalMatcher(advisor_pattern(), view)
+    assert matcher.view is view
     assert matcher.topological_matches(1) == set()
-    added, removed = matcher.apply(EdgeInsert("Bob", "study", "Uni"))
+    added, removed = flip(view, matcher, ("Bob", "study", "Uni"))
     assert added == {STUDY_MATCH} and removed == set()
     assert matcher.iso_searches == 1
     assert matcher.topological_matches(2) == {MatchBinding(t=2, items=STUDY_MATCH)}
-    # re-inserting a present edge is a no-op
-    assert matcher.apply(EdgeInsert("Bob", "study", "Uni")) == (set(), set())
+    # re-inserting a present edge flips nothing, so the matcher never hears of it
+    assert advance(view, ChangeSet(3, (EdgeInsert("Bob", "study", "Uni"),)), matcher) == []
     assert matcher.iso_searches == 1
 
 
 def test_edge_delete_removes_exactly_its_match():
     g = study_graph(with_study_edge=True)
-    matcher = IncrementalMatcher(advisor_pattern(), g.view(1))
+    view = g.view(1)
+    matcher = IncrementalMatcher(advisor_pattern(), view)
     # an edge no match uses removes nothing
-    assert matcher.apply(EdgeDelete("o1", "near", "o2")) == (set(), set())
+    assert flip(view, matcher, ("o1", "near", "o2")) == (set(), set())
     assert matcher.complete_keys() == {STUDY_MATCH}
-    added, removed = matcher.apply(EdgeDelete("Adv", "supervise", "Bob"))
+    added, removed = flip(view, matcher, ("Adv", "supervise", "Bob"))
     assert added == set() and removed == {STUDY_MATCH}
     assert matcher.complete_keys() == set()
     assert matcher.iso_searches == 0
@@ -253,13 +284,13 @@ def test_incremental_equals_batch_random_streams(profile):
         rng = random.Random(seed)
         g = random_graph(rng, 24, 45)
         pattern = random_pattern(rng, 3)
-        matcher = IncrementalMatcher(pattern, g.view(1))
+        view = g.view(1)
+        matcher = IncrementalMatcher(pattern, view)
         assert_matches_current(matcher, pattern, g.view(1), f"seed={seed} t=1")
         for t in range(2, 6):
             cs = random_changes(rng, g, t, 8, profile)
             g = apply_changes(g, cs)
-            for change in cs.changes:
-                matcher.apply(change)
+            advance(view, cs, matcher)
             assert_matches_current(matcher, pattern, g.view(t), f"seed={seed} t={t}")
 
 
@@ -274,13 +305,13 @@ def test_incremental_equals_batch_exotic_patterns():
         loop_patterns += any(e[0] == e[2] for e in pattern.edges)
         covered = set().union(*(p.edges for p in decompose(pattern)))
         assert covered == set(pattern.edges)
-        matcher = IncrementalMatcher(pattern, g.view(1))
+        view = g.view(1)
+        matcher = IncrementalMatcher(pattern, view)
         assert_matches_current(matcher, pattern, g.view(1), f"seed={seed} t=1")
         for t in range(2, 5):
             cs = random_changes(rng, g, t, rng.randint(4, 10), loops=rng.randint(2, 6))
             g = apply_changes(g, cs)
-            for change in cs.changes:
-                matcher.apply(change)
+            advance(view, cs, matcher)
             assert_matches_current(matcher, pattern, g.view(t), f"seed={seed} t={t}")
     assert loop_patterns
 
@@ -298,13 +329,14 @@ def test_self_loop_patterns_under_loop_heavy_streams():
             GraphPattern([("x", "_"), ("y", "city")], [("x", la, "x"), ("x", lb, "y")]),
             GraphPattern([("x", "person"), ("y", "person")], [("x", la, "y"), ("y", la, "y")]),
         ][seed % 3]
-        matcher = IncrementalMatcher(pattern, g.view(1))
+        view = g.view(1)
+        matcher = IncrementalMatcher(pattern, view)
         assert_matches_current(matcher, pattern, g.view(1), f"seed={seed} t=1")
         for t in range(2, 7):
             cs = random_changes(rng, g, t, 6, loops=6)
             g = apply_changes(g, cs)
-            for change in cs.changes:
-                added, removed = matcher.apply(change)
+            for e in advance_view(view, cs):
+                added, removed = matcher.apply(e)
                 seen_added += len(added)
                 seen_removed += len(removed)
             assert_matches_current(matcher, pattern, g.view(t), f"seed={seed} t={t}")
@@ -325,12 +357,12 @@ def test_attribute_only_stream_never_searches():
     rng = random.Random(3)
     g = random_graph(rng, 20, 40)
     pattern = random_pattern(rng, 3)
-    matcher = IncrementalMatcher(pattern, g.view(1))
+    view = g.view(1)
+    matcher = IncrementalMatcher(pattern, view)
     for t in range(2, 6):
         cs = random_changes(rng, g, t, 10, (1.0, 0.0, 0.0))
         g = apply_changes(g, cs)
-        for change in cs.changes:
-            matcher.apply(change)
+        assert advance(view, cs, matcher) == []
         assert matcher.topological_matches(t) == match_snapshot(pattern, g.view(t))
     assert matcher.iso_searches == 0
 
@@ -342,10 +374,11 @@ def test_locality_of_changes():
         [("a", "knows", "b"), ("far1", "near", "far2")],
     )
     pattern = GraphPattern([("x", "person"), ("y", "person")], [("x", "knows", "y")])
-    matcher = IncrementalMatcher(pattern, g.view(1))
+    view = g.view(1)
+    matcher = IncrementalMatcher(pattern, view)
     before = matcher.complete_keys()
-    matcher.apply(EdgeDelete("far1", "near", "far2"))
-    matcher.apply(EdgeInsert("far2", "near", "far1"))
+    flip(view, matcher, ("far1", "near", "far2"))
+    flip(view, matcher, ("far2", "near", "far1"))
     assert matcher.complete_keys() == before
 
 
@@ -382,72 +415,94 @@ MACHINE_PATTERNS = [
 
 
 class MatcherMachine(RuleBasedStateMachine):
-    """Random edge inserts and deletes, attribute writes, and vertex exits
-    and entries applied to one IncrementalMatcher, checked after every step
-    against networkx and a batch match of the same view.
+    """Two IncrementalMatchers with different patterns read one shared view,
+    which the machine moves itself: edge inserts and deletes, one at a time
+    or several at once, attribute writes, and vertex exits and entries.
+    After every step both are checked against networkx and a batch match of
+    a view rebuilt from the shared one's vertices and edges.
 
     Patterns are connected, so a variable with no placed neighbour occurs
-    only at the start of an unseeded search: the matcher's initial batch
-    match and every `match_snapshot` comparison.
+    only at the start of an unseeded search: the matchers' initial batch
+    matches and every `match_snapshot` comparison.
     """
 
-    @initialize(which=st.integers(0, len(MACHINE_PATTERNS) - 1), edges=st.sets(MACHINE_EDGES, max_size=8))
+    @initialize(
+        which=st.lists(
+            st.integers(0, len(MACHINE_PATTERNS) - 1), min_size=2, max_size=2, unique=True
+        ),
+        edges=st.sets(MACHINE_EDGES, max_size=8),
+    )
     def start(self, which, edges):
-        self.pattern = MACHINE_PATTERNS[which]
-        self.types = dict(MACHINE_TYPES)
-        self.edges = set(edges)
-        self.matcher = IncrementalMatcher(self.pattern, GraphView(1, self.types, self.edges))
-        self.searches = 0
+        self.view = GraphView(1, MACHINE_TYPES, edges)
+        self.matchers = [IncrementalMatcher(MACHINE_PATTERNS[i], self.view) for i in which]
+        self.searches = [0] * len(self.matchers)
 
-    def _seeds_search(self, e) -> bool:
+    def _seeds_search(self, pattern, e) -> bool:
         """Whether inserting e seeds a search: some pattern edge can play it."""
         src, label, dst = e
         return any(
             plabel == label
             and (psrc == pdst) == (src == dst)
-            and self.pattern.label_of(psrc) in ("_", self.types[src])
-            and self.pattern.label_of(pdst) in ("_", self.types[dst])
-            for (psrc, plabel, pdst) in self.pattern.edges
+            and pattern.label_of(psrc) in ("_", self.view.type_of(src))
+            and pattern.label_of(pdst) in ("_", self.view.type_of(dst))
+            for (psrc, plabel, pdst) in pattern.edges
         )
 
-    @rule(e=MACHINE_EDGES)
-    def insert_edge(self, e):
-        if e[0] not in self.types or e[2] not in self.types:
-            return  # edges join vertices in the view
-        if e not in self.edges and self._seeds_search(e):
-            self.searches += 1
-        self.matcher.apply(EdgeInsert(*e))
-        self.edges.add(e)
+    def _toggle(self, e) -> None:
+        if e in self.view.edges:
+            self.view.remove_edge(e)
+        elif e[0] in self.view.types and e[2] in self.view.types:
+            self.view.add_edge(e)  # edges join vertices in the view
+
+    def _hand_over(self, flipped) -> None:
+        for i, matcher in enumerate(self.matchers):
+            for e in flipped:
+                if e in self.view.edges and self._seeds_search(matcher.pattern, e):
+                    self.searches[i] += 1
+                matcher.apply(e)
 
     @rule(e=MACHINE_EDGES)
-    def delete_edge(self, e):
-        self.matcher.apply(EdgeDelete(*e))
-        self.edges.discard(e)
+    def flip_edge(self, e):
+        before = set(self.view.edges)
+        self._toggle(e)
+        self._hand_over(sorted(before ^ self.view.edges))
+
+    @rule(es=st.lists(MACHINE_EDGES, max_size=5))
+    def flip_together(self, es):
+        # the net flips of several toggles, handed over in reverse order
+        before = set(self.view.edges)
+        for e in es:
+            self._toggle(e)
+        self._hand_over(sorted(before ^ self.view.edges, reverse=True))
 
     @rule(vid=st.sampled_from(sorted(MACHINE_TYPES)), value=st.sampled_from(["p", "q"]))
     def write_attribute(self, vid, value):
-        assert self.matcher.apply(AttrSet(vid, "name", value)) == (set(), set())
+        cs = ChangeSet(self.view.t + 1, (AttrSet(vid, "name", value),))
+        assert advance_view(self.view, cs) == []
 
     @rule(vid=st.sampled_from(sorted(MACHINE_TYPES)))
     def drop_vertex(self, vid):
-        for e in sorted(self.edges):
-            if vid in (e[0], e[2]):
-                self.matcher.apply(EdgeDelete(*e))
-                self.edges.discard(e)
-        self.matcher.sync_vertex(vid, None)
-        self.types.pop(vid, None)
+        incident = sorted(e for e in self.view.edges if vid in (e[0], e[2]))
+        for e in incident:
+            self.view.remove_edge(e)
+        self._hand_over(incident)
+        self.view.remove_vertex(vid)
+        for matcher in self.matchers:
+            matcher.sync_vertex(vid)
 
     @rule(vid=st.sampled_from(sorted(MACHINE_TYPES)))
     def bring_vertex(self, vid):
-        self.matcher.sync_vertex(vid, MACHINE_TYPES[vid])
-        self.types[vid] = MACHINE_TYPES[vid]
+        self.view.add_vertex(vid, MACHINE_TYPES[vid])
+        for matcher in self.matchers:
+            matcher.sync_vertex(vid)
 
     @invariant()
     def matches_equal_oracles(self):
-        view = GraphView(1, self.types, self.edges)
-        assert self.matcher.view.types == view.types and self.matcher.view.edges == view.edges
-        assert_matches_current(self.matcher, self.pattern, view, "after step")
-        assert self.matcher.iso_searches == self.searches
+        rebuilt = GraphView(self.view.t, self.view.types, self.view.edges)
+        for matcher, searches in zip(self.matchers, self.searches):
+            assert matcher.view is self.view
+            assert_matches_current(matcher, matcher.pattern, rebuilt, "after step")
+            assert matcher.iso_searches == searches
 
 
 MatcherMachine.TestCase.settings = settings(stateful_step_count=25, deadline=None)

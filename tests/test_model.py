@@ -10,11 +10,10 @@ from tgfd.model import (
     VariableLiteral,
     format_tgfd,
     normalize,
-    pair_satisfies,
     parse_tgfd_file,
 )
 
-from util import build_graph, extend
+from util import build_graph, extend, pair_satisfies
 from tgfd.graph import AttrSet
 
 

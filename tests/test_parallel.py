@@ -1,9 +1,12 @@
 import itertools
+import os
 import random
+import re
+import sys
 
 import pytest
 
-from tgfd.errors import JobOutOfBounds
+from tgfd.errors import InvalidOption, JobOutOfBounds
 from tgfd.graph import (
     AttrDelete,
     AttrSet,
@@ -30,6 +33,7 @@ from tgfd.parallel import (
 )
 
 from util import (
+    LABEL_POOL,
     build_graph,
     engine_violation_keys,
     extend,
@@ -252,6 +256,18 @@ def test_gen_assign_out_of_bounds():
         gen_assign(jobs, 2, (6, 100))
 
 
+@pytest.mark.parametrize(
+    "bounds, shown",
+    [((5, 1), "[5, 1]"), ((float("nan"), 100), "[nan, 100]"), ((0, float("nan")), "[0, nan]")],
+)
+def test_gen_assign_rejects_bad_bounds_before_any_job(bounds, shown):
+    # the 40-size job lies outside every one of these bounds, yet the
+    # bounds themselves are blamed
+    for jobs in ([], abstract_jobs([5, 40])):
+        with pytest.raises(InvalidOption, match=re.escape(f"job-time bounds {shown} must be")):
+            gen_assign(jobs, 2, bounds)
+
+
 def test_gen_assign_two_approximation_random():
     for seed in range(50):
         rng = random.Random(seed)
@@ -440,6 +456,43 @@ def test_rebalance_trigger_and_preserved_results():
     assert engine_violation_keys(par.all_violations()) == seq
 
 
+def test_jobs_sharing_fragment_views_under_thread_switching():
+    # Every job of a fragment reads the one view the coordinator advances
+    # between supersteps.  With more workers than cores, a switch interval
+    # of a microsecond and rebalances that move jobs between workers, the
+    # run must still equal sequential detection.
+    rng = random.Random(12)
+    g = random_graph(rng, 24, 50)
+    for t in range(2, 7):
+        g = apply_changes(g, random_changes(rng, g, t, 8))
+    rules = [
+        Tgfd(
+            f"r{i}",
+            GraphPattern([("x", "_"), ("y", "_")], [("x", label, "y")]),
+            Delta(0, 2),
+            [VariableLiteral("x", "name", "x", "name")],
+            [VariableLiteral("y", "code", "y", "code")],
+        )
+        for i, label in enumerate(LABEL_POOL)
+    ]
+    seq = engine_violation_keys(detect_sequential(g, rules).all_violations())
+    assert seq
+
+    def spike(t, job_name, measured):
+        return measured + (1000.0 if t % 2 == 0 and job_name.endswith("@f1") else 0.0)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        par = run_parallel(
+            g, rules, n=(os.cpu_count() or 1) + 2, seed=12, bounds=(0.0, 500.0), time_hook=spike
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    assert par.report.rebalances >= 1
+    assert engine_violation_keys(par.all_violations()) == seq
+
+
 def test_no_rebalance_when_within_bounds():
     rng = random.Random(4)
     g = random_graph(rng, 18, 36)
@@ -577,6 +630,12 @@ def test_wall_time_model_equals_sequential(n):
         ), f"seed={seed}"
         assert par.nontrivial == seq.nontrivial, f"seed={seed}"
         assert all(s.job_times for s in par.report.supersteps)
+
+
+def test_unknown_time_model_rejected():
+    g = build_graph({"a": "person", "b": "team"}, [("a", "plays", "b")])
+    with pytest.raises(InvalidOption, match="unknown time model 'wal'"):
+        run_parallel(g, [simple_rule()], n=1, time_model="wal")
 
 
 def test_make_fragments_partition():

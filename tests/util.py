@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from tgfd.graph import (
     AttrSet,
@@ -28,10 +28,10 @@ from tgfd.model import (
     ConstantLiteral,
     Delta,
     GraphPattern,
+    Literal,
     MatchBinding,
     Tgfd,
     VariableLiteral,
-    pair_satisfies,
 )
 
 
@@ -136,19 +136,10 @@ def fragment_view_from_scratch(
     return GraphView(full.t, {vid: full.type_of(vid) for vid in nodes}, edges)
 
 
-def view_delta_ops(prev: GraphView, cur: GraphView) -> List:
-    """The full diff of two working views as ops: edge removals, vertex
-    exits, vertex entries (id and type), edge insertions, each sorted."""
-    ops: List = []
-    for e in sorted(prev.edges - cur.edges):
-        ops.append(("change", EdgeDelete(*e)))
-    for vid in sorted(prev.vertices() - cur.vertices()):
-        ops.append(("exit", vid))
-    for vid in sorted(cur.vertices() - prev.vertices()):
-        ops.append(("enter", vid, cur.type_of(vid)))
-    for e in sorted(cur.edges - prev.edges):
-        ops.append(("change", EdgeInsert(*e)))
-    return ops
+def view_delta(prev: GraphView, cur: GraphView) -> Tuple[List, List]:
+    """The full diff of two working views: the edges and the vertices in
+    one but not the other, each sorted."""
+    return sorted(prev.edges ^ cur.edges), sorted(prev.vertices() ^ cur.vertices())
 
 
 # ---------------------------------------------------------------------------
@@ -156,14 +147,70 @@ def view_delta_ops(prev: GraphView, cur: GraphView) -> List:
 # ---------------------------------------------------------------------------
 
 
+def pair_satisfies(hi: MatchBinding, hj: MatchBinding, lits: Iterable[Literal], graph) -> bool:
+    """Whether the match pair satisfies every literal.
+
+    Constant u.A=c needs both matches to carry value c; variable u.A=u'.A'
+    compares hi's left side to hj's right side.  A missing attribute fails
+    the literal.
+    """
+    si = graph.snapshot(hi.t)
+    sj = graph.snapshot(hj.t)
+    for lit in lits:
+        if isinstance(lit, ConstantLiteral):
+            vi, vj = hi.get(lit.var), hj.get(lit.var)
+            if vi is None or vj is None:
+                return False
+            if si.attr(vi, lit.attr) != lit.value or sj.attr(vj, lit.attr) != lit.value:
+                return False
+        else:
+            vi, vj = hi.get(lit.var1), hj.get(lit.var2)
+            if vi is None or vj is None:
+                return False
+            a = si.attr(vi, lit.attr1)
+            b = sj.attr(vj, lit.attr2)
+            if a is None or b is None or a != b:
+                return False
+    return True
+
+
+def brute_matches_by_t(graph: TemporalGraph, pattern: GraphPattern) -> Dict[int, List[MatchBinding]]:
+    """{t: brute matches of snapshot t sorted by items}, t = 1..T."""
+    return {
+        t: sorted(brute_matches(pattern, graph.view(t)), key=lambda b: b.items)
+        for t in range(1, graph.T + 1)
+    }
+
+
+def satisfying_pairs(
+    graph: TemporalGraph,
+    sigma: Tgfd,
+    matches: Optional[Dict[int, List[MatchBinding]]] = None,
+) -> List[Tuple[MatchBinding, MatchBinding]]:
+    """Every (earlier, later) pair of brute matches inside the rule's
+    interval that satisfies X and Y; matches, when given, are
+    `brute_matches_by_t`'s."""
+    if matches is None:
+        matches = brute_matches_by_t(graph, sigma.pattern)
+    x, y = list(sigma.x_literals), list(sigma.y_literals)
+    return [
+        (hi, hj)
+        for ti in range(1, graph.T + 1)
+        for tj in range(ti, graph.T + 1)
+        if sigma.delta.contains(tj - ti)
+        for hi in matches[ti]
+        for hj in matches[tj]
+        if (ti, hi.items) < (tj, hj.items)
+        and pair_satisfies(hi, hj, x, graph)
+        and pair_satisfies(hi, hj, y, graph)
+    ]
+
+
 def oracle_violations(graph: TemporalGraph, sigma: Tgfd) -> Set[Tuple]:
     """Violation keys from first principles: brute matches per snapshot, a
     double loop over in-interval pairs for variable consequents, and the
     degenerate self-pair check for constant consequents."""
-    matches = {
-        t: sorted(brute_matches(sigma.pattern, graph.view(t)), key=lambda b: b.items)
-        for t in range(1, graph.T + 1)
-    }
+    matches = brute_matches_by_t(graph, sigma.pattern)
     x = sorted(sigma.x_literals, key=str)
     y = sorted(sigma.y_literals, key=str)
     y_constant = all(isinstance(l, ConstantLiteral) for l in y)
@@ -217,21 +264,8 @@ def oracle_ledger(
     pool_size = 0
     for sigma in rules:
         x, y = list(sigma.x_literals), list(sigma.y_literals)
-        matches = {
-            t: sorted(brute_matches(sigma.pattern, graph.view(t)), key=lambda b: b.items)
-            for t in range(1, graph.T + 1)
-        }
-        pool = [
-            (hi, hj)
-            for ti in range(1, graph.T + 1)
-            for tj in range(ti, graph.T + 1)
-            if sigma.delta.contains(tj - ti)
-            for hi in matches[ti]
-            for hj in matches[tj]
-            if (ti, hi.items) < (tj, hj.items)
-            and pair_satisfies(hi, hj, x, graph)
-            and pair_satisfies(hi, hj, y, graph)
-        ]
+        matches = brute_matches_by_t(graph, sigma.pattern)
+        pool = satisfying_pairs(graph, sigma, matches)
         pool_size += len(pool)
         if all(isinstance(l, ConstantLiteral) for l in y):
             candidates = [(h, h) for ms in matches.values() for h in ms]
