@@ -329,7 +329,7 @@ def _run_gen(args) -> int:
     Path(f"{prefix}.snapshot").write_text(snap_text, encoding="utf-8")
     Path(f"{prefix}.changes").write_text(changes_text, encoding="utf-8")
     sys.stdout.write(
-        f"vertices={args.vertices} edges={len(graph.snapshots[0].edges)} T={graph.T}\n"
+        f"vertices={args.vertices} edges={len(graph.base_edges)} T={graph.T}\n"
     )
     return 0
 

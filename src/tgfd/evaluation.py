@@ -15,7 +15,17 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import InvalidOption
-from .graph import Snapshot, TemporalGraph
+from .graph import (
+    AttrDelete,
+    AttrSet,
+    Change,
+    ChangeSet,
+    EdgeDelete,
+    EdgeInsert,
+    TemporalGraph,
+    Vertex,
+    apply_changes,
+)
 from .model import (
     ConstantLiteral,
     Literal,
@@ -92,12 +102,34 @@ def _all_matches(
     return out
 
 
-def _mutate_snapshot(snap: Snapshot, vid: str, attr: str, value: str) -> Snapshot:
-    """snap with one attribute rewritten; only that vertex's attributes are
-    copied, the other vertices' dicts are shared."""
-    attrs = dict(snap.attrs)
-    attrs[vid] = {**snap.attrs.get(vid, {}), attr: value}
-    return Snapshot(t=snap.t, edges=snap.edges, attrs=attrs)
+def apply_mutations(graph: TemporalGraph, mutations: Sequence[Mutation]) -> TemporalGraph:
+    """graph with each mutation's slot holding its new value at its t only
+    (a later mutation of the same slot and t wins).
+
+    Each rewritten slot becomes change-set edits: a set at the end of change
+    set t (in the base attributes at t = 1) and, below T, a restore of the
+    slot's own value at t at the start of change set t + 1, so that set's
+    own changes still apply after it.  The result is built like a loaded
+    graph, each change set checked as it is applied.
+    """
+    final = {(m.t, m.vid, m.attr): m.new for m in mutations}
+    base = dict(graph.snapshot(1).attrs)
+    first: Dict[int, List[Change]] = {}
+    last: Dict[int, List[Change]] = {}
+    for (t, vid, attr), value in sorted(final.items()):
+        if t == 1:
+            base[vid] = {**base.get(vid, {}), attr: value}
+        else:
+            last.setdefault(t, []).append(AttrSet(vid, attr, value))
+        if t < graph.T:
+            own = graph.snapshot(t).attr(vid, attr)
+            restore = AttrDelete(vid, attr) if own is None else AttrSet(vid, attr, own)
+            first.setdefault(t + 1, []).append(restore)
+    mutated = TemporalGraph(graph.vertices, graph.base_edges, base)
+    for cs in graph.changesets:
+        changes = (*first.get(cs.t, ()), *cs.changes, *last.get(cs.t, ()))
+        mutated = apply_changes(mutated, ChangeSet(t=cs.t, changes=changes))
+    return mutated
 
 
 def _y_targets(sigma: Tgfd, later: MatchBinding) -> List[Tuple[str, str]]:
@@ -160,7 +192,7 @@ def inject_errors(
     }
     ledger.pool_size = sum(len(p) for p in pools.values())
 
-    snapshots = list(graph.snapshots)
+    written: Dict[Tuple[int, str, str], str] = {}
     counter = 0
     for sigma in sorted(rules, key=lambda s: s.name):
         pool = pools[sigma.name]
@@ -192,7 +224,8 @@ def inject_errors(
         for kind, picked in (("+", picked_pos), ("-", picked_neg)):
             for hi, hj in picked:
                 for vid, attr in _y_targets(sigma, hj):
-                    old = snapshots[hj.t - 1].attr(vid, attr)
+                    slot = (hj.t, vid, attr)
+                    old = written[slot] if slot in written else graph.snapshot(hj.t).attr(vid, attr)
                     if kind == "+":
                         new = f"__err{counter}__"
                     else:
@@ -203,14 +236,12 @@ def inject_errors(
                             new = f"__neg{counter}__"
                             ledger.flags.append(f"negative-degraded:{sigma.name}")
                     counter += 1
-                    snapshots[hj.t - 1] = _mutate_snapshot(
-                        snapshots[hj.t - 1], vid, attr, new
-                    )
+                    written[slot] = new
                     ledger.mutations.append(Mutation(hj.t, vid, attr, old, new, kind))
         ledger.sampled_positive += len(picked_pos)
         ledger.sampled_negative += len(picked_neg)
 
-    mutated = TemporalGraph(graph.vertices, snapshots)
+    mutated = apply_mutations(graph, ledger.mutations)
 
     # Ledger every violation the mutations induce, across all rules
     # (collateral pairs of mutated matches included).
@@ -403,14 +434,6 @@ def generate_synthetic(
     if vertices < 2 or T < 1:
         raise InvalidOption("need at least two vertices and one timestamp")
     rng = random.Random(seed)
-    from .graph import (
-        AttrSet,
-        ChangeSet,
-        EdgeDelete,
-        EdgeInsert,
-        Vertex,
-        apply_changes,
-    )
 
     vids = [f"v{i}" for i in range(vertices)]
     vertex_map = {vid: Vertex(vid, f"T{rng.randrange(types)}") for vid in vids}
@@ -429,9 +452,7 @@ def generate_synthetic(
     attr_map = {
         vid: {name: rng.choice(values) for name in attr_names} for vid in vids
     }
-    graph = TemporalGraph(
-        vertex_map, [Snapshot(t=1, edges=frozenset(edge_set), attrs=attr_map)]
-    )
+    graph = TemporalGraph(vertex_map, edge_set, attr_map)
 
     pool_vids = sorted(hotspot_vids) if hotspot_vids else vids
     au_frac, ed_frac, ei_frac = CHANGE_PROFILES[profile]

@@ -1,17 +1,30 @@
 """In-memory temporal property graph.
 
-A temporal graph is a fixed vertex set plus one snapshot per timestamp
-(1-based).  Snapshots store directed labeled edges and string-valued vertex
-attributes.  Snapshots are immutable once built; change sets produce the next
-snapshot from the previous one, and the graph keeps the change sets it was
-built from.
+A temporal graph is a fixed vertex set observed at timestamps t = 1..T
+(1-based), kept as a base snapshot (directed labeled edges and string-valued
+vertex attributes at t = 1) plus the ordered change sets that produce each
+later timestamp from the one before.  Per timestamp the graph keeps only an
+attribute map; the edges at t are replayed into a `GraphView` on demand.  A
+graph is immutable once built: `apply_changes` returns an extended graph.
 """
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    AbstractSet,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
 from .errors import DeleteMissingEdge, GraphFormatError, InvalidGraph, UnknownVertex
 
@@ -62,10 +75,10 @@ class ChangeSet:
 
 @dataclass(frozen=True)
 class Snapshot:
-    """One timestamp of the graph: edge set plus attribute tuples."""
+    """One timestamp's vertex attributes: vertex id -> name -> value.  Its
+    edges are not stored; `TemporalGraph.view(t)` replays them."""
 
     t: int
-    edges: frozenset
     attrs: Mapping[str, Mapping[str, str]]
 
     def attr(self, vid: str, name: str) -> Optional[str]:
@@ -154,45 +167,37 @@ class GraphView:
 
 
 class TemporalGraph:
-    """Fixed vertex set plus an ordered sequence of snapshots, t = 1..T.
+    """Fixed vertex set plus its history over t = 1..T, each part kept once.
 
-    `changesets` lists the change sets turning snapshot t - 1 into t, for
-    t = 2..T: the ones `apply_changes` applied, as written, no-ops
-    included, or, for a graph built directly from snapshots, their diffs,
-    derived once on first read.
+    - `base_edges`: the edges at t = 1.
+    - `changesets`: the change sets turning t - 1 into t, for t = 2..T, as
+      `apply_changes` applied them, no-ops included.
+    - `snapshots`: one attribute map per timestamp; consecutive maps share
+      every vertex dict that the change set between them does not write.
+
+    No edge set is kept per timestamp: `view(t)` advances a view of the base
+    by change sets 2..t.  Only the edge set of the last timestamp is kept,
+    for `apply_changes` to check deletions against.  The constructor builds
+    the one-timestamp graph and checks it; `apply_changes` adds the rest.
     """
 
-    def __init__(self, vertices: Mapping[str, Vertex], snapshots: Sequence[Snapshot]):
-        if not snapshots:
-            raise InvalidGraph("a temporal graph needs at least one snapshot")
+    def __init__(
+        self,
+        vertices: Mapping[str, Vertex],
+        edges: Iterable[Edge],
+        attrs: Mapping[str, Mapping[str, str]],
+    ):
         self.vertices: Dict[str, Vertex] = dict(vertices)
-        self.snapshots: Tuple[Snapshot, ...] = tuple(snapshots)
-        self._changesets: Optional[Tuple[ChangeSet, ...]] = () if self.T == 1 else None
-        for i, snap in enumerate(self.snapshots, start=1):
-            if snap.t != i:
-                raise InvalidGraph(f"snapshot {i} carries timestamp {snap.t}")
-            for src, _, dst in snap.edges:
-                if src not in self.vertices or dst not in self.vertices:
-                    raise UnknownVertex(f"edge endpoint missing at t={i}: {src}->{dst}")
-            for vid in snap.attrs:
-                if vid not in self.vertices:
-                    raise UnknownVertex(f"attributed vertex {vid} missing at t={i}")
-
-    def _extended(self, snap: Snapshot, cs: ChangeSet) -> "TemporalGraph":
-        """This graph plus snapshot snap, reached by cs.  Only apply_changes
-        calls it, having checked every change, so the earlier snapshots are
-        not validated again."""
-        graph = TemporalGraph.__new__(TemporalGraph)
-        graph.vertices = self.vertices
-        graph.snapshots = self.snapshots + (snap,)
-        graph._changesets = self.changesets + (cs,)
-        return graph
-
-    @property
-    def changesets(self) -> Tuple[ChangeSet, ...]:
-        if self._changesets is None:
-            self._changesets = tuple(derive_changesets(self))
-        return self._changesets
+        self.base_edges = frozenset(edges)
+        for src, _, dst in self.base_edges:
+            if src not in self.vertices or dst not in self.vertices:
+                raise UnknownVertex(f"edge endpoint missing at t=1: {src}->{dst}")
+        for vid in attrs:
+            if vid not in self.vertices:
+                raise UnknownVertex(f"attributed vertex {vid} missing at t=1")
+        self.snapshots: Tuple[Snapshot, ...] = (Snapshot(t=1, attrs=attrs),)
+        self.changesets: Tuple[ChangeSet, ...] = ()
+        self._last_edges: AbstractSet[Edge] = self.base_edges
 
     @property
     def T(self) -> int:
@@ -204,15 +209,14 @@ class TemporalGraph:
         return self.snapshots[t - 1]
 
     def view(self, t: int) -> GraphView:
-        """Full snapshot t as a queryable view."""
+        """Full snapshot t as a fresh view: the base edges advanced by
+        change sets 2..t."""
+        self.snapshot(t)  # bounds check
         types = {vid: v.type_label for vid, v in self.vertices.items()}
-        return GraphView(t, types, self.snapshot(t).edges)
-
-    def type_of(self, vid: str) -> str:
-        try:
-            return self.vertices[vid].type_label
-        except KeyError:
-            raise UnknownVertex(vid) from None
+        view = GraphView(1, types, self.base_edges)
+        for cs in self.changesets[: t - 1]:
+            advance_view(view, cs)
+        return view
 
 
 @dataclass(frozen=True)
@@ -224,19 +228,18 @@ class Fragment:
 
 
 def apply_changes(graph: TemporalGraph, cs: ChangeSet) -> TemporalGraph:
-    """Materialize snapshot cs.t from snapshot cs.t - 1.
+    """The graph extended to timestamp cs.t by change set cs.
 
-    Changes apply in list order; earlier snapshots are shared, not copied,
-    and only the new snapshot's changes are checked.  The new snapshot also
-    shares with the previous one the attribute dict of every vertex cs does
-    not write; a written vertex's dict is copied on its first write.  The
-    result records cs as its last change set.
+    Changes apply in list order, and only cs's changes are checked.  The
+    result shares graph's history and adds cs plus the attribute map of
+    cs.t, which shares with the previous map the dict of every vertex cs
+    does not write; a written vertex's dict is copied on its first write.
+    graph itself is left as it was.
     """
     if cs.t != graph.T + 1:
         raise InvalidGraph(f"change set targets t={cs.t}, expected {graph.T + 1}")
-    prev = graph.snapshots[-1]
-    edges = set(prev.edges)
-    attrs = dict(prev.attrs)
+    edges = set(graph._last_edges)
+    attrs = dict(graph.snapshots[-1].attrs)
     written: Set[str] = set()
 
     def writable(vid: str) -> Dict[str, str]:
@@ -266,8 +269,11 @@ def apply_changes(graph: TemporalGraph, cs: ChangeSet) -> TemporalGraph:
     for vid in written:
         if not attrs[vid]:
             del attrs[vid]
-    snap = Snapshot(t=cs.t, edges=frozenset(edges), attrs=attrs)
-    return graph._extended(snap, cs)
+    extended = copy.copy(graph)
+    extended.snapshots += (Snapshot(t=cs.t, attrs=attrs),)
+    extended.changesets += (cs,)
+    extended._last_edges = edges
+    return extended
 
 
 def _require_vertex(graph: TemporalGraph, vid: str) -> None:
@@ -279,17 +285,29 @@ def advance_view(view: GraphView, cs: ChangeSet) -> List[Edge]:
     """Apply cs's edge changes to view in place and move it to cs.t; returns
     the edges whose presence flipped, sorted (an edge inserted and deleted
     again in one change set, or inserted while present, does not flip)."""
+    flipped = _flip_edges(cs, view.edges, view.add_edge, view.remove_edge)
+    view.t = cs.t
+    return flipped
+
+
+def _flip_edges(
+    cs: ChangeSet,
+    present: AbstractSet[Edge],
+    add: Callable[[Edge], None],
+    remove: Callable[[Edge], None],
+) -> List[Edge]:
+    """Apply cs's edge changes in order through add and remove, which
+    update present; returns the edges whose presence flipped, sorted."""
     before: Dict[Edge, bool] = {}
     for c in cs.changes:
         if isinstance(c, (EdgeInsert, EdgeDelete)):
             e = (c.src, c.label, c.dst)
-            before.setdefault(e, e in view.edges)
+            before.setdefault(e, e in present)
             if isinstance(c, EdgeInsert):
-                view.add_edge(e)
+                add(e)
             else:
-                view.remove_edge(e)
-    view.t = cs.t
-    return sorted(e for e, was in before.items() if (e in view.edges) != was)
+                remove(e)
+    return sorted(e for e, was in before.items() if (e in present) != was)
 
 
 def ball_vertices(
@@ -324,59 +342,41 @@ def ball_edges(view: GraphView, ball: Set[str]) -> Set[Edge]:
     }
 
 
-def diff_snapshots(prev: Snapshot, cur: Snapshot) -> ChangeSet:
-    """Deterministic change list turning prev into cur."""
-    keys = {(vid, name) for snap in (prev, cur) for vid, named in snap.attrs.items() for name in named}
-    return _diff_on(prev, cur, prev.edges ^ cur.edges, keys)
-
-
-def _diff_on(prev: Snapshot, cur: Snapshot, edges: Iterable[Edge], keys: Iterable[Tuple[str, str]]) -> ChangeSet:
-    """The change list turning prev into cur, looking only at the given
-    edges and (vertex, attribute) keys, which must hold every one that
-    differs.  Canonical order: edge deletions, attribute deletions,
-    attribute sets, edge insertions, each sorted."""
-    deleted, inserted, unset, sets = [], [], [], []
-    for e in edges:
-        if e in prev.edges:
-            if e not in cur.edges:
-                deleted.append(e)
-        elif e in cur.edges:
-            inserted.append(e)
-    for vid, name in keys:
-        old = prev.attrs.get(vid, {}).get(name)
-        new = cur.attrs.get(vid, {}).get(name)
-        if new is None:
-            if old is not None:
-                unset.append((vid, name))
-        elif new != old:
-            sets.append((vid, name, new))
-    changes: List[Change] = [EdgeDelete(*e) for e in sorted(deleted)]
-    changes.extend(AttrDelete(*k) for k in sorted(unset))
-    changes.extend(AttrSet(*s) for s in sorted(sets))
-    changes.extend(EdgeInsert(*e) for e in sorted(inserted))
-    return ChangeSet(t=cur.t, changes=tuple(changes))
+def changed_attrs(graph: TemporalGraph, t: int) -> List[Tuple[str, str]]:
+    """(vertex, attribute) slots whose value differs between snapshots
+    t - 1 and t, sorted; only the slots change set t writes can differ."""
+    before, after = graph.snapshot(t - 1), graph.snapshot(t)
+    keys = {
+        (c.vid, c.name)
+        for c in graph.changesets[t - 2].changes
+        if isinstance(c, (AttrSet, AttrDelete))
+    }
+    return sorted(k for k in keys if before.attr(*k) != after.attr(*k))
 
 
 def derive_changesets(graph: TemporalGraph) -> List[ChangeSet]:
-    """Per-timestamp change sets recovered by diffing consecutive snapshots:
-    canonical, with no no-ops.  When the graph keeps the change sets it was
-    built from, only the edges and attributes they name can differ, so only
-    those are compared; otherwise the snapshots are diffed in full."""
-    kept = graph._changesets
-    if kept is None:
-        return [
-            diff_snapshots(graph.snapshots[i - 1], graph.snapshots[i])
-            for i in range(1, graph.T)
-        ]
+    """The graph's change sets in canonical form, with no no-ops: one live
+    edge set, rolled through the kept change sets, gives the edges that
+    flipped, and `changed_attrs` the slots.  Canonical order: edge
+    deletions, attribute deletions, attribute sets, edge insertions, each
+    sorted."""
+    live = set(graph.base_edges)
     out = []
-    for cs in kept:
-        edges, keys = set(), set()
-        for c in cs.changes:
-            if isinstance(c, (EdgeInsert, EdgeDelete)):
-                edges.add((c.src, c.label, c.dst))
+    for cs in graph.changesets:
+        flipped = _flip_edges(cs, live, live.add, live.discard)
+        after = graph.snapshot(cs.t)
+        unset, sets = [], []
+        for vid, name in changed_attrs(graph, cs.t):
+            value = after.attr(vid, name)
+            if value is None:
+                unset.append(AttrDelete(vid, name))
             else:
-                keys.add((c.vid, c.name))
-        out.append(_diff_on(graph.snapshots[cs.t - 2], graph.snapshots[cs.t - 1], edges, keys))
+                sets.append(AttrSet(vid, name, value))
+        changes: List[Change] = [EdgeDelete(*e) for e in flipped if e not in live]
+        changes.extend(unset)
+        changes.extend(sets)
+        changes.extend(EdgeInsert(*e) for e in flipped if e in live)
+        out.append(ChangeSet(t=cs.t, changes=tuple(changes)))
     return out
 
 
@@ -464,8 +464,7 @@ def parse_snapshot_text(text: str) -> TemporalGraph:
             edges.add((src, label, dst))
         else:
             raise GraphFormatError(f"unknown record {kind!r}", lineno)
-    snap = Snapshot(t=1, edges=frozenset(edges), attrs=attrs)
-    return TemporalGraph(vertices, [snap])
+    return TemporalGraph(vertices, edges, attrs)
 
 
 def parse_changes_text(text: str) -> List[ChangeSet]:
@@ -541,7 +540,7 @@ def snapshot_to_text(graph: TemporalGraph) -> str:
         for name in sorted(snap.attrs.get(vid, {})):
             parts.append(f"{name}={_quote(snap.attrs[vid][name])}")
         lines.append(" ".join(parts))
-    for src, label, dst in sorted(snap.edges):
+    for src, label, dst in sorted(graph.base_edges):
         lines.append(f"e {_quote(src)} {_quote(label)} {_quote(dst)}")
     return "\n".join(lines) + "\n"
 

@@ -28,8 +28,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tupl
 
 from .errors import InvalidOption, JobOutOfBounds
 from .graph import (
-    AttrDelete,
-    AttrSet,
     Edge,
     Fragment,
     GraphView,
@@ -38,6 +36,7 @@ from .graph import (
     advance_view,
     ball_edges,
     ball_vertices,
+    changed_attrs,
 )
 from .matcher import IncrementalMatcher, tgfd_paths
 from .model import WILDCARD, ConstantLiteral, MatchBinding, Tgfd, normalize_all
@@ -116,18 +115,18 @@ class Assignment:
 
 @dataclass
 class CardinalityModel:
-    """Per-edge-signature fan-out statistics."""
+    """Mean fan-out per edge signature (source type, label, target type)."""
 
-    fanout: Dict[Tuple[str, str, str], Tuple[float, float]]
+    fanout: Dict[Tuple[str, str, str], float]
     type_counts: Dict[str, int]
     total_vertices: int
 
     def mean_fanout(self, src_type: str, label: str, dst_type: str) -> float:
         if src_type != WILDCARD and dst_type != WILDCARD:
-            return self.fanout.get((src_type, label, dst_type), (0.0, 0.0))[0]
+            return self.fanout.get((src_type, label, dst_type), 0.0)
         total = 0.0
         denom = 0
-        for (s, l, d), (mean, _std) in self.fanout.items():
+        for (s, l, d), mean in self.fanout.items():
             if l != label:
                 continue
             if src_type != WILDCARD and s != src_type:
@@ -150,15 +149,11 @@ def build_cardinality_model(view: GraphView) -> CardinalityModel:
     type_counts: Dict[str, int] = {}
     for vid in view.vertices():
         type_counts[view.type_of(vid)] = type_counts.get(view.type_of(vid), 0) + 1
-    fanout: Dict[Tuple[str, str, str], Tuple[float, float]] = {}
+    fanout: Dict[Tuple[str, str, str], float] = {}
     for sig, counts in per_source.items():
         n = type_counts.get(sig[0], 0)
-        if not n:
-            continue
-        values = list(counts.values()) + [0] * (n - len(counts))
-        mean = sum(values) / n
-        var = sum((v - mean) ** 2 for v in values) / n
-        fanout[sig] = (mean, var ** 0.5)
+        if n:
+            fanout[sig] = sum(counts.values()) / n
     return CardinalityModel(fanout, type_counts, len(view.vertices()))
 
 
@@ -183,13 +178,16 @@ def build_jobs(
     graph: TemporalGraph,
     tgfds: Sequence[Tgfd],
     fragments: Sequence[Fragment],
-    t: int = 1,
+    full: Optional[GraphView] = None,
 ) -> List[Job]:
-    """One job per (rule, fragment), covering the rule's path centers the
-    fragment owns: size is the smallest path-match estimate, and the ship
-    costs sum the edges of every owned center's radius ball."""
+    """One job per (rule, fragment) at the timestamp of full, the graph's
+    full view there (graph.view(1) when omitted), covering the rule's path
+    centers the fragment owns: size is the smallest path-match estimate,
+    and the ship costs sum the edges of every owned center's radius ball."""
     rules = normalize_all(tgfds)
-    full = graph.view(t)
+    if full is None:
+        full = graph.view(1)
+    t = full.t
     snap = graph.snapshot(t)
     jobs: List[Job] = []
     for frag in fragments:
@@ -474,18 +472,6 @@ class _FragmentView:
         return sum(1 for src, _, dst in edges if src not in self.owned or dst not in self.owned)
 
 
-def _changed_attrs(graph: TemporalGraph, t: int) -> List[Tuple[str, str]]:
-    """(vertex, attribute) slots whose value differs between snapshots
-    t - 1 and t, read from the keys change set t touches."""
-    keys = {
-        (c.vid, c.name)
-        for c in graph.changesets[t - 2].changes
-        if isinstance(c, (AttrSet, AttrDelete))
-    }
-    before, after = graph.snapshot(t - 1), graph.snapshot(t)
-    return [k for k in keys if before.attr(*k) != after.attr(*k)]
-
-
 def run_parallel(
     graph: TemporalGraph,
     tgfds: Sequence[Tgfd],
@@ -518,17 +504,19 @@ def run_parallel(
     frag_by_id = {f.worker_id: f for f in frags}
     graph_attr = snapshot_attr_fn(graph)
 
-    anchor_specs: List[Tuple[str, int]] = []
-    states: Dict[str, _JobState] = {}
-    jobs = build_jobs(graph, rules, frags, t=1)
+    # each rule's designated anchor: the pattern's minimum-radius center
+    anchors = {sigma.name: sigma.pattern.radius_center()[0] for sigma in rules}
+    anchor_specs = sorted({
+        (sigma.pattern.label_of(anchors[sigma.name]), sigma.pattern.diameter) for sigma in rules
+    })
+    full = graph.view(1)
+    jobs = build_jobs(graph, rules, frags, full)
     jobs_by_name = {j.name: j for j in jobs}
+    states: Dict[str, _JobState] = {}
     for sigma in rules:
-        anchor_var, _ = sigma.pattern.radius_center()
-        anchor_specs.append((sigma.pattern.label_of(anchor_var), sigma.pattern.diameter))
         for frag in frags:
             job = jobs_by_name[f"{sigma.name}@f{frag.worker_id}"]
-            states[job.name] = _JobState(job, sigma, anchor_var)
-    anchor_specs = sorted(set(anchor_specs))
+            states[job.name] = _JobState(job, sigma, anchors[sigma.name])
 
     assignment = gen_assign([clamp_job(j, bounds) for j in jobs], n, bounds, zeta)
     report = RunReport()
@@ -538,7 +526,6 @@ def run_parallel(
     coord_checked: Dict[str, List[Tuple[MatchBinding, MatchBinding]]] = {s.name: [] for s in rules}
     violations: Dict[str, List[Violation]] = {s.name: [] for s in rules}
 
-    full = graph.view(1)
     kept = {
         r: _FragmentView(full, frag_by_id[r].owned_vertices, anchor_specs)
         for r in sorted(frag_by_id)
@@ -557,7 +544,7 @@ def run_parallel(
             flips: Dict[int, Tuple[List[Edge], List[str]]] = {}
             if t > 1:
                 flipped = advance_view(full, graph.changesets[t - 2])
-                changed = _changed_attrs(graph, t)
+                changed = changed_attrs(graph, t)
                 for r in sorted(frag_by_id):
                     flips[r] = kept[r].advance(full, flipped, changed)
 
@@ -623,7 +610,7 @@ def run_parallel(
 
             # coordinator: pair matches across fragments
             for sigma in rules:
-                anchor = rule_anchor(sigma)
+                anchor = anchors[sigma.name]
                 matches = sorted(
                     per_rule_matches[sigma.name],
                     key=lambda b: (owners[b.assignment[anchor]], b.items),
@@ -658,7 +645,7 @@ def run_parallel(
                 if measured < lo_band or measured > hi_band
             ]
             if out_of_band and t < graph.T:
-                fresh = build_jobs(graph, rules, frags, t=t)
+                fresh = build_jobs(graph, rules, frags, full)
                 fresh_by_name = {j.name: j for j in fresh}
                 for name, state in states.items():
                     state.job = fresh_by_name[name]
@@ -691,7 +678,3 @@ def run_parallel(
     }
     return ParallelResult(violations=violations, report=report, nontrivial=nontrivial)
 
-
-def rule_anchor(sigma: Tgfd) -> str:
-    """The designated anchor variable: the pattern's minimum-radius center."""
-    return sigma.pattern.radius_center()[0]

@@ -368,6 +368,7 @@ def test_parsed_changesets_detect_like_derived_ones():
     g = load_graph(snapshot_to_text(base), changes)
     clean = canonical(g)
     assert clean.snapshots == g.snapshots
+    assert all(clean.view(t).edges == g.view(t).edges for t in range(1, g.T + 1))
     assert list(g.changesets) != list(clean.changesets) == derive_changesets(g)
     replayed = detect_lines(g, [team_rule])
     assert replayed == detect_lines(clean, [team_rule])
@@ -383,11 +384,12 @@ def test_parsed_changesets_detect_like_derived_ones():
         for t in range(2, 6):
             cs = random_changes(rng, g, t, 8)
             g = apply_changes(g, cs)
-            noisy.append(ChangeSet(t, noop_changes(rng, g.snapshots[-2]) + cs.changes))
+            noisy.append(ChangeSet(t, noop_changes(rng, g, t - 1) + cs.changes))
         rules = [random_tgfd(rng, f"r{i}", max_edges=2, T=5) for i in range(3)]
         rules.append(knows_rule())
         parsed = load_graph(snapshot_to_text(g), changes_to_text(noisy))
         assert parsed.snapshots == g.snapshots
+        assert all(parsed.view(t).edges == g.view(t).edges for t in range(1, g.T + 1))
         assert list(parsed.changesets) == noisy != derive_changesets(parsed)
         assert detect_lines(parsed, rules) == detect_lines(canonical(parsed), rules), seed
         assert iso_searches(parsed, rules) == iso_searches(canonical(g), rules), seed
@@ -403,19 +405,20 @@ def test_replay_matchers_share_one_view():
     for t, matchers in replay(g, rules):
         views.update(id(m.view) for m in matchers.values())
         view = next(iter(matchers.values())).view
-        assert view.t == t and view.edges == g.snapshot(t).edges
+        assert view.t == t and view.edges == g.view(t).edges
     assert len(views) == 1
 
 
-def noop_changes(rng: random.Random, snap):
-    """Changes that leave snap as it is: an insert and delete of an absent
-    edge, a re-insert of a present edge, a delete and re-insert of another,
-    and a write of an attribute's current value."""
-    present = sorted(snap.edges)
+def noop_changes(rng: random.Random, graph, t: int):
+    """Changes that leave snapshot t as it is: an insert and delete of an
+    absent edge, a re-insert of a present edge, a delete and re-insert of
+    another, and a write of an attribute's current value."""
+    snap, edges = graph.snapshot(t), graph.view(t).edges
+    present = sorted(edges)
     vids = sorted({e[0] for e in present} | {e[2] for e in present})
     absent = next(
         e for e in ((a, "knows", b) for a in vids for b in vids if a != b)
-        if e not in snap.edges
+        if e not in edges
     )
     kept, redone = rng.sample(present, 2)
     vid = rng.choice(sorted(snap.attrs))

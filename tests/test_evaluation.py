@@ -6,13 +6,15 @@ from tgfd.detection import apply_mode, detect_sequential
 from tgfd.evaluation import (
     CHANGE_PROFILES,
     InjectionLedger,
+    Mutation,
+    apply_mutations,
     generate_synthetic,
     inject_errors,
     ledger_from_text,
     ledger_to_text,
     score,
 )
-from tgfd.graph import EdgeDelete, EdgeInsert
+from tgfd.graph import AttrDelete, AttrSet, EdgeDelete, EdgeInsert, graph_to_texts, load_graph
 from tgfd.model import (
     ConstantLiteral,
     Delta,
@@ -24,9 +26,13 @@ from tgfd.model import (
 
 from util import (
     exotic_rule,
+    extend,
+    mutated_attr_maps,
+    nonempty_attrs,
     oracle_ledger,
     pair_isolated_instance,
     pair_satisfies,
+    random_changes,
     random_temporal_graph,
     random_tgfd,
     satisfying_pairs,
@@ -40,9 +46,9 @@ from util import (
 
 def test_zero_change_rate_keeps_snapshots_identical():
     g = generate_synthetic(30, 60, 3, 2, T=5, chg_rate=0.0, seed=1)
-    for snap in g.snapshots[1:]:
-        assert snap.edges == g.snapshots[0].edges
-        assert snap.attrs == g.snapshots[0].attrs
+    for t in range(2, g.T + 1):
+        assert g.view(t).edges == g.view(1).edges
+        assert g.snapshot(t).attrs == g.snapshot(1).attrs
 
 
 def test_change_count_matches_rate():
@@ -70,8 +76,9 @@ def test_uniform_profile_split_within_one():
 def test_generator_deterministic():
     g1 = generate_synthetic(30, 60, 3, 2, T=4, chg_rate=0.05, seed=42)
     g2 = generate_synthetic(30, 60, 3, 2, T=4, chg_rate=0.05, seed=42)
+    assert g1.base_edges == g2.base_edges
+    assert g1.changesets == g2.changesets
     for s1, s2 in zip(g1.snapshots, g2.snapshots):
-        assert s1.edges == s2.edges
         assert s1.attrs == s2.attrs
 
 
@@ -264,6 +271,71 @@ def test_ledger_equals_pair_oracle_with_negative_errors():
         negative |= {key[0] for key in minus}
     assert {"general", "constant"} <= ledgered
     assert {"general", "constant"} <= negative
+
+
+def assert_mutated_like_oracle(graph, mutated, mutations):
+    """mutated holds graph's edges at every t, and the attributes that the
+    oracle writes into each timestamp's map."""
+    maps = mutated_attr_maps(graph, mutations)
+    assert mutated.T == graph.T
+    for t in range(1, graph.T + 1):
+        assert nonempty_attrs(mutated.snapshot(t).attrs) == nonempty_attrs(maps[t - 1]), t
+        assert mutated.view(t).edges == graph.view(t).edges, t
+
+
+def assert_detects_like_reloaded(mutated, rules):
+    reloaded = load_graph(*graph_to_texts(mutated))
+    ours, theirs = detect_sequential(mutated, rules), detect_sequential(reloaded, rules)
+    assert ours.all_violations() == theirs.all_violations()
+    assert ours.nontrivial == theirs.nontrivial
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_mutations_as_change_set_edits_equal_rewritten_snapshots(seed):
+    rng = random.Random(seed)
+    graph = random_temporal_graph(rng, n_vertices=16, n_edges=40, T=4, chg=0.2)
+    vids = sorted(graph.vertices)
+    written, gone = rng.sample(vids, 2)
+    # change set T + 1 writes one slot and deletes another
+    graph = extend(graph, [AttrSet(written, "name", "w"), AttrDelete(gone, "rank")])
+    graph = extend(graph, random_changes(rng, graph, graph.T + 1, 8).changes)
+    T = graph.T
+    slot = (rng.choice(vids), rng.choice(["name", "rank", "code"]))
+    mutations = [
+        Mutation(1, rng.choice(vids), "code", None, "at-first"),
+        Mutation(T, rng.choice(vids), "name", None, "at-last"),
+        Mutation(2, *slot, None, "consecutive-2"),
+        Mutation(3, *slot, None, "consecutive-3"),
+        Mutation(4, written, "name", None, "before-write"),
+        Mutation(4, gone, "rank", None, "before-delete"),
+        Mutation(rng.randint(1, T), rng.choice(vids), "fresh", None, "was-absent"),
+        Mutation(2, *slot, None, "consecutive-2-again"),  # the later write wins
+    ]
+    head = mutations[:-1]
+    rng.shuffle(head)
+    mutations = head + mutations[-1:]
+    mutated = apply_mutations(graph, mutations)
+    assert mutated.snapshot(5).attr(written, "name") == "w"
+    assert mutated.snapshot(5).attr(gone, "rank") is None
+    assert mutated.snapshot(2).attr(*slot) == "consecutive-2-again"
+    assert_mutated_like_oracle(graph, mutated, mutations)
+    rules = [random_tgfd(rng, f"r{i}", max_edges=2, T=T) for i in range(3)] + [GENERAL_RULE]
+    assert_detects_like_reloaded(mutated, rules)
+
+
+def test_injected_graph_equals_rewritten_snapshots():
+    at_ends = set()
+    for seed in range(6):
+        rng = random.Random(100 + seed)
+        graph = random_temporal_graph(rng, n_vertices=30, n_edges=120, T=5, chg=0.2)
+        rules = [random_tgfd(rng, f"r{i}", max_edges=2, T=5) for i in range(3)]
+        rules += [GENERAL_RULE, OVERLAP_RULE, CONSTANT_RULE]
+        mutated, ledger = inject_errors(graph, rules, 0.3, seed=seed, include_negative=True)
+        assert ledger.mutations
+        at_ends |= {m.t for m in ledger.mutations} & {1, graph.T}
+        assert_mutated_like_oracle(graph, mutated, ledger.mutations)
+        assert_detects_like_reloaded(mutated, rules)
+    assert at_ends == {1, 5}
 
 
 def test_ledger_roundtrip():

@@ -12,14 +12,18 @@ import random
 import pytest
 
 from tgfd.detection import detect_sequential
-from tgfd.graph import AttrSet, ChangeSet, EdgeDelete, EdgeInsert, advance_view, apply_changes
-from tgfd.model import normalize_all
-from tgfd.parallel import (
-    _changed_attrs,
-    _FragmentView,
-    make_fragments,
-    run_parallel,
+from tgfd.graph import (
+    AttrSet,
+    ChangeSet,
+    EdgeDelete,
+    EdgeInsert,
+    advance_view,
+    apply_changes,
+    changed_attrs,
 )
+from tgfd.matcher import IncrementalMatcher, match_snapshot
+from tgfd.model import Delta, GraphPattern, Tgfd, VariableLiteral, normalize_all
+from tgfd.parallel import _FragmentView, make_fragments, run_parallel
 
 from util import (
     ATTR_POOL,
@@ -41,7 +45,7 @@ def churn(rng, graph, t, gone):
     re-inserted, an edge deleted at an earlier t inserted again, an insert
     of a present edge, attribute writes.  gone collects deleted edges."""
     vids = sorted(graph.vertices)
-    live = set(graph.snapshots[-1].edges)
+    live = graph.view(graph.T).edges
     changes = []
 
     def insert(e):
@@ -134,9 +138,9 @@ def test_kept_views_equal_views_from_scratch(seed):
     for t in range(2, graph.T + 1):
         flipped = advance_view(full, graph.changesets[t - 2])
         assert full.t == t
-        assert full.edges == set(graph.snapshot(t).edges)
-        assert set(flipped) == graph.snapshot(t - 1).edges ^ graph.snapshot(t).edges
-        changed = _changed_attrs(graph, t)
+        assert full.edges == graph.view(t).edges
+        assert set(flipped) == graph.view(t - 1).edges ^ full.edges
+        changed = changed_attrs(graph, t)
         net = net_changed_attrs(graph, t)
         for i, frag in enumerate(frags):
             owned = frag.owned_vertices
@@ -160,20 +164,41 @@ def test_single_node_balls_hold_only_their_center():
     full = graph.view(1)
     fv = _FragmentView(full, frag.owned_vertices, [("_", 0)])
     for t in range(2, graph.T + 1):
-        fv.advance(full, advance_view(full, graph.changesets[t - 2]), _changed_attrs(graph, t))
+        fv.advance(full, advance_view(full, graph.changesets[t - 2]), changed_attrs(graph, t))
         assert all(ball.keys() == {center} for (center, _), ball in fv.balls.items())
         assert set(fv.view.types) == set(frag.owned_vertices)
         assert_same_view(fv.view, fragment_view_from_scratch(graph.view(t), frag.owned_vertices, [("_", 0)]))
 
 
+# one vertex on its own: its matches change only as vertices enter or
+# leave a view, which `sync_vertex` handles
+SINGLE_VERTEX_RULE = Tgfd(
+    "c",
+    GraphPattern([("x", "_")], []),
+    Delta(0, 2),
+    [VariableLiteral("x", "name", "x", "name")],
+    [VariableLiteral("x", "code", "x", "code")],
+)
+
+
 @pytest.mark.parametrize("seed", range(16))
-def test_run_parallel_on_churned_graphs(seed):
+def test_run_parallel_on_churned_graphs(seed, monkeypatch):
     """Per superstep, the shipped edges are the cross edges new to each
-    rebuilt view, and the violations equal sequential detection's."""
+    rebuilt view, every matcher's matches are those of the view it reads,
+    and the violations equal sequential detection's."""
     rng = random.Random(1000 + seed)
     graph = churned_graph(rng, max_vertices=14)
     rules = [exotic_rule(rng, "a"), random_tgfd(rng, "b", max_edges=2, T=graph.T)]
+    rules.append(SINGLE_VERTEX_RULE)
     n = rng.randint(1, 4)
+    topological_matches = IncrementalMatcher.topological_matches
+
+    def checked(self, t):
+        found = topological_matches(self, t)
+        assert self.view.t == t and found == match_snapshot(self.pattern, self.view)
+        return found
+
+    monkeypatch.setattr(IncrementalMatcher, "topological_matches", checked)
     result = run_parallel(graph, rules, n, seed=seed)
 
     specs = sorted({

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tgfd.errors import DeleteMissingEdge, GraphFormatError, TgfdError, UnknownVertex
+from tgfd.errors import DeleteMissingEdge, GraphFormatError, InvalidGraph, TgfdError, UnknownVertex
 from tgfd.graph import (
     AttrDelete,
     AttrSet,
@@ -11,8 +11,8 @@ from tgfd.graph import (
     EdgeDelete,
     EdgeInsert,
     GraphView,
-    Snapshot,
     TemporalGraph,
+    Vertex,
     apply_changes,
     ball_edges,
     ball_vertices,
@@ -25,7 +25,14 @@ from tgfd.graph import (
     snapshot_to_text,
 )
 
-from util import build_graph, extend, random_changes, random_graph
+from util import (
+    build_graph,
+    extend,
+    full_diff_changesets,
+    nonempty_attrs,
+    random_changes,
+    random_graph,
+)
 
 
 def star_graph():
@@ -40,7 +47,7 @@ def test_apply_changes_empty_is_identity():
     g = star_graph()
     g2 = extend(g, [])
     assert g2.T == 2
-    assert g2.snapshots[1].edges == g2.snapshots[0].edges
+    assert g2.view(2).edges == g2.view(1).edges
     assert g2.snapshots[1].attrs == g2.snapshots[0].attrs
 
 
@@ -50,8 +57,9 @@ def test_apply_changes_edge_insert_only_affects_new_snapshot():
         [],
     )
     g2 = extend(g, [EdgeInsert("Bob", "study", "Waterloo")])
-    assert ("Bob", "study", "Waterloo") in g2.snapshots[1].edges
-    assert ("Bob", "study", "Waterloo") not in g2.snapshots[0].edges
+    assert ("Bob", "study", "Waterloo") in g2.view(2).edges
+    assert ("Bob", "study", "Waterloo") not in g2.view(1).edges
+    assert g.view(1).edges == set()
 
 
 def test_apply_changes_errors():
@@ -75,7 +83,7 @@ def test_apply_changes_in_order():
             AttrSet("a", "name", "second"),
         ],
     )
-    assert ("c", "to", "a") in g2.snapshots[1].edges
+    assert ("c", "to", "a") in g2.view(2).edges
     assert g2.snapshots[1].attr("a", "name") == "second"
 
 
@@ -86,10 +94,8 @@ def test_replay_matches_rebuild_from_scratch():
     for t in (2, 3, 4):
         g = apply_changes(g, random_changes(rng, g, t, 34))
     final = g.snapshots[-1]
-    rebuilt = TemporalGraph(
-        g.vertices, [Snapshot(t=1, edges=final.edges, attrs=final.attrs)]
-    )
-    assert rebuilt.snapshots[0].edges == final.edges
+    rebuilt = TemporalGraph(g.vertices, g.view(g.T).edges, final.attrs)
+    assert rebuilt.view(1).edges == g.view(4).edges
     assert rebuilt.snapshots[0].attrs == final.attrs
 
 
@@ -100,9 +106,9 @@ def test_replay_determinism():
     for t in (2, 3):
         g1 = apply_changes(g1, random_changes(random.Random(t), g1, t, 10))
         g2 = apply_changes(g2, random_changes(random.Random(t), g2, t, 10))
-    for s1, s2 in zip(g1.snapshots, g2.snapshots):
-        assert s1.edges == s2.edges
-        assert s1.attrs == s2.attrs
+    for t in range(1, g1.T + 1):
+        assert g1.view(t).edges == g2.view(t).edges
+        assert g1.snapshot(t).attrs == g2.snapshot(t).attrs
 
 
 def test_snapshot_immutability_under_apply():
@@ -111,6 +117,8 @@ def test_snapshot_immutability_under_apply():
     g2 = extend(g, [EdgeDelete("c", "to", "a"), AttrSet("c", "name", "x")])
     assert g2.snapshots[0] is before
     assert before.attr("c", "name") == "center"
+    # the first extension left g's own last edge set as it was
+    assert ("c", "to", "a") in extend(g, []).view(2).edges
 
 
 def test_ball_vertices_zero_radius():
@@ -176,18 +184,31 @@ def test_ball_edges_equals_induced_edge_filter():
     assert loops and leaving
 
 
-def test_changesets_recorded_by_apply_and_derived_for_direct_graphs():
+def test_changesets_recorded_by_apply_and_derived_canonically():
     base = snapshot_to_text(star_graph())
     # not canonical: a no-op attribute write, and an insert undone in the same set
     changes = "t 2\n+a c name=center\n+e a to b\n-e a to b\nt 3\n-e c to a\n"
     g = load_graph(base, changes)
     assert g.changesets == tuple(parse_changes_text(changes))
-    direct = TemporalGraph(g.vertices, g.snapshots)
-    assert direct.changesets == tuple(derive_changesets(g))
-    assert [cs.changes for cs in direct.changesets] == [(), (EdgeDelete("c", "to", "a"),)]
-    g4 = extend(direct, [AttrDelete("c", "name")])
-    assert g4.changesets == direct.changesets + (ChangeSet(4, (AttrDelete("c", "name"),)),)
+    derived = derive_changesets(g)
+    assert [cs.changes for cs in derived] == [(), (EdgeDelete("c", "to", "a"),)]
+    assert derived == full_diff_changesets(g)
+    g4 = extend(g, [AttrDelete("c", "name")])
+    assert g4.changesets == g.changesets + (ChangeSet(4, (AttrDelete("c", "name"),)),)
+    assert g.T == 3 and g4.view(3).edges == g.view(3).edges
     assert extend(star_graph(), []).changesets == (ChangeSet(2, ()),)
+
+
+def test_base_graph_is_checked():
+    vertices = {"a": Vertex("a", "N")}
+    with pytest.raises(UnknownVertex, match="edge endpoint missing at t=1"):
+        TemporalGraph(vertices, [("a", "l", "b")], {})
+    with pytest.raises(UnknownVertex, match="attributed vertex b missing"):
+        TemporalGraph(vertices, [], {"b": {"name": "x"}})
+    g = TemporalGraph(vertices, [("a", "l", "a")], {"a": {"name": "x"}})
+    assert (g.T, g.changesets, g.view(1).edges) == (1, (), {("a", "l", "a")})
+    with pytest.raises(InvalidGraph):
+        g.view(2)
 
 
 def test_snapshot_file_roundtrip_with_quoting():
@@ -199,7 +220,7 @@ def test_snapshot_file_roundtrip_with_quoting():
     text = snapshot_to_text(g)
     parsed = parse_snapshot_text(text)
     assert parsed.vertices.keys() == g.vertices.keys()
-    assert parsed.snapshots[0].edges == g.snapshots[0].edges
+    assert parsed.base_edges == g.base_edges
     assert parsed.snapshots[0].attr("v1", "name") == 'New "York"'
 
 
@@ -230,11 +251,9 @@ def test_graph_to_texts_roundtrip_random():
     snap_text, changes_text = graph_to_texts(g)
     g2 = load_graph(snap_text, changes_text)
     assert g2.T == g.T
-    for s1, s2 in zip(g.snapshots, g2.snapshots):
-        assert s1.edges == s2.edges
-        assert {v: a for v, a in s1.attrs.items() if a} == {
-            v: a for v, a in s2.attrs.items() if a
-        }
+    for t in range(1, g.T + 1):
+        assert g.view(t).edges == g2.view(t).edges
+        assert nonempty_attrs(g.snapshot(t).attrs) == nonempty_attrs(g2.snapshot(t).attrs)
 
 
 def test_derived_changesets_from_kept_sets_equal_full_diffs():
@@ -246,12 +265,13 @@ def test_derived_changesets_from_kept_sets_equal_full_diffs():
         g = random_graph(rng, 12, 24)
         for t in range(2, 7):
             snap = g.snapshots[-1]
+            live = g.view(g.T).edges
             changes = list(random_changes(rng, g, t, 6).changes)
             vid = rng.choice(sorted(g.vertices))
             e = (vid, "knows", rng.choice(sorted(g.vertices)))
             name = rng.choice(["name", "rank", "code"])
             noise = [
-                [EdgeInsert(*e), EdgeDelete(*e)] if e not in snap.edges else [EdgeDelete(*e), EdgeInsert(*e)],
+                [EdgeInsert(*e), EdgeDelete(*e)] if e not in live else [EdgeDelete(*e), EdgeInsert(*e)],
                 [AttrSet(vid, name, "tmp"), AttrDelete(vid, name)],
                 [AttrDelete(vid, name)],
                 [AttrSet(vid, name, "tmp")] + ([AttrSet(vid, name, snap.attr(vid, name))] if snap.attr(vid, name) else []),
@@ -259,9 +279,10 @@ def test_derived_changesets_from_kept_sets_equal_full_diffs():
             for extra in rng.sample(noise, rng.randint(0, len(noise))):
                 changes[rng.randint(0, len(changes)):0] = extra
             g = apply_changes(g, ChangeSet(t, tuple(changes)))
-        direct = TemporalGraph(g.vertices, g.snapshots)
-        assert derive_changesets(g) == derive_changesets(direct), seed
-        assert graph_to_texts(g) == graph_to_texts(direct), seed
+        assert derive_changesets(g) == full_diff_changesets(g), seed
+        reloaded = load_graph(*graph_to_texts(g))
+        assert list(reloaded.changesets) == derive_changesets(g), seed
+        assert graph_to_texts(reloaded) == graph_to_texts(g), seed
 
 
 def test_parse_errors():

@@ -56,10 +56,10 @@ def brute_job(graph, sigma, owned, t=1):
     count the edges inside each center's radius ball of the full snapshot,
     ship_in only those with an endpoint off the fragment.  The size is the
     smallest path estimate."""
-    snap = graph.snapshot(t)
+    snap, edges = graph.snapshot(t), graph.view(t).edges
     types = {vid: v.type_label for vid, v in graph.vertices.items()}
     label = sigma.pattern.label_of
-    owned_edges = [e for e in snap.edges if e[0] in owned and e[2] in owned]
+    owned_edges = [e for e in edges if e[0] in owned and e[2] in owned]
     estimates, ship_in, ship_all = [], 0, 0
     for path in tgfd_paths(sigma):
         centers = [
@@ -84,9 +84,9 @@ def brute_job(graph, sigma, owned, t=1):
             for _ in range(path.radius):
                 ball = ball | {
                     e[2] if e[0] in ball else e[0]
-                    for e in snap.edges if e[0] in ball or e[2] in ball
+                    for e in edges if e[0] in ball or e[2] in ball
                 }
-            inside = [e for e in snap.edges if e[0] in ball and e[2] in ball]
+            inside = [e for e in edges if e[0] in ball and e[2] in ball]
             ship_all += len(inside)
             ship_in += sum(1 for e in inside if e[0] not in owned or e[2] not in owned)
     return (min(estimates) if estimates else 0.0), ship_in, ship_all
@@ -204,7 +204,7 @@ def test_ccost_matches_direct_count_random():
         rules = [random_tgfd(rng, f"r{i}", max_edges=4) for i in range(3)]
         frags = make_fragments(g, 3, seed=seed)
         for t in (1, 2):
-            jobs = {j.name: j for j in build_jobs(g, rules, frags, t=t)}
+            jobs = {j.name: j for j in build_jobs(g, rules, frags, g.view(t))}
             assert len(jobs) == len(rules) * len(frags)
             for sigma in rules:
                 for frag in frags:
@@ -388,9 +388,10 @@ def test_parallel_deterministic_report():
     )
 
 
-def cross_worker_fixture():
+def cross_worker_fixture(t5_extra=()):
     """Two entity groups on two workers; matches at t1/t4 (worker 1) and
-    t1/t5 (worker 2); interval (0, 3)."""
+    t1/t5 (worker 2); interval (0, 3).  t5_extra goes at the end of the
+    last change set."""
     g = build_graph(
         {"a1": "person", "b1": "team", "a2": "person", "b2": "team"},
         [("a1", "plays", "b1"), ("a2", "plays", "b2")],
@@ -404,7 +405,7 @@ def cross_worker_fixture():
     g = extend(g, [EdgeDelete("a1", "plays", "b1"), EdgeDelete("a2", "plays", "b2")])  # t2
     g = extend(g, [])  # t3
     g = extend(g, [EdgeInsert("a1", "plays", "b1")])  # t4
-    g = extend(g, [EdgeDelete("a1", "plays", "b1"), EdgeInsert("a2", "plays", "b2")])  # t5
+    g = extend(g, [EdgeDelete("a1", "plays", "b1"), EdgeInsert("a2", "plays", "b2"), *t5_extra])  # t5
     frags = [
         Fragment(worker_id=1, owned_vertices=frozenset({"a1", "b1"})),
         Fragment(worker_id=2, owned_vertices=frozenset({"a2", "b2"})),
@@ -518,16 +519,8 @@ def test_build_jobs_shapes():
 def test_no_double_counting_between_local_and_cross():
     # a violating cross-worker pair shows up exactly once, and every pair the
     # coordinator examined joins matches owned by different fragments
-    g, frags = cross_worker_fixture()
-    from tgfd.graph import Snapshot, TemporalGraph
-
     # make the t5 match disagree on the consequent: (h4, h'5) now violates
-    snaps = list(g.snapshots)
-    t5 = snaps[4]
-    attrs = {v: dict(a) for v, a in t5.attrs.items()}
-    attrs.setdefault("b2", {})["code"] = "different"
-    snaps[4] = Snapshot(t=5, edges=t5.edges, attrs=attrs)
-    g = TemporalGraph(g.vertices, snaps)
+    g, frags = cross_worker_fixture([AttrSet("b2", "code", "different")])
 
     sigma = simple_rule("sigma", Delta(0, 3))
     result = run_parallel(g, [sigma], n=2, fragments=frags, bounds=(0.0, float("inf")))

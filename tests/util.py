@@ -12,12 +12,12 @@ import random
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from tgfd.graph import (
+    AttrDelete,
     AttrSet,
     ChangeSet,
     EdgeDelete,
     EdgeInsert,
     GraphView,
-    Snapshot,
     TemporalGraph,
     Vertex,
     apply_changes,
@@ -46,12 +46,53 @@ def build_graph(
     attrs: Dict[str, Dict[str, str]] = None,
 ) -> TemporalGraph:
     vmap = {vid: Vertex(vid, label) for vid, label in vertices.items()}
-    snap = Snapshot(t=1, edges=frozenset(edges), attrs=dict(attrs or {}))
-    return TemporalGraph(vmap, [snap])
+    return TemporalGraph(vmap, edges, dict(attrs or {}))
 
 
 def extend(graph: TemporalGraph, changes: Sequence) -> TemporalGraph:
     return apply_changes(graph, ChangeSet(t=graph.T + 1, changes=tuple(changes)))
+
+
+# ---------------------------------------------------------------------------
+# graph history oracles
+# ---------------------------------------------------------------------------
+
+
+def full_diff_changesets(graph: TemporalGraph) -> List[ChangeSet]:
+    """The change sets turning each snapshot into the next, from a full
+    diff of their edge sets and of every attribute either one holds, in the
+    canonical order: edge deletions, attribute deletions, attribute sets,
+    edge insertions, each sorted."""
+    out = []
+    views = [graph.view(t) for t in range(1, graph.T + 1)]
+    for t in range(2, graph.T + 1):
+        prev, cur = graph.snapshot(t - 1), graph.snapshot(t)
+        old, new = views[t - 2].edges, views[t - 1].edges
+        keys = {(vid, name) for snap in (prev, cur) for vid, named in snap.attrs.items() for name in named}
+        unset = sorted(k for k in keys if cur.attr(*k) is None and prev.attr(*k) is not None)
+        sets = sorted((*k, cur.attr(*k)) for k in keys if cur.attr(*k) not in (None, prev.attr(*k)))
+        changes = [EdgeDelete(*e) for e in sorted(old - new)]
+        changes += [AttrDelete(*k) for k in unset]
+        changes += [AttrSet(*k) for k in sets]
+        changes += [EdgeInsert(*e) for e in sorted(new - old)]
+        out.append(ChangeSet(t, tuple(changes)))
+    return out
+
+
+def mutated_attr_maps(graph: TemporalGraph, mutations) -> List[Dict[str, Dict[str, str]]]:
+    """Each timestamp's attribute map with the mutations written into it, in
+    order, each at its own timestamp only: the map is copied, then the
+    mutated vertex's dict is copied with the one attribute set."""
+    maps = [dict(snap.attrs) for snap in graph.snapshots]
+    for m in mutations:
+        attrs = maps[m.t - 1]
+        attrs[m.vid] = {**attrs.get(m.vid, {}), m.attr: m.new}
+    return maps
+
+
+def nonempty_attrs(attrs) -> Dict[str, Dict[str, str]]:
+    """An attribute map without vertices that hold no attribute."""
+    return {vid: dict(named) for vid, named in attrs.items() if named}
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +406,7 @@ def random_changes(
     n_au = count - n_ed - n_ei
     snap = graph.snapshots[-1]
     vids = sorted(graph.vertices)
-    live = set(snap.edges)
+    live = graph.view(graph.T).edges
     changes = []
     deletable = sorted(live)
     rng.shuffle(deletable)
