@@ -8,11 +8,12 @@ verdict was unsatisfiable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
 from pathlib import Path
-from typing import Dict, Optional, Sequence
+from typing import Dict, Iterator, Optional, Sequence, TextIO
 
 from .errors import TgfdError
 from .evaluation import (
@@ -129,15 +130,24 @@ def _load_inputs(args) -> tuple:
     return graph, tgfds
 
 
-def _emit(args, text: str) -> None:
+@contextlib.contextmanager
+def _report_file(args) -> Iterator[TextIO]:
+    """The report's destination: the `--out` file, else stdout."""
     if getattr(args, "out", None):
-        Path(args.out).write_text(text, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as fh:
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(args, text: str) -> None:
+    with _report_file(args) as out:
+        out.write(text)
 
 
 def _violation_json(v: Violation) -> Dict:
-    doc = {"tgfd": pair_id(v)[0], "pair": list(map(list, pair_id(v)[1:]))}
+    tgfd, side_i, side_j = pair_id(v)
+    doc = {"tgfd": tgfd, "pair": [list(side_i), list(side_j)]}
     if isinstance(v, PairViolation):
         doc["kind"] = "pair"
         doc["t_i"], doc["t_j"] = v.binding_i.t, v.binding_j.t
@@ -151,50 +161,57 @@ def _violation_json(v: Violation) -> Dict:
     return doc
 
 
-def _detection_text(result) -> str:
-    lines = [format_violation(v) for v in result.all_violations()]
-    for name in sorted(result.nontrivial):
-        lines.append(
-            f"# {name} nontrivial={'yes' if result.nontrivial[name] else 'no'}"
-        )
-    return "\n".join(lines) + "\n"
+def _write_detection_text(out: TextIO, result) -> None:
+    """One line per violation, then one `# rule nontrivial=` line per rule;
+    a run without rules writes one empty line."""
+    out.writelines(f"{format_violation(v)}\n" for v in result.all_violations())
+    out.writelines(
+        f"# {name} nontrivial={'yes' if result.nontrivial[name] else 'no'}\n"
+        for name in sorted(result.nontrivial)
+    )
+    if not result.nontrivial:
+        out.write("\n")
 
 
-def _detection_json(result) -> str:
+def _write_detection_json(out: TextIO, result, report: Optional[Dict] = None) -> None:
     doc = {
         "violations": [_violation_json(v) for v in result.all_violations()],
         "nontrivial": {k: bool(v) for k, v in sorted(result.nontrivial.items())},
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if report is not None:
+        doc["report"] = report
+    out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _run_detect(args) -> int:
     graph, tgfds = _load_inputs(args)
     rules = apply_mode(tgfds, args.mode)
     result = detect_sequential(graph, rules)
-    _emit(args, _detection_text(result) if args.format == "text" else _detection_json(result))
+    with _report_file(args) as out:
+        if args.format == "text":
+            _write_detection_text(out, result)
+        else:
+            _write_detection_json(out, result)
     return 0
 
 
-def _report_text(result: ParallelResult) -> str:
-    lines = []
+def _report_lines(result: ParallelResult) -> Iterator[str]:
     rep = result.report
     for step in rep.supersteps:
         for w in sorted(step.worker_jobs):
-            lines.append(
+            yield (
                 f"t={step.t} worker={w} jobs={step.worker_jobs[w]} "
-                f"time={step.worker_times[w]:.6g} shipped={step.shipped_edges.get(w, 0)}"
+                f"time={step.worker_times[w]:.6g} shipped={step.shipped_edges.get(w, 0)}\n"
             )
         if step.rebalanced:
-            lines.append(f"t={step.t} rebalance")
-    lines.append(
+            yield f"t={step.t} rebalance\n"
+    yield (
         f"totals supersteps={len(rep.supersteps)} rebalances={rep.rebalances} "
-        f"overhead={rep.rebalance_overhead:.6g} time={rep.total_time:.6g}"
+        f"overhead={rep.rebalance_overhead:.6g} time={rep.total_time:.6g}\n"
     )
     for t, mapping in rep.assignments:
         for job, worker in sorted(mapping.items()):
-            lines.append(f"assignment t={t} job={job} worker={worker}")
-    return "\n".join(lines) + "\n"
+            yield f"assignment t={t} job={job} worker={worker}\n"
 
 
 def _run_detect_parallel(args) -> int:
@@ -209,16 +226,16 @@ def _run_detect_parallel(args) -> int:
         seed=args.seed,
         time_model=args.time_model,
     )
-    if args.format == "text":
-        text = _detection_text(result) + _report_text(result)
-    else:
-        doc = {
-            "violations": [_violation_json(v) for v in result.all_violations()],
-            "nontrivial": {k: bool(v) for k, v in sorted(result.nontrivial.items())},
-            "report": {
-                "rebalances": result.report.rebalances,
-                "rebalance_overhead": result.report.rebalance_overhead,
-                "total_time": result.report.total_time,
+    with _report_file(args) as out:
+        if args.format == "text":
+            _write_detection_text(out, result)
+            out.writelines(_report_lines(result))
+        else:
+            rep = result.report
+            _write_detection_json(out, result, report={
+                "rebalances": rep.rebalances,
+                "rebalance_overhead": rep.rebalance_overhead,
+                "total_time": rep.total_time,
                 "supersteps": [
                     {
                         "t": s.t,
@@ -227,12 +244,9 @@ def _run_detect_parallel(args) -> int:
                         "shipped_edges": s.shipped_edges,
                         "rebalanced": s.rebalanced,
                     }
-                    for s in result.report.supersteps
+                    for s in rep.supersteps
                 ],
-            },
-        }
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    _emit(args, text)
+            })
     return 0
 
 

@@ -54,30 +54,18 @@ Violation = Union[PairViolation, ConstantViolation]
 def violation_key(v: Violation) -> Tuple:
     """Canonical identity used for ordering, set comparison, and scoring."""
     if isinstance(v, PairViolation):
-        return (
-            v.tgfd,
-            v.binding_i.t,
-            v.binding_j.t,
-            v.binding_i.vertex_ids(),
-            v.binding_j.vertex_ids(),
-            v.binding_i.items,
-            v.binding_j.items,
-        )
-    return (
-        v.tgfd,
-        v.binding.t,
-        v.binding.t,
-        v.binding.vertex_ids(),
-        v.binding.vertex_ids(),
-        v.binding.items,
-        v.binding.items,
-    )
+        a, b = v.binding_i, v.binding_j
+    else:
+        a = b = v.binding
+    return (v.tgfd, a.t, b.t, a.sorted_ids, b.sorted_ids, a.items, b.items)
 
 
 def match_pair_id(tgfd: str, a: MatchBinding, b: MatchBinding) -> Tuple:
     """(rule, (t, vertex ids) of one match, of the other), sides sorted."""
-    sides = sorted([(a.t, a.vertex_ids()), (b.t, b.vertex_ids())])
-    return (tgfd, sides[0], sides[1])
+    side_a, side_b = (a.t, a.sorted_ids), (b.t, b.sorted_ids)
+    if side_b < side_a:
+        side_a, side_b = side_b, side_a
+    return (tgfd, side_a, side_b)
 
 
 def pair_id(v: Violation) -> Tuple:
@@ -90,11 +78,9 @@ def pair_id(v: Violation) -> Tuple:
 
 def format_violation(v: Violation) -> str:
     if isinstance(v, PairViolation):
-        return (
-            f"{v.tgfd} PAIR t_i={v.binding_i.t} t_j={v.binding_j.t} "
-            f"{v.binding_i} {v.binding_j}"
-        )
-    return f"{v.tgfd} CONST t={v.binding.t} {v.binding} failed={v.failed}"
+        a, b = v.binding_i, v.binding_j
+        return f"{v.tgfd} PAIR t_i={a.t} t_j={b.t} {a.text} {b.text}"
+    return f"{v.tgfd} CONST t={v.binding.t} {v.binding.text} failed={v.failed}"
 
 
 def permissible_range(i: int, delta: Delta, T: int) -> List[int]:
@@ -146,6 +132,9 @@ class RulePlan:
                 self.y_self.append(lit)
             else:
                 self.y_general.append(lit)
+        # Without general-form literals, both orientations give one verdict:
+        # see pair_violates.
+        self.one_orientation = not (self.x_general or self.y_general)
 
     def profile(self, binding: MatchBinding, view_attr) -> Optional[ValueProfile]:
         """None when the binding can never realize X with any partner."""
@@ -216,7 +205,12 @@ class RulePlan:
         return True
 
     def pair_violates(self, a: "IndexEntry", b: "IndexEntry") -> bool:
-        """Either orientation satisfying X while failing Y."""
+        """Either orientation satisfying X while failing Y.  a and b share an
+        X class: both realize X's constants and carry the same self-form X
+        values.  So without general-form literals X holds both ways, and the
+        Y test (constant or self-form, both symmetric) decides the pair once."""
+        if self.one_orientation:
+            return not self.pair_y_ok(a, b)
         for left, right in ((a, b), (b, a)):
             if self.pair_x_ok(left, right) and not self.pair_y_ok(left, right):
                 return True
@@ -289,7 +283,7 @@ def incted_step(
         if plan.pair_based:
             rng = permissible_range(binding.t, sigma.delta, T)
             for other in index.partners(entry, rng):
-                if other.binding == entry.binding:
+                if other.t == entry.t and other.binding == entry.binding:
                     continue
                 if cross_only and other.owner == entry.owner:
                     continue

@@ -392,7 +392,13 @@ def _quote(value: str) -> str:
 
 
 def _tokenize(line: str, lineno: int) -> List[str]:
-    tokens: List[str] = []
+    if '"' not in line:
+        # str.split() splits on exactly the characters str.isspace() accepts
+        tokens = line.split()
+        if not tokens:
+            raise GraphFormatError("record holds only empty tokens", lineno)
+        return tokens
+    tokens = []
     buf: List[str] = []
     quoted = False
     i = 0

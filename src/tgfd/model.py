@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from .errors import (
@@ -207,11 +208,21 @@ class MatchBinding:
                 return vid
         return None
 
-    def vertex_ids(self) -> Tuple[str, ...]:
+    # The report reads a binding's ids and text once per violation it is in;
+    # both are fixed per binding, so each is computed once, on first use.
+    # They live in the instance dict, outside the fields that equality and
+    # hashing compare.
+
+    @cached_property
+    def sorted_ids(self) -> Tuple[str, ...]:
         return tuple(sorted(vid for _, vid in self.items))
 
-    def __str__(self) -> str:
+    @cached_property
+    def text(self) -> str:
         return ",".join(f"{v}={vid}" for v, vid in self.items)
+
+    def __str__(self) -> str:
+        return self.text
 
 
 class Tgfd:

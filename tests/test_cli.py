@@ -135,6 +135,73 @@ def test_implies(capsys, tmp_path):
     assert "not-implied" in out
 
 
+QUIET_SNAPSHOT = "v a person name=x\nv b team code=1\ne a plays b\n"
+QUIET_RULES = """\
+tgfd quiet
+vertex x person
+vertex y team
+edge x plays y
+delta (0, 2)
+y: y.code == y.code
+
+tgfd also
+vertex y team
+delta (1, 3)
+x: y.code == y.code
+y: y.code = "1"
+"""
+PARALLEL_ARGS = ["--workers", "3", "--tl", "0", "--tu", "1e9"]
+
+
+@pytest.fixture
+def quiet_files(tmp_path):
+    snap = tmp_path / "quiet.snapshot"
+    snap.write_text(QUIET_SNAPSHOT)
+    rules = tmp_path / "quiet.tgfd"
+    rules.write_text(QUIET_RULES)
+    return ["--graph", str(snap), "--tgfds", str(rules)]
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_report_without_violations(capsys, quiet_files, tmp_path, to_file):
+    """Only the nontrivial lines (or keys) and a final newline, on stdout
+    and in the --out file alike."""
+    out_file = tmp_path / "report.out"
+
+    def report(*argv):
+        code, out, err = run(capsys, [*argv, *quiet_files, *(["--out", str(out_file)] if to_file else [])])
+        assert (code, err) == (0, "")
+        if to_file:
+            assert out == ""
+            return out_file.read_text(encoding="utf-8")
+        return out
+
+    assert report("detect") == "# also nontrivial=no\n# quiet nontrivial=no\n"
+    doc = {"nontrivial": {"also": False, "quiet": False}, "violations": []}
+    assert report("detect", "--format", "jsonlike") == json.dumps(doc, indent=2) + "\n"
+    text = report("detect-parallel", *PARALLEL_ARGS)
+    assert text.startswith("# also nontrivial=no\n# quiet nontrivial=no\nt=1 worker=1 ")
+    parallel = report("detect-parallel", *PARALLEL_ARGS, "--format", "jsonlike")
+    assert parallel == json.dumps(json.loads(parallel), indent=2, sort_keys=True) + "\n"
+    assert json.loads(parallel)["violations"] == []
+
+
+@pytest.mark.parametrize("command", [["detect"], ["detect-parallel", *PARALLEL_ARGS]])
+@pytest.mark.parametrize("fmt", ["text", "jsonlike"])
+def test_unwritable_out_exits_2(capsys, med_files, tmp_path, command, fmt):
+    snap, changes, rules = med_files
+    argv = [*command, "--graph", str(snap), "--changes", str(changes), "--tgfds", str(rules),
+            "--format", fmt]
+    missing = tmp_path / "no-such-dir" / "report.out"
+    assert run(capsys, [*argv, "--out", str(missing)]) == (
+        2, "", f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    )
+    assert not missing.parent.exists()
+    assert run(capsys, [*argv, "--out", str(tmp_path)]) == (
+        2, "", f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+    )
+
+
 def test_usage_error_exit_1(capsys):
     assert main(["detect"]) == 1
     assert main(["no-such-command"]) == 1

@@ -50,6 +50,8 @@ from util import (
     random_changes,
     random_graph,
     random_tgfd,
+    rule_shapes,
+    shaped_instance,
 )
 
 
@@ -536,6 +538,25 @@ def test_general_form_literals_through_detection():
         )
         got = engine_violation_keys(detect_sequential(g, [sigma]).all_violations())
         assert got == oracle_violations(g, sigma), f"seed={seed}"
+
+
+def test_shaped_rules_equal_pairwise_oracle():
+    """General-form X and Y, constant X, empty X, constant Y and q >= T,
+    against the brute-force pair oracle; general-form literals must be
+    evaluated in both orientations."""
+    shapes = set()
+    found = 0
+    for seed in range(40):
+        g, rules = shaped_instance(seed)
+        got = engine_violation_keys(detect_sequential(g, rules).all_violations())
+        want = set()
+        for sigma in rules:
+            want |= oracle_violations(g, sigma)
+            shapes |= rule_shapes(sigma, g.T)
+        assert got == want, f"seed={seed}"
+        found += len(want)
+    assert shapes == {"general X", "general Y", "constant X", "empty X", "constant Y", "q >= T"}
+    assert found > 0
 
 
 def test_empty_antecedent_supported():

@@ -129,7 +129,7 @@ def test_injection_soundness():
     pool = satisfying_pairs(graph, sigma)
     by_key = {}
     for hi, hj in pool:
-        sides = sorted([(hi.t, hi.vertex_ids()), (hj.t, hj.vertex_ids())])
+        sides = sorted([(hi.t, hi.sorted_ids), (hj.t, hj.sorted_ids)])
         by_key[(sigma.name, sides[0], sides[1])] = (hi, hj)
     for key in ledger.gamma_plus:
         hi, hj = by_key[key]

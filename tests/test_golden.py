@@ -57,6 +57,12 @@ GOLDEN = {
     "detect.text": "28e112277e84a5ca202aa34b185727d83294f13dad5c5b372fa8ced850f9e3c5",
     "detect.jsonlike": "c85a5adad82b7ce1277fb4cb2a0aaca9c2ae1d534630d6b274f1b68341386e79",
     "parallel.text": "6cc215c49556acdf3c5a74405e0cf1c8bbe6446ab2f75e25522818fbd9e4866b",
+    "parallel.jsonlike": "c6d1232a1aad306bc8771e26140d992c3d7a27d549d594730ce22696e00cd1b9",
+    # the same reports written to --out files
+    "detect.out.text": "28e112277e84a5ca202aa34b185727d83294f13dad5c5b372fa8ced850f9e3c5",
+    "detect.out.jsonlike": "c85a5adad82b7ce1277fb4cb2a0aaca9c2ae1d534630d6b274f1b68341386e79",
+    "parallel.out.text": "6cc215c49556acdf3c5a74405e0cf1c8bbe6446ab2f75e25522818fbd9e4866b",
+    "parallel.out.jsonlike": "c6d1232a1aad306bc8771e26140d992c3d7a27d549d594730ce22696e00cd1b9",
 }
 
 
@@ -67,7 +73,8 @@ def _cli(capsys, *argv):
 
 def outputs(tmp_path, capsys):
     """{file name: sha256} of gen, inject --negative, detect and
-    detect-parallel outputs, plus the commands' stdout."""
+    detect-parallel outputs, plus the commands' stdout; each report in
+    both formats, on stdout and in an --out file."""
     rules = tmp_path / "rules.tgfd"
     rules.write_text(RULES, encoding="utf-8")
     out = {}
@@ -84,11 +91,14 @@ def outputs(tmp_path, capsys):
              "--tgfds", str(rules)]
     out["detect.text"] = _cli(capsys, "detect", *graph)
     out["detect.jsonlike"] = _cli(capsys, "detect", *graph, "--format", "jsonlike")
-    out["parallel.text"] = _cli(
-        capsys, "detect-parallel", *graph, "--workers", "3", "--tl", "5", "--tu", "60",
-        "--seed", "3",
-    )
-    for name in ("gen.snapshot", "gen.changes", "mut.snapshot", "mut.changes", "mut.ledger"):
+    parallel = ["detect-parallel", *graph, "--workers", "3", "--tl", "5", "--tu", "60", "--seed", "3"]
+    out["parallel.text"] = _cli(capsys, *parallel)
+    out["parallel.jsonlike"] = _cli(capsys, *parallel, "--format", "jsonlike")
+    for command, name in ((["detect", *graph], "detect"), (parallel, "parallel")):
+        for fmt in ("text", "jsonlike"):
+            assert _cli(capsys, *command, "--format", fmt, "--out", str(tmp_path / f"{name}.out.{fmt}")) == ""
+    for name in ("gen.snapshot", "gen.changes", "mut.snapshot", "mut.changes", "mut.ledger",
+                 "detect.out.text", "detect.out.jsonlike", "parallel.out.text", "parallel.out.jsonlike"):
         out[name] = (tmp_path / name).read_text(encoding="utf-8")
     return {name: hashlib.sha256(text.encode("utf-8")).hexdigest() for name, text in out.items()}
 

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tgfd.errors import DeleteMissingEdge, GraphFormatError, InvalidGraph, TgfdError, UnknownVertex
 from tgfd.graph import (
@@ -23,6 +23,7 @@ from tgfd.graph import (
     parse_changes_text,
     parse_snapshot_text,
     snapshot_to_text,
+    _tokenize,
 )
 
 from util import (
@@ -32,6 +33,7 @@ from util import (
     nonempty_attrs,
     random_changes,
     random_graph,
+    tokenize_by_characters,
 )
 
 
@@ -299,6 +301,38 @@ def test_line_of_empty_tokens_is_a_format_error(parse):
     with pytest.raises(GraphFormatError) as info:
         parse('# header\n""\n')
     assert info.value.line == 2
+
+
+def _tokens_or_error(tokenize, line):
+    try:
+        return tokenize(line, 7)
+    except GraphFormatError as exc:
+        return ("error", str(exc), exc.line)
+
+
+# Separators that str.isspace accepts besides the space, and look-alikes
+# that it does not (U+200B, U+FEFF).
+TOKEN_CHARS = st.sampled_from(
+    ["a", "b", "=", " ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u3000",
+     "\u2028", "\u200b", "\ufeff", '"', "\\"]
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(TOKEN_CHARS, max_size=14).map("".join))
+@example("v a\tT0\x0bname=x\u3000rank=y")
+@example('v a T0 name="two words" code="say \\"hi\\""')
+@example('v a T0 name="open')
+@example('""')
+@example('"" ""')
+@example("\x0b\u3000")
+def test_tokenize_equals_the_character_loop(line):
+    # the parser strips each line; the tokenizer must agree on any string
+    assert _tokens_or_error(_tokenize, line) == _tokens_or_error(tokenize_by_characters, line)
+    stripped = line.strip()
+    assert _tokens_or_error(_tokenize, stripped) == _tokens_or_error(
+        tokenize_by_characters, stripped
+    )
 
 
 @pytest.mark.parametrize(

@@ -352,6 +352,17 @@ def test_parallel_equals_sequential_skewed_fragmentation_exotic_rules():
         assert engine_violation_keys(par5.all_violations()) == seq, f"seed={seed}"
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_parallel_equals_sequential_shaped_rules(n):
+    from util import shaped_instance
+
+    for seed in range(20):
+        g, rules = shaped_instance(seed)
+        seq = engine_violation_keys(detect_sequential(g, rules).all_violations())
+        par = run_parallel(g, rules, n=n, seed=seed, bounds=(0.0, float("inf")))
+        assert engine_violation_keys(par.all_violations()) == seq, f"seed={seed}"
+
+
 def test_parallel_single_node_pattern_more_workers_than_matches():
     rng = random.Random(77)
     g = random_graph(rng, 6, 10)

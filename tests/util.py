@@ -11,6 +11,7 @@ import itertools
 import random
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from tgfd.errors import GraphFormatError
 from tgfd.graph import (
     AttrDelete,
     AttrSet,
@@ -93,6 +94,47 @@ def mutated_attr_maps(graph: TemporalGraph, mutations) -> List[Dict[str, Dict[st
 def nonempty_attrs(attrs) -> Dict[str, Dict[str, str]]:
     """An attribute map without vertices that hold no attribute."""
     return {vid: dict(named) for vid, named in attrs.items() if named}
+
+
+# ---------------------------------------------------------------------------
+# record tokenizer oracle
+# ---------------------------------------------------------------------------
+
+
+def tokenize_by_characters(line: str, lineno: int) -> List[str]:
+    """The graph parser's character-by-character tokenizer, kept as the
+    reference for its split() fast path: whitespace (str.isspace) separates
+    tokens outside quotes; inside them, \\" is a quote and " ends the quote."""
+    tokens: List[str] = []
+    buf: List[str] = []
+    quoted = False
+    i = 0
+    while i < len(line):
+        ch = line[i]
+        if quoted:
+            if ch == "\\" and i + 1 < len(line) and line[i + 1] == '"':
+                buf.append('"')
+                i += 1
+            elif ch == '"':
+                quoted = False
+            else:
+                buf.append(ch)
+        elif ch == '"':
+            quoted = True
+        elif ch.isspace():
+            if buf:
+                tokens.append("".join(buf))
+                buf = []
+        else:
+            buf.append(ch)
+        i += 1
+    if quoted:
+        raise GraphFormatError("unterminated quote", lineno)
+    if buf:
+        tokens.append("".join(buf))
+    if not tokens:
+        raise GraphFormatError("record holds only empty tokens", lineno)
+    return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +339,7 @@ def oracle_ledger(
         return set().union(*(kinds_at.get((h.t, vid), set()) for _, vid in h.items))
 
     def key(name: str, hi: MatchBinding, hj: MatchBinding) -> Tuple:
-        sides = sorted([(hi.t, hi.vertex_ids()), (hj.t, hj.vertex_ids())])
+        sides = sorted([(hi.t, hi.sorted_ids), (hj.t, hj.sorted_ids)])
         return (name, sides[0], sides[1])
 
     plus: Set[Tuple] = set()
@@ -624,3 +666,84 @@ def random_tgfd(rng: random.Random, name: str, max_edges: int = 4, T: int = 6) -
     else:
         y_literals = [ConstantLiteral(y_var, "code", rng.choice(VALUE_POOL))]
     return Tgfd(name, pattern, Delta(p, q), x_literals, y_literals)
+
+
+def _general_literal(rng: random.Random, variables: Sequence[str], attrs: Sequence[str]) -> VariableLiteral:
+    """`u.A == w.B` that is not self-form: another variable or attribute."""
+    var1, var2 = rng.choice(variables), rng.choice(variables)
+    attr1, attr2 = rng.choice(attrs), rng.choice(attrs)
+    if (var1, attr1) == (var2, attr2):
+        attr2 = next(a for a in attrs if a != attr1)
+    return VariableLiteral(var1, attr1, var2, attr2)
+
+
+def shaped_pattern(rng: random.Random) -> GraphPattern:
+    """One node, one edge, a wildcard anchor or a two-edge path, over the
+    first two types and labels of the pools, so that shaped_instance's
+    graphs match often."""
+    t = lambda: rng.choice(TYPE_POOL[:2])
+    l = lambda: rng.choice(LABEL_POOL[:2])
+    kind = rng.randrange(4)
+    if kind == 0:
+        return GraphPattern([("x", t())])
+    if kind == 1:
+        return GraphPattern([("x", t()), ("y", t())], [("x", l(), "y")])
+    if kind == 2:
+        return GraphPattern([("x", "_"), ("y", t())], [("x", l(), "y")])
+    return GraphPattern([("x", t()), ("y", t()), ("z", t())], [("x", l(), "y"), ("z", l(), "y")])
+
+
+def shaped_rule(rng: random.Random, name: str, T: int) -> Tgfd:
+    """A rule of a shape the detector's pair test branches on.
+
+    X is any mix of a general-form literal (`x.A == y.B`), a constant and a
+    self-form literal, or empty; Y is one general-form, constant or
+    self-form literal; q reaches T or past it about a third of the time."""
+    pattern = shaped_pattern(rng)
+    variables = list(pattern.vars)
+    x: List[Literal] = []
+    if rng.random() < 0.5:
+        x.append(_general_literal(rng, variables, ("name", "rank")))
+    if rng.random() < 0.4:
+        x.append(ConstantLiteral(rng.choice(variables), "rank", rng.choice(VALUE_POOL)))
+    if rng.random() < 0.3:
+        var = rng.choice(variables)
+        x.append(VariableLiteral(var, "name", var, "name"))
+    y_shape = rng.randrange(3)
+    if y_shape == 0:
+        y: Literal = _general_literal(rng, variables, ("code", "rank"))
+    elif y_shape == 1:
+        y = ConstantLiteral(rng.choice(variables), "code", rng.choice(VALUE_POOL))
+    else:
+        var = rng.choice(variables)
+        y = VariableLiteral(var, "code", var, "code")
+    p = rng.randint(0, 2)
+    q = rng.randint(T, T + 3) if rng.random() < 0.35 else rng.randint(p, p + 2)
+    return Tgfd(name, pattern, Delta(p, q), x, [y])
+
+
+def shaped_instance(seed: int) -> Tuple[TemporalGraph, List[Tgfd]]:
+    """A small random temporal graph over two vertex types, with two
+    shaped_rule rules."""
+    rng = random.Random(9_000 + seed)
+    T = rng.randint(3, 5)
+    g = random_graph(rng, 12, 36, n_types=2)
+    for t in range(2, T + 1):
+        g = apply_changes(g, random_changes(rng, g, t, 6))
+    return g, [shaped_rule(rng, f"s{i}", T) for i in range(2)]
+
+
+def rule_shapes(sigma: Tgfd, T: int) -> Set[str]:
+    """The shapes of shaped_rule that sigma has."""
+    shapes = set()
+    if not sigma.x_literals:
+        shapes.add("empty X")
+    for side, lits in (("X", sigma.x_literals), ("Y", sigma.y_literals)):
+        for lit in lits:
+            if isinstance(lit, ConstantLiteral):
+                shapes.add(f"constant {side}")
+            elif not lit.is_self_form:
+                shapes.add(f"general {side}")
+    if sigma.delta.q >= T:
+        shapes.add("q >= T")
+    return shapes
