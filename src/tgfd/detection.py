@@ -30,15 +30,12 @@ XKey = Tuple
 
 @dataclass(frozen=True)
 class PairViolation:
+    """Two matches whose pair breaks the rule, the earlier one first:
+    (t_i, items_i) < (t_j, items_j)."""
+
     tgfd: str
     binding_i: MatchBinding
     binding_j: MatchBinding
-
-    def __post_init__(self):
-        a, b = self.binding_i, self.binding_j
-        if (b.t, b.items) < (a.t, a.items):
-            object.__setattr__(self, "binding_i", b)
-            object.__setattr__(self, "binding_j", a)
 
 
 @dataclass(frozen=True)
@@ -173,6 +170,20 @@ class RulePlan:
         ) if self.y_general else ()
         return ValueProfile(tuple(xvals), x_general, y_const_failed, y_self, y_general)
 
+    def entries(
+        self, matches: Iterable[MatchBinding], attr, owner: int = 0
+    ) -> List["IndexEntry"]:
+        """One timestamp's matches as index entries, in items order: those
+        that can realize X, profiled with attr, that timestamp's
+        `Snapshot.attr`.  owner is the fragment owning them (0 when
+        sequential)."""
+        out = []
+        for binding in sorted(matches, key=lambda b: b.items):
+            profile = self.profile(binding, attr)
+            if profile is not None:  # else it never enters the partitions
+                out.append(IndexEntry(binding.t, binding, profile, owner))
+        return out
+
     @property
     def pair_based(self) -> bool:
         """Whether the consequent compares the two matches (variable form).
@@ -250,41 +261,34 @@ class MatchIndex:
 def incted_step(
     index: MatchIndex,
     sigma: Tgfd,
-    new_matches: Iterable[MatchBinding],
-    graph_attr,
+    entries: Iterable[IndexEntry],
     T: int,
-    owner_of=None,
     cross_only: bool = False,
     checked_pairs: Optional[List] = None,
 ) -> List[Violation]:
-    """Index the new matches of one timestamp and return the new violations,
-    in the order found; callers sort them once, with violation_key.
+    """Pair one timestamp's entries (`RulePlan.entries`, in items order)
+    with the indexed ones, index them, and return the new violations in the
+    order found; callers sort them once, with violation_key.
 
-    graph_attr(t) must return a (vid, name) -> value lookup for snapshot t.
+    Every partner was indexed before the entry: at an earlier timestamp, or
+    at this one with smaller items.  So each (partner, entry) pair is built
+    in canonical order, (t_i, items_i) < (t_j, items_j), and no entry meets
+    itself, since a binding occurs once per rule and timestamp.
     With cross_only, only pairs whose entries carry different owners are
     emitted (the coordinator's role); checked_pairs, when given, records
     every pair actually compared.
     """
     plan = index.plan
     violations: List[Violation] = []
-    for binding in sorted(new_matches, key=lambda b: b.items):
-        attr_t = graph_attr(binding.t)
-        profile = plan.profile(binding, attr_t)
-        if profile is None:
-            continue  # can never realize X; never enters the partitions
-        owner = owner_of(binding) if owner_of else 0
-        entry = IndexEntry(t=binding.t, binding=binding, profile=profile, owner=owner)
+    for entry in entries:
         if plan.y_const and not cross_only:
             # the unary check is the degenerate pair of the match with itself
-            if profile.y_const_failed is not None and plan.pair_x_ok(entry, entry):
-                violations.append(
-                    ConstantViolation(sigma.name, binding, profile.y_const_failed)
-                )
+            failed = entry.profile.y_const_failed
+            if failed is not None and plan.pair_x_ok(entry, entry):
+                violations.append(ConstantViolation(sigma.name, entry.binding, failed))
         if plan.pair_based:
-            rng = permissible_range(binding.t, sigma.delta, T)
+            rng = permissible_range(entry.t, sigma.delta, T)
             for other in index.partners(entry, rng):
-                if other.t == entry.t and other.binding == entry.binding:
-                    continue
                 if cross_only and other.owner == entry.owner:
                     continue
                 index.pairs_compared += 1
@@ -294,20 +298,6 @@ def incted_step(
                     violations.append(PairViolation(sigma.name, other.binding, entry.binding))
         index.insert(entry)
     return violations
-
-
-def snapshot_attr_fn(graph: TemporalGraph):
-    def graph_attr(t: int):
-        snap = graph.snapshot(t)
-
-        def attr(vid: Optional[str], name: str) -> Optional[str]:
-            if vid is None:
-                return None
-            return snap.attr(vid, name)
-
-        return attr
-
-    return graph_attr
 
 
 def nontrivially_exercised(index: MatchIndex, delta: Delta) -> bool:
@@ -373,16 +363,15 @@ def detect_sequential(graph: TemporalGraph, tgfds: Sequence[Tgfd]) -> DetectionR
     """Replay the graph through one incremental matcher per rule, indexing
     each timestamp's matches as it streams by."""
     rules = normalize_all(tgfds)
-    graph_attr = snapshot_attr_fn(graph)
     indexes = {sigma.name: MatchIndex(RulePlan(sigma)) for sigma in rules}
     violations: Dict[str, List[Violation]] = {sigma.name: [] for sigma in rules}
     matchers: Dict[str, IncrementalMatcher] = {}
     for t, matchers in replay(graph, rules):
+        attr = graph.snapshot(t).attr
         for sigma in rules:
-            matches = matchers[sigma.name].topological_matches(t)
-            violations[sigma.name].extend(
-                incted_step(indexes[sigma.name], sigma, matches, graph_attr, graph.T)
-            )
+            index = indexes[sigma.name]
+            entries = index.plan.entries(matchers[sigma.name].topological_matches(t), attr)
+            violations[sigma.name].extend(incted_step(index, sigma, entries, graph.T))
 
     for name in violations:
         violations[name] = sorted(violations[name], key=violation_key)

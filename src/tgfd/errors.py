@@ -73,6 +73,10 @@ class InvalidPattern(TgfdError, ValueError):
     """A pattern is empty, disconnected, or declares a variable twice."""
 
 
+class InvalidLedger(TgfdError, ValueError):
+    """An injection ledger lacks a key or holds a malformed row."""
+
+
 class InvalidGraph(TgfdError, ValueError):
     """A temporal graph's snapshots or change sets break the timestamp order
     1..T, or a query names a timestamp outside it."""

@@ -9,12 +9,13 @@ over canonical pair identities.
 from __future__ import annotations
 
 import json
+import math
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .errors import InvalidOption
+from .errors import InvalidLedger, InvalidOption
 from .graph import (
     AttrDelete,
     AttrSet,
@@ -43,7 +44,6 @@ from .detection import (
     pair_id,
     permissible_range,
     replay,
-    snapshot_attr_fn,
 )
 
 CHANGE_PROFILES = {
@@ -92,13 +92,12 @@ class Metrics:
 
 def _all_matches(
     graph: TemporalGraph, rules: Sequence[Tgfd]
-) -> Dict[str, Dict[int, List[MatchBinding]]]:
-    """{rule name: {t: matches sorted by items}}, from one replay of the
-    change sets."""
-    out: Dict[str, Dict[int, List[MatchBinding]]] = {sigma.name: {} for sigma in rules}
+) -> Dict[str, Dict[int, Set[MatchBinding]]]:
+    """{rule name: {t: matches}}, from one replay of the change sets."""
+    out: Dict[str, Dict[int, Set[MatchBinding]]] = {sigma.name: {} for sigma in rules}
     for t, matchers in replay(graph, rules):
         for name, matcher in matchers.items():
-            out[name][t] = sorted(matcher.topological_matches(t), key=lambda b: b.items)
+            out[name][t] = matcher.topological_matches(t)
     return out
 
 
@@ -260,7 +259,6 @@ def inject_errors(
     # self-form X values (xkey) and pair_violates holds; mutations can move
     # X values too.  Candidates are the pool's pairs when Y compares two
     # matches, each match paired with itself when Y is constant.
-    mutated_attr = snapshot_attr_fn(mutated)
     plus: Set[Tuple] = set()
     minus: Set[Tuple] = set()
     for sigma in rules:
@@ -273,8 +271,8 @@ def inject_errors(
             kinds = touched(hi) | touched(hj)
             if not kinds:
                 continue
-            a = plan.profile(hi, mutated_attr(hi.t))
-            b = plan.profile(hj, mutated_attr(hj.t))
+            a = plan.profile(hi, mutated.snapshot(hi.t).attr)
+            b = plan.profile(hj, mutated.snapshot(hj.t).attr)
             if a is None or b is None or a.xkey != b.xkey:
                 continue
             if plan.pair_violates(IndexEntry(hi.t, hi, a), IndexEntry(hj.t, hj, b)):
@@ -288,26 +286,20 @@ def inject_errors(
 def _pool_from_matches(
     graph: TemporalGraph,
     sigma: Tgfd,
-    matches: Dict[int, List[MatchBinding]],
+    matches: Dict[int, Set[MatchBinding]],
 ) -> List[Tuple[MatchBinding, MatchBinding]]:
     """Pairs (earlier, later) inside the rule's interval satisfying X and Y,
     found through detection's X-value partitions; ordered by timestamps,
     then by the two matches' items."""
     plan = RulePlan(sigma)
     index = MatchIndex(plan)
-    graph_attr = snapshot_attr_fn(graph)
     pool = []
     for t in range(1, graph.T + 1):
-        attr_t = graph_attr(t)
         rng = permissible_range(t, sigma.delta, graph.T)
-        for match in matches[t]:
-            profile = plan.profile(match, attr_t)
-            if profile is None:
-                continue
-            entry = IndexEntry(t=t, binding=match, profile=profile)
+        for entry in plan.entries(matches[t], graph.snapshot(t).attr):
             for other in index.partners(entry, rng):
                 if plan.pair_x_ok(other, entry) and plan.pair_y_ok(other, entry):
-                    pool.append((other.binding, match))
+                    pool.append((other.binding, entry.binding))
             index.insert(entry)
     pool.sort(key=lambda p: (p[0].t, p[1].t, p[0].items, p[1].items))
     return pool
@@ -394,15 +386,20 @@ def ledger_to_text(ledger: InjectionLedger) -> str:
 
 def ledger_from_text(text: str) -> InjectionLedger:
     doc = json.loads(text)
-    return InjectionLedger(
-        gamma_plus=[_key_from_json(r) for r in doc["gamma_plus"]],
-        gamma_minus=[_key_from_json(r) for r in doc["gamma_minus"]],
-        mutations=[Mutation(*row) for row in doc["mutations"]],
-        pool_size=doc["pool_size"],
-        sampled_positive=doc["sampled_positive"],
-        sampled_negative=doc["sampled_negative"],
-        flags=list(doc["flags"]),
-    )
+    try:
+        return InjectionLedger(
+            gamma_plus=[_key_from_json(r) for r in doc["gamma_plus"]],
+            gamma_minus=[_key_from_json(r) for r in doc["gamma_minus"]],
+            mutations=[Mutation(*row) for row in doc["mutations"]],
+            pool_size=doc["pool_size"],
+            sampled_positive=doc["sampled_positive"],
+            sampled_negative=doc["sampled_negative"],
+            flags=list(doc["flags"]),
+        )
+    except KeyError as exc:
+        raise InvalidLedger(f"ledger lacks the key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise InvalidLedger(f"malformed ledger: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +430,12 @@ def generate_synthetic(
         raise InvalidOption(f"unknown profile {profile!r}")
     if vertices < 2 or T < 1:
         raise InvalidOption("need at least two vertices and one timestamp")
+    if types < 1:
+        raise InvalidOption("need at least one vertex type")
+    if edges < 0 or attrs < 0:
+        raise InvalidOption("edge and attribute counts must be >= 0")
+    if not (chg_rate >= 0 and math.isfinite(chg_rate)):
+        raise InvalidOption(f"change rate {chg_rate} must be a finite number >= 0")
     rng = random.Random(seed)
 
     vids = [f"v{i}" for i in range(vertices)]

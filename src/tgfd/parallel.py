@@ -41,12 +41,12 @@ from .graph import (
 from .matcher import IncrementalMatcher, tgfd_paths
 from .model import WILDCARD, ConstantLiteral, MatchBinding, Tgfd, normalize_all
 from .detection import (
+    IndexEntry,
     MatchIndex,
     RulePlan,
     Violation,
     incted_step,
     nontrivially_exercised,
-    snapshot_attr_fn,
     violation_key,
 )
 
@@ -496,13 +496,14 @@ def run_parallel(
         raise InvalidOption("need at least one worker")
     if time_model not in ("size", "wall"):
         raise InvalidOption(f"unknown time model {time_model!r}")
+    if not zeta >= 0:  # also false when zeta is NaN
+        raise InvalidOption(f"zeta {zeta} must be a number >= 0")
     rules = normalize_all(tgfds)
     frags = list(fragments) if fragments is not None else make_fragments(graph, n, seed)
     if len(frags) != n:
         raise InvalidOption("fragment count must equal worker count")
     owners = owner_map(frags)
     frag_by_id = {f.worker_id: f for f in frags}
-    graph_attr = snapshot_attr_fn(graph)
 
     # each rule's designated anchor: the pattern's minimum-radius center
     anchors = {sigma.name: sigma.pattern.radius_center()[0] for sigma in rules}
@@ -534,12 +535,9 @@ def run_parallel(
     lo_band = (1 - zeta) * bounds[0]
     hi_band = (1 + zeta) * bounds[1]
 
-    def owner_of(binding: MatchBinding, anchor_var: str) -> int:
-        return owners[binding.assignment[anchor_var]]
-
-    # threads start on first use, so one worker never starts any
     with ThreadPoolExecutor(max_workers=n) as pool:
         for t in range(1, graph.T + 1):
+            attr = graph.snapshot(t).attr
             # the views move here, on this thread; the workers only read them
             flips: Dict[int, Tuple[List[Edge], List[str]]] = {}
             if t > 1:
@@ -572,56 +570,43 @@ def run_parallel(
                         applied = len(edges) + kept[home].attr_units
                     iso_delta = state.matcher.iso_searches - state.last_iso
                     state.last_iso = state.matcher.iso_searches
-                    owned_matches = sorted(
-                        (
-                            b
-                            for b in state.matcher.topological_matches(t)
-                            if owner_of(b, state.anchor_var) == home
-                        ),
-                        key=lambda b: b.items,
-                    )
-                    local = incted_step(
-                        state.index, state.sigma, owned_matches, graph_attr, graph.T
-                    )
+                    owned = [
+                        b
+                        for b in state.matcher.topological_matches(t)
+                        if owners[b.get(state.anchor_var)] == home
+                    ]
+                    entries = state.index.plan.entries(owned, attr, owner=home)
+                    local = incted_step(state.index, state.sigma, entries, graph.T)
                     elapsed = _time.perf_counter() - started
                     if time_model == "wall":
                         measured = elapsed
                     else:
-                        measured = 1.0 + applied + 2.0 * iso_delta + len(owned_matches)
+                        measured = 1.0 + applied + 2.0 * iso_delta + len(owned)
                     if time_hook is not None:
                         measured = time_hook(t, name, measured)
-                    results.append((name, owned_matches, local, measured))
+                    results.append((name, entries, local, measured))
                 return results
 
-            if n == 1:
-                gathered = {1: run_worker(1)}
-            else:
-                futures = {w: pool.submit(run_worker, w) for w in sorted(worker_jobs)}
-                gathered = {w: futures[w].result() for w in sorted(futures)}
+            futures = {w: pool.submit(run_worker, w) for w in sorted(worker_jobs)}
+            gathered = {w: futures[w].result() for w in sorted(futures)}
 
             job_times: Dict[str, float] = {}
-            per_rule_matches: Dict[str, List[MatchBinding]] = {s.name: [] for s in rules}
+            per_rule_entries: Dict[str, List[IndexEntry]] = {s.name: [] for s in rules}
             for w in sorted(gathered):
-                for name, owned_matches, local, measured in gathered[w]:
+                for name, entries, local, measured in gathered[w]:
                     state = states[name]
                     violations[state.sigma.name].extend(local)
-                    per_rule_matches[state.sigma.name].extend(owned_matches)
+                    per_rule_entries[state.sigma.name].extend(entries)
                     job_times[name] = measured
 
-            # coordinator: pair matches across fragments
+            # coordinator: pair the workers' entries across fragments, in
+            # items order, as each worker indexed its own
             for sigma in rules:
-                anchor = anchors[sigma.name]
-                matches = sorted(
-                    per_rule_matches[sigma.name],
-                    key=lambda b: (owners[b.assignment[anchor]], b.items),
-                )
                 cross = incted_step(
                     coord_index[sigma.name],
                     sigma,
-                    matches,
-                    graph_attr,
+                    sorted(per_rule_entries[sigma.name], key=lambda e: e.binding.items),
                     graph.T,
-                    owner_of=lambda b, a=anchor: owner_of(b, a),
                     cross_only=True,
                     checked_pairs=coord_checked[sigma.name],
                 )
@@ -668,8 +653,9 @@ def run_parallel(
     report.cross_checked = {
         name: list(pairs) for name, pairs in sorted(coord_checked.items())
     }
+    # each owned match has one owner, so local and cross pairs never overlap
     for name in violations:
-        violations[name] = sorted(set(violations[name]), key=violation_key)
+        violations[name] = sorted(violations[name], key=violation_key)
 
     # the coordinator's index holds every owned match, so it alone decides
     nontrivial = {

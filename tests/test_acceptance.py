@@ -27,6 +27,7 @@ from test_parallel import (
     simple_rule,
 )
 from util import (
+    canonical_pairs,
     engine_violation_keys,
     gfd_snapshot_oracle,
     oracle_violations,
@@ -94,12 +95,18 @@ def test_criterion_2_parallel_equals_sequential():
             random_tgfd(rng, f"r{i}", max_edges=3, T=T)
             for i in range(rng.randint(1, 2))
         ]
-        seq = engine_violation_keys(detect_sequential(g, rules).all_violations())
+        seq_list = detect_sequential(g, rules).all_violations()
+        seq = engine_violation_keys(seq_list)
+        if not canonical_pairs(seq_list):
+            mismatches += 1
         for n in (1, 2, 4, 8):
             par = run_parallel(
                 g, rules, n=n, seed=seed, bounds=(0.0, float("inf"))
             )
             if engine_violation_keys(par.all_violations()) != seq:
+                mismatches += 1
+            # item for item, not only as sets
+            if par.all_violations() != seq_list or not canonical_pairs(par.all_violations()):
                 mismatches += 1
         if seed % 10 == 0:
             # force a mid-run rebalance and require identical output
@@ -112,6 +119,8 @@ def test_criterion_2_parallel_equals_sequential():
             )
             forced_rebalances += par.report.rebalances
             if engine_violation_keys(par.all_violations()) != seq:
+                mismatches += 1
+            if par.all_violations() != seq_list or not canonical_pairs(par.all_violations()):
                 mismatches += 1
     verdict(
         "criterion 2: parallel equals sequential for n in {1,2,4,8} over 50 seeds",

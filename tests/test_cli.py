@@ -265,6 +265,68 @@ def test_gen_size_error_exit_2(capsys, tmp_path):
     assert err == "error: need at least two vertices and one timestamp\n"
 
 
+GEN_ARGS = {"--vertices": "4", "--edges": "3", "--types": "1", "--attrs": "1",
+            "--T": "2", "--chg": "0.5"}
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--types", "0", "need at least one vertex type"),
+        ("--edges", "-5", "edge and attribute counts must be >= 0"),
+        ("--attrs", "-1", "edge and attribute counts must be >= 0"),
+        ("--chg", "-1", "change rate -1.0 must be a finite number >= 0"),
+        ("--chg", "nan", "change rate nan must be a finite number >= 0"),
+        ("--chg", "inf", "change rate inf must be a finite number >= 0"),
+    ],
+)
+def test_gen_option_errors_exit_2(capsys, tmp_path, option, value, message):
+    argv = ["gen", "--out-prefix", str(tmp_path / "g")]
+    for name, default in GEN_ARGS.items():
+        argv += [name, value if name == option else default]
+    assert run(capsys, argv) == (2, "", f"error: {message}\n")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("zeta", ["-5", "nan"])
+def test_detect_parallel_zeta_error_exit_2(capsys, med_files, zeta):
+    snap, changes, rules = med_files
+    code, out, err = run(
+        capsys,
+        ["detect-parallel", "--graph", str(snap), "--changes", str(changes),
+         "--tgfds", str(rules), "--workers", "2", "--tl", "0", "--tu", "1e9",
+         "--zeta", zeta],
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: zeta {float(zeta)} must be a number >= 0\n"
+
+
+@pytest.mark.parametrize(
+    "ledger, message",
+    [
+        ("{}", "ledger lacks the key 'gamma_plus'"),
+        ("[]", "malformed ledger: "),
+        ('{"gamma_plus": [["r", [1]]], "gamma_minus": [], "mutations": []}', "malformed ledger: "),
+        (
+            '{"gamma_plus": [], "gamma_minus": [], "mutations": [[1, "a"]], "pool_size": 0,'
+            ' "sampled_positive": 0, "sampled_negative": 0, "flags": []}',
+            "malformed ledger: ",
+        ),
+    ],
+)
+def test_eval_malformed_ledger_exit_2(capsys, med_files, tmp_path, ledger, message):
+    snap, changes, rules = med_files
+    path = tmp_path / "bad.ledger"
+    path.write_text(ledger)
+    code, out, err = run(
+        capsys,
+        ["eval", "--graph", str(snap), "--changes", str(changes), "--tgfds", str(rules),
+         "--ledger", str(path)],
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 def test_undecodable_input_exit_2(capsys, tmp_path):
     rules = tmp_path / "r.tgfd"
     rules.write_bytes(b"tgfd r\xff\n")

@@ -16,7 +16,6 @@ from tgfd.detection import (
     nontrivially_exercised,
     permissible_range,
     replay,
-    snapshot_attr_fn,
     violation_key,
 )
 from tgfd.graph import (
@@ -206,13 +205,16 @@ def test_incted_step_returns_only_new_violations():
         [VariableLiteral("y", "code", "y", "code")],
     )
     index = MatchIndex(RulePlan(sigma))
-    graph_attr = snapshot_attr_fn(g)
     binding = {"x": "a", "y": "b"}
-    step1 = incted_step(index, sigma, [MatchBinding.of(1, binding)], graph_attr, g.T)
+
+    def entries(t):
+        return index.plan.entries([MatchBinding.of(t, binding)], g.snapshot(t).attr)
+
+    step1 = incted_step(index, sigma, entries(1), g.T)
     assert step1 == []
-    step2 = incted_step(index, sigma, [MatchBinding.of(2, binding)], graph_attr, g.T)
+    step2 = incted_step(index, sigma, entries(2), g.T)
     assert len(step2) == 1 and step2[0].binding_j.t == 2
-    step3 = incted_step(index, sigma, [MatchBinding.of(3, binding)], graph_attr, g.T)
+    step3 = incted_step(index, sigma, entries(3), g.T)
     # two fresh pairs (1,3) and (2,3); the (1,2) pair is not re-reported
     assert len(step3) == 2
     assert all(v.binding_j.t == 3 for v in step3)
@@ -235,17 +237,16 @@ def test_index_partitions_are_consistent():
         [VariableLiteral("y", "code", "y", "code")],
     )
     index = MatchIndex(RulePlan(sigma))
-    graph_attr = snapshot_attr_fn(g)
     inserted = []
     for t in (1, 2, 3):
         matches = [MatchBinding.of(t, {"x": a, "y": "b"}) for a in names]
-        incted_step(index, sigma, matches, graph_attr, g.T)
+        incted_step(index, sigma, index.plan.entries(matches, g.snapshot(t).attr), g.T)
         inserted += sorted(matches, key=lambda b: b.items)
     # every inserted match sits in the bucket of its X value and timestamp,
     # and buckets keep insertion order
     want = {}
     for b in inserted:
-        xkey = (graph_attr(b.t)(b.get("x"), "name"),)
+        xkey = (g.snapshot(b.t).attr(b.get("x"), "name"),)
         want.setdefault(xkey, {}).setdefault(b.t, []).append(b)
     got = {
         key: {t: [e.binding for e in entries] for t, entries in by_t.items()}
@@ -557,6 +558,24 @@ def test_shaped_rules_equal_pairwise_oracle():
         found += len(want)
     assert shapes == {"general X", "general Y", "constant X", "empty X", "constant Y", "q >= T"}
     assert found > 0
+
+
+def test_long_t_shaped_rules_equal_pairwise_oracle():
+    """T = 200 with three changes per step: wide (q >= T) and narrow
+    intervals against the brute-force pair oracle."""
+    shapes = set()
+    narrow = 0
+    for seed in range(3):
+        g, rules = shaped_instance(seed, T=200, changes=3)
+        got = engine_violation_keys(detect_sequential(g, rules).all_violations())
+        want = set()
+        for sigma in rules:
+            want |= oracle_violations(g, sigma)
+            shapes |= rule_shapes(sigma, g.T)
+            narrow += sigma.delta.q < 10
+        assert got == want, f"seed={seed}"
+        assert want, f"seed={seed}"
+    assert "q >= T" in shapes and narrow
 
 
 def test_empty_antecedent_supported():

@@ -30,6 +30,7 @@ from util import (
     LABEL_POOL,
     TYPE_POOL,
     VALUE_POOL,
+    canonical_pairs,
     engine_violation_keys,
     exotic_rule,
     fragment_view_from_scratch,
@@ -221,3 +222,5 @@ def test_run_parallel_on_churned_graphs(seed, monkeypatch):
         assert engine_violation_keys(result.violations[sigma.name]) == engine_violation_keys(
             sequential.violations[sigma.name]
         )
+        assert result.violations[sigma.name] == sequential.violations[sigma.name]
+        assert canonical_pairs(result.violations[sigma.name])

@@ -35,6 +35,7 @@ from tgfd.parallel import (
 from util import (
     LABEL_POOL,
     build_graph,
+    canonical_pairs,
     engine_violation_keys,
     extend,
     random_changes,
@@ -316,9 +317,12 @@ def test_parallel_single_worker_equals_sequential():
     for t in range(2, 5):
         g = apply_changes(g, random_changes(rng, g, t, 6))
     rules = [random_tgfd(random.Random(1), "r0", max_edges=2, T=4)]
-    seq = engine_violation_keys(detect_sequential(g, rules).all_violations())
+    seq_list = detect_sequential(g, rules).all_violations()
+    seq = engine_violation_keys(seq_list)
     par = run_parallel(g, rules, n=1, bounds=(0.0, float("inf")))
     assert engine_violation_keys(par.all_violations()) == seq
+    assert par.all_violations() == seq_list
+    assert canonical_pairs(par.all_violations()) and canonical_pairs(seq_list)
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -329,9 +333,12 @@ def test_parallel_equals_sequential_small(n):
         for t in range(2, 5):
             g = apply_changes(g, random_changes(rng, g, t, 5))
         rules = [random_tgfd(random.Random(seed + 50), "r0", max_edges=3, T=4)]
-        seq = engine_violation_keys(detect_sequential(g, rules).all_violations())
+        seq_list = detect_sequential(g, rules).all_violations()
+        seq = engine_violation_keys(seq_list)
         par = run_parallel(g, rules, n=n, seed=seed, bounds=(0.0, float("inf")))
         assert engine_violation_keys(par.all_violations()) == seq, f"seed={seed}"
+        assert par.all_violations() == seq_list, f"seed={seed}"
+        assert canonical_pairs(par.all_violations()) and canonical_pairs(seq_list), f"seed={seed}"
 
 
 def test_parallel_equals_sequential_skewed_fragmentation_exotic_rules():
@@ -344,12 +351,18 @@ def test_parallel_equals_sequential_skewed_fragmentation_exotic_rules():
         for t in range(2, T + 1):
             g = apply_changes(g, random_changes(rng, g, t, rng.randint(4, 8), loops=2))
         rules = [exotic_rule(rng, f"r{i}") for i in range(rng.randint(1, 3))]
-        seq = engine_violation_keys(detect_sequential(g, rules).all_violations())
+        seq_list = detect_sequential(g, rules).all_violations()
+        seq = engine_violation_keys(seq_list)
+        assert canonical_pairs(seq_list), f"seed={seed}"
         frags = skewed_fragments(g, 2, random.Random(seed))
         par = run_parallel(g, rules, n=2, fragments=frags, bounds=(0.0, float("inf")))
         assert engine_violation_keys(par.all_violations()) == seq, f"seed={seed}"
+        assert par.all_violations() == seq_list, f"seed={seed}"
+        assert canonical_pairs(par.all_violations()), f"seed={seed}"
         par5 = run_parallel(g, rules, n=5, seed=seed, bounds=(0.0, float("inf")))
         assert engine_violation_keys(par5.all_violations()) == seq, f"seed={seed}"
+        assert par5.all_violations() == seq_list, f"seed={seed}"
+        assert canonical_pairs(par5.all_violations()), f"seed={seed}"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -358,9 +371,23 @@ def test_parallel_equals_sequential_shaped_rules(n):
 
     for seed in range(20):
         g, rules = shaped_instance(seed)
-        seq = engine_violation_keys(detect_sequential(g, rules).all_violations())
+        seq_list = detect_sequential(g, rules).all_violations()
+        seq = engine_violation_keys(seq_list)
         par = run_parallel(g, rules, n=n, seed=seed, bounds=(0.0, float("inf")))
         assert engine_violation_keys(par.all_violations()) == seq, f"seed={seed}"
+        assert par.all_violations() == seq_list, f"seed={seed}"
+        assert canonical_pairs(par.all_violations()) and canonical_pairs(seq_list), f"seed={seed}"
+
+
+def test_parallel_equals_sequential_long_t():
+    from util import shaped_instance
+
+    for seed in range(3):
+        g, rules = shaped_instance(seed, T=200, changes=3)
+        seq = detect_sequential(g, rules).all_violations()
+        par = run_parallel(g, rules, n=2, seed=seed, bounds=(0.0, float("inf")))
+        assert par.all_violations() == seq, f"seed={seed}"
+        assert canonical_pairs(seq), f"seed={seed}"
 
 
 def test_parallel_single_node_pattern_more_workers_than_matches():
@@ -377,9 +404,12 @@ def test_parallel_single_node_pattern_more_workers_than_matches():
         [VariableLiteral("x", "name", "x", "name")],
         [VariableLiteral("x", "code", "x", "code")],
     )
-    seq = engine_violation_keys(detect_sequential(g, [single]).all_violations())
+    seq_list = detect_sequential(g, [single]).all_violations()
+    seq = engine_violation_keys(seq_list)
     par = run_parallel(g, [single], n=8, seed=1, bounds=(0.0, float("inf")))
     assert engine_violation_keys(par.all_violations()) == seq
+    assert par.all_violations() == seq_list
+    assert canonical_pairs(par.all_violations()) and canonical_pairs(seq_list)
 
 
 def test_parallel_deterministic_report():
@@ -449,7 +479,8 @@ def test_rebalance_trigger_and_preserved_results():
     for t in range(2, 6):
         g = apply_changes(g, random_changes(rng, g, t, 5))
     rules = [simple_rule()]
-    seq = engine_violation_keys(detect_sequential(g, rules).all_violations())
+    seq_list = detect_sequential(g, rules).all_violations()
+    seq = engine_violation_keys(seq_list)
 
     def spike(t, job_name, measured):
         return measured + (1000.0 if t == 3 and job_name.endswith("f1") else 0.0)
@@ -466,6 +497,8 @@ def test_rebalance_trigger_and_preserved_results():
     assert par.report.rebalances >= 1
     assert any(s.rebalanced for s in par.report.supersteps)
     assert engine_violation_keys(par.all_violations()) == seq
+    assert par.all_violations() == seq_list
+    assert canonical_pairs(par.all_violations()) and canonical_pairs(seq_list)
 
 
 def test_jobs_sharing_fragment_views_under_thread_switching():
@@ -487,7 +520,8 @@ def test_jobs_sharing_fragment_views_under_thread_switching():
         )
         for i, label in enumerate(LABEL_POOL)
     ]
-    seq = engine_violation_keys(detect_sequential(g, rules).all_violations())
+    seq_list = detect_sequential(g, rules).all_violations()
+    seq = engine_violation_keys(seq_list)
     assert seq
 
     def spike(t, job_name, measured):
@@ -503,6 +537,8 @@ def test_jobs_sharing_fragment_views_under_thread_switching():
         sys.setswitchinterval(interval)
     assert par.report.rebalances >= 1
     assert engine_violation_keys(par.all_violations()) == seq
+    assert par.all_violations() == seq_list
+    assert canonical_pairs(par.all_violations()) and canonical_pairs(seq_list)
 
 
 def test_no_rebalance_when_within_bounds():
@@ -632,6 +668,9 @@ def test_wall_time_model_equals_sequential(n):
         assert engine_violation_keys(par.all_violations()) == engine_violation_keys(
             seq.all_violations()
         ), f"seed={seed}"
+        assert par.all_violations() == seq.all_violations(), f"seed={seed}"
+        assert canonical_pairs(par.all_violations()), f"seed={seed}"
+        assert canonical_pairs(seq.all_violations()), f"seed={seed}"
         assert par.nontrivial == seq.nontrivial, f"seed={seed}"
         assert all(s.job_times for s in par.report.supersteps)
 

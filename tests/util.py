@@ -380,6 +380,20 @@ def engine_violation_keys(violations) -> Set[Tuple]:
     return out
 
 
+def canonical_pairs(violations) -> bool:
+    """Whether every pair violation lists its earlier match first:
+    (t_i, items_i) < (t_j, items_j).  engine_violation_keys sorts the two
+    sides and compares sets, so it sees neither a reversed pair nor a
+    duplicate; compare the lists themselves and check this as well."""
+    from tgfd.detection import PairViolation
+
+    return all(
+        (v.binding_i.t, v.binding_i.items) < (v.binding_j.t, v.binding_j.items)
+        for v in violations
+        if isinstance(v, PairViolation)
+    )
+
+
 def gfd_snapshot_oracle(graph: TemporalGraph, sigma: Tgfd) -> Set[Tuple]:
     """Snapshot-local validator: each snapshot checked independently."""
     x = sorted(sigma.x_literals, key=str)
@@ -722,14 +736,18 @@ def shaped_rule(rng: random.Random, name: str, T: int) -> Tgfd:
     return Tgfd(name, pattern, Delta(p, q), x, [y])
 
 
-def shaped_instance(seed: int) -> Tuple[TemporalGraph, List[Tgfd]]:
+def shaped_instance(
+    seed: int, T: Optional[int] = None, changes: int = 6
+) -> Tuple[TemporalGraph, List[Tgfd]]:
     """A small random temporal graph over two vertex types, with two
-    shaped_rule rules."""
+    shaped_rule rules.  T is drawn from 3-5 unless given; each change set
+    holds `changes` changes."""
     rng = random.Random(9_000 + seed)
-    T = rng.randint(3, 5)
+    if T is None:
+        T = rng.randint(3, 5)
     g = random_graph(rng, 12, 36, n_types=2)
     for t in range(2, T + 1):
-        g = apply_changes(g, random_changes(rng, g, t, 6))
+        g = apply_changes(g, random_changes(rng, g, t, changes))
     return g, [shaped_rule(rng, f"s{i}", T) for i in range(2)]
 
 
