@@ -10,7 +10,18 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from .errors import InvalidGraph, InvalidOption
 from .graph import TemporalGraph, advance_view
@@ -28,8 +39,7 @@ from .model import (
 XKey = Tuple
 
 
-@dataclass(frozen=True)
-class PairViolation:
+class PairViolation(NamedTuple):
     """Two matches whose pair breaks the rule, the earlier one first:
     (t_i, items_i) < (t_j, items_j)."""
 
@@ -38,8 +48,7 @@ class PairViolation:
     binding_j: MatchBinding
 
 
-@dataclass(frozen=True)
-class ConstantViolation:
+class ConstantViolation(NamedTuple):
     tgfd: str
     binding: MatchBinding
     failed: ConstantLiteral
@@ -49,7 +58,9 @@ Violation = Union[PairViolation, ConstantViolation]
 
 
 def violation_key(v: Violation) -> Tuple:
-    """Canonical identity used for ordering, set comparison, and scoring."""
+    """Canonical identity and the reference report order; the engines sort
+    by ReportOrder's integer keys, which order each rule's violations as
+    this key does."""
     if isinstance(v, PairViolation):
         a, b = v.binding_i, v.binding_j
     else:
@@ -89,6 +100,86 @@ def permissible_range(i: int, delta: Delta, T: int) -> List[int]:
 
 
 # ---------------------------------------------------------------------------
+# report order
+# ---------------------------------------------------------------------------
+
+# A report key is shifted left by POS_BITS, and the low bits hold the
+# violation's position in its KeyedViolations list.
+POS_BITS = 32
+POS_MASK = (1 << POS_BITS) - 1
+
+
+class ReportOrder:
+    """Integer report keys that order one rule's violations as violation_key
+    does, built once per run from the graph's vertex ids and T.
+
+    Vertex ids are ranked in string order.  A match of a k-variable rule
+    reads as two k-digit base-|V| numbers: its sorted ids and its items (the
+    ids in variable order).  Every match of the rule has the same k
+    variables, so these numbers order as the tuples do.  With B = |V|^k, a
+    pair's key is the mixed-radix number
+
+        t_i·W1 + t_j·W2 + ids_i·W3 + ids_j·W4 + items_i·W5 + items_j
+
+    where W5 = B, W4 = B², W3 = B³, W2 = B⁴ and W1 = (T+1)·B⁴.  A match
+    contributes hi (its digits as the earlier side) and lo (as the later
+    side), both shifted left by POS_BITS: a pair's key is hi_i + lo_j, and
+    a constant violation's is hi + lo of its one match."""
+
+    def __init__(self, vertex_ids: Iterable[str], T: int):
+        ids = sorted(vertex_ids)
+        self.rank = {vid: r for r, vid in enumerate(ids)}
+        self.base = max(len(ids), 1)
+        self.T = T
+
+    def halves(self, k: int) -> Callable[[MatchBinding], Tuple[int, int]]:
+        """(hi, lo) of a match of a k-variable rule."""
+        rank, base = self.rank, self.base
+        b = base ** k
+        w2 = b ** 4 << POS_BITS
+        w1, w3, w4, w5 = (self.T + 1) * w2, b ** 3 << POS_BITS, b ** 2 << POS_BITS, b << POS_BITS
+
+        def of(binding: MatchBinding) -> Tuple[int, int]:
+            ranks = [rank[vid] for _, vid in binding.items]
+            items = ids = 0
+            for r in ranks:
+                items = items * base + r
+            for r in sorted(ranks):
+                ids = ids * base + r
+            t = binding.t
+            return t * w1 + ids * w3 + items * w5, t * w2 + ids * w4 + (items << POS_BITS)
+
+        return of
+
+
+def _no_order(binding: MatchBinding) -> Tuple[int, int]:
+    return 0, 0
+
+
+class KeyedViolations:
+    """One rule's violations in the order found, and for each the int
+    `report key << POS_BITS | position in violations`: sorting that one
+    int list gives the report order."""
+
+    __slots__ = ("violations", "keys")
+
+    def __init__(self) -> None:
+        self.violations: List[Violation] = []
+        self.keys: List[int] = []
+
+    def extend(self, other: "KeyedViolations") -> None:
+        offset = len(self.violations)
+        self.violations.extend(other.violations)
+        self.keys.extend([k + offset for k in other.keys] if offset else other.keys)
+
+    def in_report_order(self) -> List[Violation]:
+        """The violations sorted by report key; sorts keys in place."""
+        keys, found = self.keys, self.violations
+        keys.sort()
+        return [found[k & POS_MASK] for k in keys]
+
+
+# ---------------------------------------------------------------------------
 # value profiles
 # ---------------------------------------------------------------------------
 
@@ -105,10 +196,13 @@ class ValueProfile:
 
 
 class RulePlan:
-    """A rule's literals sorted into hashing and pairwise-evaluation routes."""
+    """A rule's literals sorted into hashing and pairwise-evaluation routes.
+    order gives each entry its report-key halves; without one they are 0,
+    and a report keeps the order found."""
 
-    def __init__(self, sigma: Tgfd):
+    def __init__(self, sigma: Tgfd, order: Optional[ReportOrder] = None):
         self.sigma = sigma
+        self.halves = order.halves(len(sigma.pattern.labels)) if order else _no_order
         self.x_const: List[ConstantLiteral] = []
         self.x_self: List[VariableLiteral] = []
         self.x_general: List[VariableLiteral] = []
@@ -132,6 +226,9 @@ class RulePlan:
         # Without general-form literals, both orientations give one verdict:
         # see pair_violates.
         self.one_orientation = not (self.x_general or self.y_general)
+        # ... and when Y is self-form only, a pair violates iff its two
+        # y_self values differ or either is missing: see incted_step
+        self.y_self_only = self.one_orientation and not self.y_const and bool(self.y_self)
 
     def profile(self, binding: MatchBinding, view_attr) -> Optional[ValueProfile]:
         """None when the binding can never realize X with any partner."""
@@ -181,7 +278,8 @@ class RulePlan:
         for binding in sorted(matches, key=lambda b: b.items):
             profile = self.profile(binding, attr)
             if profile is not None:  # else it never enters the partitions
-                out.append(IndexEntry(binding.t, binding, profile, owner))
+                hi, lo = self.halves(binding)
+                out.append(IndexEntry(binding.t, binding, profile, owner, hi, lo))
         return out
 
     @property
@@ -234,6 +332,8 @@ class IndexEntry:
     binding: MatchBinding
     profile: ValueProfile
     owner: int = 0  # fragment owning the binding's anchor; 0 when sequential
+    hi: int = 0     # report-key halves: see ReportOrder
+    lo: int = 0
 
 
 class MatchIndex:
@@ -265,39 +365,61 @@ def incted_step(
     T: int,
     cross_only: bool = False,
     checked_pairs: Optional[List] = None,
-) -> List[Violation]:
+    found: Optional[KeyedViolations] = None,
+) -> KeyedViolations:
     """Pair one timestamp's entries (`RulePlan.entries`, in items order)
-    with the indexed ones, index them, and return the new violations in the
-    order found; callers sort them once, with violation_key.
+    with the indexed ones, index them, and append the new violations, in the
+    order found and each with its report key, to found (a fresh
+    KeyedViolations when omitted), which is returned.
 
     Every partner was indexed before the entry: at an earlier timestamp, or
     at this one with smaller items.  So each (partner, entry) pair is built
-    in canonical order, (t_i, items_i) < (t_j, items_j), and no entry meets
-    itself, since a binding occurs once per rule and timestamp.
+    in canonical order, (t_i, items_i) < (t_j, items_j), no entry meets
+    itself, since a binding occurs once per rule and timestamp, and the
+    pair's key is partner.hi + entry.lo.
     With cross_only, only pairs whose entries carry different owners are
     emitted (the coordinator's role); checked_pairs, when given, records
     every pair actually compared.
     """
     plan = index.plan
-    violations: List[Violation] = []
+    if found is None:
+        found = KeyedViolations()
+    violations, keys = found.violations, found.keys
+    add_violation, add_key = violations.append, keys.append
+    new_tuple = tuple.__new__  # PairViolation(...) runs a Python-level __new__
+    name = sigma.name
+    y_self_only = plan.y_self_only
+    rng_t, rng = None, []
+    compared = 0
     for entry in entries:
         if plan.y_const and not cross_only:
             # the unary check is the degenerate pair of the match with itself
             failed = entry.profile.y_const_failed
             if failed is not None and plan.pair_x_ok(entry, entry):
-                violations.append(ConstantViolation(sigma.name, entry.binding, failed))
-        if plan.pair_based:
-            rng = permissible_range(entry.t, sigma.delta, T)
-            for other in index.partners(entry, rng):
-                if cross_only and other.owner == entry.owner:
-                    continue
-                index.pairs_compared += 1
-                if checked_pairs is not None:
-                    checked_pairs.append((other.binding, entry.binding))
-                if plan.pair_violates(other, entry):
-                    violations.append(PairViolation(sigma.name, other.binding, entry.binding))
+                add_key(entry.hi + entry.lo + len(violations))
+                add_violation(ConstantViolation(name, entry.binding, failed))
+        by_t = index.classes.get(entry.profile.xkey) if plan.pair_based else None
+        if by_t:
+            if entry.t != rng_t:
+                rng_t, rng = entry.t, permissible_range(entry.t, sigma.delta, T)
+            binding, lo, owner, y = entry.binding, entry.lo, entry.owner, entry.profile.y_self
+            for j in rng:
+                for other in by_t.get(j, ()):
+                    if cross_only and other.owner == owner:
+                        continue
+                    compared += 1
+                    if checked_pairs is not None:
+                        checked_pairs.append((other.binding, binding))
+                    if (
+                        (y is None or other.profile.y_self != y)
+                        if y_self_only
+                        else plan.pair_violates(other, entry)
+                    ):
+                        add_key(other.hi + lo + len(violations))
+                        add_violation(new_tuple(PairViolation, (name, other.binding, binding)))
         index.insert(entry)
-    return violations
+    index.pairs_compared += compared
+    return found
 
 
 def nontrivially_exercised(index: MatchIndex, delta: Delta) -> bool:
@@ -323,8 +445,10 @@ class DetectionResult:
     iso_searches: int = 0
 
     def all_violations(self) -> List[Violation]:
-        """Every violation in violation_key order: each rule's list is
-        sorted, and the key starts with the rule name."""
+        """Every violation in violation_key order: each rule's list was
+        sorted once by its integer report keys (see ReportOrder), which
+        order as violation_key does, and the key starts with the rule
+        name."""
         out = []
         for name in sorted(self.violations):
             out.extend(self.violations[name])
@@ -363,20 +487,19 @@ def detect_sequential(graph: TemporalGraph, tgfds: Sequence[Tgfd]) -> DetectionR
     """Replay the graph through one incremental matcher per rule, indexing
     each timestamp's matches as it streams by."""
     rules = normalize_all(tgfds)
-    indexes = {sigma.name: MatchIndex(RulePlan(sigma)) for sigma in rules}
-    violations: Dict[str, List[Violation]] = {sigma.name: [] for sigma in rules}
+    order = ReportOrder(graph.vertices, graph.T)
+    indexes = {sigma.name: MatchIndex(RulePlan(sigma, order)) for sigma in rules}
+    found = {sigma.name: KeyedViolations() for sigma in rules}
     matchers: Dict[str, IncrementalMatcher] = {}
     for t, matchers in replay(graph, rules):
         attr = graph.snapshot(t).attr
         for sigma in rules:
             index = indexes[sigma.name]
             entries = index.plan.entries(matchers[sigma.name].topological_matches(t), attr)
-            violations[sigma.name].extend(incted_step(index, sigma, entries, graph.T))
+            incted_step(index, sigma, entries, graph.T, found=found[sigma.name])
 
-    for name in violations:
-        violations[name] = sorted(violations[name], key=violation_key)
     return DetectionResult(
-        violations=violations,
+        violations={name: found.pop(name).in_report_order() for name in list(found)},
         pairs_compared={name: idx.pairs_compared for name, idx in indexes.items()},
         nontrivial={
             sigma.name: nontrivially_exercised(indexes[sigma.name], sigma.delta)

@@ -42,12 +42,13 @@ from .matcher import IncrementalMatcher, tgfd_paths
 from .model import WILDCARD, ConstantLiteral, MatchBinding, Tgfd, normalize_all
 from .detection import (
     IndexEntry,
+    KeyedViolations,
     MatchIndex,
+    ReportOrder,
     RulePlan,
     Violation,
     incted_step,
     nontrivially_exercised,
-    violation_key,
 )
 
 REBALANCE_FIXED_COST = 1.0
@@ -344,8 +345,9 @@ class ParallelResult:
     nontrivial: Dict[str, bool] = field(default_factory=dict)
 
     def all_violations(self) -> List[Violation]:
-        """Every violation in violation_key order (see
-        DetectionResult.all_violations)."""
+        """Every violation in violation_key order: each rule's workers'
+        and coordinator's violations were sorted together once by their
+        integer report keys (see DetectionResult.all_violations)."""
         out = []
         for name in sorted(self.violations):
             out.extend(self.violations[name])
@@ -355,12 +357,12 @@ class ParallelResult:
 class _JobState:
     """Everything a job carries when it migrates between workers."""
 
-    def __init__(self, job: Job, sigma: Tgfd, anchor_var: str):
+    def __init__(self, job: Job, sigma: Tgfd, anchor_var: str, order: ReportOrder):
         self.job = job
         self.sigma = sigma
         self.anchor_var = anchor_var
         self.matcher: Optional[IncrementalMatcher] = None
-        self.index = MatchIndex(RulePlan(sigma))
+        self.index = MatchIndex(RulePlan(sigma, order))
         self.last_iso = 0
 
 
@@ -513,19 +515,20 @@ def run_parallel(
     full = graph.view(1)
     jobs = build_jobs(graph, rules, frags, full)
     jobs_by_name = {j.name: j for j in jobs}
+    order = ReportOrder(graph.vertices, graph.T)
     states: Dict[str, _JobState] = {}
     for sigma in rules:
         for frag in frags:
             job = jobs_by_name[f"{sigma.name}@f{frag.worker_id}"]
-            states[job.name] = _JobState(job, sigma, anchors[sigma.name])
+            states[job.name] = _JobState(job, sigma, anchors[sigma.name], order)
 
     assignment = gen_assign([clamp_job(j, bounds) for j in jobs], n, bounds, zeta)
     report = RunReport()
     report.assignments.append((1, dict(assignment.mapping)))
 
-    coord_index: Dict[str, MatchIndex] = {s.name: MatchIndex(RulePlan(s)) for s in rules}
+    coord_index: Dict[str, MatchIndex] = {s.name: MatchIndex(RulePlan(s, order)) for s in rules}
     coord_checked: Dict[str, List[Tuple[MatchBinding, MatchBinding]]] = {s.name: [] for s in rules}
-    violations: Dict[str, List[Violation]] = {s.name: [] for s in rules}
+    found: Dict[str, KeyedViolations] = {s.name: KeyedViolations() for s in rules}
 
     kept = {
         r: _FragmentView(full, frag_by_id[r].owned_vertices, anchor_specs)
@@ -535,7 +538,9 @@ def run_parallel(
     lo_band = (1 - zeta) * bounds[0]
     hi_band = (1 + zeta) * bounds[1]
 
-    with ThreadPoolExecutor(max_workers=n) as pool:
+    # a fragment without vertices owns no match, so its jobs need no thread
+    busy = sum(1 for f in frags if f.owned_vertices)
+    with ThreadPoolExecutor(max_workers=max(1, min(n, busy))) as pool:
         for t in range(1, graph.T + 1):
             attr = graph.snapshot(t).attr
             # the views move here, on this thread; the workers only read them
@@ -587,7 +592,9 @@ def run_parallel(
                     results.append((name, entries, local, measured))
                 return results
 
-            futures = {w: pool.submit(run_worker, w) for w in sorted(worker_jobs)}
+            futures = {
+                w: pool.submit(run_worker, w) for w in sorted(worker_jobs) if worker_jobs[w]
+            }
             gathered = {w: futures[w].result() for w in sorted(futures)}
 
             job_times: Dict[str, float] = {}
@@ -595,22 +602,22 @@ def run_parallel(
             for w in sorted(gathered):
                 for name, entries, local, measured in gathered[w]:
                     state = states[name]
-                    violations[state.sigma.name].extend(local)
+                    found[state.sigma.name].extend(local)
                     per_rule_entries[state.sigma.name].extend(entries)
                     job_times[name] = measured
 
             # coordinator: pair the workers' entries across fragments, in
             # items order, as each worker indexed its own
             for sigma in rules:
-                cross = incted_step(
+                incted_step(
                     coord_index[sigma.name],
                     sigma,
                     sorted(per_rule_entries[sigma.name], key=lambda e: e.binding.items),
                     graph.T,
                     cross_only=True,
                     checked_pairs=coord_checked[sigma.name],
+                    found=found[sigma.name],
                 )
-                violations[sigma.name].extend(cross)
 
             shipped_now = {r: kept[r].shipped for r in sorted(frag_by_id)}
             worker_times = {
@@ -654,8 +661,7 @@ def run_parallel(
         name: list(pairs) for name, pairs in sorted(coord_checked.items())
     }
     # each owned match has one owner, so local and cross pairs never overlap
-    for name in violations:
-        violations[name] = sorted(violations[name], key=violation_key)
+    violations = {name: found.pop(name).in_report_order() for name in list(found)}
 
     # the coordinator's index holds every owned match, so it alone decides
     nontrivial = {

@@ -210,11 +210,11 @@ def test_incted_step_returns_only_new_violations():
     def entries(t):
         return index.plan.entries([MatchBinding.of(t, binding)], g.snapshot(t).attr)
 
-    step1 = incted_step(index, sigma, entries(1), g.T)
+    step1 = incted_step(index, sigma, entries(1), g.T).violations
     assert step1 == []
-    step2 = incted_step(index, sigma, entries(2), g.T)
+    step2 = incted_step(index, sigma, entries(2), g.T).violations
     assert len(step2) == 1 and step2[0].binding_j.t == 2
-    step3 = incted_step(index, sigma, entries(3), g.T)
+    step3 = incted_step(index, sigma, entries(3), g.T).violations
     # two fresh pairs (1,3) and (2,3); the (1,2) pair is not re-reported
     assert len(step3) == 2
     assert all(v.binding_j.t == 3 for v in step3)
@@ -326,6 +326,27 @@ def knows_rule() -> Tgfd:
         [VariableLiteral("x", "name", "x", "name")],
         [VariableLiteral("y", "code", "y", "code")],
     )
+
+
+def test_permissible_range_is_built_once_per_step(monkeypatch):
+    """incted_step builds one timestamp's range once, not once per entry;
+    the pairs it compares stay the same."""
+    import tgfd.detection as detection
+
+    rng = random.Random(4)
+    g = random_graph(rng, 30, 90)
+    for t in range(2, 6):
+        g = apply_changes(g, random_changes(rng, g, t, 8))
+    want = detect_sequential(g, [knows_rule()]).pairs_compared
+    calls = []
+
+    def counted(i, delta, T):
+        calls.append(i)
+        return permissible_range(i, delta, T)
+
+    monkeypatch.setattr(detection, "permissible_range", counted)
+    assert detect_sequential(g, [knows_rule()]).pairs_compared == want
+    assert want["k"] > 0 and 0 < len(calls) <= g.T and len(set(calls)) == len(calls)
 
 
 def detect_lines(graph, rules):

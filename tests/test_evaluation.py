@@ -355,12 +355,6 @@ def test_ledger_roundtrip():
 
 def test_score_perfect_detection():
     ledger = InjectionLedger(gamma_plus=[("r", (1, ("a",)), (2, ("a",)))])
-    violations = []  # build via fake pair ids: score consumes Violation objects
-
-    class FakePair:
-        pass
-
-    # use the real detector contract instead: craft via detection classes
     from tgfd.detection import PairViolation
     from tgfd.model import MatchBinding
 

@@ -412,6 +412,32 @@ def test_parallel_single_node_pattern_more_workers_than_matches():
     assert canonical_pairs(par.all_violations()) and canonical_pairs(seq_list)
 
 
+def test_pool_is_sized_by_the_fragments_that_own_vertices(monkeypatch):
+    """n = 40 on 12 vertices: 28 fragments own no vertex, so the pool holds
+    at most 12 threads, and the run still equals the sequential one.  A
+    larger pool fails in its constructor, before any thread starts."""
+    import tgfd.parallel as parallel
+
+    sizes = []
+
+    class Recording(parallel.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            assert max_workers is not None and max_workers <= 12
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", Recording)
+    rng = random.Random(5)
+    g = random_graph(rng, 12, 30)
+    for t in (2, 3):
+        g = apply_changes(g, random_changes(rng, g, t, 4))
+    rules = [simple_rule()]
+    seq = detect_sequential(g, rules).all_violations()
+    par = run_parallel(g, rules, n=40, seed=1)
+    assert len(sizes) == 1 and sizes[0] <= 12
+    assert seq and par.all_violations() == seq
+
+
 def test_parallel_deterministic_report():
     rng = random.Random(2)
     g = random_graph(rng, 16, 30)
