@@ -13,7 +13,7 @@ import functools
 import json
 import sys
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Dict, Iterator, Optional, Sequence, TextIO
 
 from .errors import TgfdError
 from .evaluation import (
@@ -161,21 +161,10 @@ def _violation_json(v: Violation) -> Dict:
     return doc
 
 
-def _violation_lines(violations: Iterable[Violation]) -> Iterator[str]:
-    """`format_violation` of each violation, one line each; PAIR lines are
-    built here, from each match's cached text."""
-    for v in violations:
-        if type(v) is PairViolation:
-            tgfd, a, b = v
-            yield f"{tgfd} PAIR t_i={a.t} t_j={b.t} {a.text} {b.text}\n"
-        else:
-            yield f"{format_violation(v)}\n"
-
-
 def _write_detection_text(out: TextIO, result) -> None:
     """One line per violation, then one `# rule nontrivial=` line per rule;
     a run without rules writes one empty line."""
-    out.writelines(_violation_lines(result.all_violations()))
+    out.writelines(f"{format_violation(v)}\n" for v in result.all_violations())
     out.writelines(
         f"# {name} nontrivial={'yes' if result.nontrivial[name] else 'no'}\n"
         for name in sorted(result.nontrivial)

@@ -85,10 +85,11 @@ def pair_id(v: Violation) -> Tuple:
 
 
 def format_violation(v: Violation) -> str:
-    if isinstance(v, PairViolation):
-        a, b = v.binding_i, v.binding_j
-        return f"{v.tgfd} PAIR t_i={a.t} t_j={b.t} {a.text} {b.text}"
-    return f"{v.tgfd} CONST t={v.binding.t} {v.binding.text} failed={v.failed}"
+    if type(v) is PairViolation:
+        tgfd, a, b = v
+        return f"{tgfd} PAIR t_i={a.t} t_j={b.t} {a.text} {b.text}"
+    tgfd, binding, failed = v
+    return f"{tgfd} CONST t={binding.t} {binding.text} failed={failed}"
 
 
 def permissible_range(i: int, delta: Delta, T: int) -> List[int]:
@@ -132,10 +133,10 @@ class ReportOrder:
         self.base = max(len(ids), 1)
         self.T = T
 
-    def halves(self, k: int) -> Callable[[MatchBinding], Tuple[int, int]]:
-        """(hi, lo) of a match of a k-variable rule."""
+    def halves(self, sigma: Tgfd) -> Callable[[MatchBinding], Tuple[int, int]]:
+        """(hi, lo) of a match of sigma."""
         rank, base = self.rank, self.base
-        b = base ** k
+        b = base ** len(sigma.pattern.labels)
         w2 = b ** 4 << POS_BITS
         w1, w3, w4, w5 = (self.T + 1) * w2, b ** 3 << POS_BITS, b ** 2 << POS_BITS, b << POS_BITS
 
@@ -152,10 +153,6 @@ class ReportOrder:
         return of
 
 
-def _no_order(binding: MatchBinding) -> Tuple[int, int]:
-    return 0, 0
-
-
 class KeyedViolations:
     """One rule's violations in the order found, and for each the int
     `report key << POS_BITS | position in violations`: sorting that one
@@ -166,6 +163,12 @@ class KeyedViolations:
     def __init__(self) -> None:
         self.violations: List[Violation] = []
         self.keys: List[int] = []
+
+    def __iter__(self) -> Iterator[Violation]:
+        return iter(self.violations)
+
+    def __len__(self) -> int:
+        return len(self.violations)
 
     def extend(self, other: "KeyedViolations") -> None:
         offset = len(self.violations)
@@ -196,13 +199,10 @@ class ValueProfile:
 
 
 class RulePlan:
-    """A rule's literals sorted into hashing and pairwise-evaluation routes.
-    order gives each entry its report-key halves; without one they are 0,
-    and a report keeps the order found."""
+    """A rule's literals sorted into hashing and pairwise-evaluation routes."""
 
-    def __init__(self, sigma: Tgfd, order: Optional[ReportOrder] = None):
+    def __init__(self, sigma: Tgfd):
         self.sigma = sigma
-        self.halves = order.halves(len(sigma.pattern.labels)) if order else _no_order
         self.x_const: List[ConstantLiteral] = []
         self.x_self: List[VariableLiteral] = []
         self.x_general: List[VariableLiteral] = []
@@ -226,9 +226,6 @@ class RulePlan:
         # Without general-form literals, both orientations give one verdict:
         # see pair_violates.
         self.one_orientation = not (self.x_general or self.y_general)
-        # ... and when Y is self-form only, a pair violates iff its two
-        # y_self values differ or either is missing: see incted_step
-        self.y_self_only = self.one_orientation and not self.y_const and bool(self.y_self)
 
     def profile(self, binding: MatchBinding, view_attr) -> Optional[ValueProfile]:
         """None when the binding can never realize X with any partner."""
@@ -268,17 +265,21 @@ class RulePlan:
         return ValueProfile(tuple(xvals), x_general, y_const_failed, y_self, y_general)
 
     def entries(
-        self, matches: Iterable[MatchBinding], attr, owner: int = 0
+        self,
+        matches: Iterable[MatchBinding],
+        attr,
+        halves: Callable[[MatchBinding], Tuple[int, int]],
+        owner: int = 0,
     ) -> List["IndexEntry"]:
         """One timestamp's matches as index entries, in items order: those
         that can realize X, profiled with attr, that timestamp's
-        `Snapshot.attr`.  owner is the fragment owning them (0 when
-        sequential)."""
+        `Snapshot.attr`, and keyed by halves (`ReportOrder.halves` of the
+        rule).  owner is the fragment owning them (0 when sequential)."""
         out = []
         for binding in sorted(matches, key=lambda b: b.items):
             profile = self.profile(binding, attr)
             if profile is not None:  # else it never enters the partitions
-                hi, lo = self.halves(binding)
+                hi, lo = halves(binding)
                 out.append(IndexEntry(binding.t, binding, profile, owner, hi, lo))
         return out
 
@@ -388,7 +389,6 @@ def incted_step(
     add_violation, add_key = violations.append, keys.append
     new_tuple = tuple.__new__  # PairViolation(...) runs a Python-level __new__
     name = sigma.name
-    y_self_only = plan.y_self_only
     rng_t, rng = None, []
     compared = 0
     for entry in entries:
@@ -398,25 +398,19 @@ def incted_step(
             if failed is not None and plan.pair_x_ok(entry, entry):
                 add_key(entry.hi + entry.lo + len(violations))
                 add_violation(ConstantViolation(name, entry.binding, failed))
-        by_t = index.classes.get(entry.profile.xkey) if plan.pair_based else None
-        if by_t:
+        if plan.pair_based:
             if entry.t != rng_t:
                 rng_t, rng = entry.t, permissible_range(entry.t, sigma.delta, T)
-            binding, lo, owner, y = entry.binding, entry.lo, entry.owner, entry.profile.y_self
-            for j in rng:
-                for other in by_t.get(j, ()):
-                    if cross_only and other.owner == owner:
-                        continue
-                    compared += 1
-                    if checked_pairs is not None:
-                        checked_pairs.append((other.binding, binding))
-                    if (
-                        (y is None or other.profile.y_self != y)
-                        if y_self_only
-                        else plan.pair_violates(other, entry)
-                    ):
-                        add_key(other.hi + lo + len(violations))
-                        add_violation(new_tuple(PairViolation, (name, other.binding, binding)))
+            binding, lo, owner = entry.binding, entry.lo, entry.owner
+            for other in index.partners(entry, rng):
+                if cross_only and other.owner == owner:
+                    continue
+                compared += 1
+                if checked_pairs is not None:
+                    checked_pairs.append((other.binding, binding))
+                if plan.pair_violates(other, entry):
+                    add_key(other.hi + lo + len(violations))
+                    add_violation(new_tuple(PairViolation, (name, other.binding, binding)))
         index.insert(entry)
     index.pairs_compared += compared
     return found
@@ -488,14 +482,17 @@ def detect_sequential(graph: TemporalGraph, tgfds: Sequence[Tgfd]) -> DetectionR
     each timestamp's matches as it streams by."""
     rules = normalize_all(tgfds)
     order = ReportOrder(graph.vertices, graph.T)
-    indexes = {sigma.name: MatchIndex(RulePlan(sigma, order)) for sigma in rules}
+    indexes = {sigma.name: MatchIndex(RulePlan(sigma)) for sigma in rules}
+    halves = {sigma.name: order.halves(sigma) for sigma in rules}
     found = {sigma.name: KeyedViolations() for sigma in rules}
     matchers: Dict[str, IncrementalMatcher] = {}
     for t, matchers in replay(graph, rules):
         attr = graph.snapshot(t).attr
         for sigma in rules:
             index = indexes[sigma.name]
-            entries = index.plan.entries(matchers[sigma.name].topological_matches(t), attr)
+            entries = index.plan.entries(
+                matchers[sigma.name].topological_matches(t), attr, halves[sigma.name]
+            )
             incted_step(index, sigma, entries, graph.T, found=found[sigma.name])
 
     return DetectionResult(

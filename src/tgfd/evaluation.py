@@ -38,6 +38,7 @@ from .model import (
 from .detection import (
     IndexEntry,
     MatchIndex,
+    ReportOrder,
     RulePlan,
     Violation,
     match_pair_id,
@@ -293,10 +294,11 @@ def _pool_from_matches(
     then by the two matches' items."""
     plan = RulePlan(sigma)
     index = MatchIndex(plan)
+    halves = ReportOrder(graph.vertices, graph.T).halves(sigma)
     pool = []
     for t in range(1, graph.T + 1):
         rng = permissible_range(t, sigma.delta, graph.T)
-        for entry in plan.entries(matches[t], graph.snapshot(t).attr):
+        for entry in plan.entries(matches[t], graph.snapshot(t).attr, halves):
             for other in index.partners(entry, rng):
                 if plan.pair_x_ok(other, entry) and plan.pair_y_ok(other, entry):
                     pool.append((other.binding, entry.binding))

@@ -362,7 +362,8 @@ class _JobState:
         self.sigma = sigma
         self.anchor_var = anchor_var
         self.matcher: Optional[IncrementalMatcher] = None
-        self.index = MatchIndex(RulePlan(sigma, order))
+        self.index = MatchIndex(RulePlan(sigma))
+        self.halves = order.halves(sigma)
         self.last_iso = 0
 
 
@@ -526,7 +527,7 @@ def run_parallel(
     report = RunReport()
     report.assignments.append((1, dict(assignment.mapping)))
 
-    coord_index: Dict[str, MatchIndex] = {s.name: MatchIndex(RulePlan(s, order)) for s in rules}
+    coord_index: Dict[str, MatchIndex] = {s.name: MatchIndex(RulePlan(s)) for s in rules}
     coord_checked: Dict[str, List[Tuple[MatchBinding, MatchBinding]]] = {s.name: [] for s in rules}
     found: Dict[str, KeyedViolations] = {s.name: KeyedViolations() for s in rules}
 
@@ -580,7 +581,7 @@ def run_parallel(
                         for b in state.matcher.topological_matches(t)
                         if owners[b.get(state.anchor_var)] == home
                     ]
-                    entries = state.index.plan.entries(owned, attr, owner=home)
+                    entries = state.index.plan.entries(owned, attr, state.halves, owner=home)
                     local = incted_step(state.index, state.sigma, entries, graph.T)
                     elapsed = _time.perf_counter() - started
                     if time_model == "wall":

@@ -47,29 +47,6 @@ def test_detect_medication_fixture(capsys, med_files):
     assert lines[0].startswith("dosage_rule CONST t=6")
 
 
-def test_text_report_lines_are_format_violation():
-    """The text writer builds PAIR lines itself; they must read as
-    format_violation's, and so must CONST lines."""
-    import io
-
-    from tgfd.cli import _write_detection_text
-    from tgfd.detection import PairViolation, detect_sequential, format_violation
-
-    from util import shaped_instance
-
-    kinds = set()
-    for seed in range(6):
-        g, rules = shaped_instance(seed)
-        result = detect_sequential(g, rules)
-        out = io.StringIO()
-        _write_detection_text(out, result)
-        found = result.all_violations()
-        lines = out.getvalue().splitlines()[: len(found)]
-        assert lines == [format_violation(v) for v in found]
-        kinds |= {type(v) is PairViolation for v in found}
-    assert kinds == {True, False}
-
-
 def test_detect_jsonlike(capsys, med_files):
     snap, changes, rules = med_files
     code, out, _ = run(

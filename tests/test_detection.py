@@ -7,6 +7,7 @@ from tgfd.detection import (
     IndexEntry,
     MatchIndex,
     PairViolation,
+    ReportOrder,
     RulePlan,
     ValueProfile,
     apply_mode,
@@ -205,16 +206,17 @@ def test_incted_step_returns_only_new_violations():
         [VariableLiteral("y", "code", "y", "code")],
     )
     index = MatchIndex(RulePlan(sigma))
+    halves = ReportOrder(g.vertices, g.T).halves(sigma)
     binding = {"x": "a", "y": "b"}
 
     def entries(t):
-        return index.plan.entries([MatchBinding.of(t, binding)], g.snapshot(t).attr)
+        return index.plan.entries([MatchBinding.of(t, binding)], g.snapshot(t).attr, halves)
 
-    step1 = incted_step(index, sigma, entries(1), g.T).violations
+    step1 = list(incted_step(index, sigma, entries(1), g.T))
     assert step1 == []
-    step2 = incted_step(index, sigma, entries(2), g.T).violations
+    step2 = list(incted_step(index, sigma, entries(2), g.T))
     assert len(step2) == 1 and step2[0].binding_j.t == 2
-    step3 = incted_step(index, sigma, entries(3), g.T).violations
+    step3 = list(incted_step(index, sigma, entries(3), g.T))
     # two fresh pairs (1,3) and (2,3); the (1,2) pair is not re-reported
     assert len(step3) == 2
     assert all(v.binding_j.t == 3 for v in step3)
@@ -237,10 +239,11 @@ def test_index_partitions_are_consistent():
         [VariableLiteral("y", "code", "y", "code")],
     )
     index = MatchIndex(RulePlan(sigma))
+    halves = ReportOrder(g.vertices, g.T).halves(sigma)
     inserted = []
     for t in (1, 2, 3):
         matches = [MatchBinding.of(t, {"x": a, "y": "b"}) for a in names]
-        incted_step(index, sigma, index.plan.entries(matches, g.snapshot(t).attr), g.T)
+        incted_step(index, sigma, index.plan.entries(matches, g.snapshot(t).attr, halves), g.T)
         inserted += sorted(matches, key=lambda b: b.items)
     # every inserted match sits in the bucket of its X value and timestamp,
     # and buckets keep insertion order

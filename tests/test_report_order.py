@@ -102,7 +102,7 @@ def instances(draw, T):
 
 def report_key(order: ReportOrder, sigma: Tgfd):
     """The integer key of a violation of sigma, from ReportOrder's halves."""
-    halves = order.halves(len(sigma.pattern.labels))
+    halves = order.halves(sigma)
 
     def key(v) -> int:
         if isinstance(v, PairViolation):
