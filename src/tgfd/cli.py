@@ -1,6 +1,10 @@
 """Command-line entry point.
 
 Subcommands: detect, detect-parallel, sat, implies, inject, eval, gen, plan.
+Each takes only options that its run reads: `--format` picks the report
+layout of `detect` and `detect-parallel`, and `--seed` drives the random
+choices of `detect-parallel` and `plan` (fragments), `inject` (sampling)
+and `gen` (the graph).  Any other option is a usage error.
 Exit codes: 0 success, 1 usage error, 2 input parse error, 3 the `sat`
 verdict was unsatisfiable.
 """
@@ -51,22 +55,22 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="tgfd", description="Temporal graph dependency engine")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, need_graph=True, need_tgfds=True):
+    def add_io(p, need_graph=True):
         if need_graph:
             p.add_argument("--graph", required=True, help="base snapshot file")
             p.add_argument("--changes", help="change file (t 2..T)")
-        if need_tgfds:
-            p.add_argument("--tgfds", required=True, help="rule definition file")
+        p.add_argument("--tgfds", required=True, help="rule definition file")
         p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument("--format", choices=["text", "jsonlike"], default="text")
-        p.add_argument("--seed", type=int, default=1)
 
     p = sub.add_parser("detect", help="sequential violation detection")
     add_io(p)
+    p.add_argument("--format", choices=["text", "jsonlike"], default="text")
     p.add_argument("--mode", choices=["tgfd", "gfd", "upper-only"], default="tgfd")
 
     p = sub.add_parser("detect-parallel", help="multi-worker violation detection")
     add_io(p)
+    p.add_argument("--format", choices=["text", "jsonlike"], default="text")
+    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--mode", choices=["tgfd", "gfd", "upper-only"], default="tgfd")
     p.add_argument("--workers", type=int, default=4)
     p.add_argument("--zeta", type=float, default=0.1)
@@ -83,18 +87,15 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("inject", help="inject consequent errors into a graph")
     add_io(p)
+    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--err", type=float, default=0.03, help="error rate in [0, 1]")
     p.add_argument("--negative", action="store_true", help="also inject negative errors")
     p.add_argument("--out-prefix", required=True, help="prefix for mutated graph + ledger")
 
-    p = sub.add_parser("eval", help="score detection output against a ledger")
+    p = sub.add_parser("eval", help="score sequential detection against a ledger")
     add_io(p)
     p.add_argument("--ledger", required=True)
     p.add_argument("--mode", choices=["tgfd", "gfd", "upper-only"], default="tgfd")
-    p.add_argument("--workers", type=int, default=0, help="0 runs sequentially")
-    p.add_argument("--zeta", type=float, default=0.1)
-    p.add_argument("--tl", type=float, default=0.0)
-    p.add_argument("--tu", type=float, default=float("inf"))
 
     p = sub.add_parser("gen", help="generate a synthetic temporal graph")
     p.add_argument("--vertices", type=int, default=100)
@@ -113,6 +114,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("plan", help="print the workload assignment without detecting")
     add_io(p)
+    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--workers", type=int, default=4)
     p.add_argument("--tl", type=float, required=True)
     p.add_argument("--tu", type=float, required=True)
@@ -133,7 +135,7 @@ def _load_inputs(args) -> tuple:
 @contextlib.contextmanager
 def _report_file(args) -> Iterator[TextIO]:
     """The report's destination: the `--out` file, else stdout."""
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             yield fh
     else:
@@ -270,10 +272,8 @@ def _run_implies(args) -> int:
     tgfds = parse_tgfd_file(_read(args.tgfds))
     queries = parse_tgfd_file(_read(args.query))
     lines = []
-    all_implied = True
     for query in queries:
         res = check_implication(tgfds, query)
-        all_implied &= res.implied
         verdict = "implied" if res.implied else "not-implied"
         if res.entry is not None:
             validity = ",".join(f"[{lo},{hi}]" for lo, hi in res.entry.validity)
@@ -306,14 +306,7 @@ def _run_inject(args) -> int:
 def _run_eval(args) -> int:
     graph, tgfds = _load_inputs(args)
     ledger = ledger_from_text(_read(args.ledger))
-    rules = apply_mode(tgfds, args.mode)
-    if args.workers > 0:
-        result = run_parallel(
-            graph, rules, n=args.workers, zeta=args.zeta,
-            bounds=(args.tl, args.tu), seed=args.seed,
-        )
-    else:
-        result = detect_sequential(graph, rules)
+    result = detect_sequential(graph, apply_mode(tgfds, args.mode))
     metrics = score(result.all_violations(), ledger)
     fpr_note = "" if metrics.fpr_defined else " (no negative pool)"
     _emit(

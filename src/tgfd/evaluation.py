@@ -13,7 +13,7 @@ import math
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import InvalidLedger, InvalidOption
 from .graph import (
@@ -53,6 +53,10 @@ CHANGE_PROFILES = {
     "skewed_ed": (0.075, 0.85, 0.075),
     "skewed_ei": (0.075, 0.075, 0.85),
 }
+# edge labels and attribute values of a generated graph; perfbench's
+# workloads repeat these sizes as LABELS and VALUES
+GEN_LABELS = 3
+GEN_VALUES = 8
 
 
 @dataclass(frozen=True)
@@ -186,8 +190,11 @@ def inject_errors(
     ledger = InjectionLedger()
 
     matches_by_rule = _all_matches(graph, rules)
+    order = ReportOrder(graph.vertices, graph.T)
     pools = {
-        sigma.name: _pool_from_matches(graph, sigma, matches_by_rule[sigma.name])
+        sigma.name: _pool_from_matches(
+            graph, sigma, matches_by_rule[sigma.name], order.halves(sigma)
+        )
         for sigma in rules
     }
     ledger.pool_size = sum(len(p) for p in pools.values())
@@ -288,13 +295,14 @@ def _pool_from_matches(
     graph: TemporalGraph,
     sigma: Tgfd,
     matches: Dict[int, Set[MatchBinding]],
+    halves: Callable[[MatchBinding], Tuple[int, int]],
 ) -> List[Tuple[MatchBinding, MatchBinding]]:
     """Pairs (earlier, later) inside the rule's interval satisfying X and Y,
     found through detection's X-value partitions; ordered by timestamps,
-    then by the two matches' items."""
+    then by the two matches' items.  halves is the rule's
+    `ReportOrder.halves`, which `RulePlan.entries` keys entries with."""
     plan = RulePlan(sigma)
     index = MatchIndex(plan)
-    halves = ReportOrder(graph.vertices, graph.T).halves(sigma)
     pool = []
     for t in range(1, graph.T + 1):
         rng = permissible_range(t, sigma.delta, graph.T)
@@ -418,8 +426,6 @@ def generate_synthetic(
     chg_rate: float,
     seed: int,
     profile: str = "uniform",
-    n_labels: int = 3,
-    value_pool: int = 8,
     hotspot_vids: Optional[Sequence[str]] = None,
 ) -> TemporalGraph:
     """Random typed graph evolved over T timestamps.
@@ -442,9 +448,9 @@ def generate_synthetic(
 
     vids = [f"v{i}" for i in range(vertices)]
     vertex_map = {vid: Vertex(vid, f"T{rng.randrange(types)}") for vid in vids}
-    labels = [f"l{i}" for i in range(n_labels)]
+    labels = [f"l{i}" for i in range(GEN_LABELS)]
     attr_names = [f"a{i}" for i in range(attrs)]
-    values = [f"val{i}" for i in range(value_pool)]
+    values = [f"val{i}" for i in range(GEN_VALUES)]
 
     edge_set: Set[Tuple[str, str, str]] = set()
     guard = 0

@@ -304,15 +304,9 @@ class SatResult:
 
 
 def overlap_class(anchor: Tgfd, tgfds: Sequence[Tgfd]) -> List[Tuple[Tgfd, Embedding]]:
-    """Rules embeddable into the anchor's pattern whose interval overlaps
-    the anchor's, under every embedding."""
-    members: List[Tuple[Tgfd, Embedding]] = []
-    for sigma in tgfds:
-        if not sigma.delta.overlaps(anchor.delta):
-            continue
-        for f in all_embeddings(sigma.pattern, anchor.pattern):
-            members.append((sigma, f))
-    return members
+    """The anchor pattern's embedded_class among the rules whose interval
+    overlaps the anchor's."""
+    return embedded_class(anchor.pattern, [s for s in tgfds if s.delta.overlaps(anchor.delta)])
 
 
 def embedded_class(anchor_pattern: GraphPattern, tgfds: Sequence[Tgfd]) -> List[Tuple[Tgfd, Embedding]]:

@@ -110,8 +110,6 @@ class Assignment:
     mapping: Dict[str, int]
     makespan: float
     total_cost: float
-    bounds: Tuple[float, float]
-    zeta: float = 0.0
 
 
 @dataclass
@@ -267,7 +265,6 @@ def gen_assign(
     jobs: Sequence[Job],
     n: int,
     bounds: Tuple[float, float],
-    zeta: float = 0.0,
 ) -> Assignment:
     """Bisection on the candidate makespan with greedy packing at each probe;
     returns the feasible assignment with the smallest makespan found."""
@@ -280,7 +277,7 @@ def gen_assign(
         if not (t_l <= job.size <= t_u):
             raise JobOutOfBounds(job.name, job.size, bounds)
     if not jobs:
-        return Assignment({}, 0.0, 0.0, bounds, zeta)
+        return Assignment({}, 0.0, 0.0)
     total = sum(j.size for j in jobs)
     biggest = max(j.size for j in jobs)
     lo = max(total / n, biggest)
@@ -305,7 +302,7 @@ def gen_assign(
         loads[worker] = loads.get(worker, 0.0) + jobs_by_name[name].size
         cost += jobs_by_name[name].cost_on(worker)
     makespan = max(loads.values()) if loads else 0.0
-    return Assignment(dict(sorted(best.items())), makespan, cost, bounds, zeta)
+    return Assignment(dict(sorted(best.items())), makespan, cost)
 
 
 # ---------------------------------------------------------------------------
@@ -355,15 +352,23 @@ class ParallelResult:
 
 
 class _JobState:
-    """Everything a job carries when it migrates between workers."""
+    """Everything a job carries when it migrates between workers.  Its
+    rule's plan and report-key halves are shared, read-only, with the
+    rule's other jobs, and the plan with the coordinator's index too."""
 
-    def __init__(self, job: Job, sigma: Tgfd, anchor_var: str, order: ReportOrder):
-        self.job = job
-        self.sigma = sigma
+    def __init__(
+        self,
+        plan: RulePlan,
+        home: int,
+        halves: Callable[[MatchBinding], Tuple[int, int]],
+        anchor_var: str,
+    ):
+        self.sigma = plan.sigma
+        self.home = home
         self.anchor_var = anchor_var
         self.matcher: Optional[IncrementalMatcher] = None
-        self.index = MatchIndex(RulePlan(sigma))
-        self.halves = order.halves(sigma)
+        self.index = MatchIndex(plan)
+        self.halves = halves
         self.last_iso = 0
 
 
@@ -515,19 +520,19 @@ def run_parallel(
     })
     full = graph.view(1)
     jobs = build_jobs(graph, rules, frags, full)
-    jobs_by_name = {j.name: j for j in jobs}
     order = ReportOrder(graph.vertices, graph.T)
-    states: Dict[str, _JobState] = {}
-    for sigma in rules:
-        for frag in frags:
-            job = jobs_by_name[f"{sigma.name}@f{frag.worker_id}"]
-            states[job.name] = _JobState(job, sigma, anchors[sigma.name], order)
+    plans = {sigma.name: RulePlan(sigma) for sigma in rules}
+    halves = {sigma.name: order.halves(sigma) for sigma in rules}
+    states = {
+        job.name: _JobState(plans[job.tgfd], job.home, halves[job.tgfd], anchors[job.tgfd])
+        for job in jobs
+    }
 
-    assignment = gen_assign([clamp_job(j, bounds) for j in jobs], n, bounds, zeta)
+    assignment = gen_assign([clamp_job(j, bounds) for j in jobs], n, bounds)
     report = RunReport()
     report.assignments.append((1, dict(assignment.mapping)))
 
-    coord_index: Dict[str, MatchIndex] = {s.name: MatchIndex(RulePlan(s)) for s in rules}
+    coord_index: Dict[str, MatchIndex] = {s.name: MatchIndex(plans[s.name]) for s in rules}
     coord_checked: Dict[str, List[Tuple[MatchBinding, MatchBinding]]] = {s.name: [] for s in rules}
     found: Dict[str, KeyedViolations] = {s.name: KeyedViolations() for s in rules}
 
@@ -562,7 +567,7 @@ def run_parallel(
                 results = []
                 for name in worker_jobs[w]:
                     state = states[name]
-                    home = state.job.home
+                    home = state.home
                     started = _time.perf_counter()
                     if t == 1:
                         state.matcher = IncrementalMatcher(state.sigma.pattern, kept[home].view)
@@ -640,11 +645,7 @@ def run_parallel(
             if out_of_band and t < graph.T:
                 fresh = build_jobs(graph, rules, frags, full)
                 fresh_by_name = {j.name: j for j in fresh}
-                for name, state in states.items():
-                    state.job = fresh_by_name[name]
-                new_assignment = gen_assign(
-                    [clamp_job(j, bounds) for j in fresh], n, bounds, zeta
-                )
+                new_assignment = gen_assign([clamp_job(j, bounds) for j in fresh], n, bounds)
                 moved_cost = 0.0
                 for name, worker in new_assignment.mapping.items():
                     if assignment.mapping.get(name) != worker:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import tgfd
-from tgfd.cli import main
+from tgfd.cli import _RUNNERS, _build_parser, main
 
 from conftest import (
     CONFLICT_RULES,
@@ -485,3 +486,101 @@ def test_parser_reused_after_usage_error(capsys, tmp_path):
     assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
     assert code == 3
     assert out_file.read_text() == fresh_out
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that records the names of the attributes read from it."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            self.__dict__.setdefault("_reads", set()).add(name)
+        return super().__getattribute__(name)
+
+
+@pytest.fixture
+def full_lines(med_files, tmp_path):
+    """{subcommand: a valid command line naming every option it takes}
+    over the medication fixture; the inject line writes eval's ledger."""
+    snap, changes, rules = med_files
+    io = ["--graph", str(snap), "--changes", str(changes), "--tgfds", str(rules)]
+    bounds = ["--workers", "2", "--tl", "0", "--tu", "1e9"]
+
+    def out(name):
+        return ["--out", str(tmp_path / name)]
+
+    return {
+        "detect": ["detect", *io, *out("detect.out"), "--format", "jsonlike", "--mode", "gfd"],
+        "detect-parallel": [
+            "detect-parallel", *io, *out("parallel.out"), "--format", "jsonlike",
+            "--seed", "2", "--mode", "upper-only", *bounds, "--zeta", "0.2",
+            "--time-model", "wall",
+        ],
+        "sat": ["sat", "--tgfds", str(rules), *out("sat.out")],
+        "implies": ["implies", "--tgfds", str(rules), "--query", str(rules), *out("implies.out")],
+        "inject": [
+            "inject", *io, *out("inject.out"), "--seed", "3", "--err", "0.5", "--negative",
+            "--out-prefix", str(tmp_path / "mut"),
+        ],
+        "eval": [
+            "eval", *io, *out("eval.out"), "--ledger", str(tmp_path / "mut.ledger"),
+            "--mode", "upper-only",
+        ],
+        "gen": [
+            "gen", "--vertices", "6", "--edges", "8", "--types", "2", "--attrs", "1",
+            "--T", "3", "--chg", "0.2", "--profile", "skewed_au", "--seed", "2",
+            "--out-prefix", str(tmp_path / "gen"),
+        ],
+        "plan": ["plan", *io, *out("plan.out"), "--seed", "2", *bounds],
+    }
+
+
+def _option_dests(argv):
+    return {a[2:].replace("-", "_") for a in argv if a.startswith("--")}
+
+
+@pytest.mark.parametrize("command", sorted(_RUNNERS))
+def test_every_parsed_option_is_read_by_its_runner(capsys, full_lines, command):
+    assert main(full_lines["inject"]) == 0  # eval reads the ledger it writes
+    argv = full_lines[command]
+    args = _build_parser().parse_args(argv, namespace=_ReadRecorder())
+    parsed = set(vars(args)) - {"command", "_reads"}
+    assert parsed == _option_dests(argv)
+    args.__dict__["_reads"] = set()  # parsing read some; count the runner's only
+    assert _RUNNERS[command](args) in (0, 3)
+    assert parsed - args.__dict__["_reads"] == set()
+
+
+def test_option_count_per_subcommand(full_lines):
+    parse = _build_parser().parse_args
+    counts = {cmd: len(vars(parse(argv))) - 1 for cmd, argv in full_lines.items()}  # - command
+    assert counts == {
+        "detect": 6, "detect-parallel": 12, "sat": 2, "implies": 3,
+        "inject": 8, "eval": 6, "gen": 9, "plan": 8,
+    }
+    assert sum(counts.values()) == 54
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("detect", "--seed", "1"),
+        ("sat", "--format", "text"),
+        ("sat", "--seed", "1"),
+        ("implies", "--format", "text"),
+        ("implies", "--seed", "1"),
+        ("inject", "--format", "text"),
+        ("eval", "--format", "text"),
+        ("eval", "--seed", "1"),
+        ("eval", "--workers", "2"),
+        ("eval", "--zeta", "0.1"),
+        ("eval", "--tl", "0"),
+        ("eval", "--tu", "1e9"),
+        ("plan", "--format", "text"),
+    ],
+)
+def test_removed_option_is_a_usage_error(capsys, tmp_path, full_lines, command, option, value):
+    code, out, err = run(capsys, [*full_lines[command], option, value])
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: tgfd ")
+    assert err.endswith(f"error: unrecognized arguments: {option} {value}\n")
+    assert not list(tmp_path.glob("*.out")) and not list(tmp_path.glob("mut.*"))
