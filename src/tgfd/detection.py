@@ -24,7 +24,7 @@ from typing import (
 )
 
 from .errors import InvalidGraph, InvalidOption
-from .graph import TemporalGraph, advance_view
+from .graph import Edge, GraphView, TemporalGraph, advance_view
 from .matcher import IncrementalMatcher
 from .model import (
     ConstantLiteral,
@@ -199,10 +199,16 @@ class ValueProfile:
 
 
 class RulePlan:
-    """A rule's literals sorted into hashing and pairwise-evaluation routes."""
+    """A rule's literals sorted into hashing and pairwise-evaluation routes.
+
+    A match's items are sorted by variable and bind every pattern variable,
+    so each variable sits at one fixed position of every match's items:
+    `slot` maps it there, and the profile reads each literal's vertex by
+    its slot."""
 
     def __init__(self, sigma: Tgfd):
         self.sigma = sigma
+        self.slot = {var: i for i, var in enumerate(sorted(sigma.pattern.vars))}
         self.x_const: List[ConstantLiteral] = []
         self.x_self: List[VariableLiteral] = []
         self.x_general: List[VariableLiteral] = []
@@ -226,42 +232,50 @@ class RulePlan:
         # Without general-form literals, both orientations give one verdict:
         # see pair_violates.
         self.one_orientation = not (self.x_general or self.y_general)
+        # the literals' (slot, attribute) reads, in the lists' order
+        slot = self.slot
+        self._x_const = [(slot[l.var], l.attr, l.value) for l in self.x_const]
+        self._x_self = [(slot[l.var1], l.attr1) for l in self.x_self]
+        self._x_general = [(slot[l.var1], l.attr1, slot[l.var2], l.attr2) for l in self.x_general]
+        self._y_const = [(slot[l.var], l.attr, l.value, l) for l in self.y_const]
+        self._y_self = [(slot[l.var1], l.attr1) for l in self.y_self]
+        self._y_general = [(slot[l.var1], l.attr1, slot[l.var2], l.attr2) for l in self.y_general]
 
     def profile(self, binding: MatchBinding, view_attr) -> Optional[ValueProfile]:
         """None when the binding can never realize X with any partner."""
-        for lit in self.x_const:
-            if view_attr(binding.get(lit.var), lit.attr) != lit.value:
+        items = binding.items
+        for i, attr, value in self._x_const:
+            if view_attr(items[i][1], attr) != value:
                 return None
         xvals = []
-        for lit in self.x_self:
-            value = view_attr(binding.get(lit.var1), lit.attr1)
+        for i, attr in self._x_self:
+            value = view_attr(items[i][1], attr)
             if value is None:
                 return None
             xvals.append(value)
         x_general = tuple(
-            (view_attr(binding.get(l.var1), l.attr1), view_attr(binding.get(l.var2), l.attr2))
-            for l in self.x_general
+            (view_attr(items[i][1], a), view_attr(items[j][1], b))
+            for i, a, j, b in self._x_general
         )
         y_const_failed = None
-        for lit in self.y_const:
-            if view_attr(binding.get(lit.var), lit.attr) != lit.value:
+        for i, attr, value, lit in self._y_const:
+            if view_attr(items[i][1], attr) != value:
                 y_const_failed = lit
                 break
         y_self: Optional[Tuple] = None
-        if self.y_self:
+        if self._y_self:
             vals = []
-            complete = True
-            for lit in self.y_self:
-                value = view_attr(binding.get(lit.var1), lit.attr1)
+            for i, attr in self._y_self:
+                value = view_attr(items[i][1], attr)
                 if value is None:
-                    complete = False
                     break
                 vals.append(value)
-            y_self = tuple(vals) if complete else None
+            else:
+                y_self = tuple(vals)
         y_general = tuple(
-            (view_attr(binding.get(l.var1), l.attr1), view_attr(binding.get(l.var2), l.attr2))
-            for l in self.y_general
-        ) if self.y_general else ()
+            (view_attr(items[i][1], a), view_attr(items[j][1], b))
+            for i, a, j, b in self._y_general
+        )
         return ValueProfile(tuple(xvals), x_general, y_const_failed, y_self, y_general)
 
     def entries(
@@ -461,20 +475,24 @@ def apply_mode(tgfds: Sequence[Tgfd], mode: str) -> List[Tgfd]:
 
 
 def replay(
-    graph: TemporalGraph, rules: Sequence[Tgfd]
-) -> Iterator[Tuple[int, Dict[str, IncrementalMatcher]]]:
-    """Yield (t, {rule name: matcher}) for t = 1..T, each matcher holding
-    snapshot t.  One view of the first snapshot is batch-matched once per
-    rule, then advanced by each change set in turn; every matcher reads that
+    graph: TemporalGraph, rules: Sequence[Tgfd], view: Optional[GraphView] = None
+) -> Iterator[Tuple[int, Dict[str, IncrementalMatcher], List[Edge]]]:
+    """Yield (t, {rule name: matcher}, flipped) for t = 1..T, each matcher
+    holding snapshot t and flipped the edges change set t flipped (none at
+    t = 1).  One view of the first snapshot (view, when the caller reads
+    it too, else graph.view(1)) is batch-matched once per rule, then
+    advanced in place by each change set in turn; every matcher reads that
     view and takes each flipped edge from it."""
-    view = graph.view(1)
+    if view is None:
+        view = graph.view(1)
     matchers = {sigma.name: IncrementalMatcher(sigma.pattern, view) for sigma in rules}
-    yield 1, matchers
+    yield 1, matchers, []
     for cs in graph.changesets:
-        for e in advance_view(view, cs):
+        flipped = advance_view(view, cs)
+        for e in flipped:
             for matcher in matchers.values():
                 matcher.apply(e)
-        yield cs.t, matchers
+        yield cs.t, matchers, flipped
 
 
 def detect_sequential(graph: TemporalGraph, tgfds: Sequence[Tgfd]) -> DetectionResult:
@@ -486,7 +504,7 @@ def detect_sequential(graph: TemporalGraph, tgfds: Sequence[Tgfd]) -> DetectionR
     halves = {sigma.name: order.halves(sigma) for sigma in rules}
     found = {sigma.name: KeyedViolations() for sigma in rules}
     matchers: Dict[str, IncrementalMatcher] = {}
-    for t, matchers in replay(graph, rules):
+    for t, matchers, _ in replay(graph, rules):
         attr = graph.snapshot(t).attr
         for sigma in rules:
             index = indexes[sigma.name]

@@ -100,7 +100,7 @@ def _all_matches(
 ) -> Dict[str, Dict[int, Set[MatchBinding]]]:
     """{rule name: {t: matches}}, from one replay of the change sets."""
     out: Dict[str, Dict[int, Set[MatchBinding]]] = {sigma.name: {} for sigma in rules}
-    for t, matchers in replay(graph, rules):
+    for t, matchers, _ in replay(graph, rules):
         for name, matcher in matchers.items():
             out[name][t] = matcher.topological_matches(t)
     return out

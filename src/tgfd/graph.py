@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 from collections import deque
+from itertools import chain
 from dataclasses import dataclass
 from typing import (
     AbstractSet,
@@ -90,9 +91,8 @@ class GraphView:
 
     Attributes are read from `TemporalGraph.snapshot(t)`.  A view evolves
     in place: a replay advances one full view by each change set
-    (`advance_view`), and the parallel engine also moves each fragment's
-    view.  Matchers only read the view they are given; TemporalGraph itself
-    stays immutable.
+    (`advance_view`); its vertex set never changes.  Matchers only read the
+    view they are given; TemporalGraph itself stays immutable.
     """
 
     __slots__ = ("t", "types", "edges", "_out", "_in", "_by_type")
@@ -142,16 +142,6 @@ class GraphView:
         return seen
 
     # -- mutation (views being advanced) ---------------------------------
-
-    def add_vertex(self, vid: str, label: str) -> None:
-        if vid not in self.types:
-            self.types[vid] = label
-            self._by_type.setdefault(label, set()).add(vid)
-
-    def remove_vertex(self, vid: str) -> None:
-        label = self.types.pop(vid, None)
-        if label is not None:
-            self._by_type[label].discard(vid)
 
     def add_edge(self, e: Edge) -> None:
         if e not in self.edges:
@@ -330,6 +320,84 @@ def ball_vertices(
                     hops[nxt] = dist + 1
                     frontier.append(nxt)
     return set(hops)
+
+
+def repair_ball(
+    view: GraphView, d: int, hops: Dict[str, int], flipped: Iterable[Edge]
+) -> Tuple[Set[str], Set[str]]:
+    """Move hops, the hop map `ball_vertices` filled for a radius-d ball, to
+    the view after the edge flips `flipped`, which the view already shows;
+    returns the vertices that (entered, left) the ball.
+
+    A dynamic BFS in the manner of Ramalingam and Reps, for unit weights.
+    First, one hop level at a time from the center, a vertex that lost its
+    last neighbour one hop closer (the edge was deleted, or that neighbour
+    lost its distance) loses its distance too.  Then a BFS bucketed by
+    distance offers each such vertex one more than its closest surviving
+    neighbour, and each endpoint of an inserted edge one more than the
+    other; offers only ever shorten a distance, and each accepted one
+    spreads to the vertex's neighbours while it stays below d."""
+    out_edges, in_edges, present = view.out_edges, view.in_edges, view.edges
+    lost: Dict[int, Set[str]] = {}  # hop level -> vertices that lost a parent
+    inserted = []
+    for e in flipped:
+        src, _, dst = e
+        if src == dst:
+            continue  # a self-loop never shortens or lengthens a path
+        if e in present:
+            inserted.append((src, dst))
+            continue
+        hs, hd = hops.get(src), hops.get(dst)
+        if hs is not None and hd is not None:
+            if hd == hs + 1:
+                lost.setdefault(hd, set()).add(dst)
+            elif hs == hd + 1:
+                lost.setdefault(hs, set()).add(src)
+
+    dropped: Set[str] = set()
+    for level in range(1, d + 1):
+        if level not in lost:
+            continue
+        up, down = level - 1, level + 1
+        for vid in lost[level]:
+            for _, other in chain(out_edges(vid), in_edges(vid)):
+                if hops.get(other) == up:
+                    break  # a parent survives
+            else:
+                del hops[vid]
+                dropped.add(vid)
+                if level < d:
+                    children = [
+                        o for _, o in chain(out_edges(vid), in_edges(vid)) if hops.get(o) == down
+                    ]
+                    if children:
+                        lost.setdefault(down, set()).update(children)
+
+    entered: Set[str] = set()
+    buckets: Dict[int, List[str]] = {}  # distance -> vertices offered it
+
+    def offer(vid: str, dist: int) -> None:
+        if dist < hops.get(vid, d + 1):
+            if vid not in hops and vid not in dropped:
+                entered.add(vid)
+            hops[vid] = dist
+            buckets.setdefault(dist, []).append(vid)
+
+    for vid in dropped:
+        near = [hops[o] for _, o in chain(out_edges(vid), in_edges(vid)) if o in hops]
+        if near:
+            offer(vid, min(near) + 1)
+    for src, dst in inserted:
+        if src in hops:
+            offer(dst, hops[src] + 1)
+        if dst in hops:
+            offer(src, hops[dst] + 1)
+    for dist in range(1, d):
+        for vid in buckets.get(dist, ()):
+            if hops[vid] == dist:  # else a later offer shortened it
+                for _, other in chain(out_edges(vid), in_edges(vid)):
+                    offer(other, dist + 1)
+    return entered, dropped.difference(hops)
 
 
 def ball_edges(view: GraphView, ball: Set[str]) -> Set[Edge]:

@@ -4,9 +4,13 @@ match maintenance under single changes.
 The incremental matcher keeps one set of complete pattern matches over a
 view that holds vertex types and edges only, and that its caller advances.
 An inserted edge seeds a whole-pattern search at every pattern edge it can
-play; a deleted edge drops the matches indexed under it; attribute changes
-never reach the matcher, since literals are evaluated in detection.  Path
-decomposition remains for the parallel engine's workload estimates.
+play (`playable_edges`); a deleted edge drops the matches indexed under it;
+attribute changes never reach the matcher, since literals are evaluated in
+detection.  Both engines keep one matcher per rule on the full view: the
+parallel engine splits its matches among fragments by anchor owner, and
+charges each fragment's job the searches `playable_edges` counts on that
+fragment's edge flips.  Path decomposition remains for the parallel
+engine's workload estimates.
 
 Searches are local: a variable's candidates come from the edges of its
 already placed pattern neighbours (the label-filtered adjacency of each,
@@ -18,7 +22,7 @@ placed neighbour, scans its whole type class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Collection, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 from .graph import Edge, GraphView
 from .model import (
@@ -46,6 +50,27 @@ class PathPattern:
 def _label_ok(pattern: GraphPattern, var: str, view: GraphView, vid: str) -> bool:
     want = pattern.label_of(var)
     return want == WILDCARD or view.type_of(vid) == want
+
+
+def playable_edges(
+    pattern: GraphPattern, e: Edge, type_of: Callable[[str], Optional[str]]
+) -> List[Tuple[str, str, str]]:
+    """The pattern edges the data edge e can play: the same label, a
+    self-loop exactly when e is one, and end labels admitting the types
+    type_of gives e's endpoints.  An inserted e seeds one localized search
+    when this is not empty."""
+    src, label, dst = e
+    loop = src == dst
+    out = []
+    for pe in pattern.edges:
+        psrc, plabel, pdst = pe
+        if plabel == label and (psrc == pdst) == loop:
+            want_src, want_dst = pattern.label_of(psrc), pattern.label_of(pdst)
+            if (want_src == WILDCARD or want_src == type_of(src)) and (
+                want_dst == WILDCARD or want_dst == type_of(dst)
+            ):
+                out.append(pe)
+    return out
 
 
 def decompose(pattern: GraphPattern, constants: Iterable[ConstantLiteral] = ()) -> List[PathPattern]:
@@ -258,12 +283,11 @@ class IncrementalMatcher:
     """Maintains the matches of one pattern over one evolving view.
 
     The matcher keeps the view it is given and never writes it: whoever
-    advances the view (a replay, a parallel fragment) hands each edge whose
-    presence flipped to `apply`, and each vertex that entered or left to
-    `sync_vertex`.  The initial matches are a batch match of the view, and
-    `topological_matches()` tracks exactly what a batch re-match of the
-    current view would return.  `iso_searches` counts inserted edges that
-    seeded a localized search.
+    advances the view (`detection.replay`) hands each edge whose presence
+    flipped to `apply`.  The view's vertex set never changes.  The initial
+    matches are a batch match of the view, and `topological_matches()`
+    tracks exactly what a batch re-match of the current view would return.
+    `iso_searches` counts inserted edges that seeded a localized search.
     """
 
     def __init__(self, pattern: GraphPattern, view: GraphView):
@@ -294,39 +318,17 @@ class IncrementalMatcher:
             return self._insert_edge(e), set()
         return set(), self._delete_edge(e)
 
-    def sync_vertex(self, vid: str) -> None:
-        """Update the matches for a vertex that entered or left the view.
-
-        Only an edge-free pattern can match a vertex on its own; any other
-        pattern's matches change through the flips of the vertex's edges.
-        """
-        if self.pattern.edges:
-            return
-        var = self.pattern.vars[0]
-        if self.view.type_of(vid) is not None and _label_ok(self.pattern, var, self.view, vid):
-            self._complete.add(((var, vid),))
-        else:
-            self._complete.discard(((var, vid),))
-
     def _insert_edge(self, e: Edge) -> Set[AssignmentKey]:
-        src, label, dst = e
+        src, _, dst = e
         added: Set[AssignmentKey] = set()
-        seeded = False
-        for (psrc, plabel, pdst) in self.pattern.edges:
-            if plabel != label or (psrc == pdst) != (src == dst):
-                continue
-            if not (
-                _label_ok(self.pattern, psrc, self.view, src)
-                and _label_ok(self.pattern, pdst, self.view, dst)
-            ):
-                continue
-            seeded = True
+        playable = playable_edges(self.pattern, e, self.view.type_of)
+        for (psrc, _, pdst) in playable:
             for a in _match_vars(self.pattern, self.view, seed={psrc: src, pdst: dst}):
                 key = _key(a)
                 if key not in self._complete:
                     self._add(key)
                     added.add(key)
-        if seeded:
+        if playable:
             # localized isomorphism around the new edge's endpoints
             self.iso_searches += 1
         return added
@@ -346,9 +348,6 @@ class IncrementalMatcher:
         return removed
 
     # -- results --------------------------------------------------------------
-
-    def complete_keys(self) -> Set[AssignmentKey]:
-        return set(self._complete)
 
     def topological_matches(self, t: int) -> Set[MatchBinding]:
         return {MatchBinding(t=t, items=key) for key in self._complete}

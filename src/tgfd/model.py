@@ -380,23 +380,3 @@ def parse_tgfd_file(text: str) -> List[Tgfd]:
             raise TgfdSyntaxError(f"unknown directive {head!r}", lineno)
     flush(len(text.splitlines()))
     return rules
-
-
-def format_tgfd(sigma: Tgfd) -> str:
-    """Serialize one rule in the definition language."""
-    lines = [f"tgfd {sigma.name}"]
-    for var, label in sigma.pattern.nodes:
-        lines.append(f"vertex {var} {label}")
-    for src, label, dst in sigma.pattern.edges:
-        lines.append(f"edge {src} {label} {dst}")
-    lines.append(f"delta ({sigma.delta.p}, {sigma.delta.q})")
-
-    def fmt(lit: Literal) -> str:
-        if isinstance(lit, ConstantLiteral):
-            return f'{lit.var}.{lit.attr} = "{lit.value}"'
-        return f"{lit.var1}.{lit.attr1} == {lit.var2}.{lit.attr2}"
-
-    if sigma.x_literals:
-        lines.append("x: " + "; ".join(fmt(l) for l in sorted(sigma.x_literals, key=literal_sort_key)))
-    lines.append("y: " + "; ".join(fmt(l) for l in sorted(sigma.y_literals, key=literal_sort_key)))
-    return "\n".join(lines) + "\n"

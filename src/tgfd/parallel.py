@@ -1,21 +1,31 @@
 """Coordinator/worker detection over fragmented graphs.
 
 Workers are concurrent in-process units.  The vertex set is partitioned into
-fragments; each (rule, fragment) pair forms a job whose matcher sees the
-fragment plus the induced balls around its candidate anchor vertices (the
-"shipped" edges).  Each superstep processes one timestamp under a barrier:
-workers maintain matches and detect violations among matches anchored on
-their own fragment, the coordinator pairs matches across fragments, and job
+fragments; each (rule, fragment) pair forms a job that owns the rule's
+matches anchored on the fragment's vertices.  Each superstep processes one
+timestamp under a barrier: workers detect violations among the matches
+their jobs own, the coordinator pairs matches across fragments, and job
 runtimes outside the allowed band trigger a workload reassignment.
 
-Fragment views are built once, at t = 1, and then advanced in place from
-each change set (IncEval in the sense of GRAPE): one full view takes the
-change set's edge changes, and each fragment recomputes only the balls that
-hold an endpoint of a flipped edge strictly inside their radius, then
-re-checks the flipped edges and those incident to vertices that entered or
-left a ball.  The coordinator thread advances the views between supersteps;
-every job's matcher reads its home fragment's view and takes that view's
-flips, which equal a full diff of the rebuilt view.
+Matching happens once per rule, on the full view: `detection.replay`
+advances one view by each change set and hands its flips to one incremental
+matcher per rule, and each superstep splits every rule's matches by the
+fragment that owns their anchor.  The split is exact: a match lies within
+pattern-diameter hops of its anchor, so the view a matcher of one fragment
+would read (the owned vertices plus the diameter balls around owned anchor
+candidates, whose cross edges are the "shipped" ones) holds every match
+anchored there.
+
+Those fragment views remain as the cost model: the size time model and the
+shipped-edge counts are measured on them.  Each is a vertex set and an edge
+set, built once, at t = 1, and advanced in place from each change set
+(IncEval in the sense of GRAPE): a ball takes only the flips with an
+endpoint strictly inside its radius and repairs its hop map with a bounded
+dynamic BFS (`graph.repair_ball`); only the flipped edges and the edges from
+a vertex that entered or left a ball to that ball are checked again.  Balls
+keep the diameter as radius: the pattern radius around the anchor would
+hold the same matches with fewer shipped edges, but would change every
+reported shipped count.
 """
 
 from __future__ import annotations
@@ -33,12 +43,12 @@ from .graph import (
     GraphView,
     Snapshot,
     TemporalGraph,
-    advance_view,
     ball_edges,
     ball_vertices,
     changed_attrs,
+    repair_ball,
 )
-from .matcher import IncrementalMatcher, tgfd_paths
+from .matcher import playable_edges, tgfd_paths
 from .model import WILDCARD, ConstantLiteral, MatchBinding, Tgfd, normalize_all
 from .detection import (
     IndexEntry,
@@ -49,6 +59,7 @@ from .detection import (
     Violation,
     incted_step,
     nontrivially_exercised,
+    replay,
 )
 
 REBALANCE_FIXED_COST = 1.0
@@ -173,6 +184,21 @@ def _center_candidates(
     return sorted(vid for vid in pool if all(snap.attr(vid, l.attr) == l.value for l in lits))
 
 
+def _ball_ship(full: GraphView, center: str, radius: int, owned: frozenset) -> Tuple[int, int]:
+    """(edges with an endpoint off owned, all edges) inside center's
+    radius ball of the full view, counted by walking the ball's out-edges."""
+    ball = ball_vertices(full, center, radius)
+    crossing = inside = 0
+    for src in ball:
+        src_off = src not in owned
+        for _, dst in full.out_edges(src):
+            if dst in ball:
+                inside += 1
+                if src_off or dst not in owned:
+                    crossing += 1
+    return crossing, inside
+
+
 def build_jobs(
     graph: TemporalGraph,
     tgfds: Sequence[Tgfd],
@@ -217,9 +243,9 @@ def build_jobs(
                 )
                 path_estimates.append(len(centers) * per_edge)
                 for center in centers:
-                    inside = ball_edges(full, ball_vertices(full, center, path.radius))
-                    ship_in += sum(1 for e in inside if e[0] not in owned or e[2] not in owned)
-                    ship_all += len(inside)
+                    crossing, inside = _ball_ship(full, center, path.radius, owned)
+                    ship_in += crossing
+                    ship_all += inside
             size = min(path_estimates) if path_estimates else 0.0
             jobs.append(
                 Job(
@@ -361,22 +387,21 @@ class _JobState:
         plan: RulePlan,
         home: int,
         halves: Callable[[MatchBinding], Tuple[int, int]],
-        anchor_var: str,
     ):
         self.sigma = plan.sigma
         self.home = home
-        self.anchor_var = anchor_var
-        self.matcher: Optional[IncrementalMatcher] = None
         self.index = MatchIndex(plan)
         self.halves = halves
-        self.last_iso = 0
 
 
 class _FragmentView:
-    """A fragment's working view, kept across supersteps: the owned vertices
-    plus the radius balls of the full view around owned anchor candidates,
-    and every full-view edge whose endpoints are both owned or lie in one
-    ball.  anchor_specs lists (anchor label, ball radius)."""
+    """A fragment's share of the full view, kept across supersteps as the
+    size model's and the ship counts' measure: the owned vertices plus the
+    balls of the full view around owned anchor candidates, and every
+    full-view edge whose endpoints are both owned or lie in one ball.
+    anchor_specs lists (anchor label, ball radius).  No matcher reads it:
+    `vertices` and `edges` are the vertex and edge sets of the view a
+    matcher of this fragment alone would need."""
 
     def __init__(self, full: GraphView, owned: frozenset, anchor_specs: Sequence[Tuple[str, int]]):
         self.owned = owned
@@ -384,7 +409,6 @@ class _FragmentView:
         self.balls: Dict[Tuple[str, int], Dict[str, int]] = {}
         # vertex -> keys of the balls holding it
         self.holders: Dict[str, Set[Tuple[str, int]]] = {}
-        edges = ball_edges(full, owned)
         for label, radius in anchor_specs:
             candidates = owned if label == WILDCARD else [
                 v for v in owned if full.type_of(v) == label
@@ -393,15 +417,20 @@ class _FragmentView:
                 key = (center, radius)
                 if key not in self.balls:
                     hops: Dict[str, int] = {}
-                    edges |= ball_edges(full, ball_vertices(full, center, radius, hops))
+                    ball_vertices(full, center, radius, hops)
                     self.balls[key] = hops
                     for vid in hops:
                         self.holders.setdefault(vid, set()).add(key)
-        nodes = set(owned).union(self.holders)
-        self.view = GraphView(full.t, {vid: full.type_of(vid) for vid in nodes}, edges)
+        self.vertices: Set[str] = set(owned).union(self.holders)
+        self.edges: Set[Edge] = {
+            (src, label, dst)
+            for src in self.vertices
+            for label, dst in full.out_edges(src)
+            if self._holds(src, dst)
+        }
         # cross edges new to the view at its last move: owned sets never
         # change, so after the first build these are the inserted ones
-        self.shipped = self._count_cross(edges)
+        self.shipped = self._count_cross(self.edges)
         self.attr_units = 0
 
     def _holds(self, src: str, dst: str) -> bool:
@@ -412,69 +441,75 @@ class _FragmentView:
 
     def advance(
         self, full: GraphView, flipped: Sequence[Edge], changed: Sequence[Tuple[str, str]]
-    ) -> Tuple[List[Edge], List[str]]:
+    ) -> List[Edge]:
         """Move the view to the full view after the given edge flips; returns
-        the view's own flips: the edges whose presence changed and the
-        vertices that entered or left, each sorted.  changed lists the
-        (vertex, attribute) slots that changed value; `attr_units` counts
-        those on vertices that stay in the view."""
-        # A ball (its vertices and their hop distances) can change only if
-        # a flipped edge has an endpoint fewer than radius hops from the
-        # center: on a path of at most radius hops, the first flipped edge
-        # is reached in fewer hops, over edges that did not flip.
-        stale = {
-            key
-            for src, _, dst in flipped
-            for vid in (src, dst)
-            for key in self.holders.get(vid, ())
-            if self.balls[key][vid] < key[1]
-        }
+        the edges whose presence in the view changed, sorted.  changed lists
+        the (vertex, attribute) slots that changed value; `attr_units`
+        counts those on vertices that stay in the view."""
+        # A ball (its vertices and their hop distances) can change only
+        # through a flipped edge with an endpoint fewer than radius hops
+        # from the center: on a path of at most radius hops, the first
+        # flipped edge is reached in fewer hops, over edges that did not
+        # flip.  Each such ball takes only those flips.
+        near: Dict[Tuple[str, int], List[Edge]] = {}
+        holders, balls = self.holders, self.balls
+        for e in flipped:
+            src, _, dst = e
+            if src == dst:
+                continue  # a self-loop moves no distance
+            for vid in (src, dst):
+                for key in holders.get(vid, ()):
+                    if balls[key][vid] < key[1]:
+                        taken = near.setdefault(key, [])
+                        if not taken or taken[-1] is not e:  # both ends inside
+                            taken.append(e)
+
+        # An edge's presence can change only if it flipped, or if one end
+        # entered or left a ball that holds the other end (before or after).
+        recheck = set(flipped)
         moved: Set[str] = set()
-        for key in stale:
-            old = self.balls[key]
-            hops: Dict[str, int] = {}
-            ball_vertices(full, key[0], key[1], hops)
-            self.balls[key] = hops
-            for vid in old.keys() - hops.keys():
-                keys = self.holders[vid]
+        for key, edges in near.items():
+            hops = balls[key]
+            entered, left = repair_ball(full, key[1], hops, edges)
+            for vid in left:
+                keys = holders[vid]
                 keys.discard(key)
                 if not keys:
-                    del self.holders[vid]
-                moved.add(vid)
-            for vid in hops.keys() - old.keys():
-                self.holders.setdefault(vid, set()).add(key)
-                moved.add(vid)
+                    del holders[vid]
+            for vid in entered:
+                holders.setdefault(vid, set()).add(key)
+            for group in (entered, left):
+                for vid in group:
+                    for label, other in full.out_edges(vid):
+                        if other in hops or other in left:
+                            recheck.add((vid, label, other))
+                    for label, other in full.in_edges(vid):
+                        if other in hops or other in left:
+                            recheck.add((other, label, vid))
+                moved |= group
 
-        view = self.view
-        recheck = set(flipped)
-        for vid in moved:
-            recheck.update((vid, label, dst) for label, dst in full.out_edges(vid))
-            recheck.update((src, label, vid) for label, src in full.in_edges(vid))
+        kept = self.edges
         deleted, inserted = [], []
         for e in recheck:
             now = e in full.edges and self._holds(e[0], e[2])
-            if now != (e in view.edges):
+            if now != (e in kept):
                 (inserted if now else deleted).append(e)
-        exits, enters = [], []
+        kept.difference_update(deleted)
+        kept.update(inserted)
+        enters = set()
         for vid in moved:
-            now = vid in self.owned or vid in self.holders
-            if now != (vid in view.types):
-                (enters if now else exits).append(vid)
-
-        for e in deleted:
-            view.remove_edge(e)
-        for vid in exits:
-            view.remove_vertex(vid)
-        for vid in enters:
-            view.add_vertex(vid, full.type_of(vid))
-        for e in inserted:
-            view.add_edge(e)
-        view.t = full.t
+            now = vid in self.owned or vid in holders
+            if now != (vid in self.vertices):
+                if now:
+                    self.vertices.add(vid)
+                    enters.add(vid)
+                else:
+                    self.vertices.discard(vid)
         self.shipped = self._count_cross(inserted)
         self.attr_units = sum(
-            1 for vid, _ in changed if vid in view.types and vid not in enters
+            1 for vid, _ in changed if vid in self.vertices and vid not in enters
         )
-        return sorted(deleted + inserted), sorted(exits + enters)
+        return sorted(deleted + inserted)
 
     def _count_cross(self, edges: Iterable[Edge]) -> int:
         return sum(1 for src, _, dst in edges if src not in self.owned or dst not in self.owned)
@@ -494,11 +529,12 @@ def run_parallel(
 ) -> ParallelResult:
     """Detect violations with n workers over T supersteps.
 
-    time_model "size" charges one unit per applied edge change and per
-    attribute that changed value on a vertex staying in the job's view, plus
-    two per localized search, plus the live match count (deterministic); "wall"
-    measures real elapsed time.  time_hook may rewrite a job's measured
-    time (tests use it to force rebalances).
+    time_model "size" charges a job one unit, plus one per edge flip of its
+    fragment's view and per attribute that changed value on a vertex
+    staying in that view, plus two per flip inserted into that view that
+    can play one of the rule's pattern edges, plus one per match it owns
+    (deterministic); "wall" measures real elapsed time.  time_hook may
+    rewrite a job's measured time (tests use it to force rebalances).
     """
     if n < 1:
         raise InvalidOption("need at least one worker")
@@ -524,9 +560,9 @@ def run_parallel(
     plans = {sigma.name: RulePlan(sigma) for sigma in rules}
     halves = {sigma.name: order.halves(sigma) for sigma in rules}
     states = {
-        job.name: _JobState(plans[job.tgfd], job.home, halves[job.tgfd], anchors[job.tgfd])
-        for job in jobs
+        job.name: _JobState(plans[job.tgfd], job.home, halves[job.tgfd]) for job in jobs
     }
+    anchor_slots = {sigma.name: plans[sigma.name].slot[anchors[sigma.name]] for sigma in rules}
 
     assignment = gen_assign([clamp_job(j, bounds) for j in jobs], n, bounds)
     report = RunReport()
@@ -547,15 +583,25 @@ def run_parallel(
     # a fragment without vertices owns no match, so its jobs need no thread
     busy = sum(1 for f in frags if f.owned_vertices)
     with ThreadPoolExecutor(max_workers=max(1, min(n, busy))) as pool:
-        for t in range(1, graph.T + 1):
+        # one matcher per rule on the full view; the views move here, on
+        # this thread, and the workers only read them
+        for t, matchers, flipped in replay(graph, rules, full):
             attr = graph.snapshot(t).attr
-            # the views move here, on this thread; the workers only read them
-            flips: Dict[int, Tuple[List[Edge], List[str]]] = {}
+            flips: Dict[int, List[Edge]] = {}
             if t > 1:
-                flipped = advance_view(full, graph.changesets[t - 2])
                 changed = changed_attrs(graph, t)
                 for r in sorted(frag_by_id):
                     flips[r] = kept[r].advance(full, flipped, changed)
+
+            # every match lies in the ball around its anchor, which the
+            # anchor owner's view holds: each job takes its home's share
+            shares: Dict[str, Dict[int, List[MatchBinding]]] = {}
+            for sigma in rules:
+                split: Dict[int, List[MatchBinding]] = {r: [] for r in frag_by_id}
+                slot = anchor_slots[sigma.name]
+                for b in matchers[sigma.name].topological_matches(t):
+                    split[owners[b.items[slot][1]]].append(b)
+                shares[sigma.name] = split
 
             worker_jobs: Dict[int, List[str]] = {w: [] for w in range(1, n + 1)}
             for name, worker in assignment.mapping.items():
@@ -569,30 +615,23 @@ def run_parallel(
                     state = states[name]
                     home = state.home
                     started = _time.perf_counter()
-                    if t == 1:
-                        state.matcher = IncrementalMatcher(state.sigma.pattern, kept[home].view)
-                        applied = 0
-                    else:
-                        edges, vertices = flips[home]
-                        for e in edges:
-                            state.matcher.apply(e)
-                        for vid in vertices:
-                            state.matcher.sync_vertex(vid)
-                        applied = len(edges) + kept[home].attr_units
-                    iso_delta = state.matcher.iso_searches - state.last_iso
-                    state.last_iso = state.matcher.iso_searches
-                    owned = [
-                        b
-                        for b in state.matcher.topological_matches(t)
-                        if owners[b.get(state.anchor_var)] == home
-                    ]
+                    owned = shares[state.sigma.name][home]
                     entries = state.index.plan.entries(owned, attr, state.halves, owner=home)
                     local = incted_step(state.index, state.sigma, entries, graph.T)
                     elapsed = _time.perf_counter() - started
                     if time_model == "wall":
                         measured = elapsed
                     else:
-                        measured = 1.0 + applied + 2.0 * iso_delta + len(owned)
+                        measured = 1.0 + len(owned)
+                        if t > 1:
+                            view = kept[home]
+                            pattern = state.sigma.pattern
+                            searches = sum(
+                                1
+                                for e in flips[home]
+                                if e in view.edges and playable_edges(pattern, e, full.type_of)
+                            )
+                            measured += len(flips[home]) + view.attr_units + 2.0 * searches
                     if time_hook is not None:
                         measured = time_hook(t, name, measured)
                     results.append((name, entries, local, measured))
@@ -643,7 +682,8 @@ def run_parallel(
                 if measured < lo_band or measured > hi_band
             ]
             if out_of_band and t < graph.T:
-                fresh = build_jobs(graph, rules, frags, full)
+                # at t = 1 the full view is still the one jobs were built on
+                fresh = jobs if t == 1 else build_jobs(graph, rules, frags, full)
                 fresh_by_name = {j.name: j for j in fresh}
                 new_assignment = gen_assign([clamp_job(j, bounds) for j in fresh], n, bounds)
                 moved_cost = 0.0

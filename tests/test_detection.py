@@ -429,10 +429,12 @@ def test_replay_matchers_share_one_view():
         g = apply_changes(g, random_changes(rng, g, t, 8))
     rules = [random_tgfd(rng, f"r{i}", max_edges=2, T=g.T) for i in range(3)]
     views = set()
-    for t, matchers in replay(g, rules):
+    for t, matchers, flipped in replay(g, rules):
         views.update(id(m.view) for m in matchers.values())
         view = next(iter(matchers.values())).view
         assert view.t == t and view.edges == g.view(t).edges
+        before = g.view(t - 1).edges if t > 1 else view.edges
+        assert flipped == sorted(before ^ view.edges)
     assert len(views) == 1
 
 

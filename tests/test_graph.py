@@ -13,6 +13,7 @@ from tgfd.graph import (
     GraphView,
     TemporalGraph,
     Vertex,
+    advance_view,
     apply_changes,
     ball_edges,
     ball_vertices,
@@ -22,6 +23,7 @@ from tgfd.graph import (
     load_graph,
     parse_changes_text,
     parse_snapshot_text,
+    repair_ball,
     snapshot_to_text,
     _tokenize,
 )
@@ -162,6 +164,50 @@ def test_ball_vertices_matches_bfs_and_is_monotone():
             assert ball == bfs_depth(full, center, d)
             assert prev <= ball
             prev = ball
+
+
+def bfs_hops(view, start, d):
+    """Hop distance of every vertex within d undirected hops of start."""
+    hops = {start: 0}
+    frontier = [start]
+    for dist in range(1, d + 1):
+        nxt = []
+        for v in frontier:
+            for w in view.neighbors(v):
+                if w not in hops:
+                    hops[w] = dist
+                    nxt.append(w)
+        frontier = nxt
+    return hops
+
+
+def test_repair_ball_equals_a_fresh_bfs():
+    """Every ball of radius 0 to 4 around every vertex, repaired from all of
+    a change set's flips (self-loops included), holds a fresh BFS's
+    distances, and the vertices it reports as entered and left are exactly
+    the ball's gains and losses."""
+    moved = entered_any = left_any = 0
+    for seed in range(20):
+        rng = random.Random(seed)
+        n = rng.randint(2, 16)
+        g = random_graph(rng, n, rng.randint(0, 2 * n))
+        for t in range(2, 6):
+            cs = random_changes(rng, g, t, rng.randint(1, 10), loops=rng.randint(0, 2))
+            g = apply_changes(g, cs)
+        view = g.view(1)
+        balls = {(c, d): bfs_hops(view, c, d) for c in sorted(g.vertices) for d in range(5)}
+        for cs in g.changesets:
+            flipped = advance_view(view, cs)
+            for (center, d), hops in balls.items():
+                before = dict(hops)
+                entered, left = repair_ball(view, d, hops, flipped)
+                assert hops == bfs_hops(view, center, d), (seed, cs.t, center, d)
+                assert entered == hops.keys() - before.keys()
+                assert left == before.keys() - hops.keys()
+                moved += hops != before
+                entered_any += len(entered)
+                left_any += len(left)
+    assert moved and entered_any and left_any
 
 
 def test_ball_edges_equals_induced_edge_filter():

@@ -27,6 +27,7 @@ from util import (
     brute_matches,
     brute_matches_all_maps,
     build_graph,
+    complete_keys,
     exotic_pattern,
     random_changes,
     random_graph,
@@ -242,12 +243,12 @@ def test_attribute_change_returns_nothing_and_never_searches():
     g = study_graph(with_study_edge=True)
     view = g.view(1)
     matcher = IncrementalMatcher(advisor_pattern(), view)
-    before = matcher.complete_keys()
+    before = complete_keys(matcher)
     assert before == {STUDY_MATCH}
     cs = ChangeSet(2, (AttrSet("Uni", "name", "McMaster"), AttrDelete("Uni", "name")))
     assert advance(view, cs, matcher) == []
     assert matcher.iso_searches == 0
-    assert matcher.complete_keys() == before
+    assert complete_keys(matcher) == before
 
 
 def test_edge_insert_adds_exactly_the_new_match():
@@ -271,10 +272,10 @@ def test_edge_delete_removes_exactly_its_match():
     matcher = IncrementalMatcher(advisor_pattern(), view)
     # an edge no match uses removes nothing
     assert flip(view, matcher, ("o1", "near", "o2")) == (set(), set())
-    assert matcher.complete_keys() == {STUDY_MATCH}
+    assert complete_keys(matcher) == {STUDY_MATCH}
     added, removed = flip(view, matcher, ("Adv", "supervise", "Bob"))
     assert added == set() and removed == {STUDY_MATCH}
-    assert matcher.complete_keys() == set()
+    assert complete_keys(matcher) == set()
     assert matcher.iso_searches == 0
 
 
@@ -376,10 +377,10 @@ def test_locality_of_changes():
     pattern = GraphPattern([("x", "person"), ("y", "person")], [("x", "knows", "y")])
     view = g.view(1)
     matcher = IncrementalMatcher(pattern, view)
-    before = matcher.complete_keys()
+    before = complete_keys(matcher)
     flip(view, matcher, ("far1", "near", "far2"))
     flip(view, matcher, ("far2", "near", "far1"))
-    assert matcher.complete_keys() == before
+    assert complete_keys(matcher) == before
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +418,9 @@ MACHINE_PATTERNS = [
 class MatcherMachine(RuleBasedStateMachine):
     """Two IncrementalMatchers with different patterns read one shared view,
     which the machine moves itself: edge inserts and deletes, one at a time
-    or several at once, attribute writes, and vertex exits and entries.
-    After every step both are checked against networkx and a batch match of
-    a view rebuilt from the shared one's vertices and edges.
+    or several at once, and attribute writes.  After every step both are
+    checked against networkx and a batch match of a view rebuilt from the
+    shared one's vertices and edges.
 
     Patterns are connected, so a variable with no placed neighbour occurs
     only at the start of an unseeded search: the matchers' initial batch
@@ -451,8 +452,8 @@ class MatcherMachine(RuleBasedStateMachine):
     def _toggle(self, e) -> None:
         if e in self.view.edges:
             self.view.remove_edge(e)
-        elif e[0] in self.view.types and e[2] in self.view.types:
-            self.view.add_edge(e)  # edges join vertices in the view
+        else:
+            self.view.add_edge(e)
 
     def _hand_over(self, flipped) -> None:
         for i, matcher in enumerate(self.matchers):
@@ -479,22 +480,6 @@ class MatcherMachine(RuleBasedStateMachine):
     def write_attribute(self, vid, value):
         cs = ChangeSet(self.view.t + 1, (AttrSet(vid, "name", value),))
         assert advance_view(self.view, cs) == []
-
-    @rule(vid=st.sampled_from(sorted(MACHINE_TYPES)))
-    def drop_vertex(self, vid):
-        incident = sorted(e for e in self.view.edges if vid in (e[0], e[2]))
-        for e in incident:
-            self.view.remove_edge(e)
-        self._hand_over(incident)
-        self.view.remove_vertex(vid)
-        for matcher in self.matchers:
-            matcher.sync_vertex(vid)
-
-    @rule(vid=st.sampled_from(sorted(MACHINE_TYPES)))
-    def bring_vertex(self, vid):
-        self.view.add_vertex(vid, MACHINE_TYPES[vid])
-        for matcher in self.matchers:
-            matcher.sync_vertex(vid)
 
     @invariant()
     def matches_equal_oracles(self):

@@ -8,12 +8,11 @@ from tgfd.model import (
     MatchBinding,
     Tgfd,
     VariableLiteral,
-    format_tgfd,
     normalize,
     parse_tgfd_file,
 )
 
-from util import build_graph, extend, pair_satisfies
+from util import build_graph, extend, format_tgfd, pair_satisfies
 from tgfd.graph import AttrSet
 
 

@@ -33,6 +33,7 @@ from tgfd.model import (
     MatchBinding,
     Tgfd,
     VariableLiteral,
+    literal_sort_key,
 )
 
 
@@ -195,6 +196,36 @@ def brute_matches_all_maps(pattern: GraphPattern, view: GraphView) -> Set[MatchB
         ):
             out.add(MatchBinding.of(view.t, assignment))
     return out
+
+
+def complete_keys(matcher) -> Set[Tuple[Tuple[str, str], ...]]:
+    """The matcher's complete matches as sorted (variable, vertex) pairs."""
+    return {b.items for b in matcher.topological_matches(matcher.view.t)}
+
+
+# ---------------------------------------------------------------------------
+# rule text
+# ---------------------------------------------------------------------------
+
+
+def format_tgfd(sigma: Tgfd) -> str:
+    """Serialize one rule in the definition language."""
+    lines = [f"tgfd {sigma.name}"]
+    for var, label in sigma.pattern.nodes:
+        lines.append(f"vertex {var} {label}")
+    for src, label, dst in sigma.pattern.edges:
+        lines.append(f"edge {src} {label} {dst}")
+    lines.append(f"delta ({sigma.delta.p}, {sigma.delta.q})")
+
+    def fmt(lit: Literal) -> str:
+        if isinstance(lit, ConstantLiteral):
+            return f'{lit.var}.{lit.attr} = "{lit.value}"'
+        return f"{lit.var1}.{lit.attr1} == {lit.var2}.{lit.attr2}"
+
+    if sigma.x_literals:
+        lines.append("x: " + "; ".join(fmt(l) for l in sorted(sigma.x_literals, key=literal_sort_key)))
+    lines.append("y: " + "; ".join(fmt(l) for l in sorted(sigma.y_literals, key=literal_sort_key)))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
