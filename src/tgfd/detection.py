@@ -1,9 +1,12 @@
 """Incremental violation detection over a stream of match sets.
 
-Matches are partitioned by the values realizing the antecedent literals
-(an X key), and each class is bucketed by timestamp.  A new match at time t
-is compared only against the buckets of its class whose timestamps fall in
-its permissible range.
+Rules arrive in normal form, X -> l with one consequent literal l
+(`normalize_all` runs at every engine's boundary).  Each match is profiled
+once into one flat entry record: the values realizing the antecedent
+literals (an X key), its one Y read and its report-key halves.  Entries are
+partitioned by X key, and each class is bucketed by timestamp.  A new
+match at time t is compared only against the buckets of its class whose
+timestamps fall in its permissible range.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .model import (
     Delta,
     MatchBinding,
     Tgfd,
-    VariableLiteral,
     literal_sort_key,
     normalize_all,
 )
@@ -183,152 +185,144 @@ class KeyedViolations:
 
 
 # ---------------------------------------------------------------------------
-# value profiles
+# rule plans and index entries
 # ---------------------------------------------------------------------------
 
+# The form of a rule's one consequent literal: RulePlan.y_form
+Y_CONST, Y_SELF, Y_GENERAL = "const", "self", "general"
 
-@dataclass(frozen=True)
-class ValueProfile:
-    """Literal values realized by one binding, split by evaluation route."""
 
-    xkey: XKey                       # self-form X values (hashable route)
-    x_general: Tuple                 # (left, right) values per general X literal
-    y_const_failed: Optional[ConstantLiteral]
-    y_self: Optional[Tuple]          # self-form Y values; None when incomplete
-    y_general: Optional[Tuple]       # (left, right) per general Y literal
+class IndexEntry(NamedTuple):
+    """One profiled match: the values its rule's literals read, the
+    fragment owning it and its report-key halves.  y is the consequent's
+    read: see RulePlan.profile."""
+
+    t: int
+    binding: MatchBinding
+    xkey: XKey        # self-form X values: the match's X class
+    x_general: Tuple  # (left, right) values per general X literal
+    y: object
+    owner: int = 0    # fragment owning the binding's anchor; 0 when sequential
+    hi: int = 0       # report-key halves: see ReportOrder
+    lo: int = 0
 
 
 class RulePlan:
-    """A rule's literals sorted into hashing and pairwise-evaluation routes.
+    """How a normal-form rule reads a match.
 
     A match's items are sorted by variable and bind every pattern variable,
     so each variable sits at one fixed position of every match's items:
     `slot` maps it there, and the profile reads each literal's vertex by
-    its slot."""
+    its slot.  X constants filter matches, self-form X values key the X
+    class, and general-form X values are compared pairwise.  The one Y
+    literal is constant, checked per match, or a variable literal,
+    self-form or general-form, compared between two matches."""
 
     def __init__(self, sigma: Tgfd):
         self.sigma = sigma
-        self.slot = {var: i for i, var in enumerate(sorted(sigma.pattern.vars))}
-        self.x_const: List[ConstantLiteral] = []
-        self.x_self: List[VariableLiteral] = []
-        self.x_general: List[VariableLiteral] = []
+        slot = self.slot = {var: i for i, var in enumerate(sorted(sigma.pattern.vars))}
+        # the X literals' (slot, attribute) reads, in literal order
+        self._x_const: List[Tuple[int, str, str]] = []
+        self._x_self: List[Tuple[int, str]] = []
+        self._x_general: List[Tuple[int, str, int, str]] = []
         for lit in sorted(sigma.x_literals, key=literal_sort_key):
             if isinstance(lit, ConstantLiteral):
-                self.x_const.append(lit)
+                self._x_const.append((slot[lit.var], lit.attr, lit.value))
             elif lit.is_self_form:
-                self.x_self.append(lit)
+                self._x_self.append((slot[lit.var1], lit.attr1))
             else:
-                self.x_general.append(lit)
-        self.y_const: List[ConstantLiteral] = []
-        self.y_self: List[VariableLiteral] = []
-        self.y_general: List[VariableLiteral] = []
-        for lit in sorted(sigma.y_literals, key=literal_sort_key):
-            if isinstance(lit, ConstantLiteral):
-                self.y_const.append(lit)
-            elif lit.is_self_form:
-                self.y_self.append(lit)
-            else:
-                self.y_general.append(lit)
+                self._x_general.append((slot[lit.var1], lit.attr1, slot[lit.var2], lit.attr2))
+        y = self.y_literal = sigma.y_literal
+        if isinstance(y, ConstantLiteral):
+            self.y_form, self._y = Y_CONST, (slot[y.var], y.attr)
+        elif y.is_self_form:
+            self.y_form, self._y = Y_SELF, (slot[y.var1], y.attr1)
+        else:
+            self.y_form, self._y = Y_GENERAL, (slot[y.var1], y.attr1, slot[y.var2], y.attr2)
+        # Whether the consequent compares the two matches; a constant one
+        # is checked per match instead.
+        self.pair_based = self.y_form != Y_CONST
         # Without general-form literals, both orientations give one verdict:
         # see pair_violates.
-        self.one_orientation = not (self.x_general or self.y_general)
-        # the literals' (slot, attribute) reads, in the lists' order
-        slot = self.slot
-        self._x_const = [(slot[l.var], l.attr, l.value) for l in self.x_const]
-        self._x_self = [(slot[l.var1], l.attr1) for l in self.x_self]
-        self._x_general = [(slot[l.var1], l.attr1, slot[l.var2], l.attr2) for l in self.x_general]
-        self._y_const = [(slot[l.var], l.attr, l.value, l) for l in self.y_const]
-        self._y_self = [(slot[l.var1], l.attr1) for l in self.y_self]
-        self._y_general = [(slot[l.var1], l.attr1, slot[l.var2], l.attr2) for l in self.y_general]
+        self.one_orientation = not self._x_general and self.y_form != Y_GENERAL
 
-    def profile(self, binding: MatchBinding, view_attr) -> Optional[ValueProfile]:
-        """None when the binding can never realize X with any partner."""
+    def profile(
+        self,
+        binding: MatchBinding,
+        view_attr,
+        owner: int = 0,
+        halves: Optional[Callable[[MatchBinding], Tuple[int, int]]] = None,
+    ) -> Optional[IndexEntry]:
+        """binding's entry, with the values view_attr (its timestamp's
+        `Snapshot.attr`) gives, keyed by halves when given; None when the
+        binding can never realize X with any partner.  The entry's y is
+        the failed literal or None (constant Y), the value or None when
+        unset (self-form Y), or the (left, right) values (general-form Y)."""
         items = binding.items
         for i, attr, value in self._x_const:
             if view_attr(items[i][1], attr) != value:
                 return None
-        xvals = []
+        xkey = []
         for i, attr in self._x_self:
             value = view_attr(items[i][1], attr)
             if value is None:
                 return None
-            xvals.append(value)
+            xkey.append(value)
         x_general = tuple(
             (view_attr(items[i][1], a), view_attr(items[j][1], b))
             for i, a, j, b in self._x_general
         )
-        y_const_failed = None
-        for i, attr, value, lit in self._y_const:
-            if view_attr(items[i][1], attr) != value:
-                y_const_failed = lit
-                break
-        y_self: Optional[Tuple] = None
-        if self._y_self:
-            vals = []
-            for i, attr in self._y_self:
-                value = view_attr(items[i][1], attr)
-                if value is None:
-                    break
-                vals.append(value)
-            else:
-                y_self = tuple(vals)
-        y_general = tuple(
-            (view_attr(items[i][1], a), view_attr(items[j][1], b))
-            for i, a, j, b in self._y_general
+        if self.y_form == Y_GENERAL:
+            i, a, j, b = self._y
+            y = (view_attr(items[i][1], a), view_attr(items[j][1], b))
+        else:
+            i, a = self._y
+            y = view_attr(items[i][1], a)
+            if self.y_form == Y_CONST:
+                y = None if y == self.y_literal.value else self.y_literal
+        hi, lo = halves(binding) if halves is not None else (0, 0)
+        return tuple.__new__(
+            IndexEntry, (binding.t, binding, tuple(xkey), x_general, y, owner, hi, lo)
         )
-        return ValueProfile(tuple(xvals), x_general, y_const_failed, y_self, y_general)
 
     def entries(
         self,
         matches: Iterable[MatchBinding],
         attr,
-        halves: Callable[[MatchBinding], Tuple[int, int]],
+        halves: Optional[Callable[[MatchBinding], Tuple[int, int]]] = None,
         owner: int = 0,
-    ) -> List["IndexEntry"]:
+    ) -> List[IndexEntry]:
         """One timestamp's matches as index entries, in items order: those
         that can realize X, profiled with attr, that timestamp's
         `Snapshot.attr`, and keyed by halves (`ReportOrder.halves` of the
-        rule).  owner is the fragment owning them (0 when sequential)."""
+        rule) when given.  owner is the fragment owning them (0 when
+        sequential)."""
+        profile = self.profile
         out = []
         for binding in sorted(matches, key=lambda b: b.items):
-            profile = self.profile(binding, attr)
-            if profile is not None:  # else it never enters the partitions
-                hi, lo = halves(binding)
-                out.append(IndexEntry(binding.t, binding, profile, owner, hi, lo))
+            entry = profile(binding, attr, owner, halves)
+            if entry is not None:  # else it never enters the partitions
+                out.append(entry)
         return out
 
-    @property
-    def pair_based(self) -> bool:
-        """Whether the consequent compares the two matches (variable form).
-        Constant consequents are checked per match instead."""
-        return bool(self.y_self or self.y_general)
-
-    def pair_x_ok(self, a: "IndexEntry", b: "IndexEntry") -> bool:
+    def pair_x_ok(self, a: IndexEntry, b: IndexEntry) -> bool:
         """General X literals, evaluated with a on the left."""
-        for idx in range(len(self.x_general)):
-            left = a.profile.x_general[idx][0]
-            right = b.profile.x_general[idx][1]
-            if left is None or right is None or left != right:
+        for (left, _), (_, right) in zip(a.x_general, b.x_general):
+            if left is None or left != right:
                 return False
         return True
 
-    def pair_y_ok(self, a: "IndexEntry", b: "IndexEntry") -> bool:
-        if self.y_const:
-            if a.profile.y_const_failed is not None or b.profile.y_const_failed is not None:
-                return False
-        if self.y_self:
-            if a.profile.y_self is None or b.profile.y_self is None:
-                return False
-            if a.profile.y_self != b.profile.y_self:
-                return False
-        for idx in range(len(self.y_general)):
-            left = a.profile.y_general[idx][0]
-            right = b.profile.y_general[idx][1]
-            if left is None or right is None or left != right:
-                return False
-        return True
+    def pair_y_ok(self, a: IndexEntry, b: IndexEntry) -> bool:
+        """Y, evaluated with a on the left: no constant failed, one set
+        self-form value, or a's left value set and equal to b's right."""
+        if self.y_form == Y_CONST:
+            return a.y is None and b.y is None
+        if self.y_form == Y_SELF:
+            return a.y is not None and a.y == b.y
+        left = a.y[0]
+        return left is not None and left == b.y[1]
 
-    def pair_violates(self, a: "IndexEntry", b: "IndexEntry") -> bool:
+    def pair_violates(self, a: IndexEntry, b: IndexEntry) -> bool:
         """Either orientation satisfying X while failing Y.  a and b share an
         X class: both realize X's constants and carry the same self-form X
         values.  So without general-form literals X holds both ways, and the
@@ -341,16 +335,6 @@ class RulePlan:
         return False
 
 
-@dataclass(frozen=True)
-class IndexEntry:
-    t: int
-    binding: MatchBinding
-    profile: ValueProfile
-    owner: int = 0  # fragment owning the binding's anchor; 0 when sequential
-    hi: int = 0     # report-key halves: see ReportOrder
-    lo: int = 0
-
-
 class MatchIndex:
     """Per-rule partition of indexed matches by X values; each class maps a
     timestamp to its entries in insertion order."""
@@ -361,13 +345,13 @@ class MatchIndex:
         self.pairs_compared = 0
 
     def insert(self, entry: IndexEntry) -> None:
-        by_t = self.classes.setdefault(entry.profile.xkey, {})
+        by_t = self.classes.setdefault(entry.xkey, {})
         by_t.setdefault(entry.t, []).append(entry)
 
     def partners(self, entry: IndexEntry, rng: Sequence[int]) -> Iterator[IndexEntry]:
         """Entries of entry's class at the ascending timestamps rng, by
         timestamp, then insertion order."""
-        by_t = self.classes.get(entry.profile.xkey)
+        by_t = self.classes.get(entry.xkey)
         if by_t:
             for j in rng:
                 yield from by_t.get(j, ())
@@ -402,17 +386,11 @@ def incted_step(
     violations, keys = found.violations, found.keys
     add_violation, add_key = violations.append, keys.append
     new_tuple = tuple.__new__  # PairViolation(...) runs a Python-level __new__
-    name = sigma.name
+    name, pair_based = sigma.name, plan.pair_based
     rng_t, rng = None, []
     compared = 0
     for entry in entries:
-        if plan.y_const and not cross_only:
-            # the unary check is the degenerate pair of the match with itself
-            failed = entry.profile.y_const_failed
-            if failed is not None and plan.pair_x_ok(entry, entry):
-                add_key(entry.hi + entry.lo + len(violations))
-                add_violation(ConstantViolation(name, entry.binding, failed))
-        if plan.pair_based:
+        if pair_based:
             if entry.t != rng_t:
                 rng_t, rng = entry.t, permissible_range(entry.t, sigma.delta, T)
             binding, lo, owner = entry.binding, entry.lo, entry.owner
@@ -425,6 +403,12 @@ def incted_step(
                 if plan.pair_violates(other, entry):
                     add_key(other.hi + lo + len(violations))
                     add_violation(new_tuple(PairViolation, (name, other.binding, binding)))
+        elif not cross_only:
+            # the unary check is the degenerate pair of the match with itself
+            failed = entry.y
+            if failed is not None and plan.pair_x_ok(entry, entry):
+                add_key(entry.hi + entry.lo + len(violations))
+                add_violation(ConstantViolation(name, entry.binding, failed))
         index.insert(entry)
     index.pairs_compared += compared
     return found

@@ -13,7 +13,7 @@ import math
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import InvalidLedger, InvalidOption
 from .graph import (
@@ -32,13 +32,10 @@ from .model import (
     Literal,
     MatchBinding,
     Tgfd,
-    literal_sort_key,
     normalize_all,
 )
 from .detection import (
-    IndexEntry,
     MatchIndex,
-    ReportOrder,
     RulePlan,
     Violation,
     match_pair_id,
@@ -136,18 +133,15 @@ def apply_mutations(graph: TemporalGraph, mutations: Sequence[Mutation]) -> Temp
     return mutated
 
 
-def _y_targets(sigma: Tgfd, later: MatchBinding) -> List[Tuple[str, str]]:
-    """(vertex, attribute) slots of a pool pair's later match that its
+def _y_target(sigma: Tgfd, later: MatchBinding) -> Tuple[str, str]:
+    """The (vertex, attribute) slot of a pool pair's later match that its
     consequent reads.  Pool pairs satisfy X as (earlier, later), and that
     orientation reads a variable literal's right-hand side, var2.attr2, on
     the later match."""
-    slots = []
-    for lit in sorted(sigma.y_literals, key=literal_sort_key):
-        if isinstance(lit, ConstantLiteral):
-            slots.append((later.assignment[lit.var], lit.attr))
-        else:
-            slots.append((later.assignment[lit.var2], lit.attr2))
-    return slots
+    lit = sigma.y_literal
+    if isinstance(lit, ConstantLiteral):
+        return later.assignment[lit.var], lit.attr
+    return later.assignment[lit.var2], lit.attr2
 
 
 def _attr_names(literals: Iterable[Literal]) -> Set[str]:
@@ -190,11 +184,8 @@ def inject_errors(
     ledger = InjectionLedger()
 
     matches_by_rule = _all_matches(graph, rules)
-    order = ReportOrder(graph.vertices, graph.T)
     pools = {
-        sigma.name: _pool_from_matches(
-            graph, sigma, matches_by_rule[sigma.name], order.halves(sigma)
-        )
+        sigma.name: _pool_from_matches(graph, sigma, matches_by_rule[sigma.name])
         for sigma in rules
     }
     ledger.pool_size = sum(len(p) for p in pools.values())
@@ -230,21 +221,21 @@ def inject_errors(
         neg_values = _negative_value_pool(graph, rules, sigma, ledger)
         for kind, picked in (("+", picked_pos), ("-", picked_neg)):
             for hi, hj in picked:
-                for vid, attr in _y_targets(sigma, hj):
-                    slot = (hj.t, vid, attr)
-                    old = written[slot] if slot in written else graph.snapshot(hj.t).attr(vid, attr)
-                    if kind == "+":
-                        new = f"__err{counter}__"
+                vid, attr = _y_target(sigma, hj)
+                slot = (hj.t, vid, attr)
+                old = written[slot] if slot in written else graph.snapshot(hj.t).attr(vid, attr)
+                if kind == "+":
+                    new = f"__err{counter}__"
+                else:
+                    candidates = [v for v in neg_values.get(attr, []) if v != old]
+                    if candidates:
+                        new = rng.choice(candidates)
                     else:
-                        candidates = [v for v in neg_values.get(attr, []) if v != old]
-                        if candidates:
-                            new = rng.choice(candidates)
-                        else:
-                            new = f"__neg{counter}__"
-                            ledger.flags.append(f"negative-degraded:{sigma.name}")
-                    counter += 1
-                    written[slot] = new
-                    ledger.mutations.append(Mutation(hj.t, vid, attr, old, new, kind))
+                        new = f"__neg{counter}__"
+                        ledger.flags.append(f"negative-degraded:{sigma.name}")
+                counter += 1
+                written[slot] = new
+                ledger.mutations.append(Mutation(hj.t, vid, attr, old, new, kind))
         ledger.sampled_positive += len(picked_pos)
         ledger.sampled_negative += len(picked_neg)
 
@@ -283,7 +274,7 @@ def inject_errors(
             b = plan.profile(hj, mutated.snapshot(hj.t).attr)
             if a is None or b is None or a.xkey != b.xkey:
                 continue
-            if plan.pair_violates(IndexEntry(hi.t, hi, a), IndexEntry(hj.t, hj, b)):
+            if plan.pair_violates(a, b):
                 (minus if "-" in kinds else plus).add(match_pair_id(sigma.name, hi, hj))
 
     ledger.gamma_plus = sorted(plus)
@@ -295,18 +286,17 @@ def _pool_from_matches(
     graph: TemporalGraph,
     sigma: Tgfd,
     matches: Dict[int, Set[MatchBinding]],
-    halves: Callable[[MatchBinding], Tuple[int, int]],
 ) -> List[Tuple[MatchBinding, MatchBinding]]:
     """Pairs (earlier, later) inside the rule's interval satisfying X and Y,
     found through detection's X-value partitions; ordered by timestamps,
-    then by the two matches' items.  halves is the rule's
-    `ReportOrder.halves`, which `RulePlan.entries` keys entries with."""
+    then by the two matches' items.  Nothing reads a pool entry's report
+    key, so the entries are built without one."""
     plan = RulePlan(sigma)
     index = MatchIndex(plan)
     pool = []
     for t in range(1, graph.T + 1):
         rng = permissible_range(t, sigma.delta, graph.T)
-        for entry in plan.entries(matches[t], graph.snapshot(t).attr, halves):
+        for entry in plan.entries(matches[t], graph.snapshot(t).attr):
             for other in index.partners(entry, rng):
                 if plan.pair_x_ok(other, entry) and plan.pair_y_ok(other, entry):
                     pool.append((other.binding, entry.binding))
@@ -324,7 +314,7 @@ def _negative_value_pool(
     """For each consequent attribute, values from the antecedent domain of
     some other rule sharing that attribute name."""
     out: Dict[str, List[str]] = {}
-    y_names = _attr_names(sigma.y_literals)
+    y_names = _attr_names([sigma.y_literal])
     for attr in sorted(y_names):
         donors = [
             other

@@ -27,6 +27,7 @@ from .model import (
     Tgfd,
     VariableLiteral,
     literal_sort_key,
+    normalize,
     normalize_all,
 )
 
@@ -181,25 +182,23 @@ class _EqualityAtoms:
 
 @dataclass(frozen=True)
 class _Rule:
-    """A member rule translated into the anchor pattern's variables."""
+    """A normal-form member rule translated into the anchor pattern's
+    variables."""
 
     name: str
     delta: Delta
     x: Tuple[Literal, ...]
-    y: Tuple[Literal, ...]
+    y: Literal
 
 
 def _translated_rules(members: Sequence[Tuple[Tgfd, Embedding]]) -> List[_Rule]:
+    """Each member's normal-form parts, translated; a closure adds the
+    consequent literals of a multi-literal rule or of its parts alike."""
     rules = []
     for sigma, f in members:
-        rules.append(
-            _Rule(
-                name=sigma.name,
-                delta=sigma.delta,
-                x=tuple(sorted((f.translate(l) for l in sigma.x_literals), key=literal_sort_key)),
-                y=tuple(sorted((f.translate(l) for l in sigma.y_literals), key=literal_sort_key)),
-            )
-        )
+        x = tuple(sorted((f.translate(l) for l in sigma.x_literals), key=literal_sort_key))
+        for part in normalize(sigma):
+            rules.append(_Rule(part.name, part.delta, x, f.translate(part.y_literal)))
     return rules
 
 
@@ -218,11 +217,9 @@ def _closure_at_gap(
         for rule in rules:
             if not rule.delta.contains(gap):
                 continue
-            if all(atoms.derivable(x) for x in rule.x):
-                for y in rule.y:
-                    if y not in active:
-                        active.add(y)
-                        changed = True
+            if rule.y not in active and all(atoms.derivable(x) for x in rule.x):
+                active.add(rule.y)
+                changed = True
     return active
 
 

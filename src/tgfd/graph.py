@@ -136,11 +136,6 @@ class GraphView:
         """(label, src) pairs entering vid."""
         return self._in.get(vid, set())
 
-    def neighbors(self, vid: str) -> Set[str]:
-        seen = {dst for _, dst in self._out.get(vid, ())}
-        seen.update(src for _, src in self._in.get(vid, ()))
-        return seen
-
     # -- mutation (views being advanced) ---------------------------------
 
     def add_edge(self, e: Edge) -> None:

@@ -132,10 +132,12 @@ class CardinalityModel:
     total_vertices: int
 
     def mean_fanout(self, src_type: str, label: str, dst_type: str) -> float:
+        """Mean number of label edges to dst_type per src_type vertex; a
+        wildcard side sums the signatures it covers, each weighted by its
+        source type's count (the edges it stands for)."""
         if src_type != WILDCARD and dst_type != WILDCARD:
             return self.fanout.get((src_type, label, dst_type), 0.0)
         total = 0.0
-        denom = 0
         for (s, l, d), mean in self.fanout.items():
             if l != label:
                 continue
@@ -144,9 +146,7 @@ class CardinalityModel:
             if dst_type != WILDCARD and d != dst_type:
                 continue
             total += mean * self.type_counts.get(s, 0)
-            denom += self.type_counts.get(s, 0)
-        if src_type == WILDCARD:
-            denom = self.total_vertices
+        denom = self.total_vertices if src_type == WILDCARD else self.type_counts.get(src_type, 0)
         return total / denom if denom else 0.0
 
 

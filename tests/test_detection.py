@@ -9,7 +9,6 @@ from tgfd.detection import (
     PairViolation,
     ReportOrder,
     RulePlan,
-    ValueProfile,
     apply_mode,
     detect_sequential,
     format_violation,
@@ -19,6 +18,7 @@ from tgfd.detection import (
     replay,
     violation_key,
 )
+from tgfd.evaluation import generate_synthetic
 from tgfd.graph import (
     AttrSet,
     ChangeSet,
@@ -262,14 +262,15 @@ def test_index_partitions_are_consistent():
 
 def entry(t: int, key: str, n: int) -> IndexEntry:
     return IndexEntry(
-        t=t,
-        binding=MatchBinding.of(t, {"x": f"v{n}"}),
-        profile=ValueProfile((key,), (), None, None, ()),
+        t=t, binding=MatchBinding.of(t, {"x": f"v{n}"}), xkey=(key,), x_general=(), y=None
     )
 
 
 def index_of(entries) -> MatchIndex:
-    sigma = Tgfd("r", GraphPattern([("x", "person")], []), Delta(0, 0), [], [])
+    sigma = Tgfd(
+        "r", GraphPattern([("x", "person")], []), Delta(0, 0), [],
+        [VariableLiteral("x", "code", "x", "code")],
+    )
     index = MatchIndex(RulePlan(sigma))
     for e in entries:
         index.insert(e)
@@ -291,7 +292,7 @@ def test_partners_are_the_class_entries_in_the_permissible_range(specs, pq, T, p
     rng = permissible_range(new.t, Delta(*pq), T)
     got = list(index.partners(new, rng))
     want = sorted(
-        (e for e in entries if e.profile.xkey == ("a",) and Delta(*pq).contains(e.t - new.t)),
+        (e for e in entries if e.xkey == ("a",) and Delta(*pq).contains(e.t - new.t)),
         key=lambda e: e.t,
     )
     assert got == want
@@ -307,7 +308,7 @@ def test_nontrivially_exercised_equals_pairwise_definition(specs, pq):
     entries = [entry(t, key, n) for n, (t, key) in enumerate(specs)]
     delta = Delta(*pq)
     pairwise = any(
-        a.profile.xkey == b.profile.xkey and delta.contains(b.t - a.t)
+        a.xkey == b.xkey and delta.contains(b.t - a.t)
         for i, a in enumerate(entries)
         for b in entries[i + 1:]
     )
@@ -602,6 +603,39 @@ def test_long_t_shaped_rules_equal_pairwise_oracle():
         assert got == want, f"seed={seed}"
         assert want, f"seed={seed}"
     assert "q >= T" in shapes and narrow
+
+
+def test_interval_split_is_a_disjoint_union_at_size():
+    """For p <= m < q, the pair violations under (p, q) are the disjoint
+    union of those under (p, m) and (m + 1, q); constant violations do not
+    depend on the interval and repeat in all three runs.  The engine is
+    checked against itself at a size the brute-force oracle cannot reach,
+    one rule per consequent form, with q below, near and past T."""
+    g = generate_synthetic(300, 900, 3, 3, T=30, chg_rate=0.04, seed=5)
+    pattern = GraphPattern([("x", "T0"), ("y", "T1")], [("x", "l0", "y")])
+    x = [VariableLiteral("x", "a0", "x", "a0"), VariableLiteral("y", "a0", "y", "a0")]
+    forms = {
+        "const": ConstantLiteral("y", "a1", "val1"),
+        "self": VariableLiteral("y", "a1", "y", "a1"),
+        "general": VariableLiteral("x", "a2", "y", "a2"),
+    }
+    for p, m, q in ((0, 1, 3), (1, 6, 25), (2, 2, 45)):
+        parts = {"pq": Delta(p, q), "pm": Delta(p, m), "mq": Delta(m + 1, q)}
+        rules = [
+            Tgfd(f"{form}.{part}", pattern, delta, x, [y])
+            for form, y in forms.items()
+            for part, delta in parts.items()
+        ]
+        found = detect_sequential(g, rules).violations
+        for form in forms:
+            # a violation without its rule name: the bindings (and failed literal)
+            whole, low, high = ([v[1:] for v in found[f"{form}.{part}"]] for part in parts)
+            if form == "const":
+                assert whole and whole == low == high, (p, m, q)
+            else:
+                assert low and high, (form, p, m, q)
+                assert len(set(whole)) == len(whole) == len(low) + len(high), (form, p, m, q)
+                assert set(whole) == set(low) | set(high), (form, p, m, q)
 
 
 def test_empty_antecedent_supported():

@@ -43,6 +43,7 @@ from util import (
     exotic_rule,
     extend,
     fragment_view_from_scratch,
+    neighbors,
     random_graph,
     random_tgfd,
     view_delta,
@@ -187,7 +188,7 @@ def shortcut_churn(rng, graph, t):
         # walk back from u to c along hop levels; delete the step out of c
         u = rng.choice(far)
         while hops[u] > 1:
-            u = min(o for o in view.neighbors(u) if hops.get(o) == hops[u] - 1)
+            u = min(o for o in neighbors(view, u) if hops.get(o) == hops[u] - 1)
         first = sorted(
             e for e in live if {e[0], e[2]} == {c, u}
         )

@@ -32,6 +32,7 @@ from util import (
     build_graph,
     extend,
     full_diff_changesets,
+    neighbors,
     nonempty_attrs,
     random_changes,
     random_graph,
@@ -144,7 +145,7 @@ def bfs_depth(view, start, d):
     for _ in range(d):
         nxt = []
         for v in frontier:
-            for w in view.neighbors(v):
+            for w in neighbors(view, v):
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)
@@ -173,7 +174,7 @@ def bfs_hops(view, start, d):
     for dist in range(1, d + 1):
         nxt = []
         for v in frontier:
-            for w in view.neighbors(v):
+            for w in neighbors(view, v):
                 if w not in hops:
                     hops[w] = dist
                     nxt.append(w)

@@ -17,14 +17,18 @@ from tgfd.graph import (
 )
 from tgfd.matcher import decompose, match_snapshot, tgfd_paths
 from tgfd.model import (
+    WILDCARD,
+    ConstantLiteral,
     Delta,
     GraphPattern,
     Tgfd,
     VariableLiteral,
+    normalize,
 )
 from tgfd.detection import detect_sequential
 from tgfd.parallel import (
     Job,
+    build_cardinality_model,
     build_jobs,
     gen_assign,
     make_fragments,
@@ -38,6 +42,7 @@ from util import (
     canonical_pairs,
     engine_violation_keys,
     extend,
+    oracle_violations,
     random_changes,
     random_graph,
     random_tgfd,
@@ -149,6 +154,20 @@ def test_estimate_two_edge_chain_product():
     job = whole_graph_job(g, sigma)
     assert job.size == pytest.approx(4 * 2 * 3)
     assert_job_matches_brute(g, sigma, job, frozenset(g.vertices))
+
+
+def test_mean_fanout_with_wildcard_target_counts_sources_once():
+    # two A vertices with three l-edges out of them, to two target types:
+    # 3 edges per 2 sources, however many signatures the wildcard covers
+    g = build_graph(
+        {"a1": "A", "a2": "A", "b1": "B", "b2": "B", "c1": "C"},
+        [("a1", "l", "b1"), ("a1", "l", "c1"), ("a2", "l", "b2")],
+    )
+    model = build_cardinality_model(g.view(1))
+    assert model.mean_fanout("A", "l", WILDCARD) == pytest.approx(1.5)
+    assert model.mean_fanout("A", "l", "B") == pytest.approx(1.0)
+    assert model.mean_fanout(WILDCARD, "l", "B") == pytest.approx(2 / 5)
+    assert model.mean_fanout(WILDCARD, "l", WILDCARD) == pytest.approx(3 / 5)
 
 
 def test_estimate_within_factor_four_on_regular_graphs():
@@ -339,6 +358,48 @@ def test_parallel_equals_sequential_small(n):
         assert engine_violation_keys(par.all_violations()) == seq, f"seed={seed}"
         assert par.all_violations() == seq_list, f"seed={seed}"
         assert canonical_pairs(par.all_violations()) and canonical_pairs(seq_list), f"seed={seed}"
+
+
+def test_multi_literal_consequent_built_through_the_api():
+    """A rule built with Tgfd, not parsed, whose Y mixes a constant, a
+    self-form and a general-form literal: both engines split it into its
+    normal form at their boundary, named r#1..r#3 in literal order, and
+    report exactly the union of the parts' oracle violations."""
+    y = [
+        ConstantLiteral("y", "code", "a"),
+        VariableLiteral("x", "code", "x", "code"),
+        VariableLiteral("x", "rank", "y", "rank"),
+    ]
+    sigma = Tgfd(
+        "r",
+        GraphPattern([("x", "person"), ("y", "city")], [("x", "knows", "y")]),
+        Delta(0, 2),
+        [VariableLiteral("x", "name", "x", "name")],
+        y,
+    )
+    parts = normalize(sigma)
+    assert [(part.name, part.y_literal) for part in parts] == [
+        ("r#1", y[0]), ("r#2", y[1]), ("r#3", y[2])
+    ]
+    hit = set()
+    for seed in range(4):
+        rng = random.Random(800 + seed)
+        g = random_graph(rng, 16, 48, n_types=2)
+        for t in range(2, 5):
+            g = apply_changes(g, random_changes(rng, g, t, 6))
+        want = set()
+        for part in parts:
+            found = oracle_violations(g, part)
+            if found:
+                hit.add(part.name)
+            want |= found
+        seq = detect_sequential(g, [sigma])
+        assert sorted(seq.violations) == ["r#1", "r#2", "r#3"]
+        assert engine_violation_keys(seq.all_violations()) == want, f"seed={seed}"
+        for n in (1, 2, 3):
+            par = run_parallel(g, [sigma], n=n, seed=seed, bounds=(0.0, float("inf")))
+            assert par.all_violations() == seq.all_violations(), f"seed={seed} n={n}"
+    assert hit == {"r#1", "r#2", "r#3"}
 
 
 def test_parallel_equals_sequential_skewed_fragmentation_exotic_rules():

@@ -42,6 +42,13 @@ from tgfd.model import (
 # ---------------------------------------------------------------------------
 
 
+def neighbors(view: GraphView, vid: str) -> Set[str]:
+    """Vertices one undirected hop from vid in view."""
+    seen = {dst for _, dst in view.out_edges(vid)}
+    seen.update(src for _, src in view.in_edges(vid))
+    return seen
+
+
 def build_graph(
     vertices: Dict[str, str],
     edges: Sequence[Tuple[str, str, str]],
