@@ -45,6 +45,11 @@ class EmptyConsequent(TgfdError):
     """A rule with an empty consequent is vacuous and rejected at parse time."""
 
 
+class DuplicateRule(TgfdError):
+    """Two rules carry one name once split into normal form; every engine
+    keys its per-rule state by name."""
+
+
 class ArityMismatch(TgfdError):
     """An axiom was instantiated with the wrong number of premises."""
 

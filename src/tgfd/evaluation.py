@@ -2,8 +2,11 @@
 
 Positive errors break the consequent of sampled satisfying match pairs;
 negative errors retarget a consequent value into another rule's antecedent
-domain.  Scoring compares detected violations against the injection ledger
-over canonical pair identities.
+domain.  One replay of the change sets builds every rule's pool of
+satisfying pairs through detection's rule plan and X-value partitions, and
+the ledger judges the mutated graph with the same plans.  Scoring compares
+detected violations against the injection ledger over canonical pair
+identities.
 """
 
 from __future__ import annotations
@@ -92,17 +95,6 @@ class Metrics:
     fpr_defined: bool = True
 
 
-def _all_matches(
-    graph: TemporalGraph, rules: Sequence[Tgfd]
-) -> Dict[str, Dict[int, Set[MatchBinding]]]:
-    """{rule name: {t: matches}}, from one replay of the change sets."""
-    out: Dict[str, Dict[int, Set[MatchBinding]]] = {sigma.name: {} for sigma in rules}
-    for t, matchers, _ in replay(graph, rules):
-        for name, matcher in matchers.items():
-            out[name][t] = matcher.topological_matches(t)
-    return out
-
-
 def apply_mutations(graph: TemporalGraph, mutations: Sequence[Mutation]) -> TemporalGraph:
     """graph with each mutation's slot holding its new value at its t only
     (a later mutation of the same slot and t wins).
@@ -133,15 +125,15 @@ def apply_mutations(graph: TemporalGraph, mutations: Sequence[Mutation]) -> Temp
     return mutated
 
 
-def _y_target(sigma: Tgfd, later: MatchBinding) -> Tuple[str, str]:
-    """The (vertex, attribute) slot of a pool pair's later match that its
-    consequent reads.  Pool pairs satisfy X as (earlier, later), and that
-    orientation reads a variable literal's right-hand side, var2.attr2, on
-    the later match."""
+def _y_target(sigma: Tgfd) -> Tuple[str, str]:
+    """The (variable, attribute) of a pool pair's later match that its
+    consequent reads, and inject writes.  Pool pairs satisfy X as (earlier,
+    later), and that orientation reads a variable literal's right-hand side,
+    var2.attr2, on the later match."""
     lit = sigma.y_literal
     if isinstance(lit, ConstantLiteral):
-        return later.assignment[lit.var], lit.attr
-    return later.assignment[lit.var2], lit.attr2
+        return lit.var, lit.attr
+    return lit.var2, lit.attr2
 
 
 def _attr_names(literals: Iterable[Literal]) -> Set[str]:
@@ -160,6 +152,24 @@ def _domain_values(graph: TemporalGraph, attr: str) -> List[str]:
         for named in snap.attrs.values():
             if attr in named:
                 values.add(named[attr])
+    return sorted(values)
+
+
+def _donor_values(graph: TemporalGraph, rules: Sequence[Tgfd], name: str, attr: str) -> List[str]:
+    """The values a negative error of rule name may write to attr: the
+    constants that the other rules reading attr in X give it or, when they
+    give it none, every value attr takes in the graph."""
+    donors = [
+        other for other in rules if other.name != name and attr in _attr_names(other.x_literals)
+    ]
+    values = {
+        lit.value
+        for other in donors
+        for lit in other.x_literals
+        if isinstance(lit, ConstantLiteral) and lit.attr == attr
+    }
+    if donors and not values:
+        return _domain_values(graph, attr)
     return sorted(values)
 
 
@@ -183,11 +193,34 @@ def inject_errors(
     rng = random.Random(seed)
     ledger = InjectionLedger()
 
-    matches_by_rule = _all_matches(graph, rules)
-    pools = {
-        sigma.name: _pool_from_matches(graph, sigma, matches_by_rule[sigma.name])
-        for sigma in rules
+    # One replay builds every rule's pool as its matches stream by: the
+    # pairs (earlier, later) inside the rule's interval that satisfy X and
+    # Y, found through detection's X-value partitions.  Nothing reads a pool
+    # entry's report key, so the entries are built without one.  A rule
+    # with a constant Y also keeps its matches, which the ledger judges
+    # each paired with itself.
+    plans = {sigma.name: RulePlan(sigma) for sigma in rules}
+    indexes = {name: MatchIndex(plan) for name, plan in plans.items()}
+    pools: Dict[str, List[Tuple[MatchBinding, MatchBinding]]] = {name: [] for name in plans}
+    singles: Dict[str, List[MatchBinding]] = {
+        name: [] for name, plan in plans.items() if not plan.pair_based
     }
+    for t, matchers, _ in replay(graph, rules):
+        attr = graph.snapshot(t).attr
+        for sigma in rules:
+            name = sigma.name
+            plan, index, pool = plans[name], indexes[name], pools[name]
+            matches = matchers[name].topological_matches(t)
+            if name in singles:
+                singles[name].extend(matches)
+            window = permissible_range(t, sigma.delta, graph.T)
+            for entry in plan.entries(matches, attr):
+                for other in index.partners(entry, window):
+                    if plan.pair_x_ok(other, entry) and plan.pair_y_ok(other, entry):
+                        pool.append((other.binding, entry.binding))
+                index.insert(entry)
+    for pool in pools.values():  # by timestamps, then by the matches' items
+        pool.sort(key=lambda p: (p[0].t, p[1].t, p[0].items, p[1].items))
     ledger.pool_size = sum(len(p) for p in pools.values())
 
     written: Dict[Tuple[int, str, str], str] = {}
@@ -218,16 +251,19 @@ def inject_errors(
             else:
                 break
 
-        neg_values = _negative_value_pool(graph, rules, sigma, ledger)
+        var, attr = _y_target(sigma)
+        donors: Optional[List[str]] = None  # drawn at the rule's first negative error
         for kind, picked in (("+", picked_pos), ("-", picked_neg)):
             for hi, hj in picked:
-                vid, attr = _y_target(sigma, hj)
+                vid = hj.assignment[var]
                 slot = (hj.t, vid, attr)
                 old = written[slot] if slot in written else graph.snapshot(hj.t).attr(vid, attr)
                 if kind == "+":
                     new = f"__err{counter}__"
                 else:
-                    candidates = [v for v in neg_values.get(attr, []) if v != old]
+                    if donors is None:
+                        donors = _donor_values(graph, rules, sigma.name, attr)
+                    candidates = [v for v in donors if v != old]
                     if candidates:
                         new = rng.choice(candidates)
                     else:
@@ -261,11 +297,11 @@ def inject_errors(
     plus: Set[Tuple] = set()
     minus: Set[Tuple] = set()
     for sigma in rules:
-        plan = RulePlan(sigma)
+        plan = plans[sigma.name]
         if plan.pair_based:
             candidates = pools[sigma.name]
         else:
-            candidates = [(h, h) for ms in matches_by_rule[sigma.name].values() for h in ms]
+            candidates = [(h, h) for h in singles[sigma.name]]
         for hi, hj in candidates:
             kinds = touched(hi) | touched(hj)
             if not kinds:
@@ -280,57 +316,6 @@ def inject_errors(
     ledger.gamma_plus = sorted(plus)
     ledger.gamma_minus = sorted(minus)
     return mutated, ledger
-
-
-def _pool_from_matches(
-    graph: TemporalGraph,
-    sigma: Tgfd,
-    matches: Dict[int, Set[MatchBinding]],
-) -> List[Tuple[MatchBinding, MatchBinding]]:
-    """Pairs (earlier, later) inside the rule's interval satisfying X and Y,
-    found through detection's X-value partitions; ordered by timestamps,
-    then by the two matches' items.  Nothing reads a pool entry's report
-    key, so the entries are built without one."""
-    plan = RulePlan(sigma)
-    index = MatchIndex(plan)
-    pool = []
-    for t in range(1, graph.T + 1):
-        rng = permissible_range(t, sigma.delta, graph.T)
-        for entry in plan.entries(matches[t], graph.snapshot(t).attr):
-            for other in index.partners(entry, rng):
-                if plan.pair_x_ok(other, entry) and plan.pair_y_ok(other, entry):
-                    pool.append((other.binding, entry.binding))
-            index.insert(entry)
-    pool.sort(key=lambda p: (p[0].t, p[1].t, p[0].items, p[1].items))
-    return pool
-
-
-def _negative_value_pool(
-    graph: TemporalGraph,
-    rules: Sequence[Tgfd],
-    sigma: Tgfd,
-    ledger: InjectionLedger,
-) -> Dict[str, List[str]]:
-    """For each consequent attribute, values from the antecedent domain of
-    some other rule sharing that attribute name."""
-    out: Dict[str, List[str]] = {}
-    y_names = _attr_names([sigma.y_literal])
-    for attr in sorted(y_names):
-        donors = [
-            other
-            for other in rules
-            if other.name != sigma.name and attr in _attr_names(other.x_literals)
-        ]
-        values: Set[str] = set()
-        for other in donors:
-            for lit in other.x_literals:
-                if isinstance(lit, ConstantLiteral) and lit.attr == attr:
-                    values.add(lit.value)
-        if donors and not values:
-            values.update(_domain_values(graph, attr))
-        if values:
-            out[attr] = sorted(values)
-    return out
 
 
 def score(violations: Iterable[Violation], ledger: InjectionLedger) -> Metrics:
@@ -432,6 +417,12 @@ def generate_synthetic(
         raise InvalidOption("need at least one vertex type")
     if edges < 0 or attrs < 0:
         raise InvalidOption("edge and attribute counts must be >= 0")
+    room = vertices * (vertices - 1) * GEN_LABELS  # distinct non-loop edges
+    if edges > room:
+        raise InvalidOption(
+            f"{edges} edges exceed the {room} that {vertices} vertices and "
+            f"{GEN_LABELS} labels can hold"
+        )
     if not (chg_rate >= 0 and math.isfinite(chg_rate)):
         raise InvalidOption(f"change rate {chg_rate} must be a finite number >= 0")
     rng = random.Random(seed)

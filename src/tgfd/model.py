@@ -14,6 +14,7 @@ from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from .errors import (
+    DuplicateRule,
     EmptyConsequent,
     InvalidDelta,
     InvalidPattern,
@@ -277,9 +278,15 @@ def normalize(sigma: Tgfd) -> List[Tgfd]:
 
 
 def normalize_all(tgfds: Iterable[Tgfd]) -> List[Tgfd]:
+    """Every rule split into normal form; the split names must be distinct."""
     out: List[Tgfd] = []
+    names: Set[str] = set()
     for sigma in tgfds:
-        out.extend(normalize(sigma))
+        for rule in normalize(sigma):
+            if rule.name in names:
+                raise DuplicateRule(f"rule name {rule.name!r} is used twice")
+            names.add(rule.name)
+            out.append(rule)
     return out
 
 
@@ -328,9 +335,7 @@ def parse_tgfd_file(text: str) -> List[Tgfd]:
             pattern = GraphPattern(block["nodes"], block["edges"])
         except InvalidPattern as exc:
             raise TgfdSyntaxError(f"rule {block['name']}: {exc}", lineno) from None
-        rules.extend(
-            normalize(Tgfd(block["name"], pattern, block["delta"], block["x"], block["y"]))
-        )
+        rules.append(Tgfd(block["name"], pattern, block["delta"], block["x"], block["y"]))
         block = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -379,4 +384,4 @@ def parse_tgfd_file(text: str) -> List[Tgfd]:
         else:
             raise TgfdSyntaxError(f"unknown directive {head!r}", lineno)
     flush(len(text.splitlines()))
-    return rules
+    return normalize_all(rules)

@@ -2,10 +2,13 @@
 
 Workers are concurrent in-process units.  The vertex set is partitioned into
 fragments; each (rule, fragment) pair forms a job that owns the rule's
-matches anchored on the fragment's vertices.  Each superstep processes one
-timestamp under a barrier: workers detect violations among the matches
-their jobs own, the coordinator pairs matches across fragments, and job
-runtimes outside the allowed band trigger a workload reassignment.
+matches anchored on the fragment's vertices.  A job's only state is its
+match index, which moves with it between workers: its rule and home
+fragment are read from its `Job`, and its report-key halves from its rule.
+Each superstep processes one timestamp under a barrier: workers detect
+violations among the matches their jobs own, the coordinator pairs matches
+across fragments, and job runtimes outside the allowed band trigger a
+workload reassignment.
 
 Matching happens once per rule, on the full view: `detection.replay`
 advances one view by each change set and hands its flips to one incremental
@@ -377,23 +380,6 @@ class ParallelResult:
         return out
 
 
-class _JobState:
-    """Everything a job carries when it migrates between workers.  Its
-    rule's plan and report-key halves are shared, read-only, with the
-    rule's other jobs, and the plan with the coordinator's index too."""
-
-    def __init__(
-        self,
-        plan: RulePlan,
-        home: int,
-        halves: Callable[[MatchBinding], Tuple[int, int]],
-    ):
-        self.sigma = plan.sigma
-        self.home = home
-        self.index = MatchIndex(plan)
-        self.halves = halves
-
-
 class _FragmentView:
     """A fragment's share of the full view, kept across supersteps as the
     size model's and the ship counts' measure: the owned vertices plus the
@@ -556,20 +542,20 @@ def run_parallel(
     })
     full = graph.view(1)
     jobs = build_jobs(graph, rules, frags, full)
+    # a rebalance reassigns jobs by name, and a job's rule and home never change
+    job_by_name = {job.name: job for job in jobs}
     order = ReportOrder(graph.vertices, graph.T)
     plans = {sigma.name: RulePlan(sigma) for sigma in rules}
     halves = {sigma.name: order.halves(sigma) for sigma in rules}
-    states = {
-        job.name: _JobState(plans[job.tgfd], job.home, halves[job.tgfd]) for job in jobs
-    }
+    job_index = {job.name: MatchIndex(plans[job.tgfd]) for job in jobs}
     anchor_slots = {sigma.name: plans[sigma.name].slot[anchors[sigma.name]] for sigma in rules}
 
     assignment = gen_assign([clamp_job(j, bounds) for j in jobs], n, bounds)
     report = RunReport()
     report.assignments.append((1, dict(assignment.mapping)))
+    report.cross_checked = {name: [] for name in sorted(plans)}
 
     coord_index: Dict[str, MatchIndex] = {s.name: MatchIndex(plans[s.name]) for s in rules}
-    coord_checked: Dict[str, List[Tuple[MatchBinding, MatchBinding]]] = {s.name: [] for s in rules}
     found: Dict[str, KeyedViolations] = {s.name: KeyedViolations() for s in rules}
 
     kept = {
@@ -612,12 +598,12 @@ def run_parallel(
             def run_worker(w: int):
                 results = []
                 for name in worker_jobs[w]:
-                    state = states[name]
-                    home = state.home
+                    job, index = job_by_name[name], job_index[name]
+                    home = job.home
                     started = _time.perf_counter()
-                    owned = shares[state.sigma.name][home]
-                    entries = state.index.plan.entries(owned, attr, state.halves, owner=home)
-                    local = incted_step(state.index, state.sigma, entries, graph.T)
+                    owned = shares[job.tgfd][home]
+                    entries = index.plan.entries(owned, attr, halves[job.tgfd], owner=home)
+                    local = incted_step(index, index.plan.sigma, entries, graph.T)
                     elapsed = _time.perf_counter() - started
                     if time_model == "wall":
                         measured = elapsed
@@ -625,7 +611,7 @@ def run_parallel(
                         measured = 1.0 + len(owned)
                         if t > 1:
                             view = kept[home]
-                            pattern = state.sigma.pattern
+                            pattern = index.plan.sigma.pattern
                             searches = sum(
                                 1
                                 for e in flips[home]
@@ -646,9 +632,9 @@ def run_parallel(
             per_rule_entries: Dict[str, List[IndexEntry]] = {s.name: [] for s in rules}
             for w in sorted(gathered):
                 for name, entries, local, measured in gathered[w]:
-                    state = states[name]
-                    found[state.sigma.name].extend(local)
-                    per_rule_entries[state.sigma.name].extend(entries)
+                    rule = job_by_name[name].tgfd
+                    found[rule].extend(local)
+                    per_rule_entries[rule].extend(entries)
                     job_times[name] = measured
 
             # coordinator: pair the workers' entries across fragments, in
@@ -660,7 +646,7 @@ def run_parallel(
                     sorted(per_rule_entries[sigma.name], key=lambda e: e.binding.items),
                     graph.T,
                     cross_only=True,
-                    checked_pairs=coord_checked[sigma.name],
+                    checked_pairs=report.cross_checked[sigma.name],
                     found=found[sigma.name],
                 )
 
@@ -699,9 +685,6 @@ def run_parallel(
             report.supersteps.append(step)
 
     report.total_time += report.rebalance_overhead
-    report.cross_checked = {
-        name: list(pairs) for name, pairs in sorted(coord_checked.items())
-    }
     # each owned match has one owner, so local and cross pairs never overlap
     violations = {name: found.pop(name).in_report_order() for name in list(found)}
 

@@ -85,6 +85,23 @@ CONFLICT_RULES_DISJOINT = CONFLICT_RULES.replace(
     'delta (20, 25)\nx: x.name == x.name; r.name == r.name'
 )
 
+# Two rules named r: the first pair-based, the second with a constant
+# consequent.  Every engine keys its per-rule state by name.
+DUPLICATE_RULES = """\
+tgfd r
+vertex x patient
+vertex y medication
+edge x prescribed y
+delta (0, 4)
+x: x.name == x.name
+y: y.name == y.name
+
+tgfd r
+vertex p patient
+delta (0, 1)
+y: p.name = "y"
+"""
+
 
 @pytest.fixture
 def medication_graph():

@@ -13,6 +13,7 @@ from tgfd.cli import _RUNNERS, _build_parser, main
 from conftest import (
     CONFLICT_RULES,
     CONFLICT_RULES_DISJOINT,
+    DUPLICATE_RULES,
     MEDICATION_CHANGES,
     MEDICATION_RULES,
     MEDICATION_SNAPSHOT,
@@ -256,6 +257,14 @@ def test_option_errors_exit_2(capsys, med_files, argv, message):
     assert err.startswith(message)
 
 
+def test_repeated_rule_name_exit_2(capsys, med_files, tmp_path):
+    snap, changes, _ = med_files
+    rules = tmp_path / "twice.tgfd"
+    rules.write_text(DUPLICATE_RULES)
+    argv = ["detect", "--graph", str(snap), "--changes", str(changes), "--tgfds", str(rules)]
+    assert run(capsys, argv) == (2, "", "error: rule name 'r' is used twice\n")
+
+
 def test_gen_size_error_exit_2(capsys, tmp_path):
     code, _, err = run(
         capsys,
@@ -279,6 +288,7 @@ GEN_ARGS = {"--vertices": "4", "--edges": "3", "--types": "1", "--attrs": "1",
         ("--chg", "-1", "change rate -1.0 must be a finite number >= 0"),
         ("--chg", "nan", "change rate nan must be a finite number >= 0"),
         ("--chg", "inf", "change rate inf must be a finite number >= 0"),
+        ("--edges", "37", "37 edges exceed the 36 that 4 vertices and 3 labels can hold"),
     ],
 )
 def test_gen_option_errors_exit_2(capsys, tmp_path, option, value, message):

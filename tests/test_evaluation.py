@@ -3,6 +3,7 @@ import random
 import pytest
 
 from tgfd.detection import apply_mode, detect_sequential
+from tgfd.errors import InvalidOption
 from tgfd.evaluation import (
     CHANGE_PROFILES,
     InjectionLedger,
@@ -80,6 +81,14 @@ def test_generator_deterministic():
     assert g1.changesets == g2.changesets
     for s1, s2 in zip(g1.snapshots, g2.snapshots):
         assert s1.attrs == s2.attrs
+
+
+def test_generator_refuses_more_edges_than_the_graph_holds():
+    # two vertices hold two ordered pairs, each under GEN_LABELS = 3 labels
+    g = generate_synthetic(2, 6, 1, 1, T=2, chg_rate=0.0, seed=1)
+    assert len(g.base_edges) == 6
+    with pytest.raises(InvalidOption, match="7 edges exceed the 6 that 2 vertices"):
+        generate_synthetic(2, 7, 1, 1, T=2, chg_rate=0.0, seed=1)
 
 
 def test_generator_hotspot_restricts_changes():

@@ -35,7 +35,7 @@ from tgfd.model import (
 )
 
 from conftest import CONFLICT_RULES
-from util import random_pattern
+from util import exotic_pattern, random_pattern
 
 
 def pat(nodes, edges):
@@ -187,13 +187,35 @@ def brute_embeddings(q_small, q_big):
     return set(out)
 
 
+def wildcard_edge(pattern):
+    """pattern's first edge between wildcard nodes (one node for a loop)."""
+    src, label, dst = pattern.edges[0]
+    if src == dst:
+        return GraphPattern([("s", "_")], [("s", label, "s")])
+    return GraphPattern([("s", "_"), ("d", "_")], [("s", label, "d")])
+
+
 def test_embedding_agrees_with_brute_force():
+    """all_embeddings finds every embedding, in the sorted order whose first
+    entry find_embedding returns: on tree patterns, on the exotic shapes
+    (wildcard hubs, cycles, parallel labels, self-loops), for one wildcard
+    node, which embeds once per variable, and for a wildcard copy of an
+    edge, which embeds once per edge with its label."""
+    lone = GraphPattern([("n", "_")], [])
+    several = 0
     for seed in range(25):
         rng = random.Random(seed)
         a = random_pattern(rng, 3)
         b = random_pattern(rng, 4)
-        got = {e.items for e in all_embeddings(a, b)}
-        assert got == brute_embeddings(a, b), f"seed={seed}"
+        c, d = exotic_pattern(rng), exotic_pattern(rng)
+        cases = [(a, b), (c, d), (d, c), (a, c)]
+        for big in (a, b, c, d):
+            cases += [(lone, big), (wildcard_edge(big), big)]
+        for small, big in cases:
+            got = [e.items for e in all_embeddings(small, big)]
+            assert got == sorted(brute_embeddings(small, big)), f"seed={seed}"
+            several += len(got) >= 2 and small is not lone
+    assert several >= 25  # edge copies with several embeddings, not only lone
 
 
 # ---------------------------------------------------------------------------

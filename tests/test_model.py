@@ -1,6 +1,15 @@
 import pytest
 
-from tgfd.errors import EmptyConsequent, InvalidDelta, TgfdSyntaxError, UnknownVariable
+from tgfd.detection import detect_sequential
+from tgfd.errors import (
+    DuplicateRule,
+    EmptyConsequent,
+    InvalidDelta,
+    TgfdSyntaxError,
+    UnknownVariable,
+)
+from tgfd.evaluation import inject_errors
+from tgfd.foundations import check_satisfiability
 from tgfd.model import (
     ConstantLiteral,
     Delta,
@@ -9,8 +18,12 @@ from tgfd.model import (
     Tgfd,
     VariableLiteral,
     normalize,
+    normalize_all,
     parse_tgfd_file,
 )
+from tgfd.parallel import run_parallel
+
+from conftest import DUPLICATE_RULES
 
 from util import build_graph, extend, format_tgfd, pair_satisfies
 from tgfd.graph import AttrSet
@@ -97,6 +110,41 @@ def test_normalize():
     assert frozenset().union(*(r.y_literals for r in out)) == triple.y_literals
     with pytest.raises(EmptyConsequent):
         normalize(Tgfd("e", p, Delta(0, 1), [], []))
+
+
+def test_repeated_rule_name_is_rejected():
+    with pytest.raises(DuplicateRule, match="rule name 'r' is used twice"):
+        parse_tgfd_file(DUPLICATE_RULES)
+    # a rule named like a split part collides with that part
+    p = small_pattern()
+    lits = [ConstantLiteral("y", "name", "Veklury"), VariableLiteral("y", "code", "y", "code")]
+    rules = [Tgfd("r#1", p, Delta(0, 1), [], lits[:1]), Tgfd("r", p, Delta(0, 1), [], lits)]
+    with pytest.raises(DuplicateRule, match="rule name 'r#1' is used twice"):
+        normalize_all(rules)
+    assert [r.name for r in normalize_all(rules[1:])] == ["r#1", "r#2"]
+
+
+@pytest.mark.parametrize(
+    "engine",
+    [
+        lambda graph, rules: detect_sequential(graph, rules),
+        lambda graph, rules: run_parallel(graph, rules, 2),
+        lambda graph, rules: inject_errors(graph, rules, 0.5, seed=1),
+        lambda graph, rules: check_satisfiability(rules),
+    ],
+    ids=["detect_sequential", "run_parallel", "inject_errors", "check_satisfiability"],
+)
+def test_every_engine_rejects_a_repeated_rule_name(medication_graph, engine):
+    pairs = Tgfd(
+        "r", small_pattern(), Delta(0, 4),
+        [VariableLiteral("x", "name", "x", "name")], [VariableLiteral("y", "name", "y", "name")],
+    )
+    const = Tgfd(
+        "r", GraphPattern([("p", "patient")], []), Delta(0, 1),
+        [], [ConstantLiteral("p", "name", "y")],
+    )
+    with pytest.raises(DuplicateRule, match="rule name 'r' is used twice"):
+        engine(medication_graph, [pairs, const])
 
 
 def medication_pair_graph():
