@@ -30,11 +30,11 @@ from .evaluation import (
 from .foundations import check_implication, check_satisfiability
 from .graph import graph_to_texts, load_graph
 from .detection import (
+    KeyedReport,
     PairViolation,
     Violation,
     apply_mode,
     detect_sequential,
-    format_violation,
     pair_id,
 )
 from .model import parse_tgfd_file
@@ -163,10 +163,11 @@ def _violation_json(v: Violation) -> Dict:
     return doc
 
 
-def _write_detection_text(out: TextIO, result) -> None:
-    """One line per violation, then one `# rule nontrivial=` line per rule;
-    a run without rules writes one empty line."""
-    out.writelines(f"{format_violation(v)}\n" for v in result.all_violations())
+def _write_detection_text(out: TextIO, result: KeyedReport) -> None:
+    """One line per violation, written in chunks straight from the keys,
+    then one `# rule nontrivial=` line per rule; a run without rules
+    writes one empty line."""
+    out.writelines(result.text_chunks())
     out.writelines(
         f"# {name} nontrivial={'yes' if result.nontrivial[name] else 'no'}\n"
         for name in sorted(result.nontrivial)
@@ -307,7 +308,7 @@ def _run_eval(args) -> int:
     graph, tgfds = _load_inputs(args)
     ledger = ledger_from_text(_read(args.ledger))
     result = detect_sequential(graph, apply_mode(tgfds, args.mode))
-    metrics = score(result.all_violations(), ledger)
+    metrics = score(result.iter_violations(), ledger)
     fpr_note = "" if metrics.fpr_defined else " (no negative pool)"
     _emit(
         args,

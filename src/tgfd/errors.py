@@ -66,6 +66,11 @@ class JobOutOfBounds(TgfdError):
         self.bounds = bounds
 
 
+class ReportKeyOverflow(TgfdError):
+    """A rule profiled more matches than the entry-id fields of its
+    violation keys can number."""
+
+
 # Errors callers may already catch as ValueError: each derives from both.
 
 

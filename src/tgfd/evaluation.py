@@ -407,7 +407,9 @@ def generate_synthetic(
 
     Per timestamp the change count is chg_rate times the base edge count,
     split per the profile (nearest integer, remainder to attribute updates).
-    When hotspot_vids is given, all changes touch only those vertices.
+    When hotspot_vids is given, all changes touch only those vertices.  A
+    timestamp whose edge insertions exceed the free edge slots among those
+    vertices raises InvalidOption.
     """
     if profile not in CHANGE_PROFILES:
         raise InvalidOption(f"unknown profile {profile!r}")
@@ -465,10 +467,18 @@ def generate_synthetic(
         deletable = live_sorted
         if hotspot_vids:
             deletable = [e for e in live_sorted if e[0] in pool and e[2] in pool]
-        for e in rng.sample(deletable, min(n_ed, len(deletable))):
+        live_in_pool = len(deletable)
+        dropped = rng.sample(deletable, min(n_ed, len(deletable)))
+        for e in dropped:
             changes.append(EdgeDelete(*e))
             live_edges.discard(e)
             del live_sorted[bisect_left(live_sorted, e)]
+        free = len(pool) * (len(pool) - 1) * GEN_LABELS - (live_in_pool - len(dropped))
+        if n_ei > free:
+            raise InvalidOption(
+                f"{n_ei} edge insertions at t={t} exceed the {free} free edge slots "
+                f"that {len(pool)} vertices and {GEN_LABELS} labels leave"
+            )
         inserted = 0
         guard = 0
         while inserted < n_ei and guard < n_ei * 100 + 100:
@@ -483,6 +493,20 @@ def generate_synthetic(
             live_edges.add(e)
             insort(live_sorted, e)
             inserted += 1
+        if inserted < n_ei:
+            # the draws ran out on a nearly full pool: take the rest from
+            # the free slots, enumerated
+            slots = [
+                (src, label, dst)
+                for src in sorted(pool)
+                for label in labels
+                for dst in sorted(pool)
+                if src != dst and (src, label, dst) not in live_edges
+            ]
+            for e in rng.sample(slots, n_ei - inserted):
+                changes.append(EdgeInsert(*e))
+                live_edges.add(e)
+                insort(live_sorted, e)
         for _ in range(n_au):
             vid = rng.choice(pool_vids)
             name = rng.choice(attr_names)

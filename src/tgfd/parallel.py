@@ -4,7 +4,8 @@ Workers are concurrent in-process units.  The vertex set is partitioned into
 fragments; each (rule, fragment) pair forms a job that owns the rule's
 matches anchored on the fragment's vertices.  A job's only state is its
 match index, which moves with it between workers: its rule and home
-fragment are read from its `Job`, and its report-key halves from its rule.
+fragment are read from its `Job`, and its entries are its home's share of
+its rule's, which the run profiles, and so numbers, once per superstep.
 Each superstep processes one timestamp under a barrier: workers detect
 violations among the matches their jobs own, the coordinator pairs matches
 across fragments, and job runtimes outside the allowed band trigger a
@@ -55,11 +56,11 @@ from .matcher import playable_edges, tgfd_paths
 from .model import WILDCARD, ConstantLiteral, MatchBinding, Tgfd, normalize_all
 from .detection import (
     IndexEntry,
+    KeyedReport,
     KeyedViolations,
     MatchIndex,
     ReportOrder,
     RulePlan,
-    Violation,
     incted_step,
     nontrivially_exercised,
     replay,
@@ -365,19 +366,15 @@ class RunReport:
 
 
 @dataclass
-class ParallelResult:
-    violations: Dict[str, List[Violation]]
+class ParallelResult(KeyedReport):
+    """found holds each rule's worker and coordinator keys, merged and
+    sorted once."""
+
+    found: Dict[str, KeyedViolations]
     report: RunReport
     nontrivial: Dict[str, bool] = field(default_factory=dict)
 
-    def all_violations(self) -> List[Violation]:
-        """Every violation in violation_key order: each rule's workers'
-        and coordinator's violations were sorted together once by their
-        integer report keys (see DetectionResult.all_violations)."""
-        out = []
-        for name in sorted(self.violations):
-            out.extend(self.violations[name])
-        return out
+    all_violations = KeyedReport._all_violations  # see DetectionResult
 
 
 class _FragmentView:
@@ -545,8 +542,7 @@ def run_parallel(
     # a rebalance reassigns jobs by name, and a job's rule and home never change
     job_by_name = {job.name: job for job in jobs}
     order = ReportOrder(graph.vertices, graph.T)
-    plans = {sigma.name: RulePlan(sigma) for sigma in rules}
-    halves = {sigma.name: order.halves(sigma) for sigma in rules}
+    plans = {sigma.name: RulePlan(sigma, order) for sigma in rules}
     job_index = {job.name: MatchIndex(plans[job.tgfd]) for job in jobs}
     anchor_slots = {sigma.name: plans[sigma.name].slot[anchors[sigma.name]] for sigma in rules}
 
@@ -556,7 +552,7 @@ def run_parallel(
     report.cross_checked = {name: [] for name in sorted(plans)}
 
     coord_index: Dict[str, MatchIndex] = {s.name: MatchIndex(plans[s.name]) for s in rules}
-    found: Dict[str, KeyedViolations] = {s.name: KeyedViolations() for s in rules}
+    found: Dict[str, KeyedViolations] = {s.name: KeyedViolations(plans[s.name]) for s in rules}
 
     kept = {
         r: _FragmentView(full, frag_by_id[r].owned_vertices, anchor_specs)
@@ -580,13 +576,28 @@ def run_parallel(
                     flips[r] = kept[r].advance(full, flipped, changed)
 
             # every match lies in the ball around its anchor, which the
-            # anchor owner's view holds: each job takes its home's share
-            shares: Dict[str, Dict[int, List[MatchBinding]]] = {}
+            # anchor owner's view holds: each job takes its home's share.
+            # Each rule's matches are profiled once, here, in items order,
+            # which numbers them (RulePlan.table) for every job of the rule.
+            entries: Dict[str, List[IndexEntry]] = {}
+            shares: Dict[str, Dict[int, List[IndexEntry]]] = {}
+            owned: Dict[str, Dict[int, int]] = {}  # matches per owner
             for sigma in rules:
-                split: Dict[int, List[MatchBinding]] = {r: [] for r in frag_by_id}
                 slot = anchor_slots[sigma.name]
-                for b in matchers[sigma.name].topological_matches(t):
-                    split[owners[b.items[slot][1]]].append(b)
+
+                def owner_of(b: MatchBinding, slot: int = slot) -> int:
+                    return owners[b.items[slot][1]]
+
+                matches = matchers[sigma.name].topological_matches(t)
+                counts = {r: 0 for r in frag_by_id}
+                for b in matches:
+                    counts[owner_of(b)] += 1
+                owned[sigma.name] = counts
+                profiled = plans[sigma.name].entries(matches, attr, owner_of)
+                entries[sigma.name] = profiled
+                split: Dict[int, List[IndexEntry]] = {r: [] for r in frag_by_id}
+                for e in profiled:
+                    split[e.owner].append(e)
                 shares[sigma.name] = split
 
             worker_jobs: Dict[int, List[str]] = {w: [] for w in range(1, n + 1)}
@@ -601,14 +612,12 @@ def run_parallel(
                     job, index = job_by_name[name], job_index[name]
                     home = job.home
                     started = _time.perf_counter()
-                    owned = shares[job.tgfd][home]
-                    entries = index.plan.entries(owned, attr, halves[job.tgfd], owner=home)
-                    local = incted_step(index, index.plan.sigma, entries, graph.T)
+                    local = incted_step(index, index.plan.sigma, shares[job.tgfd][home], graph.T)
                     elapsed = _time.perf_counter() - started
                     if time_model == "wall":
                         measured = elapsed
                     else:
-                        measured = 1.0 + len(owned)
+                        measured = 1.0 + owned[job.tgfd][home]
                         if t > 1:
                             view = kept[home]
                             pattern = index.plan.sigma.pattern
@@ -620,7 +629,7 @@ def run_parallel(
                             measured += len(flips[home]) + view.attr_units + 2.0 * searches
                     if time_hook is not None:
                         measured = time_hook(t, name, measured)
-                    results.append((name, entries, local, measured))
+                    results.append((name, local, measured))
                 return results
 
             futures = {
@@ -629,21 +638,18 @@ def run_parallel(
             gathered = {w: futures[w].result() for w in sorted(futures)}
 
             job_times: Dict[str, float] = {}
-            per_rule_entries: Dict[str, List[IndexEntry]] = {s.name: [] for s in rules}
             for w in sorted(gathered):
-                for name, entries, local, measured in gathered[w]:
-                    rule = job_by_name[name].tgfd
-                    found[rule].extend(local)
-                    per_rule_entries[rule].extend(entries)
+                for name, local, measured in gathered[w]:
+                    found[job_by_name[name].tgfd].extend(local)
                     job_times[name] = measured
 
-            # coordinator: pair the workers' entries across fragments, in
-            # items order, as each worker indexed its own
+            # coordinator: pair the rule's entries across fragments, in
+            # items order, as each job indexed its own share
             for sigma in rules:
                 incted_step(
                     coord_index[sigma.name],
                     sigma,
-                    sorted(per_rule_entries[sigma.name], key=lambda e: e.binding.items),
+                    entries[sigma.name],
                     graph.T,
                     cross_only=True,
                     checked_pairs=report.cross_checked[sigma.name],
@@ -686,12 +692,13 @@ def run_parallel(
 
     report.total_time += report.rebalance_overhead
     # each owned match has one owner, so local and cross pairs never overlap
-    violations = {name: found.pop(name).in_report_order() for name in list(found)}
+    for keyed in found.values():
+        keyed.keys.sort()
 
     # the coordinator's index holds every owned match, so it alone decides
     nontrivial = {
         sigma.name: nontrivially_exercised(coord_index[sigma.name], sigma.delta)
         for sigma in rules
     }
-    return ParallelResult(violations=violations, report=report, nontrivial=nontrivial)
+    return ParallelResult(found=found, report=report, nontrivial=nontrivial)
 

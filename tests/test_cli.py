@@ -9,6 +9,7 @@ import pytest
 
 import tgfd
 from tgfd.cli import _RUNNERS, _build_parser, main
+from tgfd.graph import load_graph
 
 from conftest import (
     CONFLICT_RULES,
@@ -273,6 +274,29 @@ def test_gen_size_error_exit_2(capsys, tmp_path):
     )
     assert code == 2
     assert err == "error: need at least two vertices and one timestamp\n"
+
+
+def gen_argv(tmp_path, edges, chg, T=3):
+    return ["gen", "--vertices", "3", "--edges", str(edges), "--types", "1", "--attrs", "1",
+            "--T", str(T), "--chg", str(chg), "--profile", "skewed_ei", "--seed", "1",
+            "--out-prefix", str(tmp_path / "g")]
+
+
+def test_gen_too_many_insertions_exit_2(capsys, tmp_path):
+    code, _, err = run(capsys, gen_argv(tmp_path, 18, 1.0))
+    assert (code, err) == (
+        2, "error: 15 edge insertions at t=2 exceed the 1 free edge slots "
+        "that 3 vertices and 3 labels leave\n",
+    )
+    assert not list(tmp_path.iterdir())
+
+
+def test_gen_insertions_that_just_fit(capsys, tmp_path):
+    # T = 2 fills all 18 slots; T = 3 asks for 7 insertions into 1 free slot
+    assert run(capsys, gen_argv(tmp_path, 12, 0.7, T=2)) == (0, "vertices=3 edges=12 T=2\n", "")
+    graph = load_graph((tmp_path / "g.snapshot").read_text(), (tmp_path / "g.changes").read_text())
+    assert len(graph.view(2).edges) == 18
+    assert run(capsys, gen_argv(tmp_path, 12, 0.7))[0] == 2
 
 
 GEN_ARGS = {"--vertices": "4", "--edges": "3", "--types": "1", "--attrs": "1",

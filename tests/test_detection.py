@@ -205,12 +205,11 @@ def test_incted_step_returns_only_new_violations():
         [VariableLiteral("x", "name", "x", "name")],
         [VariableLiteral("y", "code", "y", "code")],
     )
-    index = MatchIndex(RulePlan(sigma))
-    halves = ReportOrder(g.vertices, g.T).halves(sigma)
+    index = MatchIndex(RulePlan(sigma, ReportOrder(g.vertices, g.T)))
     binding = {"x": "a", "y": "b"}
 
     def entries(t):
-        return index.plan.entries([MatchBinding.of(t, binding)], g.snapshot(t).attr, halves)
+        return index.plan.entries([MatchBinding.of(t, binding)], g.snapshot(t).attr)
 
     step1 = list(incted_step(index, sigma, entries(1), g.T))
     assert step1 == []
@@ -238,12 +237,11 @@ def test_index_partitions_are_consistent():
         [VariableLiteral("x", "name", "x", "name")],
         [VariableLiteral("y", "code", "y", "code")],
     )
-    index = MatchIndex(RulePlan(sigma))
-    halves = ReportOrder(g.vertices, g.T).halves(sigma)
+    index = MatchIndex(RulePlan(sigma, ReportOrder(g.vertices, g.T)))
     inserted = []
     for t in (1, 2, 3):
         matches = [MatchBinding.of(t, {"x": a, "y": "b"}) for a in names]
-        incted_step(index, sigma, index.plan.entries(matches, g.snapshot(t).attr, halves), g.T)
+        incted_step(index, sigma, index.plan.entries(matches, g.snapshot(t).attr), g.T)
         inserted += sorted(matches, key=lambda b: b.items)
     # every inserted match sits in the bucket of its X value and timestamp,
     # and buckets keep insertion order

@@ -91,6 +91,47 @@ def test_generator_refuses_more_edges_than_the_graph_holds():
         generate_synthetic(2, 7, 1, 1, T=2, chg_rate=0.0, seed=1)
 
 
+def test_generator_refuses_more_insertions_than_free_slots():
+    # 18 changes per timestamp, 0.85 of them insertions, into a graph whose
+    # 18 edge slots are all live but for the one deletion
+    with pytest.raises(InvalidOption, match="15 edge insertions at t=2 exceed the 1 free"):
+        generate_synthetic(3, 18, 1, 1, T=3, chg_rate=1.0, seed=1, profile="skewed_ei")
+
+
+def insertion_counts(g):
+    return [sum(isinstance(c, EdgeInsert) for c in cs.changes) for cs in g.changesets]
+
+
+def test_generator_fills_the_last_free_slots():
+    # 12 live edges, 1 deletion and 7 insertions fill all 18 slots
+    g = generate_synthetic(3, 12, 1, 1, T=2, chg_rate=0.7, seed=1, profile="skewed_ei")
+    assert len(g.base_edges) == 12
+    assert insertion_counts(g) == [7] and len(g.changesets[0].changes) == 8
+    assert len(g.view(2).edges) == 18
+
+
+def test_generator_takes_free_slots_when_draws_run_out(monkeypatch):
+    """Once the change loop starts, every vertex draw returns one vertex, so
+    the insertion draws never find an edge; the free slots make up the
+    rest."""
+
+    class StuckDraws(random.Random):
+        stuck = False
+
+        def sample(self, population, k):
+            self.stuck = True  # the first sample draws t = 2's deletions
+            return super().sample(population, k)
+
+        def choice(self, seq):
+            return seq[0] if self.stuck else super().choice(seq)
+
+    monkeypatch.setattr(random, "Random", StuckDraws)
+    g = generate_synthetic(3, 12, 1, 1, T=2, chg_rate=0.7, seed=1, profile="skewed_ei")
+    inserted = [c for c in g.changesets[0].changes if isinstance(c, EdgeInsert)]
+    assert len(inserted) == 7
+    assert len(g.view(2).edges) == 18
+
+
 def test_generator_hotspot_restricts_changes():
     hot = [f"v{i}" for i in range(5)]
     g = generate_synthetic(

@@ -101,7 +101,8 @@ def instances(draw, T):
 
 
 def report_key(order: ReportOrder, sigma: Tgfd):
-    """The integer key of a violation of sigma, from ReportOrder's halves."""
+    """The integer report key of a violation of sigma, from ReportOrder's
+    halves: the violation key without its two entry ids."""
     halves = order.halves(sigma)
 
     def key(v) -> int:
@@ -113,6 +114,23 @@ def report_key(order: ReportOrder, sigma: Tgfd):
     return key
 
 
+def check_engine_keys(result, order: ReportOrder, sigma: Tgfd) -> None:
+    """Each violation key of the result is the violation's report key over
+    the ids of its two entries: the earlier match's, then the later one's
+    (a constant violation's one match twice)."""
+    keyed = result.found[sigma.name]
+    keys, table, found = keyed.keys, keyed.plan.table, result.violations[sigma.name]
+    bits = order.id_bits
+    mask = (1 << bits) - 1
+    assert keys == sorted(keys) and len(keys) == len(found), sigma.name
+    assert len(table) <= 1 << bits
+    key = report_key(order, sigma)
+    for k, v in zip(keys, found):
+        a, b = (v.binding_i, v.binding_j) if isinstance(v, PairViolation) else (v.binding,) * 2
+        assert k >> 2 * bits << 2 * bits == key(v)
+        assert table[k >> bits & mask].binding == a and table[k & mask].binding == b
+
+
 def check_report_order(g, rules, seed: int, workers=range(1, 5)) -> None:
     seq = detect_sequential(g, rules)
     order = ReportOrder(g.vertices, g.T)
@@ -122,12 +140,17 @@ def check_report_order(g, rules, seed: int, workers=range(1, 5)) -> None:
         key = report_key(order, sigma)
         keys = [key(v) for v in found]
         assert keys == sorted(keys) and len(set(keys)) == len(keys), sigma.name
+        # the report key leaves the entry ids' bits zero
+        assert all(k & ((1 << 2 * order.id_bits) - 1) == 0 for k in keys), sigma.name
         shuffled = list(found)
         random.Random(seed).shuffle(shuffled)
         assert sorted(shuffled, key=key) == sorted(shuffled, key=violation_key), sigma.name
+        check_engine_keys(seq, order, sigma)
     for n in workers:
         par = run_parallel(g, rules, n, seed=seed)
         assert par.violations == seq.violations, f"n={n}"
+        for sigma in rules:
+            check_engine_keys(par, order, sigma)
 
 
 @settings(max_examples=60, deadline=None)
