@@ -409,7 +409,10 @@ class RulePlan:
 
 class MatchIndex:
     """Per-rule partition of indexed matches by X values; each class maps a
-    timestamp to its entries in insertion order."""
+    timestamp to its entries in insertion order.  Every pairing (detection,
+    the coordinator, inject's pools and its ledger) walks a new entry's
+    partners through `buckets` and filters each bucket in one
+    comprehension."""
 
     def __init__(self, plan: RulePlan):
         self.plan = plan
@@ -420,13 +423,13 @@ class MatchIndex:
         by_t = self.classes.setdefault(entry.xkey, {})
         by_t.setdefault(entry.t, []).append(entry)
 
-    def partners(self, entry: IndexEntry, rng: Sequence[int]) -> Iterator[IndexEntry]:
-        """Entries of entry's class at the ascending timestamps rng, by
-        timestamp, then insertion order."""
+    def buckets(self, entry: IndexEntry, rng: Sequence[int]) -> List[List[IndexEntry]]:
+        """The non-empty buckets of entry's class at the ascending
+        timestamps rng, in that order, each in insertion order."""
         by_t = self.classes.get(entry.xkey)
-        if by_t:
-            for j in rng:
-                yield from by_t.get(j, ())
+        if not by_t:
+            return []
+        return [bucket for j in rng if (bucket := by_t.get(j))]
 
 
 def incted_step(
@@ -447,53 +450,42 @@ def incted_step(
     at this one with smaller items.  So each (partner, entry) pair is built
     in canonical order, (t_i, items_i) < (t_j, items_j), no entry meets
     itself, since a binding occurs once per rule and timestamp, and the
-    pair's key is partner.hi + entry.lo.
-    With cross_only, only pairs whose entries carry different owners are
-    emitted (the coordinator's role); checked_pairs, when given, records
-    every pair actually compared.
+    pair's key is partner.hi + entry.lo.  Each partner bucket is filtered
+    in one comprehension: by the y values when one test of Y decides the
+    pair (self-form Y, no general-form X), else by `pair_violates`.
+    With cross_only, a bucket first drops the partners whose owner is the
+    entry's, so only pairs across fragments are compared (the
+    coordinator's role); checked_pairs, when given, records every pair
+    compared.
     """
     plan = index.plan
     if found is None:
         found = KeyedViolations(plan)
     add_key, add_keys = found.keys.append, found.keys.extend
     pair_based = plan.pair_based
-    # The common shape: one verdict per pair, read off the two y values, so
-    # each partner bucket is filtered in one comprehension.
-    by_y = (
-        plan.one_orientation and plan.y_form == Y_SELF
-        and not cross_only and checked_pairs is None
-    )
-    classes = index.classes
+    # violating: the partner's y unset or unequal to the entry's
+    by_y = plan.one_orientation and plan.y_form == Y_SELF
+    violates = plan.pair_violates
     rng_t, rng = None, []
     compared = 0
     for entry in entries:
         if pair_based:
             if entry.t != rng_t:
                 rng_t, rng = entry.t, permissible_range(entry.t, sigma.delta, T)
-            lo = entry.lo
-            if by_y:
-                by_t = classes.get(entry.xkey)
-                if by_t:
-                    # violating: the partner's y unset or unequal to entry's
-                    y = entry.y
-                    for j in rng:
-                        bucket = by_t.get(j)
-                        if bucket:
-                            compared += len(bucket)
-                            if y is None:
-                                add_keys([other.hi + lo for other in bucket])
-                            else:
-                                add_keys([other.hi + lo for other in bucket if other.y != y])
-            else:
-                binding, owner = entry.binding, entry.owner
-                for other in index.partners(entry, rng):
-                    if cross_only and other.owner == owner:
-                        continue
-                    compared += 1
-                    if checked_pairs is not None:
-                        checked_pairs.append((other.binding, binding))
-                    if plan.pair_violates(other, entry):
-                        add_key(other.hi + lo)
+            lo, y, owner = entry.lo, entry.y, entry.owner
+            for bucket in index.buckets(entry, rng):
+                if cross_only:
+                    bucket = [other for other in bucket if other.owner != owner]
+                compared += len(bucket)
+                if checked_pairs is not None:
+                    binding = entry.binding
+                    checked_pairs.extend([(other.binding, binding) for other in bucket])
+                if not by_y:
+                    add_keys([other.hi + lo for other in bucket if violates(other, entry)])
+                elif y is None:
+                    add_keys([other.hi + lo for other in bucket])
+                else:
+                    add_keys([other.hi + lo for other in bucket if other.y != y])
         elif not cross_only:
             # the unary check is the degenerate pair of the match with itself
             if entry.y is not None and plan.pair_x_ok(entry, entry):

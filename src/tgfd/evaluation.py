@@ -103,7 +103,7 @@ def apply_mutations(graph: TemporalGraph, mutations: Sequence[Mutation]) -> Temp
     set t (in the base attributes at t = 1) and, below T, a restore of the
     slot's own value at t at the start of change set t + 1, so that set's
     own changes still apply after it.  The result is built like a loaded
-    graph, each change set checked as it is applied.
+    graph, in one pass, each change set checked as it is applied.
     """
     final = {(m.t, m.vid, m.attr): m.new for m in mutations}
     base = dict(graph.snapshot(1).attrs)
@@ -118,11 +118,13 @@ def apply_mutations(graph: TemporalGraph, mutations: Sequence[Mutation]) -> Temp
             own = graph.snapshot(t).attr(vid, attr)
             restore = AttrDelete(vid, attr) if own is None else AttrSet(vid, attr, own)
             first.setdefault(t + 1, []).append(restore)
-    mutated = TemporalGraph(graph.vertices, graph.base_edges, base)
-    for cs in graph.changesets:
-        changes = (*first.get(cs.t, ()), *cs.changes, *last.get(cs.t, ()))
-        mutated = apply_changes(mutated, ChangeSet(t=cs.t, changes=changes))
-    return mutated
+    return apply_changes(
+        TemporalGraph(graph.vertices, graph.base_edges, base),
+        *(
+            ChangeSet(cs.t, (*first.get(cs.t, ()), *cs.changes, *last.get(cs.t, ())))
+            for cs in graph.changesets
+        ),
+    )
 
 
 def _y_target(sigma: Tgfd) -> Tuple[str, str]:
@@ -184,8 +186,11 @@ def inject_errors(
 
     Positive errors write a fresh out-of-domain value; negative errors write
     a value drawn from the antecedent domain of another rule sharing the
-    attribute name.  The ledger records every pair made violating, including
-    collateral pairs of the mutated matches.
+    attribute name.  The ledger records every violating pair on the mutated
+    graph that holds a mutated match and could have changed: each such
+    pool pair, each such match of a rule with a constant Y and, for a rule
+    whose X reads a written attribute name, each such pair of X-equal
+    matches in the rule's interval, collateral pairs included.
     """
     if not 0 <= err_rate <= 1:
         raise InvalidOption("error rate must lie in [0, 1]")
@@ -197,27 +202,34 @@ def inject_errors(
     # pairs (earlier, later) inside the rule's interval that satisfy X and
     # Y, found through detection's X-value partitions.  Nothing reads a pool
     # entry's report key, so the entries are built without one.  A rule
-    # with a constant Y also keeps its matches, which the ledger judges
-    # each paired with itself.
+    # keeps its matches, one list per timestamp, when the ledger judges more
+    # than its pool: when its Y is constant, or its X reads an attribute
+    # name that inject may write (some rule's Y target).
     plans = {sigma.name: RulePlan(sigma) for sigma in rules}
     indexes = {name: MatchIndex(plan) for name, plan in plans.items()}
     pools: Dict[str, List[Tuple[MatchBinding, MatchBinding]]] = {name: [] for name in plans}
-    singles: Dict[str, List[MatchBinding]] = {
-        name: [] for name, plan in plans.items() if not plan.pair_based
+    writable = {_y_target(sigma)[1] for sigma in rules}
+    kept: Dict[str, List[List[MatchBinding]]] = {
+        sigma.name: [] for sigma in rules
+        if not plans[sigma.name].pair_based or _attr_names(sigma.x_literals) & writable
     }
     for t, matchers, _ in replay(graph, rules):
         attr = graph.snapshot(t).attr
         for sigma in rules:
             name = sigma.name
             plan, index, pool = plans[name], indexes[name], pools[name]
+            x_ok, y_ok = plan.pair_x_ok, plan.pair_y_ok
             matches = matchers[name].topological_matches(t)
-            if name in singles:
-                singles[name].extend(matches)
+            if name in kept:
+                kept[name].append(list(matches))
             window = permissible_range(t, sigma.delta, graph.T)
             for entry in plan.entries(matches, attr):
-                for other in index.partners(entry, window):
-                    if plan.pair_x_ok(other, entry) and plan.pair_y_ok(other, entry):
-                        pool.append((other.binding, entry.binding))
+                binding = entry.binding
+                for bucket in index.buckets(entry, window):
+                    pool.extend([
+                        (other.binding, binding) for other in bucket
+                        if x_ok(other, entry) and y_ok(other, entry)
+                    ])
                 index.insert(entry)
     for pool in pools.values():  # by timestamps, then by the matches' items
         pool.sort(key=lambda p: (p[0].t, p[1].t, p[0].items, p[1].items))
@@ -292,16 +304,34 @@ def inject_errors(
     # Ledger through detection's rule plan on the mutated graph.  A pair
     # violates when both matches realize X's constants, agree on the
     # self-form X values (xkey) and pair_violates holds; mutations can move
-    # X values too.  Candidates are the pool's pairs when Y compares two
-    # matches, each match paired with itself when Y is constant.
+    # X values too.  Candidates are each match paired with itself when Y is
+    # constant.  When Y compares two matches, they are the pool's pairs,
+    # unless X reads a written attribute name: then a mutation can make
+    # matches X-equal that were not, and the candidates are the pairs that
+    # the partner walk finds on the mutated graph.
+    written_names = {m.attr for m in ledger.mutations}
     plus: Set[Tuple] = set()
     minus: Set[Tuple] = set()
     for sigma in rules:
         plan = plans[sigma.name]
-        if plan.pair_based:
-            candidates = pools[sigma.name]
+        if not plan.pair_based:
+            candidates = [(h, h) for matches in kept[sigma.name] for h in matches]
+        elif _attr_names(sigma.x_literals) & written_names:
+            candidates = []
+            index = MatchIndex(plan)
+            for t, matches in enumerate(kept[sigma.name], start=1):
+                window = permissible_range(t, sigma.delta, graph.T)
+                for entry in plan.entries(matches, mutated.snapshot(t).attr):
+                    binding = entry.binding
+                    mine = bool(touched(binding))
+                    for bucket in index.buckets(entry, window):
+                        candidates.extend([
+                            (other.binding, binding) for other in bucket
+                            if mine or touched(other.binding)
+                        ])
+                    index.insert(entry)
         else:
-            candidates = [(h, h) for h in singles[sigma.name]]
+            candidates = pools[sigma.name]
         for hi, hj in candidates:
             kinds = touched(hi) | touched(hj)
             if not kinds:
@@ -401,15 +431,13 @@ def generate_synthetic(
     chg_rate: float,
     seed: int,
     profile: str = "uniform",
-    hotspot_vids: Optional[Sequence[str]] = None,
 ) -> TemporalGraph:
     """Random typed graph evolved over T timestamps.
 
     Per timestamp the change count is chg_rate times the base edge count,
     split per the profile (nearest integer, remainder to attribute updates).
-    When hotspot_vids is given, all changes touch only those vertices.  A
-    timestamp whose edge insertions exceed the free edge slots among those
-    vertices raises InvalidOption.
+    A timestamp whose edge insertions exceed the free edge slots raises
+    InvalidOption.
     """
     if profile not in CHANGE_PROFILES:
         raise InvalidOption(f"unknown profile {profile!r}")
@@ -446,9 +474,8 @@ def generate_synthetic(
     attr_map = {
         vid: {name: rng.choice(values) for name in attr_names} for vid in vids
     }
-    graph = TemporalGraph(vertex_map, edge_set, attr_map)
+    current = {vid: dict(named) for vid, named in attr_map.items()}  # at the last t
 
-    pool_vids = sorted(hotspot_vids) if hotspot_vids else vids
     au_frac, ed_frac, ei_frac = CHANGE_PROFILES[profile]
     n_changes = round(chg_rate * len(edge_set))
     n_ed = round(ed_frac * n_changes)
@@ -461,29 +488,25 @@ def generate_synthetic(
     # list at every timestamp without a sort
     live_edges = set(edge_set)
     live_sorted = sorted(edge_set)
-    pool = set(pool_vids)
+    changesets = []
     for t in range(2, T + 1):
         changes = []
-        deletable = live_sorted
-        if hotspot_vids:
-            deletable = [e for e in live_sorted if e[0] in pool and e[2] in pool]
-        live_in_pool = len(deletable)
-        dropped = rng.sample(deletable, min(n_ed, len(deletable)))
+        dropped = rng.sample(live_sorted, min(n_ed, len(live_sorted)))
         for e in dropped:
             changes.append(EdgeDelete(*e))
             live_edges.discard(e)
             del live_sorted[bisect_left(live_sorted, e)]
-        free = len(pool) * (len(pool) - 1) * GEN_LABELS - (live_in_pool - len(dropped))
+        free = room - len(live_sorted)
         if n_ei > free:
             raise InvalidOption(
                 f"{n_ei} edge insertions at t={t} exceed the {free} free edge slots "
-                f"that {len(pool)} vertices and {GEN_LABELS} labels leave"
+                f"that {vertices} vertices and {GEN_LABELS} labels leave"
             )
         inserted = 0
         guard = 0
         while inserted < n_ei and guard < n_ei * 100 + 100:
             guard += 1
-            src, dst = rng.choice(pool_vids), rng.choice(pool_vids)
+            src, dst = rng.choice(vids), rng.choice(vids)
             if src == dst:
                 continue
             e = (src, rng.choice(labels), dst)
@@ -494,24 +517,27 @@ def generate_synthetic(
             insort(live_sorted, e)
             inserted += 1
         if inserted < n_ei:
-            # the draws ran out on a nearly full pool: take the rest from
-            # the free slots, enumerated
+            # the draws ran out on a nearly full graph: take the rest from
+            # the free slots, enumerated in vertex id order
             slots = [
                 (src, label, dst)
-                for src in sorted(pool)
+                for src in sorted(vids)
                 for label in labels
-                for dst in sorted(pool)
+                for dst in sorted(vids)
                 if src != dst and (src, label, dst) not in live_edges
             ]
             for e in rng.sample(slots, n_ei - inserted):
                 changes.append(EdgeInsert(*e))
                 live_edges.add(e)
                 insort(live_sorted, e)
+        written = {}  # each update draws against the value at t - 1
         for _ in range(n_au):
-            vid = rng.choice(pool_vids)
+            vid = rng.choice(vids)
             name = rng.choice(attr_names)
-            current = graph.snapshots[-1].attr(vid, name)
-            choices = [v for v in values if v != current]
-            changes.append(AttrSet(vid, name, rng.choice(choices)))
-        graph = apply_changes(graph, ChangeSet(t=t, changes=tuple(changes)))
-    return graph
+            choices = [v for v in values if v != current[vid][name]]
+            value = written[vid, name] = rng.choice(choices)
+            changes.append(AttrSet(vid, name, value))
+        for (vid, name), value in written.items():
+            current[vid][name] = value
+        changesets.append(ChangeSet(t=t, changes=tuple(changes)))
+    return apply_changes(TemporalGraph(vertex_map, edge_set, attr_map), *changesets)

@@ -212,51 +212,54 @@ class Fragment:
     owned_vertices: frozenset
 
 
-def apply_changes(graph: TemporalGraph, cs: ChangeSet) -> TemporalGraph:
-    """The graph extended to timestamp cs.t by change set cs.
+def apply_changes(graph: TemporalGraph, *changesets: ChangeSet) -> TemporalGraph:
+    """The graph extended by the change sets, in order, in one pass: each
+    must target the timestamp after the last.
 
-    Changes apply in list order, and only cs's changes are checked.  The
-    result shares graph's history and adds cs plus the attribute map of
-    cs.t, which shares with the previous map the dict of every vertex cs
-    does not write; a written vertex's dict is copied on its first write.
-    graph itself is left as it was.
+    Changes apply in list order, and each change set is checked as it is
+    applied.  The result shares graph's history and adds, per change set,
+    the set plus the attribute map of its timestamp, which shares with the
+    previous map the dict of every vertex the set does not write; a written
+    vertex's dict is copied on its first write.  graph itself is left as it
+    was, also when a change set is refused.
     """
-    if cs.t != graph.T + 1:
-        raise InvalidGraph(f"change set targets t={cs.t}, expected {graph.T + 1}")
     edges = set(graph._last_edges)
-    attrs = dict(graph.snapshots[-1].attrs)
-    written: Set[str] = set()
-
-    def writable(vid: str) -> Dict[str, str]:
-        if vid not in written:
-            written.add(vid)
-            attrs[vid] = dict(attrs.get(vid, {}))
-        return attrs[vid]
-
-    for change in cs.changes:
-        if isinstance(change, EdgeInsert):
-            _require_vertex(graph, change.src)
-            _require_vertex(graph, change.dst)
-            edges.add((change.src, change.label, change.dst))
-        elif isinstance(change, EdgeDelete):
-            e = (change.src, change.label, change.dst)
-            if e not in edges:
-                raise DeleteMissingEdge(f"{e} absent at t={cs.t}")
-            edges.discard(e)
-        elif isinstance(change, AttrSet):
-            _require_vertex(graph, change.vid)
-            writable(change.vid)[change.name] = change.value
-        elif isinstance(change, AttrDelete):
-            _require_vertex(graph, change.vid)
-            writable(change.vid).pop(change.name, None)
-        else:  # pragma: no cover - guarded by Change union
-            raise TypeError(f"unknown change {change!r}")
-    for vid in written:
-        if not attrs[vid]:
-            del attrs[vid]
+    snapshots = list(graph.snapshots)
+    attrs = snapshots[-1].attrs
+    for cs in changesets:
+        if cs.t != len(snapshots) + 1:
+            raise InvalidGraph(f"change set targets t={cs.t}, expected {len(snapshots) + 1}")
+        attrs = dict(attrs)
+        written: Set[str] = set()
+        for change in cs.changes:
+            if isinstance(change, EdgeInsert):
+                _require_vertex(graph, change.src)
+                _require_vertex(graph, change.dst)
+                edges.add((change.src, change.label, change.dst))
+            elif isinstance(change, EdgeDelete):
+                e = (change.src, change.label, change.dst)
+                if e not in edges:
+                    raise DeleteMissingEdge(f"{e} absent at t={cs.t}")
+                edges.discard(e)
+            elif isinstance(change, (AttrSet, AttrDelete)):
+                vid = change.vid
+                _require_vertex(graph, vid)
+                if vid not in written:
+                    written.add(vid)
+                    attrs[vid] = dict(attrs.get(vid, {}))
+                if isinstance(change, AttrSet):
+                    attrs[vid][change.name] = change.value
+                else:
+                    attrs[vid].pop(change.name, None)
+            else:  # pragma: no cover - guarded by Change union
+                raise TypeError(f"unknown change {change!r}")
+        for vid in written:
+            if not attrs[vid]:
+                del attrs[vid]
+        snapshots.append(Snapshot(t=cs.t, attrs=attrs))
     extended = copy.copy(graph)
-    extended.snapshots += (Snapshot(t=cs.t, attrs=attrs),)
-    extended.changesets += (cs,)
+    extended.snapshots = tuple(snapshots)
+    extended.changesets = graph.changesets + changesets
     extended._last_edges = edges
     return extended
 
@@ -595,8 +598,7 @@ def load_graph(snapshot_text: str, changes_text: Optional[str] = None) -> Tempor
     """Build the full temporal graph from a base snapshot plus change files."""
     graph = parse_snapshot_text(snapshot_text)
     if changes_text:
-        for cs in parse_changes_text(changes_text):
-            graph = apply_changes(graph, cs)
+        graph = apply_changes(graph, *parse_changes_text(changes_text))
     return graph
 
 

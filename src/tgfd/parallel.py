@@ -34,6 +34,7 @@ reported shipped count.
 
 from __future__ import annotations
 
+import os
 import random
 import time as _time
 from concurrent.futures import ThreadPoolExecutor
@@ -562,9 +563,10 @@ def run_parallel(
     lo_band = (1 - zeta) * bounds[0]
     hi_band = (1 + zeta) * bounds[1]
 
-    # a fragment without vertices owns no match, so its jobs need no thread
+    # a fragment without vertices owns no match, so its jobs need no thread,
+    # and threads beyond the cores would only queue
     busy = sum(1 for f in frags if f.owned_vertices)
-    with ThreadPoolExecutor(max_workers=max(1, min(n, busy))) as pool:
+    with ThreadPoolExecutor(max_workers=max(1, min(n, busy, os.cpu_count() or 1))) as pool:
         # one matcher per rule on the full view; the views move here, on
         # this thread, and the workers only read them
         for t, matchers, flipped in replay(graph, rules, full):

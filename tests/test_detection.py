@@ -282,18 +282,22 @@ deltas = st.integers(0, 40).flatmap(lambda p: st.tuples(st.just(p), st.integers(
 
 @settings(max_examples=200, deadline=None)
 @given(specs=entry_specs, pq=deltas, T=st.integers(1, 30), probe=st.integers(1, 30))
-def test_partners_are_the_class_entries_in_the_permissible_range(specs, pq, T, probe):
+def test_buckets_are_the_class_entries_in_the_permissible_range(specs, pq, T, probe):
     specs = [(min(t, T), key) for t, key in specs]
     entries = [entry(t, key, n) for n, (t, key) in enumerate(specs)]
     index = index_of(entries)
     new = entry(min(probe, T), "a", len(entries))
     rng = permissible_range(new.t, Delta(*pq), T)
-    got = list(index.partners(new, rng))
+    buckets = index.buckets(new, rng)
     want = sorted(
         (e for e in entries if e.xkey == ("a",) and Delta(*pq).contains(e.t - new.t)),
         key=lambda e: e.t,
     )
-    assert got == want
+    # by timestamp, then insertion order; one non-empty bucket per timestamp
+    assert [e for bucket in buckets for e in bucket] == want
+    assert all(bucket for bucket in buckets)
+    assert [bucket[0].t for bucket in buckets] == sorted({e.t for e in want})
+    assert all(len({e.t for e in bucket}) == 1 for bucket in buckets)
 
 
 @settings(max_examples=300, deadline=None)

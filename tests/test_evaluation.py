@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tgfd.detection import apply_mode, detect_sequential
+from tgfd.detection import apply_mode, detect_sequential, pair_id
 from tgfd.errors import InvalidOption
 from tgfd.evaluation import (
     CHANGE_PROFILES,
@@ -15,7 +15,7 @@ from tgfd.evaluation import (
     ledger_to_text,
     score,
 )
-from tgfd.graph import AttrDelete, AttrSet, EdgeDelete, EdgeInsert, graph_to_texts, load_graph
+from tgfd.graph import AttrDelete, AttrSet, EdgeInsert, graph_to_texts, load_graph
 from tgfd.model import (
     ConstantLiteral,
     Delta,
@@ -132,21 +132,6 @@ def test_generator_takes_free_slots_when_draws_run_out(monkeypatch):
     assert len(g.view(2).edges) == 18
 
 
-def test_generator_hotspot_restricts_changes():
-    hot = [f"v{i}" for i in range(5)]
-    g = generate_synthetic(
-        40, 80, 3, 2, T=4, chg_rate=0.1, seed=3, profile="skewed_ei", hotspot_vids=hot
-    )
-    from tgfd.graph import derive_changesets
-
-    for cs in derive_changesets(g):
-        for c in cs.changes:
-            if isinstance(c, (EdgeInsert, EdgeDelete)):
-                assert c.src in hot and c.dst in hot
-            else:
-                assert c.vid in hot
-
-
 # ---------------------------------------------------------------------------
 # injection
 # ---------------------------------------------------------------------------
@@ -250,6 +235,33 @@ def test_cross_rule_collateral_is_ledgered():
     metrics = score(detect_sequential(mutated, [sigma, wide]).all_violations(), ledger)
     assert metrics.precision == 1.0
     assert metrics.recall == 1.0
+
+
+def test_negative_error_into_another_rules_antecedent_is_ledgered():
+    """A negative error of ra writes x1.b = q at t = 2, which rb reads in X:
+    x2 at t = 1 and x1 at t = 2 become X-equal under rb and differ on c, a
+    pair that was no pool pair of rb.  The ledger holds it, as a negative
+    error, and detection reports every ledgered pair."""
+    from tgfd.graph import ChangeSet, TemporalGraph, Vertex, apply_changes
+
+    graph = apply_changes(
+        TemporalGraph(
+            {"x1": Vertex("x1", "A"), "x2": Vertex("x2", "A")},
+            [],
+            {"x1": {"k": "1", "b": "p", "c": "1"}, "x2": {"k": "1", "b": "q", "c": "2"}},
+        ),
+        ChangeSet(2, ()),
+    )
+    pattern = GraphPattern([("x", "A")], [])
+    ra = Tgfd("ra", pattern, Delta(1, 1), [VariableLiteral("x", "k", "x", "k")],
+              [VariableLiteral("x", "b", "x", "b")])
+    rb = Tgfd("rb", pattern, Delta(0, 1), [VariableLiteral("x", "b", "x", "b")],
+              [VariableLiteral("x", "c", "x", "c")])
+    mutated, ledger = inject_errors(graph, [ra, rb], 0.3, seed=1, include_negative=True)
+    assert Mutation(2, "x1", "b", "p", "q", "-") in ledger.mutations
+    assert ("rb", (1, ("x2",)), (2, ("x1",))) in ledger.gamma_minus
+    found = {pair_id(v) for v in detect_sequential(mutated, [ra, rb]).all_violations()}
+    assert set(ledger.gamma_plus) | set(ledger.gamma_minus) <= found
 
 
 def test_negative_injection_uses_overlapping_rule_domain():

@@ -92,6 +92,44 @@ def test_apply_changes_in_order():
     assert g2.snapshots[1].attr("a", "name") == "second"
 
 
+def test_one_pass_load_equals_step_by_step_chaining():
+    """apply_changes with many change sets, and load_graph, which passes it
+    every parsed set at once, give the graph that chaining one set per call
+    gives: the same change sets, attribute maps, edges at every t and last
+    edge set."""
+    rng = random.Random(11)
+    base = random_graph(rng, 20, 40)
+    chained = base
+    for t in range(2, 9):
+        chained = apply_changes(chained, random_changes(rng, chained, t, 6))
+    one_pass = apply_changes(base, *chained.changesets)
+    loaded = load_graph(snapshot_to_text(base), changes_to_text(chained.changesets))
+    for g in (one_pass, loaded):
+        assert g.T == chained.T == 8
+        assert g.changesets == chained.changesets
+        assert g._last_edges == chained._last_edges
+        for t in range(1, g.T + 1):
+            assert g.snapshot(t).attrs == chained.snapshot(t).attrs, t
+            assert g.view(t).edges == chained.view(t).edges, t
+    assert base.T == 1 and not base.changesets
+
+
+def test_one_pass_load_refuses_a_bad_set_and_leaves_the_graph():
+    g = extend(star_graph(), [AttrSet("a", "name", "x")])
+    snapshots, changesets = g.snapshots, g.changesets
+    good = ChangeSet(3, (EdgeDelete("c", "to", "a"),))
+    for bad, error in (
+        (ChangeSet(4, (EdgeDelete("c", "to", "a"),)), DeleteMissingEdge),
+        (ChangeSet(4, (AttrSet("nope", "name", "x"),)), UnknownVertex),
+        (ChangeSet(5, ()), InvalidGraph),
+    ):
+        with pytest.raises(error):
+            apply_changes(g, good, bad)
+        assert g.snapshots is snapshots and g.changesets is changesets
+        assert g._last_edges == g.view(2).edges
+        assert ("c", "to", "a") in g._last_edges
+
+
 def test_replay_matches_rebuild_from_scratch():
     # 100 random changes replayed equal a snapshot built from the final sets
     rng = random.Random(7)

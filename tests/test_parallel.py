@@ -24,6 +24,7 @@ from tgfd.model import (
     Tgfd,
     VariableLiteral,
     normalize,
+    normalize_all,
 )
 from tgfd.detection import detect_sequential
 from tgfd.parallel import (
@@ -497,6 +498,86 @@ def test_pool_is_sized_by_the_fragments_that_own_vertices(monkeypatch):
     par = run_parallel(g, rules, n=40, seed=1)
     assert len(sizes) == 1 and sizes[0] <= 12
     assert seq and par.all_violations() == seq
+
+
+def test_pool_is_capped_at_the_cores(monkeypatch):
+    """Eight fragments own vertices, but a machine of two cores gets a pool
+    of two threads, and the run still equals the sequential one.  The
+    recording pool refuses a larger size before any thread starts."""
+    import tgfd.parallel as parallel
+
+    sizes = []
+
+    class Recording(parallel.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            assert max_workers is not None and max_workers <= 2
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    rng = random.Random(5)
+    g = random_graph(rng, 12, 30)
+    for t in (2, 3):
+        g = apply_changes(g, random_changes(rng, g, t, 4))
+    rules = [simple_rule()]
+    seq = detect_sequential(g, rules).all_violations()
+    assert all(f.owned_vertices for f in make_fragments(g, 8, 1))
+    par = run_parallel(g, rules, n=8, seed=1)
+    assert sizes == [2]
+    assert seq and par.all_violations() == seq
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cross_checked_pairs_equal_a_brute_force_oracle(n):
+    """The coordinator compares exactly the pairs of brute matches that lie
+    in the interval, realize X's constants, agree on its self-form values
+    and whose anchors have different owners, each once, earlier match
+    first; a rule with a constant Y compares none."""
+    from util import brute_matches_by_t, shaped_instance
+
+    def x_class(graph, sigma, h):
+        values = []
+        for lit in sigma.x_literals:
+            if isinstance(lit, ConstantLiteral):
+                if graph.snapshot(h.t).attr(h.get(lit.var), lit.attr) != lit.value:
+                    return None
+            elif lit.is_self_form:
+                value = graph.snapshot(h.t).attr(h.get(lit.var1), lit.attr1)
+                if value is None:
+                    return None
+                values.append((str(lit), value))
+        return sorted(values)
+
+    compared = 0
+    for seed in range(12):
+        g, rules = shaped_instance(seed)
+        result = run_parallel(g, rules, n=n, seed=seed, bounds=(0.0, float("inf")))
+        owners = owner_map(make_fragments(g, n, seed))
+        for sigma in normalize_all(rules):
+            got = sorted(
+                ((a.t, a.items), (b.t, b.items)) for a, b in result.report.cross_checked[sigma.name]
+            )
+            if isinstance(sigma.y_literal, ConstantLiteral):
+                assert got == [], f"seed={seed}"
+                continue
+            anchor = sigma.pattern.radius_center()[0]
+            matches = brute_matches_by_t(g, sigma.pattern)
+            want = sorted(
+                ((hi.t, hi.items), (hj.t, hj.items))
+                for ti in range(1, g.T + 1)
+                for tj in range(ti, g.T + 1)
+                if sigma.delta.contains(tj - ti)
+                for hi in matches[ti]
+                for hj in matches[tj]
+                if (ti, hi.items) < (tj, hj.items)
+                and owners[hi.get(anchor)] != owners[hj.get(anchor)]
+                and x_class(g, sigma, hi) is not None
+                and x_class(g, sigma, hi) == x_class(g, sigma, hj)
+            )
+            assert got == want, f"seed={seed} rule={sigma.name}"
+            compared += len(want)
+    assert compared
 
 
 def test_parallel_deterministic_report():

@@ -366,12 +366,15 @@ def oracle_ledger(
     principles.  The pool is every (earlier, later) pair of brute matches
     inside the interval that satisfies X and Y on the clean graph.  A pair
     the mutations touch is ledgered when, on the mutated graph, it satisfies
-    X and fails Y in either orientation: each pool pair when Y compares two
-    matches, each match paired with itself when Y is constant.  Rules must
-    be in normal form (one consequent literal each)."""
+    X and fails Y in either orientation: each match paired with itself when
+    Y is constant; when Y compares two matches, each pool pair or, when X
+    reads an attribute name a mutation writes, each (earlier, later) pair
+    inside the interval.  Rules must be in normal form (one consequent
+    literal each)."""
     kinds_at: Dict[Tuple[int, str], Set[str]] = {}
     for m in mutations:
         kinds_at.setdefault((m.t, m.vid), set()).add(m.kind)
+    written = {m.attr for m in mutations}
 
     def touched(h: MatchBinding) -> Set[str]:
         return set().union(*(kinds_at.get((h.t, vid), set()) for _, vid in h.items))
@@ -390,6 +393,19 @@ def oracle_ledger(
         pool_size += len(pool)
         if all(isinstance(l, ConstantLiteral) for l in y):
             candidates = [(h, h) for ms in matches.values() for h in ms]
+        elif any(
+            {l.attr} & written if isinstance(l, ConstantLiteral) else {l.attr1, l.attr2} & written
+            for l in x
+        ):
+            candidates = [
+                (hi, hj)
+                for ti in range(1, graph.T + 1)
+                for tj in range(ti, graph.T + 1)
+                if sigma.delta.contains(tj - ti)
+                for hi in matches[ti]
+                for hj in matches[tj]
+                if (ti, hi.items) < (tj, hj.items)
+            ]
         else:
             candidates = pool
         for hi, hj in candidates:
