@@ -175,6 +175,15 @@ def _donor_values(graph: TemporalGraph, rules: Sequence[Tgfd], name: str, attr: 
     return sorted(values)
 
 
+def _violates(plan: RulePlan, hi: MatchBinding, hj: MatchBinding, graph: TemporalGraph) -> bool:
+    """Whether the pair violates plan's rule on graph: both matches realize
+    X's constants, agree on the self-form X values (xkey), and
+    pair_violates holds."""
+    a = plan.profile(hi, graph.snapshot(hi.t).attr)
+    b = plan.profile(hj, graph.snapshot(hj.t).attr)
+    return a is not None and b is not None and a.xkey == b.xkey and plan.pair_violates(a, b)
+
+
 def inject_errors(
     graph: TemporalGraph,
     tgfds: Sequence[Tgfd],
@@ -186,10 +195,10 @@ def inject_errors(
 
     Positive errors write a fresh out-of-domain value; negative errors write
     a value drawn from the antecedent domain of another rule sharing the
-    attribute name.  The ledger records every violating pair on the mutated
-    graph that holds a mutated match and could have changed: each such
-    pool pair, each such match of a rule with a constant Y and, for a rule
-    whose X reads a written attribute name, each such pair of X-equal
+    attribute name.  The ledger records every pair that holds a mutated
+    match, violates on the mutated graph and did not violate on graph: each
+    such pool pair, each such match of a rule with a constant Y and, for a
+    rule whose X reads a written attribute name, each such pair of X-equal
     matches in the rule's interval, collateral pairs included.
     """
     if not 0 <= err_rate <= 1:
@@ -301,14 +310,12 @@ def inject_errors(
             kinds |= slot_kinds.get((binding.t, vid), set())
         return kinds
 
-    # Ledger through detection's rule plan on the mutated graph.  A pair
-    # violates when both matches realize X's constants, agree on the
-    # self-form X values (xkey) and pair_violates holds; mutations can move
-    # X values too.  Candidates are each match paired with itself when Y is
-    # constant.  When Y compares two matches, they are the pool's pairs,
-    # unless X reads a written attribute name: then a mutation can make
-    # matches X-equal that were not, and the candidates are the pairs that
-    # the partner walk finds on the mutated graph.
+    # Ledger through detection's rule plan on the mutated graph; mutations
+    # can move X values too.  Candidates are each match paired with itself
+    # when Y is constant.  When Y compares two matches, they are the pool's
+    # pairs, unless X reads a written attribute name: then a mutation can
+    # make matches X-equal that were not, and the candidates are the pairs
+    # that the partner walk finds on the mutated graph.
     written_names = {m.attr for m in ledger.mutations}
     plus: Set[Tuple] = set()
     minus: Set[Tuple] = set()
@@ -332,15 +339,14 @@ def inject_errors(
                     index.insert(entry)
         else:
             candidates = pools[sigma.name]
+        # A mutation causes a violation that was not there before it; a pool
+        # pair of a one-orientation rule satisfied the rule on graph.
+        judge_before = candidates is not pools[sigma.name] or not plan.one_orientation
         for hi, hj in candidates:
             kinds = touched(hi) | touched(hj)
-            if not kinds:
-                continue
-            a = plan.profile(hi, mutated.snapshot(hi.t).attr)
-            b = plan.profile(hj, mutated.snapshot(hj.t).attr)
-            if a is None or b is None or a.xkey != b.xkey:
-                continue
-            if plan.pair_violates(a, b):
+            if kinds and _violates(plan, hi, hj, mutated) and not (
+                judge_before and _violates(plan, hi, hj, graph)
+            ):
                 (minus if "-" in kinds else plus).add(match_pair_id(sigma.name, hi, hj))
 
     ledger.gamma_plus = sorted(plus)

@@ -10,6 +10,11 @@ consecutive interval endpoints (every p and every q + 1).  The gaps
 the closure is computed once per segment, and neighbouring segments with
 the same result merge into maximal validity intervals.  The cost grows with
 the number of rules, not with the width of their intervals.
+
+The rules that take part are those whose pattern embeds into the anchor's.
+An embedding is a match of one pattern on another's variables, so it is
+the matcher's own search on `GraphPattern.view`: this module searches
+nothing of its own.
 """
 
 from __future__ import annotations
@@ -18,8 +23,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import ArityMismatch, InvalidOption
+from .matcher import match_vars
 from .model import (
-    WILDCARD,
     ConstantLiteral,
     Delta,
     GraphPattern,
@@ -67,53 +72,11 @@ class Embedding:
         return VariableLiteral(m[lit.var1], lit.attr1, m[lit.var2], lit.attr2)
 
 
-def _embed_label_ok(small_label: str, big_label: str) -> bool:
-    if small_label == WILDCARD:
-        return True
-    return small_label == big_label
-
-
 def all_embeddings(q_small: GraphPattern, q_big: GraphPattern) -> List[Embedding]:
-    """Every embedding of q_small into q_big, in canonical order."""
-    small_vars = sorted(q_small.vars)
-    big_vars = sorted(q_big.vars)
-    results: List[Embedding] = []
-    assignment: Dict[str, str] = {}
-    used: Set[str] = set()
-
-    def ok(var: str, target: str) -> bool:
-        if not _embed_label_ok(q_small.label_of(var), q_big.label_of(target)):
-            return False
-        big_edges = set(q_big.edges)
-        for (src, label, dst) in q_small.edges:
-            if src == var and dst in assignment:
-                if (target, label, assignment[dst]) not in big_edges:
-                    return False
-            if dst == var and src in assignment:
-                if (assignment[src], label, target) not in big_edges:
-                    return False
-            if src == var and dst == var:
-                if (target, label, target) not in big_edges:
-                    return False
-        return True
-
-    def backtrack(i: int) -> None:
-        if i == len(small_vars):
-            results.append(Embedding(items=tuple(sorted(assignment.items()))))
-            return
-        var = small_vars[i]
-        for target in big_vars:
-            if target in used:
-                continue
-            if ok(var, target):
-                assignment[var] = target
-                used.add(target)
-                backtrack(i + 1)
-                del assignment[var]
-                used.discard(target)
-
-    backtrack(0)
-    return results
+    """Every embedding of q_small into q_big, in canonical order: the
+    matcher's search for q_small on q_big's variables."""
+    found = sorted(tuple(sorted(a.items())) for a in match_vars(q_small, q_big.view))
+    return [Embedding(items) for items in found]
 
 
 def find_embedding(q_small: GraphPattern, q_big: GraphPattern) -> Optional[Embedding]:

@@ -87,12 +87,16 @@ class Snapshot:
 
 
 class GraphView:
-    """A queryable slice of one snapshot: vertex types and edges only.
+    """A queryable slice of one snapshot, or a pattern's variables: vertex
+    types and edges only.
 
     Attributes are read from `TemporalGraph.snapshot(t)`.  A view evolves
     in place: a replay advances one full view by each change set
     (`advance_view`); its vertex set never changes.  Matchers only read the
-    view they are given; TemporalGraph itself stays immutable.
+    view they are given; TemporalGraph itself stays immutable.  A
+    `GraphPattern.view` holds the variables typed by their labels (`_`
+    among them) and the pattern's edges, at t = 0: the matcher embeds
+    patterns into it, and `ball_vertices` measures the pattern on it.
     """
 
     __slots__ = ("t", "types", "edges", "_out", "_in", "_by_type")

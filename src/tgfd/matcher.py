@@ -16,12 +16,15 @@ Searches are local: a variable's candidates come from the edges of its
 already placed pattern neighbours (the label-filtered adjacency of each,
 intersected), so a search seeded at an inserted edge only walks that edge's
 neighbourhood.  Only the first variable of an unseeded search, which has no
-placed neighbour, scans its whole type class.
+placed neighbour, scans its whole type class.  The same search embeds one
+rule's pattern into another's `GraphPattern.view` for reasoning
+(`foundations.all_embeddings`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Collection, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 from .graph import Edge, GraphView
@@ -93,19 +96,14 @@ def decompose(pattern: GraphPattern, constants: Iterable[ConstantLiteral] = ()) 
             )
         ]
 
-    out_by_var: Dict[str, List[Tuple[str, str, str]]] = {}
-    in_by_var: Dict[str, List[Tuple[str, str, str]]] = {}
-    for e in pattern.edges:
-        out_by_var.setdefault(e[0], []).append(e)
-        in_by_var.setdefault(e[2], []).append(e)
-
+    adjacency = pattern.view
     maximal: Set[Tuple[Tuple[str, str, str], ...]] = set()
 
     def extendable_right(path_nodes: Set[str], last: str) -> List[Tuple[str, str, str]]:
-        return [e for e in out_by_var.get(last, ()) if e[2] not in path_nodes]
+        return [(last, label, d) for label, d in adjacency.out_edges(last) if d not in path_nodes]
 
     def left_blocked(path_nodes: Set[str], first: str) -> bool:
-        return all(e[0] in path_nodes for e in in_by_var.get(first, ()))
+        return all(src in path_nodes for _, src in adjacency.in_edges(first))
 
     def walk(path_edges: List[Tuple[str, str, str]], nodes: Set[str]) -> None:
         last = path_edges[-1][2]
@@ -117,7 +115,7 @@ def decompose(pattern: GraphPattern, constants: Iterable[ConstantLiteral] = ()) 
         for e in sorted(nxt):
             walk(path_edges + [e], nodes | {e[2]})
 
-    for e in sorted(pattern.edges):
+    for e in sorted(adjacency.edges):
         walk([e], {e[0], e[2]})
 
     ordered = sorted(maximal, key=lambda p: (-len(p), p))
@@ -172,7 +170,7 @@ def match_snapshot(pattern: GraphPattern, view: GraphView) -> Set[MatchBinding]:
 
     Attribute literals are not filtered here; they belong to detection.
     """
-    assignments = _match_vars(pattern, view)
+    assignments = match_vars(pattern, view)
     return {MatchBinding.of(view.t, a) for a in assignments}
 
 
@@ -185,7 +183,7 @@ def _candidates(pattern: GraphPattern, var: str, view: GraphView) -> Collection[
     return view.vertices_of_type(label)
 
 
-def _match_vars(
+def match_vars(
     pattern: GraphPattern,
     view: GraphView,
     seed: Optional[Mapping[str, str]] = None,
@@ -196,11 +194,19 @@ def _match_vars(
     class.  A variable with placed pattern neighbours takes its candidates
     from their edges: one label-filtered adjacency set per pattern edge
     joining them, intersected.  Only a variable with no placed neighbour
-    (the first one of an unseeded search) scans its type class.
+    (the first one of an unseeded search) scans its type class.  The view
+    may be another pattern's (`GraphPattern.view`): reasoning's embeddings
+    are this search.
     """
     placed: Set[str] = set(seed or ())
     remaining = [v for v in pattern.vars if v not in placed]
     sizes = {v: len(_candidates(pattern, v, view)) for v in remaining}
+    if not all(sizes.values()):  # some label admits no vertex
+        return []
+    adjacency = pattern.view
+    near = {
+        v: {w for _, w in chain(adjacency.out_edges(v), adjacency.in_edges(v))} for v in remaining
+    }
     order: List[str] = []
     # per variable: (placed neighbour, label, variable is the edge's source)
     # for every pattern edge joining it to a variable placed before it, and
@@ -210,7 +216,7 @@ def _match_vars(
     while remaining:
         chosen = min(
             remaining,
-            key=lambda v: (bool(placed) and placed.isdisjoint(pattern.neighbors(v)), sizes[v], v),
+            key=lambda v: (bool(placed) and placed.isdisjoint(near[v]), sizes[v], v),
         )
         joins[chosen] = [
             (dst, label, True) if src == chosen else (src, label, False)
@@ -323,7 +329,7 @@ class IncrementalMatcher:
         added: Set[AssignmentKey] = set()
         playable = playable_edges(self.pattern, e, self.view.type_of)
         for (psrc, _, pdst) in playable:
-            for a in _match_vars(self.pattern, self.view, seed={psrc: src, pdst: dst}):
+            for a in match_vars(self.pattern, self.view, seed={psrc: src, pdst: dst}):
                 key = _key(a)
                 if key not in self._complete:
                     self._add(key)

@@ -21,6 +21,7 @@ from .errors import (
     TgfdSyntaxError,
     UnknownVariable,
 )
+from .graph import GraphView, ball_vertices
 
 WILDCARD = "_"
 
@@ -102,7 +103,10 @@ class Delta:
 class GraphPattern:
     """Directed, connected, labeled pattern over named variables.
 
-    Node label '_' matches any vertex type.
+    Node label '_' matches any vertex type.  A pattern is a graph: `view`
+    is its one adjacency, a `GraphView` whose vertices are the variables
+    typed by their labels.  The matcher's search embeds patterns into it,
+    and `graph.ball_vertices` walks it for the pattern's distances.
     """
 
     def __init__(
@@ -122,23 +126,9 @@ class GraphPattern:
         for src, _, dst in self.edges:
             if src not in self.labels or dst not in self.labels:
                 raise UnknownVariable(f"edge ({src}, {dst}) uses undeclared variable")
-        self._adj: Dict[str, Set[str]] = {v: set() for v in self.labels}
-        for src, _, dst in self.edges:
-            self._adj[src].add(dst)
-            self._adj[dst].add(src)
-        if not self._connected():
+        self.view = GraphView(0, self.labels, self.edges)
+        if len(self.distances_from(self.nodes[0][0])) != len(self.labels):
             raise InvalidPattern("pattern must be connected")
-
-    def _connected(self) -> bool:
-        start = next(iter(self.labels))
-        seen = {start}
-        stack = [start]
-        while stack:
-            for nxt in self._adj[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return len(seen) == len(self.labels)
 
     @property
     def vars(self) -> Tuple[str, ...]:
@@ -147,22 +137,11 @@ class GraphPattern:
     def label_of(self, var: str) -> str:
         return self.labels[var]
 
-    def neighbors(self, var: str) -> Set[str]:
-        return self._adj[var]
-
     def distances_from(self, var: str) -> Dict[str, int]:
-        """Undirected hop distances from var to every pattern node."""
-        dist = {var: 0}
-        frontier = [var]
-        while frontier:
-            nxt_frontier = []
-            for v in frontier:
-                for w in self._adj[v]:
-                    if w not in dist:
-                        dist[w] = dist[v] + 1
-                        nxt_frontier.append(w)
-            frontier = nxt_frontier
-        return dist
+        """Undirected hop distances from var to every pattern node it reaches."""
+        hops: Dict[str, int] = {}
+        ball_vertices(self.view, var, len(self.labels), hops)
+        return hops
 
     @property
     def diameter(self) -> int:
@@ -173,7 +152,8 @@ class GraphPattern:
         return best
 
     def radius_center(self) -> Tuple[str, int]:
-        """Node minimizing its eccentricity, with that eccentricity."""
+        """The first node in vars order minimizing its eccentricity, with
+        that eccentricity."""
         best_var, best_r = None, None
         for var in self.vars:
             r = max(self.distances_from(var).values())

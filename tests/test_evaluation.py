@@ -264,6 +264,51 @@ def test_negative_error_into_another_rules_antecedent_is_ledgered():
     assert set(ledger.gamma_plus) | set(ledger.gamma_minus) <= found
 
 
+def test_ledger_skips_violations_that_predate_injection():
+    """x0 violates rc (`x.c = "ok"`) before injection.  A positive error of
+    ra writes x0.b at t = 2, which rc never reads: the ledger must not blame
+    it for rc's violation at (2, x0), so eval precision counts that
+    violation as a false positive, the one at (1, x0) too."""
+    from tgfd.graph import ChangeSet, TemporalGraph, Vertex, apply_changes
+
+    attrs = {f"x{i}": {"k": "1", "b": "p", "c": "ok"} for i in range(4)}
+    attrs["x0"]["c"] = "bad"
+    graph = apply_changes(
+        TemporalGraph({vid: Vertex(vid, "A") for vid in attrs}, [], attrs), ChangeSet(2, ())
+    )
+    pattern = GraphPattern([("x", "A")], [])
+    ra = Tgfd("ra", pattern, Delta(0, 1), [VariableLiteral("x", "k", "x", "k")],
+              [VariableLiteral("x", "b", "x", "b")])
+    rc = Tgfd("rc", pattern, Delta(0, 0), [], [ConstantLiteral("x", "c", "ok")])
+    mutated, ledger = inject_errors(graph, [ra, rc], 0.2, seed=0)
+    assert Mutation(2, "x0", "b", "p", "__err1__", "+") in ledger.mutations
+    assert ("rc", (2, ("x0",)), (2, ("x0",))) not in ledger.gamma_plus
+    # the error written to x3.c at t = 1 is the one rc violation inject caused
+    assert [k for k in ledger.gamma_plus if k[0] == "rc"] == [("rc", (1, ("x3",)), (1, ("x3",)))]
+    plus, minus, _ = oracle_ledger(graph, mutated, [ra, rc], ledger.mutations)
+    assert (ledger.gamma_plus, ledger.gamma_minus) == (sorted(plus), sorted(minus))
+    metrics = score(detect_sequential(mutated, [ra, rc]).all_violations(), ledger)
+    assert metrics.precision == pytest.approx(28 / 30)
+
+
+def test_ledger_skips_a_pool_pair_that_violated_the_other_way():
+    """(u, w) satisfies `x.p == x.q` as (u, w), so it is a pool pair, but
+    fails it as (w, u): it violates before injection.  The error written to
+    w.q does not cause that violation, so nothing is ledgered."""
+    from tgfd.graph import TemporalGraph, Vertex
+
+    attrs = {"u": {"p": "1", "q": "2"}, "w": {"p": "3", "q": "1"}}
+    graph = TemporalGraph({vid: Vertex(vid, "A") for vid in attrs}, [], attrs)
+    rule = Tgfd("rg", GraphPattern([("x", "A")], []), Delta(0, 0), [],
+                [VariableLiteral("x", "p", "x", "q")])
+    violation = ("rg", (1, ("u",)), (1, ("w",)))
+    assert {pair_id(v) for v in detect_sequential(graph, [rule]).all_violations()} == {violation}
+    mutated, ledger = inject_errors(graph, [rule], 1.0, seed=0)
+    assert ledger.pool_size == 1
+    assert ledger.mutations == [Mutation(1, "w", "q", "1", "__err0__", "+")]
+    assert ledger.gamma_plus == [] and oracle_ledger(graph, mutated, [rule], ledger.mutations)[0] == set()
+
+
 def test_negative_injection_uses_overlapping_rule_domain():
     from tgfd.model import ConstantLiteral, Delta, GraphPattern, Tgfd, VariableLiteral
 

@@ -35,7 +35,14 @@ from tgfd.model import (
 )
 
 from conftest import CONFLICT_RULES
-from util import exotic_pattern, random_pattern
+from util import (
+    chain_pattern,
+    exotic_pattern,
+    grid_pattern,
+    nx_monomorphisms,
+    random_pattern,
+    sub_pattern,
+)
 
 
 def pat(nodes, edges):
@@ -216,6 +223,43 @@ def test_embedding_agrees_with_brute_force():
             assert got == sorted(brute_embeddings(small, big)), f"seed={seed}"
             several += len(got) >= 2 and small is not lone
     assert several >= 25  # edge copies with several embeddings, not only lone
+
+
+def test_embedding_agrees_with_networkx_at_size():
+    """all_embeddings equals networkx's VF2 monomorphisms, in sorted order,
+    of connected pieces of 6-12 node chains and grids, of 3-6 node chains,
+    2 x 2 grids, exotic shapes and wildcard edge copies into them, and of
+    exotic shapes into each other: wildcard nodes on both sides, self-loops
+    and parallel labels."""
+    seen = dict.fromkeys(("several", "onto_wildcard", "from_wildcard", "loop", "parallel"), 0)
+    for seed in range(30):
+        rng = random.Random(seed)
+        bigs = [
+            chain_pattern(rng, rng.randint(6, 12)),
+            grid_pattern(rng, 3, rng.randint(2, 4)),
+            grid_pattern(rng, 2, 3),
+            exotic_pattern(rng),
+        ]
+        for big in bigs:
+            smalls = [
+                sub_pattern(rng, big, rng.randint(3, 6)),
+                chain_pattern(rng, rng.randint(3, 6)),
+                grid_pattern(rng, 2, 2),
+                exotic_pattern(rng),
+                wildcard_edge(big),
+            ]
+            for small in smalls:
+                got = [e.items for e in all_embeddings(small, big)]
+                assert got == sorted(nx_monomorphisms(small, big.nodes, big.edges)), f"seed={seed}"
+                if not got:
+                    continue
+                pairs = [(s, d) for s, _, d in small.edges]
+                seen["several"] += len(got) >= 2
+                seen["onto_wildcard"] += any(big.label_of(v) == "_" for _, v in got[0])
+                seen["from_wildcard"] += "_" in small.labels.values()
+                seen["loop"] += any(s == d for s, d in pairs)
+                seen["parallel"] += len(set(pairs)) < len(pairs)
+    assert min(seen.values()) >= 40, seen
 
 
 # ---------------------------------------------------------------------------

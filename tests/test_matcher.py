@@ -3,8 +3,6 @@ import random
 import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
-from networkx import DiGraph
-from networkx.algorithms.isomorphism import DiGraphMatcher
 
 from tgfd.graph import (
     AttrDelete,
@@ -29,44 +27,17 @@ from util import (
     build_graph,
     complete_keys,
     exotic_pattern,
+    nx_monomorphisms,
     random_changes,
     random_graph,
     random_pattern,
 )
 
 
-def _labelled_digraph(nodes, edges) -> DiGraph:
-    """One networkx edge per ordered pair, carrying the set of its labels;
-    self-loops included."""
-    g = DiGraph()
-    for node, type_label in nodes:
-        g.add_node(node, type=type_label)
-    for (src, label, dst) in edges:
-        if g.has_edge(src, dst):
-            g[src][dst]["labels"].add(label)
-        else:
-            g.add_edge(src, dst, labels={label})
-    return g
-
-
 def nx_matches(pattern: GraphPattern, view) -> set:
-    """Independent oracle: networkx VF2 monomorphisms of the pattern into the
-    view.  Node match is on type with `_` as a wildcard; edge match requires
-    the pattern's labels to be a subset of the data labels."""
-    data = _labelled_digraph(
-        [(vid, view.type_of(vid)) for vid in view.vertices()], view.edges
-    )
-    pat = _labelled_digraph(pattern.nodes, pattern.edges)
-    gm = DiGraphMatcher(
-        data,
-        pat,
-        node_match=lambda d, p: p["type"] in ("_", d["type"]),
-        edge_match=lambda d, p: p["labels"] <= d["labels"],
-    )
-    return {
-        MatchBinding.of(view.t, {var: vid for vid, var in m.items()})
-        for m in gm.subgraph_monomorphisms_iter()
-    }
+    """The networkx oracle's matches of the pattern in the view."""
+    nodes = [(vid, view.type_of(vid)) for vid in view.vertices()]
+    return {MatchBinding(view.t, items) for items in nx_monomorphisms(pattern, nodes, view.edges)}
 
 
 def assert_matches_current(matcher, pattern, view, where):

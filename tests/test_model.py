@@ -1,3 +1,6 @@
+import random
+
+import networkx as nx
 import pytest
 
 from tgfd.detection import detect_sequential
@@ -5,6 +8,7 @@ from tgfd.errors import (
     DuplicateRule,
     EmptyConsequent,
     InvalidDelta,
+    InvalidPattern,
     TgfdSyntaxError,
     UnknownVariable,
 )
@@ -25,7 +29,16 @@ from tgfd.parallel import run_parallel
 
 from conftest import DUPLICATE_RULES
 
-from util import build_graph, extend, format_tgfd, pair_satisfies
+from util import (
+    build_graph,
+    chain_pattern,
+    exotic_pattern,
+    extend,
+    format_tgfd,
+    grid_pattern,
+    labelled_digraph,
+    pair_satisfies,
+)
 from tgfd.graph import AttrSet
 
 
@@ -88,6 +101,52 @@ def test_pattern_diameter_and_center():
     assert chain.diameter == 3
     center, radius = chain.radius_center()
     assert center in ("b", "c") and radius == 2
+
+
+def assert_geometry_like_networkx(pattern: GraphPattern, undirected) -> None:
+    ecc = nx.eccentricity(undirected)
+    for var in pattern.vars:
+        assert pattern.distances_from(var) == nx.single_source_shortest_path_length(undirected, var)
+    assert pattern.diameter == nx.diameter(undirected)
+    # the first variable, in vars order, of least eccentricity
+    center = min(pattern.vars, key=ecc.__getitem__)
+    assert pattern.radius_center() == (center, nx.radius(undirected))
+
+
+def test_pattern_geometry_agrees_with_networkx():
+    """distances_from, diameter, radius_center and the connectivity check
+    agree with networkx on the pattern taken as an undirected graph: random
+    nodes and edges (self-loops and parallel labels among them), chains,
+    grids and the exotic shapes.  A pattern networkx finds disconnected is
+    refused."""
+    refused = centered_late = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        variables = [f"v{i}" for i in range(rng.randint(1, 7))]
+        rng.shuffle(variables)
+        nodes = [(v, rng.choice(["A", "_"])) for v in variables]
+        edges = [
+            (rng.choice(variables), rng.choice("ab"), rng.choice(variables))
+            for _ in range(rng.randint(0, 2 * len(variables)))
+        ]
+        undirected = labelled_digraph(nodes, edges).to_undirected()
+        if not nx.is_connected(undirected):
+            with pytest.raises(InvalidPattern):
+                GraphPattern(nodes, edges)
+            refused += 1
+            continue
+        pattern = GraphPattern(nodes, edges)
+        assert_geometry_like_networkx(pattern, undirected)
+        centered_late += pattern.radius_center()[0] != pattern.vars[0]
+        for shaped in (
+            chain_pattern(rng, rng.randint(2, 12)),
+            grid_pattern(rng, rng.randint(1, 3), rng.randint(2, 4)),
+            exotic_pattern(rng),
+        ):
+            assert_geometry_like_networkx(
+                shaped, labelled_digraph(shaped.nodes, shaped.edges).to_undirected()
+            )
+    assert refused >= 20 and centered_late >= 20
 
 
 def test_normalize():

@@ -11,6 +11,9 @@ import itertools
 import random
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from networkx import DiGraph, is_weakly_connected
+from networkx.algorithms.isomorphism import DiGraphMatcher
+
 from tgfd.errors import GraphFormatError
 from tgfd.graph import (
     AttrDelete,
@@ -47,6 +50,38 @@ def neighbors(view: GraphView, vid: str) -> Set[str]:
     seen = {dst for _, dst in view.out_edges(vid)}
     seen.update(src for _, src in view.in_edges(vid))
     return seen
+
+
+def labelled_digraph(nodes, edges) -> DiGraph:
+    """One networkx edge per ordered pair, carrying the set of its labels;
+    self-loops included."""
+    g = DiGraph()
+    for node, type_label in nodes:
+        g.add_node(node, type=type_label)
+    for (src, label, dst) in edges:
+        if g.has_edge(src, dst):
+            g[src][dst]["labels"].add(label)
+        else:
+            g.add_edge(src, dst, labels={label})
+    return g
+
+
+def nx_monomorphisms(pattern: GraphPattern, nodes, edges) -> Set[Tuple[Tuple[str, str], ...]]:
+    """Independent oracle: networkx VF2 monomorphisms of the pattern into
+    the labeled graph (nodes, edges), as sorted (variable, node) items.
+    Node match is on type with `_` as a wildcard, so a typed variable never
+    maps onto a `_` node; edge match requires the pattern's labels to be a
+    subset of the data labels."""
+    gm = DiGraphMatcher(
+        labelled_digraph(nodes, edges),
+        labelled_digraph(pattern.nodes, pattern.edges),
+        node_match=lambda d, p: p["type"] in ("_", d["type"]),
+        edge_match=lambda d, p: p["labels"] <= d["labels"],
+    )
+    return {
+        tuple(sorted((var, node) for node, var in m.items()))
+        for m in gm.subgraph_monomorphisms_iter()
+    }
 
 
 def build_graph(
@@ -366,11 +401,11 @@ def oracle_ledger(
     principles.  The pool is every (earlier, later) pair of brute matches
     inside the interval that satisfies X and Y on the clean graph.  A pair
     the mutations touch is ledgered when, on the mutated graph, it satisfies
-    X and fails Y in either orientation: each match paired with itself when
-    Y is constant; when Y compares two matches, each pool pair or, when X
-    reads an attribute name a mutation writes, each (earlier, later) pair
-    inside the interval.  Rules must be in normal form (one consequent
-    literal each)."""
+    X and fails Y in either orientation, and did not on the clean graph:
+    each match paired with itself when Y is constant; when Y compares two
+    matches, each pool pair or, when X reads an attribute name a mutation
+    writes, each (earlier, later) pair inside the interval.  Rules must be
+    in normal form (one consequent literal each)."""
     kinds_at: Dict[Tuple[int, str], Set[str]] = {}
     for m in mutations:
         kinds_at.setdefault((m.t, m.vid), set()).add(m.kind)
@@ -378,6 +413,13 @@ def oracle_ledger(
 
     def touched(h: MatchBinding) -> Set[str]:
         return set().union(*(kinds_at.get((h.t, vid), set()) for _, vid in h.items))
+
+    def violates(hi: MatchBinding, hj: MatchBinding, x, y, g: TemporalGraph) -> bool:
+        """Some orientation of the pair satisfies x and fails y on g."""
+        return any(
+            pair_satisfies(a, b, x, g) and not pair_satisfies(a, b, y, g)
+            for a, b in ((hi, hj), (hj, hi))
+        )
 
     def key(name: str, hi: MatchBinding, hj: MatchBinding) -> Tuple:
         sides = sorted([(hi.t, hi.sorted_ids), (hj.t, hj.sorted_ids)])
@@ -410,10 +452,7 @@ def oracle_ledger(
             candidates = pool
         for hi, hj in candidates:
             kinds = touched(hi) | touched(hj)
-            if kinds and any(
-                pair_satisfies(a, b, x, mutated) and not pair_satisfies(a, b, y, mutated)
-                for a, b in ((hi, hj), (hj, hi))
-            ):
+            if kinds and violates(hi, hj, x, y, mutated) and not violates(hi, hj, x, y, graph):
                 (minus if "-" in kinds else plus).add(key(sigma.name, hi, hj))
     return plus, minus, pool_size
 
@@ -670,6 +709,64 @@ def exotic_pattern(rng: random.Random) -> GraphPattern:
         [("x", t()), ("y", t())],
         [("x", l(), "x"), ("x", l(), "y")],
     )
+
+
+def _decorated(
+    rng: random.Random, variables: Sequence[str], edges: List[Tuple[str, str, str]]
+) -> GraphPattern:
+    """A pattern over variables and edges, over two types and two labels,
+    with a wildcard node about one time in six, a self-loop one time in
+    eight, and a parallel edge of the other label one time in six."""
+    labels = LABEL_POOL[:2]
+    nodes = [(v, "_" if rng.random() < 1 / 6 else rng.choice(TYPE_POOL[:2])) for v in variables]
+    extra = [(v, rng.choice(labels), v) for v in variables if rng.random() < 1 / 8]
+    for src, label, dst in list(edges):
+        if rng.random() < 1 / 6:
+            extra.append((src, labels[1 - labels.index(label)], dst))
+    return GraphPattern(nodes, edges + extra)
+
+
+def chain_pattern(rng: random.Random, n: int) -> GraphPattern:
+    """n variables in a line, each edge in a random direction."""
+    variables = [f"c{i}" for i in range(n)]
+    edges = []
+    for a, b in zip(variables, variables[1:]):
+        src, dst = (a, b) if rng.random() < 0.5 else (b, a)
+        edges.append((src, rng.choice(LABEL_POOL[:2]), dst))
+    return _decorated(rng, variables, edges)
+
+
+def grid_pattern(rng: random.Random, rows: int, cols: int) -> GraphPattern:
+    """A rows x cols grid, edges pointing right and down."""
+    cells = [(r, c) for r in range(rows) for c in range(cols)]
+    edges = [
+        (f"g{r}{c}", rng.choice(LABEL_POOL[:2]), f"g{r2}{c2}")
+        for r, c in cells
+        for r2, c2 in ((r, c + 1), (r + 1, c))
+        if r2 < rows and c2 < cols
+    ]
+    return _decorated(rng, [f"g{r}{c}" for r, c in cells], edges)
+
+
+def sub_pattern(rng: random.Random, big: GraphPattern, n: int) -> GraphPattern:
+    """A connected piece of big over at most n of its variables, renamed,
+    with some of its edges dropped and some of its labels made wildcards,
+    so that it embeds into big at least once."""
+    piece = [rng.choice(big.vars)]
+    while len(piece) < min(n, len(big.vars)):
+        reach = sorted(
+            {d for s, _, d in big.edges if s in piece} | {s for s, _, d in big.edges if d in piece}
+        )
+        piece.append(rng.choice([v for v in reach if v not in piece]))
+    name = {v: f"s{i}" for i, v in enumerate(piece)}
+    nodes = [(name[v], "_" if rng.random() < 0.25 else big.label_of(v)) for v in piece]
+    edges = [(name[s], l, name[d]) for s, l, d in big.edges if s in name and d in name]
+    rng.shuffle(edges)
+    kept: List[Tuple[str, str, str]] = []
+    for e in edges:  # once the kept edges connect the piece, drop about 30%
+        if rng.random() < 0.7 or not is_weakly_connected(labelled_digraph(nodes, kept)):
+            kept.append(e)
+    return GraphPattern(nodes, kept)
 
 
 def exotic_rule(rng: random.Random, name: str) -> Tgfd:
