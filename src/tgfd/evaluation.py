@@ -3,10 +3,10 @@
 Positive errors break the consequent of sampled satisfying match pairs;
 negative errors retarget a consequent value into another rule's antecedent
 domain.  One replay of the change sets builds every rule's pool of
-satisfying pairs through detection's rule plan and X-value partitions, and
-the ledger judges the mutated graph with the same plans.  Scoring compares
-detected violations against the injection ledger over canonical pair
-identities.
+satisfying pairs through detection's rule plan and X-value partitions;
+the ledger is detection on the mutated graph minus detection on graph,
+on the pairs that hold a mutated match.  Scoring compares detected
+violations against the ledger over canonical pair identities.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .model import (
     normalize_all,
 )
 from .detection import (
+    IndexEntry,
     MatchIndex,
     RulePlan,
     Violation,
@@ -175,13 +176,27 @@ def _donor_values(graph: TemporalGraph, rules: Sequence[Tgfd], name: str, attr: 
     return sorted(values)
 
 
-def _violates(plan: RulePlan, hi: MatchBinding, hj: MatchBinding, graph: TemporalGraph) -> bool:
-    """Whether the pair violates plan's rule on graph: both matches realize
-    X's constants, agree on the self-form X values (xkey), and
-    pair_violates holds."""
-    a = plan.profile(hi, graph.snapshot(hi.t).attr)
-    b = plan.profile(hj, graph.snapshot(hj.t).attr)
-    return a is not None and b is not None and a.xkey == b.xkey and plan.pair_violates(a, b)
+def _violations(
+    plan: RulePlan, entries: Iterable[IndexEntry], index: MatchIndex, T: int
+) -> Set[Tuple]:
+    """The scoring identities of the pairs that hold one of entries and
+    violate plan's rule, with partners from index, the partitions of the
+    graph entries were profiled on, filtered per bucket as in incted_step;
+    an entry is paired with itself when Y is constant."""
+    name, violates = plan.sigma.name, plan.pair_violates
+    found: Set[Tuple] = set()
+    for entry in entries:
+        binding = entry.binding
+        if not plan.pair_based:
+            partners = [entry] if violates(entry, entry) else []
+        else:
+            window = permissible_range(entry.t, plan.sigma.delta, T)
+            partners = [
+                o for bucket in index.buckets(entry, window) for o in bucket
+                if o.binding is not binding and violates(o, entry)
+            ]
+        found.update(match_pair_id(name, o.binding, binding) for o in partners)
+    return found
 
 
 def inject_errors(
@@ -195,11 +210,11 @@ def inject_errors(
 
     Positive errors write a fresh out-of-domain value; negative errors write
     a value drawn from the antecedent domain of another rule sharing the
-    attribute name.  The ledger records every pair that holds a mutated
-    match, violates on the mutated graph and did not violate on graph: each
-    such pool pair, each such match of a rule with a constant Y and, for a
-    rule whose X reads a written attribute name, each such pair of X-equal
-    matches in the rule's interval, collateral pairs included.
+    attribute name.  The ledger holds, for every rule, each pair that holds
+    a mutated match, violates on the mutated graph and did not violate on
+    graph (a match paired with itself when Y is constant), by scoring
+    identity: exactly what detection finds on the mutated graph and not on
+    graph among those pairs, collateral pairs included.
     """
     if not 0 <= err_rate <= 1:
         raise InvalidOption("error rate must lie in [0, 1]")
@@ -210,18 +225,12 @@ def inject_errors(
     # One replay builds every rule's pool as its matches stream by: the
     # pairs (earlier, later) inside the rule's interval that satisfy X and
     # Y, found through detection's X-value partitions.  Nothing reads a pool
-    # entry's report key, so the entries are built without one.  A rule
-    # keeps its matches, one list per timestamp, when the ledger judges more
-    # than its pool: when its Y is constant, or its X reads an attribute
-    # name that inject may write (some rule's Y target).
+    # entry's report key, so the entries are built without one.  Each
+    # rule's matches are kept, one list per timestamp, for the ledger.
     plans = {sigma.name: RulePlan(sigma) for sigma in rules}
     indexes = {name: MatchIndex(plan) for name, plan in plans.items()}
     pools: Dict[str, List[Tuple[MatchBinding, MatchBinding]]] = {name: [] for name in plans}
-    writable = {_y_target(sigma)[1] for sigma in rules}
-    kept: Dict[str, List[List[MatchBinding]]] = {
-        sigma.name: [] for sigma in rules
-        if not plans[sigma.name].pair_based or _attr_names(sigma.x_literals) & writable
-    }
+    kept: Dict[str, List[List[MatchBinding]]] = {name: [] for name in plans}
     for t, matchers, _ in replay(graph, rules):
         attr = graph.snapshot(t).attr
         for sigma in rules:
@@ -229,8 +238,7 @@ def inject_errors(
             plan, index, pool = plans[name], indexes[name], pools[name]
             x_ok, y_ok = plan.pair_x_ok, plan.pair_y_ok
             matches = matchers[name].topological_matches(t)
-            if name in kept:
-                kept[name].append(list(matches))
+            kept[name].append(list(matches))
             window = permissible_range(t, sigma.delta, graph.T)
             for entry in plan.entries(matches, attr):
                 binding = entry.binding
@@ -298,56 +306,31 @@ def inject_errors(
 
     mutated = apply_mutations(graph, ledger.mutations)
 
-    # Ledger every violation the mutations induce, across all rules
-    # (collateral pairs of mutated matches included).
-    slot_kinds: Dict[Tuple[int, str], Set[str]] = {}
-    for m in ledger.mutations:
-        slot_kinds.setdefault((m.t, m.vid), set()).add(m.kind)
-
-    def touched(binding: MatchBinding) -> Set[str]:
-        kinds: Set[str] = set()
-        for _, vid in binding.items:
-            kinds |= slot_kinds.get((binding.t, vid), set())
-        return kinds
-
-    # Ledger through detection's rule plan on the mutated graph; mutations
-    # can move X values too.  Candidates are each match paired with itself
-    # when Y is constant.  When Y compares two matches, they are the pool's
-    # pairs, unless X reads a written attribute name: then a mutation can
-    # make matches X-equal that were not, and the candidates are the pairs
-    # that the partner walk finds on the mutated graph.
-    written_names = {m.attr for m in ledger.mutations}
+    # The ledger: detection on mutated minus detection on graph, by scoring
+    # identity, on the pairs that hold a touched match (one with a vertex
+    # rewritten at its timestamp).  An untouched match reads alike on both
+    # graphs, so each side walks the partners of the touched matches only:
+    # on mutated through a fresh index, on graph through the pool's index.
+    slots = {(m.t, m.vid) for m in ledger.mutations}
+    negative = {(m.t, m.vid) for m in ledger.mutations if m.kind == "-"}
     plus: Set[Tuple] = set()
     minus: Set[Tuple] = set()
     for sigma in rules:
-        plan = plans[sigma.name]
-        if not plan.pair_based:
-            candidates = [(h, h) for matches in kept[sigma.name] for h in matches]
-        elif _attr_names(sigma.x_literals) & written_names:
-            candidates = []
-            index = MatchIndex(plan)
-            for t, matches in enumerate(kept[sigma.name], start=1):
-                window = permissible_range(t, sigma.delta, graph.T)
-                for entry in plan.entries(matches, mutated.snapshot(t).attr):
-                    binding = entry.binding
-                    mine = bool(touched(binding))
-                    for bucket in index.buckets(entry, window):
-                        candidates.extend([
-                            (other.binding, binding) for other in bucket
-                            if mine or touched(other.binding)
-                        ])
-                    index.insert(entry)
-        else:
-            candidates = pools[sigma.name]
-        # A mutation causes a violation that was not there before it; a pool
-        # pair of a one-orientation rule satisfied the rule on graph.
-        judge_before = candidates is not pools[sigma.name] or not plan.one_orientation
-        for hi, hj in candidates:
-            kinds = touched(hi) | touched(hj)
-            if kinds and _violates(plan, hi, hj, mutated) and not (
-                judge_before and _violates(plan, hi, hj, graph)
-            ):
-                (minus if "-" in kinds else plus).add(match_pair_id(sigma.name, hi, hj))
+        name, plan = sigma.name, plans[sigma.name]
+        index = MatchIndex(plan)  # every match profiled on mutated
+        mine: List[IndexEntry] = []
+        was: List[IndexEntry] = []
+        for t, matches in enumerate(kept[name], start=1):
+            touched = {id(b): b for b in matches if any((t, vid) in slots for _, vid in b.items)}
+            was.extend(plan.entries(touched.values(), graph.snapshot(t).attr))
+            for entry in plan.entries(matches, mutated.snapshot(t).attr):
+                index.insert(entry)
+                if id(entry.binding) in touched:
+                    mine.append(entry)
+        new = _violations(plan, mine, index, graph.T)
+        for key in new - _violations(plan, was, indexes[name], graph.T):
+            hit_negative = any((t, vid) in negative for t, ids in key[1:] for vid in ids)
+            (minus if hit_negative else plus).add(key)
 
     ledger.gamma_plus = sorted(plus)
     ledger.gamma_minus = sorted(minus)

@@ -14,6 +14,7 @@ from tgfd.detection import (
     format_violation,
     incted_step,
     nontrivially_exercised,
+    pair_id,
     permissible_range,
     replay,
     violation_key,
@@ -50,6 +51,7 @@ from util import (
     random_changes,
     random_graph,
     random_tgfd,
+    reversed_graph,
     rule_shapes,
     shaped_instance,
 )
@@ -605,6 +607,53 @@ def test_long_t_shaped_rules_equal_pairwise_oracle():
         assert got == want, f"seed={seed}"
         assert want, f"seed={seed}"
     assert "q >= T" in shapes and narrow
+
+
+def assert_time_reversal(g, rules) -> int:
+    """Detection on g played backwards gives the same pair identities with
+    each t read as T + 1 - t, and the same nontrivial verdicts: a pair's
+    interval test and its check of both orientations do not depend on the
+    direction of time.  Returns the violation count."""
+    forward = detect_sequential(g, rules)
+    backward = detect_sequential(reversed_graph(g), rules)
+    flipped = set()
+    for v in backward.iter_violations():
+        name, (ti, ids_i), (tj, ids_j) = pair_id(v)
+        flipped.add((name, *sorted([(g.T + 1 - ti, ids_i), (g.T + 1 - tj, ids_j)])))
+    want = {pair_id(v) for v in forward.iter_violations()}
+    assert want == flipped
+    assert forward.nontrivial == backward.nontrivial
+    return len(want)
+
+
+def shapes_with_wildcard(sigma: Tgfd, T: int):
+    """rule_shapes, and "wildcard" when a pattern variable is `_`."""
+    wildcard = any(label == WILDCARD for _, label in sigma.pattern.nodes)
+    return rule_shapes(sigma, T) | ({"wildcard"} if wildcard else set())
+
+
+def test_time_reversal_relation_on_shaped_rules():
+    shapes = set()
+    found = 0
+    for seed in range(40):
+        g, rules = shaped_instance(seed)
+        found += assert_time_reversal(g, rules)
+        for sigma in rules:
+            shapes |= shapes_with_wildcard(sigma, g.T)
+    assert shapes == {
+        "general X", "general Y", "constant X", "empty X", "constant Y", "q >= T", "wildcard"
+    }
+    assert found > 0
+
+
+def test_time_reversal_relation_at_long_t():
+    shapes = set()
+    for seed in range(3):
+        g, rules = shaped_instance(seed, T=200, changes=3)
+        assert assert_time_reversal(g, rules), f"seed={seed}"
+        for sigma in rules:
+            shapes |= shapes_with_wildcard(sigma, g.T)
+    assert {"general X", "general Y", "q >= T", "wildcard"} <= shapes
 
 
 def test_interval_split_is_a_disjoint_union_at_size():

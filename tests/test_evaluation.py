@@ -23,9 +23,11 @@ from tgfd.model import (
     Tgfd,
     VariableLiteral,
     normalize_all,
+    parse_tgfd_file,
 )
 
 from util import (
+    GOLDEN_RULES,
     exotic_rule,
     extend,
     mutated_attr_maps,
@@ -360,24 +362,148 @@ CONSTANT_RULE = Tgfd(
 )
 
 
+# q reaches past T; an empty X puts every match of the pattern in one class.
+LONG_RULE = Tgfd(
+    "long",
+    GraphPattern([("x", "person"), ("y", "_")], [("x", "knows", "y")]),
+    Delta(1, 8),
+    [VariableLiteral("x", "name", "x", "name")],
+    [VariableLiteral("y", "rank", "y", "rank")],
+)
+EMPTY_X_RULE = Tgfd(
+    "empty",
+    GraphPattern([("x", "city")]),
+    Delta(0, 2),
+    [],
+    [VariableLiteral("x", "code", "x", "code")],
+)
+
+
+def random_injection(seed):
+    """(graph, normal-form rules, mutated, ledger): a random graph and rules
+    of every shape, injected at rate 0.2 with negative errors."""
+    rng = random.Random(seed)
+    graph = random_temporal_graph(rng, n_vertices=30, n_edges=120, T=6, chg=0.15)
+    rules = [random_tgfd(rng, f"r{i}", max_edges=2, T=5) for i in range(3)]
+    rules += [exotic_rule(rng, "exotic"), GENERAL_RULE, OVERLAP_RULE, CONSTANT_RULE]
+    rules = normalize_all(rules + [LONG_RULE, EMPTY_X_RULE])
+    mutated, ledger = inject_errors(graph, rules, 0.2, seed=seed, include_negative=True)
+    return graph, rules, mutated, ledger
+
+
 def test_ledger_equals_pair_oracle_with_negative_errors():
     ledgered, negative = set(), set()
     for seed in range(8):
-        rng = random.Random(seed)
-        graph = random_temporal_graph(rng, n_vertices=30, n_edges=120, T=6, chg=0.15)
-        rules = [random_tgfd(rng, f"r{i}", max_edges=2, T=5) for i in range(3)]
-        rules += [exotic_rule(rng, "exotic"), GENERAL_RULE, OVERLAP_RULE, CONSTANT_RULE]
-        mutated, ledger = inject_errors(graph, rules, 0.2, seed=seed, include_negative=True)
-        plus, minus, pool_size = oracle_ledger(
-            graph, mutated, normalize_all(rules), ledger.mutations
-        )
+        graph, rules, mutated, ledger = random_injection(seed)
+        plus, minus, pool_size = oracle_ledger(graph, mutated, rules, ledger.mutations)
         assert ledger.pool_size == pool_size
         assert ledger.gamma_plus == sorted(plus)
         assert ledger.gamma_minus == sorted(minus)
         ledgered |= {key[0] for key in plus | minus}
         negative |= {key[0] for key in minus}
-    assert {"general", "constant"} <= ledgered
+    assert {"general", "constant", "long", "empty"} <= ledgered
     assert {"general", "constant"} <= negative
+
+
+def assert_ledger_is_detection_diff(graph, rules, mutated, ledger):
+    """gamma_plus and gamma_minus together are the pairs that detection
+    finds on mutated and not on graph, among those holding a mutated
+    (t, vid); gamma_minus is the part touched by a negative error.  Returns
+    that detection diff."""
+    kinds_at = {}
+    for m in ledger.mutations:
+        kinds_at.setdefault((m.t, m.vid), set()).add(m.kind)
+
+    def kinds(key):
+        return set().union(*(kinds_at.get((t, vid), set()) for t, ids in key[1:] for vid in ids))
+
+    after = {pair_id(v) for v in detect_sequential(mutated, rules).iter_violations()}
+    before = {pair_id(v) for v in detect_sequential(graph, rules).iter_violations()}
+    diff = {key for key in after - before if kinds(key)}
+    assert set(ledger.gamma_plus) | set(ledger.gamma_minus) == diff
+    assert set(ledger.gamma_minus) == {key for key in diff if "-" in kinds(key)}
+    return diff
+
+
+def golden_injection():
+    """The golden CLI instance (tests/test_golden.py) through the API."""
+    rules = parse_tgfd_file(GOLDEN_RULES)
+    graph = generate_synthetic(120, 360, 4, 3, T=8, chg_rate=0.1, seed=5)
+    return (graph, rules, *inject_errors(graph, rules, 0.2, seed=2, include_negative=True))
+
+
+def audit_sized_injection():
+    """The audit benchmark's graph (500 V, 1,500 E, T = 20, uniform) with
+    the golden rules, which include a general-form one."""
+    rules = parse_tgfd_file(GOLDEN_RULES)
+    graph = generate_synthetic(500, 1500, 4, 3, T=20, chg_rate=0.04, seed=1)
+    return (graph, rules, *inject_errors(graph, rules, 0.03, seed=1, include_negative=True))
+
+
+@pytest.mark.parametrize("instance", ["golden", "audit", "random"])
+def test_ledger_is_the_detection_diff(instance):
+    if instance == "golden":
+        graph, rules, mutated, ledger = golden_injection()
+        diff = assert_ledger_is_detection_diff(graph, rules, mutated, ledger)
+        assert (len(diff), len(ledger.gamma_minus)) == (332, 230)
+        # X holds for this r4 pair only as (later, earlier), so it is no pool
+        # pair; the negative error written to v10.a2 at t = 5 breaks Y
+        assert ("r4", (5, ("v10", "v104")), (5, ("v35", "v82"))) in ledger.gamma_minus
+    elif instance == "audit":
+        diff = assert_ledger_is_detection_diff(*audit_sized_injection())
+        assert {"r1", "r2", "r4"} <= {key[0] for key in diff}
+    else:
+        for seed in range(8):
+            assert_ledger_is_detection_diff(*random_injection(seed))
+
+
+def test_ledger_holds_a_pair_that_violates_only_the_other_way():
+    """Three matches of `x.a0 == y.a0 -> x.a2 == y.a2` at one timestamp.
+    (m0, m1) is the one pool pair; the pair of m1 and m2 satisfies X only
+    as (m2, m1), later first.  The error written to w1.a2 breaks Y in both
+    pairs, and the ledger holds both."""
+    from tgfd.graph import TemporalGraph, Vertex
+
+    attrs = {
+        "u0": {"a0": "k", "a2": "s"}, "w0": {"a0": "r", "a2": "s0"},
+        "u1": {"a0": "p", "a2": "s1"}, "w1": {"a0": "k", "a2": "s"},
+        "u2": {"a0": "k", "a2": "s"}, "w2": {"a0": "q", "a2": "s2"},
+    }
+    vertices = {vid: Vertex(vid, "A" if vid[0] == "u" else "B") for vid in attrs}
+    graph = TemporalGraph(vertices, [(f"u{i}", "l", f"w{i}") for i in range(3)], attrs)
+    rule = Tgfd("r", GraphPattern([("x", "A"), ("y", "B")], [("x", "l", "y")]), Delta(0, 0),
+                [VariableLiteral("x", "a0", "y", "a0")], [VariableLiteral("x", "a2", "y", "a2")])
+    mutated, ledger = inject_errors(graph, [rule], 1.0, seed=0)
+    assert ledger.pool_size == 1
+    assert ledger.mutations == [Mutation(1, "w1", "a2", "s", "__err0__", "+")]
+    assert ledger.gamma_plus == [
+        ("r", (1, ("u0", "w0")), (1, ("u1", "w1"))),
+        ("r", (1, ("u1", "w1")), (1, ("u2", "w2"))),
+    ]
+    assert_ledger_is_detection_diff(graph, [rule], mutated, ledger)
+
+
+def test_ledger_skips_an_identity_that_violated_through_another_match():
+    """rc's matches (x=a, y=b) and (x=b, y=a) share one scoring identity, the
+    vertices {a, b} at one timestamp.  (x=b, y=a) violates `x.c = "ok"`
+    before injection; the error ra writes to a.c at t = 2 makes (x=a, y=b)
+    violate too, but detection reported that identity already, so the
+    ledger holds only ra's pair."""
+    from tgfd.graph import ChangeSet, TemporalGraph, Vertex, apply_changes
+
+    attrs = {"a": {"k": "1", "c": "ok"}, "b": {"k": "2", "c": "bad"}}
+    graph = apply_changes(
+        TemporalGraph({vid: Vertex(vid, "A") for vid in attrs}, [("a", "l", "b"), ("b", "l", "a")], attrs),
+        ChangeSet(2, ()),
+    )
+    ra = Tgfd("ra", GraphPattern([("x", "A")]), Delta(0, 1), [VariableLiteral("x", "k", "x", "k")],
+              [VariableLiteral("x", "c", "x", "c")])
+    rc = Tgfd("rc", GraphPattern([("x", "A"), ("y", "A")], [("x", "l", "y")]), Delta(0, 0), [],
+              [ConstantLiteral("x", "c", "ok")])
+    mutated, ledger = inject_errors(graph, [ra, rc], 0.5, seed=0)
+    assert ledger.mutations == [Mutation(2, "a", "c", "ok", "__err0__", "+")]
+    assert ledger.gamma_plus == [("ra", (1, ("a",)), (2, ("a",)))]
+    assert_ledger_is_detection_diff(graph, [ra, rc], mutated, ledger)
 
 
 def assert_mutated_like_oracle(graph, mutated, mutations):

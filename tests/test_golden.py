@@ -10,50 +10,18 @@ import hashlib
 
 from tgfd.cli import main
 
-RULES = """\
-tgfd r1
-vertex x T0
-vertex y T1
-edge x l0 y
-delta (0, 3)
-x: x.a0 == x.a0
-y: y.a1 == y.a1
+from util import GOLDEN_RULES
 
-tgfd r2
-vertex x T0
-vertex y T1
-vertex z T2
-edge x l0 y
-edge y l1 z
-delta (1, 2)
-x: z.a0 == z.a0
-y: x.a1 == x.a1
-
-tgfd r3
-vertex x T2
-vertex y T3
-edge x l2 y
-delta (0, 0)
-x: x.a0 = "val1"
-y: y.a2 = "val3"
-
-tgfd r4
-vertex x T0
-vertex y T1
-edge x l0 y
-delta (0, 3)
-x: x.a0 == y.a0
-y: x.a2 == y.a2
-"""
 
 GOLDEN = {
     "gen.stdout": "d3d5525bc1098bf32047a7eb315a477697c7bac6c523a77172ffa299ac2137dc",
     "gen.snapshot": "2977def2f4c833e652eb51333ee6702bc67e8e8b716ccb6bb3a0ba1c28006b80",
     "gen.changes": "f719e652e1da6ee6efa3390aa72539949440a527546c2ef883016af0a8471066",
-    "inject.stdout": "50c5177e6688127d1f9e913bf1c26cf45f0e925569dea125d3b83feb830592a6",
+    "inject.stdout": "ceb81282cf53a10bf699d2a76951092bab25eca9bc2f8ee8af2ebb225d9b1b2e",
     "mut.snapshot": "bf7ae9eea107840632baaf975a670f80bf3e71d42994a61fa14afabb5eb5821f",
     "mut.changes": "f2a41b6a617ee91a889a5ea0520092a768b17cbba66e8f5ff64177ce795b2c70",
-    "mut.ledger": "df8f6800f193301d3636bd9b6dd6e5da464d91de440e8fae70cc030dcda8d699",
+    "mut.ledger": "597b4921785772fdb4c7f61a7eed5668e3824f2edb29273d52363a7824a3cd13",
+    "eval.stdout": "c39a6678900b6661a6cd562bfbbfa12ffd3c5cc895dd7264942af8f9ce6921bc",
     "detect.text": "28e112277e84a5ca202aa34b185727d83294f13dad5c5b372fa8ced850f9e3c5",
     "detect.jsonlike": "c85a5adad82b7ce1277fb4cb2a0aaca9c2ae1d534630d6b274f1b68341386e79",
     "parallel.text": "6cc215c49556acdf3c5a74405e0cf1c8bbe6446ab2f75e25522818fbd9e4866b",
@@ -72,11 +40,11 @@ def _cli(capsys, *argv):
 
 
 def outputs(tmp_path, capsys):
-    """{file name: sha256} of gen, inject --negative, detect and
+    """{file name: sha256} of gen, inject --negative, eval, detect and
     detect-parallel outputs, plus the commands' stdout; each report in
     both formats, on stdout and in an --out file."""
     rules = tmp_path / "rules.tgfd"
-    rules.write_text(RULES, encoding="utf-8")
+    rules.write_text(GOLDEN_RULES, encoding="utf-8")
     out = {}
     out["gen.stdout"] = _cli(
         capsys, "gen", "--vertices", "120", "--edges", "360", "--T", "8", "--chg", "0.1",
@@ -89,6 +57,7 @@ def outputs(tmp_path, capsys):
     )
     graph = ["--graph", str(tmp_path / "mut.snapshot"), "--changes", str(tmp_path / "mut.changes"),
              "--tgfds", str(rules)]
+    out["eval.stdout"] = _cli(capsys, "eval", *graph, "--ledger", str(tmp_path / "mut.ledger"))
     out["detect.text"] = _cli(capsys, "detect", *graph)
     out["detect.jsonlike"] = _cli(capsys, "detect", *graph, "--format", "jsonlike")
     parallel = ["detect-parallel", *graph, "--workers", "3", "--tl", "5", "--tu", "60", "--seed", "3"]

@@ -27,6 +27,7 @@ from tgfd.graph import (
     apply_changes,
     ball_edges,
     ball_vertices,
+    derive_changesets,
 )
 from tgfd.model import (
     ConstantLiteral,
@@ -121,6 +122,30 @@ def full_diff_changesets(graph: TemporalGraph) -> List[ChangeSet]:
         changes += [EdgeInsert(*e) for e in sorted(new - old)]
         out.append(ChangeSet(t, tuple(changes)))
     return out
+
+
+def reversed_graph(graph: TemporalGraph) -> TemporalGraph:
+    """graph played backwards: its snapshot t is graph's snapshot T + 1 - t.
+    The base holds the edges of view(T) and the attributes of snapshot(T).
+    Each change set is one of `derive_changesets` inverted: its inserts and
+    deletes swap, and each slot it changes takes its value at t - 1, or is
+    deleted where that value is unset."""
+    T = graph.T
+    inverted = []
+    for cs in reversed(derive_changesets(graph)):
+        before = graph.snapshot(cs.t - 1)
+        changes: List = []
+        for c in cs.changes:
+            if isinstance(c, EdgeInsert):
+                changes.append(EdgeDelete(c.src, c.label, c.dst))
+            elif isinstance(c, EdgeDelete):
+                changes.append(EdgeInsert(c.src, c.label, c.dst))
+            else:
+                value = before.attr(c.vid, c.name)
+                changes.append(AttrDelete(c.vid, c.name) if value is None else AttrSet(c.vid, c.name, value))
+        inverted.append(ChangeSet(T + 2 - cs.t, tuple(changes)))
+    base = TemporalGraph(graph.vertices, graph.view(T).edges, graph.snapshot(T).attrs)
+    return apply_changes(base, *inverted)
 
 
 def mutated_attr_maps(graph: TemporalGraph, mutations) -> List[Dict[str, Dict[str, str]]]:
@@ -399,17 +424,17 @@ def oracle_ledger(
 ) -> Tuple[Set[Tuple], Set[Tuple], int]:
     """(gamma_plus, gamma_minus, pool size) of an injection, from first
     principles.  The pool is every (earlier, later) pair of brute matches
-    inside the interval that satisfies X and Y on the clean graph.  A pair
-    the mutations touch is ledgered when, on the mutated graph, it satisfies
-    X and fails Y in either orientation, and did not on the clean graph:
-    each match paired with itself when Y is constant; when Y compares two
-    matches, each pool pair or, when X reads an attribute name a mutation
-    writes, each (earlier, later) pair inside the interval.  Rules must be
-    in normal form (one consequent literal each)."""
+    inside the interval that satisfies X and Y on the clean graph.  The
+    candidates are each match paired with itself when Y is constant, else
+    every (earlier, later) pair of brute matches inside the interval.  A
+    candidate violates a graph when some orientation satisfies X and fails
+    Y there.  The ledger is the scoring identities (rule, sorted sides) of
+    the candidates that hold a mutated match and violate on the mutated
+    graph, less those of the candidates that violate on the clean graph.
+    Rules must be in normal form (one consequent literal each)."""
     kinds_at: Dict[Tuple[int, str], Set[str]] = {}
     for m in mutations:
         kinds_at.setdefault((m.t, m.vid), set()).add(m.kind)
-    written = {m.attr for m in mutations}
 
     def touched(h: MatchBinding) -> Set[str]:
         return set().union(*(kinds_at.get((h.t, vid), set()) for _, vid in h.items))
@@ -425,20 +450,16 @@ def oracle_ledger(
         sides = sorted([(hi.t, hi.sorted_ids), (hj.t, hj.sorted_ids)])
         return (name, sides[0], sides[1])
 
-    plus: Set[Tuple] = set()
-    minus: Set[Tuple] = set()
+    after: Dict[Tuple, Set[str]] = {}
+    before: Set[Tuple] = set()
     pool_size = 0
     for sigma in rules:
         x, y = list(sigma.x_literals), list(sigma.y_literals)
         matches = brute_matches_by_t(graph, sigma.pattern)
-        pool = satisfying_pairs(graph, sigma, matches)
-        pool_size += len(pool)
+        pool_size += len(satisfying_pairs(graph, sigma, matches))
         if all(isinstance(l, ConstantLiteral) for l in y):
             candidates = [(h, h) for ms in matches.values() for h in ms]
-        elif any(
-            {l.attr} & written if isinstance(l, ConstantLiteral) else {l.attr1, l.attr2} & written
-            for l in x
-        ):
+        else:
             candidates = [
                 (hi, hj)
                 for ti in range(1, graph.T + 1)
@@ -448,12 +469,15 @@ def oracle_ledger(
                 for hj in matches[tj]
                 if (ti, hi.items) < (tj, hj.items)
             ]
-        else:
-            candidates = pool
         for hi, hj in candidates:
             kinds = touched(hi) | touched(hj)
-            if kinds and violates(hi, hj, x, y, mutated) and not violates(hi, hj, x, y, graph):
-                (minus if "-" in kinds else plus).add(key(sigma.name, hi, hj))
+            if kinds and violates(hi, hj, x, y, mutated):
+                after[key(sigma.name, hi, hj)] = kinds
+            if violates(hi, hj, x, y, graph):
+                before.add(key(sigma.name, hi, hj))
+    new = {k: kinds for k, kinds in after.items() if k not in before}
+    plus = {k for k, kinds in new.items() if "-" not in kinds}
+    minus = {k for k, kinds in new.items() if "-" in kinds}
     return plus, minus, pool_size
 
 
@@ -510,6 +534,45 @@ def gfd_snapshot_oracle(graph: TemporalGraph, sigma: Tgfd) -> Set[Tuple]:
                 if violated:
                     out.add((sigma.name, t, t, hi.items, hj.items))
     return out
+
+
+# The golden instance's rules (tests/test_golden.py): shaped like the
+# benchmark's, plus one general-form rule (r4).
+GOLDEN_RULES = """\
+tgfd r1
+vertex x T0
+vertex y T1
+edge x l0 y
+delta (0, 3)
+x: x.a0 == x.a0
+y: y.a1 == y.a1
+
+tgfd r2
+vertex x T0
+vertex y T1
+vertex z T2
+edge x l0 y
+edge y l1 z
+delta (1, 2)
+x: z.a0 == z.a0
+y: x.a1 == x.a1
+
+tgfd r3
+vertex x T2
+vertex y T3
+edge x l2 y
+delta (0, 0)
+x: x.a0 = "val1"
+y: y.a2 = "val3"
+
+tgfd r4
+vertex x T0
+vertex y T1
+edge x l0 y
+delta (0, 3)
+x: x.a0 == y.a0
+y: x.a2 == y.a2
+"""
 
 
 # ---------------------------------------------------------------------------
