@@ -24,7 +24,7 @@ from .model import (
     normalize,
     parse_tgfd_file,
 )
-from .matcher import IncrementalMatcher, PathPattern, decompose, match_snapshot
+from .matcher import IncrementalMatcher, match_snapshot
 from .detection import (
     ConstantViolation,
     MatchIndex,

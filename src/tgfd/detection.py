@@ -17,9 +17,10 @@ first use.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations, product
 from typing import (
     Callable,
     Dict,
@@ -496,17 +497,25 @@ def incted_step(
 
 
 def nontrivially_exercised(index: MatchIndex, delta: Delta) -> bool:
-    """Whether some pair of X-equal matches fell inside the interval, i.e.
-    the rule constrained at least one pair."""
-    step = max(delta.p, 1)  # least gap between two distinct timestamps in range
+    """Whether some two distinct indexed matches inside the interval of
+    each other realize X, in either orientation, i.e. the rule constrained
+    at least one pair.  Sharing an X class realizes X unless X holds
+    general-form literals, which each pair is tested on; the walk stops at
+    the first pair found."""
+    general, x_ok = bool(index.plan._x_general), index.plan.pair_x_ok
     for by_t in index.classes.values():
-        if delta.p == 0 and any(len(entries) > 1 for entries in by_t.values()):
-            return True
         ts = sorted(by_t)
         for i, t in enumerate(ts):
-            j = bisect_left(ts, t + step, i + 1)
-            if j < len(ts) and ts[j] - t <= delta.q:
-                return True
+            bucket = by_t[t]
+            lo = bisect_left(ts, t + delta.p, i)
+            for k in range(lo, bisect_right(ts, t + delta.q, lo)):
+                u = ts[k]
+                pairs = combinations(bucket, 2) if u == t else product(bucket, by_t[u])
+                if not general:
+                    if next(pairs, None) is not None:
+                        return True
+                elif any(x_ok(a, b) or x_ok(b, a) for a, b in pairs):
+                    return True
     return False
 
 

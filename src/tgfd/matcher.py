@@ -1,5 +1,5 @@
-"""Pattern matching: path decomposition, snapshot matching, and incremental
-match maintenance under single changes.
+"""Pattern matching: snapshot matching, and incremental match maintenance
+under single changes.
 
 The incremental matcher keeps one set of complete pattern matches over a
 view that holds vertex types and edges only, and that its caller advances.
@@ -9,8 +9,7 @@ attribute changes never reach the matcher, since literals are evaluated in
 detection.  Both engines keep one matcher per rule on the full view: the
 parallel engine splits its matches among fragments by anchor owner, and
 charges each fragment's job the searches `playable_edges` counts on that
-fragment's edge flips.  Path decomposition remains for the parallel
-engine's workload estimates.
+fragment's edge flips.
 
 Searches are local: a variable's candidates come from the edges of its
 already placed pattern neighbours (the label-filtered adjacency of each,
@@ -23,31 +22,13 @@ rule's pattern into another's `GraphPattern.view` for reasoning
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Collection, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Collection, Dict, List, Mapping, Optional, Set, Tuple
 
 from .graph import Edge, GraphView
-from .model import (
-    WILDCARD,
-    ConstantLiteral,
-    GraphPattern,
-    MatchBinding,
-    Tgfd,
-)
+from .model import WILDCARD, GraphPattern, MatchBinding
 
 AssignmentKey = Tuple[Tuple[str, str], ...]  # sorted (var, vid) pairs
-
-
-@dataclass(frozen=True)
-class PathPattern:
-    """A maximal directed path of the pattern, with its matching center."""
-
-    nodes: Tuple[str, ...]
-    edges: Tuple[Tuple[str, str, str], ...]
-    center_var: str
-    radius: int
-    literals: FrozenSet[ConstantLiteral]
 
 
 def _label_ok(pattern: GraphPattern, var: str, view: GraphView, vid: str) -> bool:
@@ -74,90 +55,6 @@ def playable_edges(
             ):
                 out.append(pe)
     return out
-
-
-def decompose(pattern: GraphPattern, constants: Iterable[ConstantLiteral] = ()) -> List[PathPattern]:
-    """Maximal directed paths covering every pattern edge.
-
-    A path is maximal when no pattern edge can extend it at either end while
-    keeping it simple.  Paths may overlap; greedy selection (longest first,
-    then lexicographic) keeps the cover small and deterministic.
-    """
-    constants = list(constants)
-    if not pattern.edges:
-        var = pattern.vars[0]
-        return [
-            PathPattern(
-                nodes=(var,),
-                edges=(),
-                center_var=var,
-                radius=0,
-                literals=frozenset(l for l in constants if l.var == var),
-            )
-        ]
-
-    adjacency = pattern.view
-    maximal: Set[Tuple[Tuple[str, str, str], ...]] = set()
-
-    def extendable_right(path_nodes: Set[str], last: str) -> List[Tuple[str, str, str]]:
-        return [(last, label, d) for label, d in adjacency.out_edges(last) if d not in path_nodes]
-
-    def left_blocked(path_nodes: Set[str], first: str) -> bool:
-        return all(src in path_nodes for _, src in adjacency.in_edges(first))
-
-    def walk(path_edges: List[Tuple[str, str, str]], nodes: Set[str]) -> None:
-        last = path_edges[-1][2]
-        nxt = extendable_right(nodes, last)
-        if not nxt:
-            if left_blocked(nodes, path_edges[0][0]):
-                maximal.add(tuple(path_edges))
-            return
-        for e in sorted(nxt):
-            walk(path_edges + [e], nodes | {e[2]})
-
-    for e in sorted(adjacency.edges):
-        walk([e], {e[0], e[2]})
-
-    ordered = sorted(maximal, key=lambda p: (-len(p), p))
-    uncovered = set(pattern.edges)
-    chosen: List[Tuple[Tuple[str, str, str], ...]] = []
-    for p in ordered:
-        if uncovered & set(p):
-            chosen.append(p)
-            uncovered -= set(p)
-        if not uncovered:
-            break
-
-    paths: List[PathPattern] = []
-    for p in chosen:
-        nodes = (p[0][0],) + tuple(e[2] for e in p)
-        m = len(p)
-        # eccentricity inside the chain; earliest position wins ties
-        best_pos, best_r = 0, m
-        for pos in range(m + 1):
-            r = max(pos, m - pos)
-            if r < best_r:
-                best_pos, best_r = pos, r
-        lits = frozenset(l for l in constants if l.var in nodes)
-        paths.append(
-            PathPattern(
-                nodes=nodes,
-                edges=p,
-                center_var=nodes[best_pos],
-                radius=best_r,
-                literals=lits,
-            )
-        )
-    return paths
-
-
-def tgfd_paths(sigma: Tgfd) -> List[PathPattern]:
-    """Decompose a rule's pattern, attaching its constant literals."""
-    constants = [
-        l for l in list(sigma.x_literals) + list(sigma.y_literals)
-        if isinstance(l, ConstantLiteral)
-    ]
-    return decompose(sigma.pattern, constants)
 
 
 # ---------------------------------------------------------------------------

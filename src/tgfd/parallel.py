@@ -30,6 +30,13 @@ a vertex that entered or left a ball to that ball are checked again.  Balls
 keep the diameter as radius: the pattern radius around the anchor would
 hold the same matches with fewer shipped edges, but would change every
 reported shipped count.
+
+Job estimates (`build_jobs`) read the anchor that splits the matches: a
+job's size is its fragment's anchor candidates times the mean fan-out of
+each edge of the pattern's BFS tree from the anchor, and its ship costs
+are the edges of each candidate's radius ball.  The paper estimates a job
+per path of a path decomposition instead, each path with its own center;
+one ball per rule prices the matches a job owns.
 """
 
 from __future__ import annotations
@@ -53,8 +60,8 @@ from .graph import (
     changed_attrs,
     repair_ball,
 )
-from .matcher import playable_edges, tgfd_paths
-from .model import WILDCARD, ConstantLiteral, MatchBinding, Tgfd, normalize_all
+from .matcher import playable_edges
+from .model import WILDCARD, ConstantLiteral, GraphPattern, MatchBinding, Tgfd, normalize_all
 from .detection import (
     IndexEntry,
     KeyedReport,
@@ -172,21 +179,30 @@ def build_cardinality_model(view: GraphView) -> CardinalityModel:
     return CardinalityModel(fanout, type_counts, len(view.vertices()))
 
 
-def _center_candidates(
-    view: GraphView,
-    snap: Snapshot,
-    label: str,
-    literals: Iterable[ConstantLiteral],
-    center_var: str,
-) -> List[str]:
-    """The view's vertices of the center's label whose snapshot attributes
-    meet the center's constant literals, sorted."""
-    if label == WILDCARD:
-        pool: Iterable[str] = view.vertices()
-    else:
-        pool = view.vertices_of_type(label)
-    lits = [l for l in literals if l.var == center_var]
+def _anchor_candidates(view: GraphView, snap: Snapshot, sigma: Tgfd, anchor: str) -> List[str]:
+    """The view's vertices of the anchor's label whose snapshot attributes
+    meet the anchor's X constants (the filter `RulePlan.profile` applies),
+    sorted."""
+    label = sigma.pattern.label_of(anchor)
+    pool = view.vertices() if label == WILDCARD else view.vertices_of_type(label)
+    lits = [l for l in sigma.x_literals if isinstance(l, ConstantLiteral) and l.var == anchor]
     return sorted(vid for vid in pool if all(snap.attr(vid, l.attr) == l.value for l in lits))
+
+
+def _anchor_tree(pattern: GraphPattern, anchor: str) -> List[Tuple[str, str, str]]:
+    """A BFS tree of the pattern from the anchor, as pattern edges in their
+    own orientation: for each other variable, in vars order, the first
+    pattern edge joining it to a variable one hop nearer the anchor."""
+    hops = pattern.distances_from(anchor)
+    return [
+        next(
+            (src, label, dst) for src, label, dst in pattern.edges
+            if (src == var and hops[dst] == hops[var] - 1)
+            or (dst == var and hops[src] == hops[var] - 1)
+        )
+        for var in pattern.vars
+        if var != anchor
+    ]
 
 
 def _ball_ship(full: GraphView, center: str, radius: int, owned: frozenset) -> Tuple[int, int]:
@@ -211,14 +227,21 @@ def build_jobs(
     full: Optional[GraphView] = None,
 ) -> List[Job]:
     """One job per (rule, fragment) at the timestamp of full, the graph's
-    full view there (graph.view(1) when omitted), covering the rule's path
-    centers the fragment owns: size is the smallest path-match estimate,
-    and the ship costs sum the edges of every owned center's radius ball."""
+    full view there (graph.view(1) when omitted), covering the rule's
+    matches anchored on the fragment, the anchor being the pattern's
+    `radius_center()`.  size is the owned anchor candidates times the mean
+    fan-out, on the fragment's owned edges, of each edge of the pattern's
+    BFS tree from the anchor; the ship costs sum the edges of each
+    candidate's radius ball."""
     rules = normalize_all(tgfds)
     if full is None:
         full = graph.view(1)
     t = full.t
     snap = graph.snapshot(t)
+    shapes = []  # (rule, anchor, radius, BFS tree from the anchor)
+    for sigma in rules:
+        anchor, radius = sigma.pattern.radius_center()
+        shapes.append((sigma, anchor, radius, _anchor_tree(sigma.pattern, anchor)))
     jobs: List[Job] = []
     for frag in fragments:
         owned = frag.owned_vertices
@@ -228,35 +251,22 @@ def build_jobs(
             ball_edges(full, owned),
         )
         model = build_cardinality_model(owned_view)
-        for sigma in rules:
-            paths = tgfd_paths(sigma)
-            path_estimates: List[float] = []
-            ship_in = 0
-            ship_all = 0
-            for path in paths:
-                per_edge = 1.0
-                for (src, label, dst) in path.edges:
-                    per_edge *= model.mean_fanout(
-                        sigma.pattern.label_of(src), label, sigma.pattern.label_of(dst)
-                    )
-                centers = _center_candidates(
-                    owned_view,
-                    snap,
-                    sigma.pattern.label_of(path.center_var),
-                    path.literals,
-                    path.center_var,
-                )
-                path_estimates.append(len(centers) * per_edge)
-                for center in centers:
-                    crossing, inside = _ball_ship(full, center, path.radius, owned)
-                    ship_in += crossing
-                    ship_all += inside
-            size = min(path_estimates) if path_estimates else 0.0
+        for sigma, anchor, radius, tree in shapes:
+            label = sigma.pattern.label_of
+            fanout = 1.0
+            for src, elabel, dst in tree:
+                fanout *= model.mean_fanout(label(src), elabel, label(dst))
+            candidates = _anchor_candidates(owned_view, snap, sigma, anchor)
+            ship_in = ship_all = 0
+            for center in candidates:
+                crossing, inside = _ball_ship(full, center, radius, owned)
+                ship_in += crossing
+                ship_all += inside
             jobs.append(
                 Job(
                     tgfd=sigma.name,
                     home=frag.worker_id,
-                    size=size,
+                    size=len(candidates) * fanout,
                     ship_in=ship_in,
                     ship_all=ship_all,
                 )

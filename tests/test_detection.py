@@ -166,6 +166,32 @@ def test_constant_x_filtering():
     assert not result.nontrivial["r"]
 
 
+def test_general_x_that_no_pair_realizes_is_not_nontrivial():
+    # X x.a == y.a compares one match's x with the other's y: 1 and 3
+    # against 9 and 7, so no pair of the 4 matches realizes X, in either
+    # orientation, although 6 pairs lie inside the interval
+    g = build_graph(
+        {"x1": "A", "y1": "B", "x2": "A", "y2": "B"},
+        [("x1", "l", "y1"), ("x2", "l", "y2")],
+        {
+            "x1": {"a": "1", "b": "2"}, "y1": {"a": "9", "b": "8"},
+            "x2": {"a": "3", "b": "4"}, "y2": {"a": "7", "b": "6"},
+        },
+    )
+    g = extend(g, [])
+    sigma = Tgfd(
+        "r",
+        GraphPattern([("x", "A"), ("y", "B")], [("x", "l", "y")]),
+        Delta(0, 1),
+        [VariableLiteral("x", "a", "y", "a")],
+        [VariableLiteral("x", "b", "y", "b")],
+    )
+    result = detect_sequential(g, [sigma])
+    assert result.pairs_compared["r"] == 6
+    assert result.all_violations() == []
+    assert not result.nontrivial["r"]
+
+
 def test_same_timestamp_distinct_bindings_checked_when_p_zero():
     g = build_graph(
         {"a1": "person", "a2": "person", "b1": "team", "b2": "team"},
@@ -260,15 +286,18 @@ def test_index_partitions_are_consistent():
     assert [b.get("x") for b in got[("x",)][2]] == ["a1", "a2", "a3"]
 
 
-def entry(t: int, key: str, n: int) -> IndexEntry:
+def entry(t: int, key: str, n: int, x_general=()) -> IndexEntry:
     return IndexEntry(
-        t=t, binding=MatchBinding.of(t, {"x": f"v{n}"}), xkey=(key,), x_general=(), y=None
+        t=t, binding=MatchBinding.of(t, {"x": f"v{n}"}), xkey=(key,), x_general=x_general, y=None
     )
 
 
-def index_of(entries) -> MatchIndex:
+def index_of(entries, general: bool = False) -> MatchIndex:
+    """An index of entries under a one-node rule, whose X holds one
+    general-form literal (x.name == x.rank) when general."""
     sigma = Tgfd(
-        "r", GraphPattern([("x", "person")], []), Delta(0, 0), [],
+        "r", GraphPattern([("x", "person")], []), Delta(0, 0),
+        [VariableLiteral("x", "name", "x", "rank")] if general else [],
         [VariableLiteral("x", "code", "x", "code")],
     )
     index = MatchIndex(RulePlan(sigma))
@@ -302,21 +331,45 @@ def test_buckets_are_the_class_entries_in_the_permissible_range(specs, pq, T, pr
     assert all(len({e.t for e in bucket}) == 1 for bucket in buckets)
 
 
+# (left, right) values of one general-form X literal per indexed entry
+general_values = st.lists(
+    st.tuples(st.sampled_from([None, "u", "v"]), st.sampled_from([None, "u", "v"])), max_size=40
+)
+
+
 @settings(max_examples=300, deadline=None)
-@given(specs=entry_specs, pq=deltas)
-@example(specs=[(4, "a"), (4, "a")], pq=(0, 0))  # two matches at one t exercise p = 0
-@example(specs=[(4, "a"), (4, "a")], pq=(1, 5))
-@example(specs=[(1, "a"), (4, "b"), (9, "a")], pq=(0, 7))
-@example(specs=[(1, "a"), (4, "b"), (9, "a")], pq=(8, 8))
-def test_nontrivially_exercised_equals_pairwise_definition(specs, pq):
-    entries = [entry(t, key, n) for n, (t, key) in enumerate(specs)]
+@given(specs=entry_specs, pq=deltas, values=st.none() | general_values)
+@example(specs=[(4, "a"), (4, "a")], pq=(0, 0), values=None)  # two matches at one t exercise p = 0
+@example(specs=[(4, "a"), (4, "a")], pq=(1, 5), values=None)
+@example(specs=[(1, "a"), (4, "b"), (9, "a")], pq=(0, 7), values=None)
+@example(specs=[(1, "a"), (4, "b"), (9, "a")], pq=(8, 8), values=None)
+# general X that no pair realizes, then one that the later match's left
+# value realizes with the earlier's right only
+@example(specs=[(1, "a"), (1, "a"), (2, "a")], pq=(0, 1), values=[("u", "v")] * 3)
+@example(specs=[(1, "a"), (2, "a")], pq=(0, 1), values=[(None, "u"), ("u", None)])
+def test_nontrivially_exercised_equals_pairwise_definition(specs, pq, values):
+    # values None: X without general-form literals, where sharing an X
+    # class realizes X; else entry n carries values[n] (or none realizing)
+    general = values is not None
+    if general:
+        values = values + [(None, None)] * len(specs)
+    entries = [
+        entry(t, key, n, (values[n],) if general else ()) for n, (t, key) in enumerate(specs)
+    ]
     delta = Delta(*pq)
+
+    def x_ok(a, b):  # a on the left
+        left, right = a.x_general[0][0], b.x_general[0][1]
+        return left is not None and left == right
+
     pairwise = any(
-        a.xkey == b.xkey and delta.contains(b.t - a.t)
+        a.xkey == b.xkey
+        and delta.contains(b.t - a.t)
+        and (not general or x_ok(a, b) or x_ok(b, a))
         for i, a in enumerate(entries)
         for b in entries[i + 1:]
     )
-    assert nontrivially_exercised(index_of(entries), delta) == pairwise
+    assert nontrivially_exercised(index_of(entries, general), delta) == pairwise
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ GOLDEN = {
     "detect.jsonlike": "c85a5adad82b7ce1277fb4cb2a0aaca9c2ae1d534630d6b274f1b68341386e79",
     "parallel.text": "6cc215c49556acdf3c5a74405e0cf1c8bbe6446ab2f75e25522818fbd9e4866b",
     "parallel.jsonlike": "c6d1232a1aad306bc8771e26140d992c3d7a27d549d594730ce22696e00cd1b9",
+    "plan.stdout": "f8c6e584c5a383c8b104a280dce20b667f084aad03345a8fa16f4e6fee92758d",
     # the same reports written to --out files
     "detect.out.text": "28e112277e84a5ca202aa34b185727d83294f13dad5c5b372fa8ced850f9e3c5",
     "detect.out.jsonlike": "c85a5adad82b7ce1277fb4cb2a0aaca9c2ae1d534630d6b274f1b68341386e79",
@@ -40,9 +41,9 @@ def _cli(capsys, *argv):
 
 
 def outputs(tmp_path, capsys):
-    """{file name: sha256} of gen, inject --negative, eval, detect and
-    detect-parallel outputs, plus the commands' stdout; each report in
-    both formats, on stdout and in an --out file."""
+    """{file name: sha256} of gen, inject --negative, eval, detect,
+    detect-parallel and plan outputs, plus the commands' stdout; each
+    report in both formats, on stdout and in an --out file."""
     rules = tmp_path / "rules.tgfd"
     rules.write_text(GOLDEN_RULES, encoding="utf-8")
     out = {}
@@ -63,6 +64,7 @@ def outputs(tmp_path, capsys):
     parallel = ["detect-parallel", *graph, "--workers", "3", "--tl", "5", "--tu", "60", "--seed", "3"]
     out["parallel.text"] = _cli(capsys, *parallel)
     out["parallel.jsonlike"] = _cli(capsys, *parallel, "--format", "jsonlike")
+    out["plan.stdout"] = _cli(capsys, "plan", *parallel[1:])
     for command, name in ((["detect", *graph], "detect"), (parallel, "parallel")):
         for fmt in ("text", "jsonlike"):
             assert _cli(capsys, *command, "--format", fmt, "--out", str(tmp_path / f"{name}.out.{fmt}")) == ""

@@ -13,13 +13,8 @@ from tgfd.graph import (
     advance_view,
     apply_changes,
 )
-from tgfd.matcher import (
-    IncrementalMatcher,
-    decompose,
-    match_snapshot,
-    tgfd_paths,
-)
-from tgfd.model import ConstantLiteral, GraphPattern, MatchBinding
+from tgfd.matcher import IncrementalMatcher, match_snapshot
+from tgfd.model import GraphPattern, MatchBinding
 
 from util import (
     brute_matches,
@@ -67,76 +62,13 @@ def advance(view, cs, *matchers):
     return flipped
 
 
-# ---------------------------------------------------------------------------
-# decomposition
-# ---------------------------------------------------------------------------
-
-
-def test_decompose_single_edge():
-    p = GraphPattern([("x", "a"), ("y", "b")], [("x", "l", "y")])
-    paths = decompose(p)
-    assert len(paths) == 1
-    assert paths[0].edges == (("x", "l", "y"),)
-    assert paths[0].radius == 1
-
-
-def test_decompose_single_node():
-    p = GraphPattern([("x", "a")], [])
-    paths = decompose(p)
-    assert len(paths) == 1
-    assert paths[0].nodes == ("x",)
-    assert paths[0].radius == 0
-
-
 def advisor_pattern():
     # advisor -> student -> university, with a department branch onto the
-    # university; the McMaster constant rides on the university variable
+    # university
     return GraphPattern(
         [("x", "advisor"), ("y", "student"), ("z", "university"), ("w", "department")],
         [("x", "supervise", "y"), ("y", "study", "z"), ("w", "partOf", "z")],
     )
-
-
-def test_decompose_advisor_branch():
-    lit = ConstantLiteral("z", "name", "McMaster")
-    paths = decompose(advisor_pattern(), [lit])
-    assert len(paths) == 2
-    covered = set()
-    for p in paths:
-        covered |= set(p.edges)
-    assert covered == set(advisor_pattern().edges)
-    chains = {p.edges for p in paths}
-    assert (("x", "supervise", "y"), ("y", "study", "z")) in chains
-    assert (("w", "partOf", "z"),) in chains
-    # both paths touch z, so both carry the constant
-    for p in paths:
-        assert lit in p.literals
-
-
-def test_decompose_covers_random_patterns():
-    rng = random.Random(9)
-    for _ in range(40):
-        pattern = random_pattern(rng, 4)
-        paths = decompose(pattern)
-        covered = set()
-        for p in paths:
-            covered |= set(p.edges)
-            # a path is a chain: consecutive edges share the walk vertex
-            for i, e in enumerate(p.edges):
-                assert e[0] == p.nodes[i] and e[2] == p.nodes[i + 1]
-        assert covered == set(pattern.edges)
-
-
-def test_decompose_cycle():
-    p = GraphPattern(
-        [("a", "t"), ("b", "t"), ("c", "t")],
-        [("a", "l", "b"), ("b", "l", "c"), ("c", "l", "a")],
-    )
-    paths = decompose(p)
-    covered = set()
-    for path in paths:
-        covered |= set(path.edges)
-    assert covered == set(p.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +207,6 @@ def test_incremental_equals_batch_exotic_patterns():
         g = random_graph(rng, rng.randint(10, 30), rng.randint(20, 60))
         pattern = exotic_pattern(rng)
         loop_patterns += any(e[0] == e[2] for e in pattern.edges)
-        covered = set().union(*(p.edges for p in decompose(pattern)))
-        assert covered == set(pattern.edges)
         view = g.view(1)
         matcher = IncrementalMatcher(pattern, view)
         assert_matches_current(matcher, pattern, g.view(1), f"seed={seed} t=1")
@@ -463,13 +393,3 @@ class MatcherMachine(RuleBasedStateMachine):
 
 MatcherMachine.TestCase.settings = settings(stateful_step_count=25, deadline=None)
 test_matcher_state_machine = MatcherMachine.TestCase
-
-
-def test_tgfd_paths_attach_constants(medication_rules):
-    sigma = medication_rules[0]
-    paths = tgfd_paths(sigma)
-    attached = set()
-    for p in paths:
-        attached |= set(p.literals)
-    assert ConstantLiteral("z", "name", "Covid19") in attached
-    assert ConstantLiteral("w", "val", "100mg") in attached

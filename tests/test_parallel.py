@@ -15,7 +15,7 @@ from tgfd.graph import (
     Fragment,
     apply_changes,
 )
-from tgfd.matcher import decompose, match_snapshot, tgfd_paths
+from tgfd.matcher import match_snapshot
 from tgfd.model import (
     WILDCARD,
     ConstantLiteral,
@@ -39,9 +39,11 @@ from tgfd.parallel import (
 
 from util import (
     LABEL_POOL,
+    VALUE_POOL,
     build_graph,
     canonical_pairs,
     engine_violation_keys,
+    exotic_pattern,
     extend,
     oracle_violations,
     random_changes,
@@ -57,46 +59,65 @@ from util import (
 
 def brute_job(graph, sigma, owned, t=1):
     """(size, ship_in, ship_all) of the job running sigma on the fragment
-    that owns `owned`, counted from scratch.  Per path of the rule: the size
-    estimate is the owned center candidates times, per path edge, the owned
-    edges of that signature per owned source-type vertex; the ship costs
-    count the edges inside each center's radius ball of the full snapshot,
-    ship_in only those with an endpoint off the fragment.  The size is the
-    smallest path estimate."""
+    that owns `owned`, counted from scratch.  The anchor is the pattern's
+    radius_center(); its candidates are the owned vertices its label
+    admits that meet its X constants.  The size is the candidate count
+    times, per edge of a BFS tree of the pattern from the anchor (each
+    other variable, in vars order, joined to a variable one hop nearer by
+    the first such pattern edge), that edge's owned data edges per owned
+    vertex its source admits; the ship costs count the edges inside each
+    candidate's radius ball of the full snapshot, ship_in only those with
+    an endpoint off the fragment."""
     snap, edges = graph.snapshot(t), graph.view(t).edges
     types = {vid: v.type_label for vid, v in graph.vertices.items()}
-    label = sigma.pattern.label_of
+    pattern = sigma.pattern
+
+    def admits(var, vid):
+        return pattern.label_of(var) in (WILDCARD, types[vid])
+
+    anchor, radius = pattern.radius_center()
+    hops, level = {anchor: 0}, 0
+    while len(hops) < len(pattern.vars):
+        for src, _, dst in pattern.edges:
+            for near, far in ((src, dst), (dst, src)):
+                if hops.get(near) == level and far not in hops:
+                    hops[far] = level + 1
+        level += 1
     owned_edges = [e for e in edges if e[0] in owned and e[2] in owned]
-    estimates, ship_in, ship_all = [], 0, 0
-    for path in tgfd_paths(sigma):
-        centers = [
-            v for v in sorted(owned)
-            if types[v] == label(path.center_var)
-            and all(
-                snap.attr(v, lit.attr) == lit.value
-                for lit in path.literals if lit.var == path.center_var
-            )
+    candidates = [
+        v for v in sorted(owned)
+        if admits(anchor, v)
+        and all(
+            snap.attr(v, lit.attr) == lit.value
+            for lit in sigma.x_literals
+            if isinstance(lit, ConstantLiteral) and lit.var == anchor
+        )
+    ]
+    size = float(len(candidates))
+    for var in pattern.vars:
+        if var == anchor:
+            continue
+        src, elabel, dst = next(
+            e for e in pattern.edges
+            if var in (e[0], e[2]) and hops[e[2] if e[0] == var else e[0]] == hops[var] - 1
+        )
+        sources = [v for v in owned if admits(src, v)]
+        hits = [
+            e for e in owned_edges if e[1] == elabel and admits(src, e[0]) and admits(dst, e[2])
         ]
-        estimate = float(len(centers))
-        for (src, elabel, dst) in path.edges:
-            sources = [v for v in owned if types[v] == label(src)]
-            hits = [
-                e for e in owned_edges
-                if e[1] == elabel and types[e[0]] == label(src) and types[e[2]] == label(dst)
-            ]
-            estimate *= len(hits) / len(sources) if sources else 0.0
-        estimates.append(estimate)
-        for center in centers:
-            ball = {center}
-            for _ in range(path.radius):
-                ball = ball | {
-                    e[2] if e[0] in ball else e[0]
-                    for e in edges if e[0] in ball or e[2] in ball
-                }
-            inside = [e for e in edges if e[0] in ball and e[2] in ball]
-            ship_all += len(inside)
-            ship_in += sum(1 for e in inside if e[0] not in owned or e[2] not in owned)
-    return (min(estimates) if estimates else 0.0), ship_in, ship_all
+        size *= len(hits) / len(sources) if sources else 0.0
+    ship_in = ship_all = 0
+    for center in candidates:
+        ball = {center}
+        for _ in range(radius):
+            ball = ball | {
+                e[2] if e[0] in ball else e[0]
+                for e in edges if e[0] in ball or e[2] in ball
+            }
+        inside = [e for e in edges if e[0] in ball and e[2] in ball]
+        ship_all += len(inside)
+        ship_in += sum(1 for e in inside if e[0] not in owned or e[2] not in owned)
+    return size, ship_in, ship_all
 
 
 def plain_rule(pattern, name="r"):
@@ -148,13 +169,95 @@ def test_estimate_two_edge_chain_product():
     chain = GraphPattern(
         [("x", "R"), ("y", "M"), ("z", "S")], [("x", "a", "y"), ("y", "b", "z")]
     )
-    path = decompose(chain)[0]
-    assert len(path.edges) == 2
-    assert path.center_var == "y"  # middle of the chain, 4 candidates
+    assert chain.radius_center() == ("y", 1)  # middle of the chain, 4 candidates
     sigma = plain_rule(chain)
     job = whole_graph_job(g, sigma)
     assert job.size == pytest.approx(4 * 2 * 3)
     assert_job_matches_brute(g, sigma, job, frozenset(g.vertices))
+
+
+def star_instance():
+    """Two hubs, each with two l-edges to As and three m-edges to Bs, and
+    the star pattern over them: 2 x 2 x 3 = 12 matches."""
+    vertices = {"h1": "H", "h2": "H"}
+    edges = []
+    for h in (1, 2):
+        for i in range(2):
+            vertices[f"a{h}{i}"] = "A"
+            edges.append((f"h{h}", "l", f"a{h}{i}"))
+        for i in range(3):
+            vertices[f"b{h}{i}"] = "B"
+            edges.append((f"h{h}", "m", f"b{h}{i}"))
+    g = build_graph(vertices, edges, {"h1": {"rank": "top", "code": "c"}, "h2": {}})
+    star = GraphPattern([("x", "H"), ("y", "A"), ("z", "B")], [("x", "l", "y"), ("x", "m", "z")])
+    return g, star
+
+
+def test_estimate_star_multiplies_every_arm():
+    # anchor x (eccentricity 1), 2 hub candidates, fan-outs 2 and 3: the
+    # size is 2 * 2 * 3 = 12, the exact match count.  Each hub's radius-1
+    # ball holds its 5 edges, so ship_all = 2 * 5.  (Per directed path,
+    # the smallest estimate was 2 * 2 = 4, and each hub's ball was paid
+    # once per arm: 20.)
+    g, star = star_instance()
+    assert star.radius_center() == ("x", 1)
+    sigma = plain_rule(star)
+    job = whole_graph_job(g, sigma)
+    assert job.size == pytest.approx(12.0)
+    assert (job.ship_in, job.ship_all) == (0, 10)
+    assert_job_matches_brute(g, sigma, job, frozenset(g.vertices))
+
+
+def test_estimate_filters_the_anchor_by_x_constants_only():
+    # only h1 has rank "top" and code "c": an X constant on the anchor
+    # halves the star's job, a Y constant there (which matches violate
+    # rather than leave) keeps both hubs
+    g, star = star_instance()
+    by_x = Tgfd("x", star, Delta(0, 1), [ConstantLiteral("x", "rank", "top")],
+                [VariableLiteral("y", "code", "y", "code")])
+    by_y = Tgfd("y", star, Delta(0, 1), [VariableLiteral("x", "name", "x", "name")],
+                [ConstantLiteral("x", "code", "c")])
+    whole = frozenset(g.vertices)
+    for sigma, size, ship_all in ((by_x, 6.0, 5), (by_y, 12.0, 10)):
+        job = whole_graph_job(g, sigma)
+        assert (job.size, job.ship_all) == (pytest.approx(size), ship_all), sigma.name
+        assert_job_matches_brute(g, sigma, job, whole)
+
+
+def test_estimate_cycle_follows_the_bfs_tree_from_the_anchor():
+    # x:A -> y:B -> z:C -> x over 2 As, 4 Bs, 2 Cs; every vertex lies on
+    # one of the 4 matching triangles a -> b -> c -> a.  Anchor x; its BFS
+    # tree keeps x -> y (fan-out A->B 2) and z -> x (fan-out C->A 1), not
+    # y -> z: size 2 * 2 * 1 = 4.  Each a's radius-1 ball holds its two
+    # out-edges, the two b -> c edges and c -> a: ship_all = 2 * 5.  (The
+    # path cover y-centred x->y->z and z-centred y->z->x gave
+    # min(4 * 2 * 1, 2 * 1 * 1) = 2.)
+    vertices = {"a1": "A", "a2": "A", "c1": "C", "c2": "C"}
+    edges = [("c1", "l", "a1"), ("c2", "l", "a2")]
+    for i in range(4):
+        a, c = ("a1", "c1") if i < 2 else ("a2", "c2")
+        vertices[f"b{i}"] = "B"
+        edges += [(a, "l", f"b{i}"), (f"b{i}", "l", c)]
+    g = build_graph(vertices, edges)
+    cycle = GraphPattern(
+        [("x", "A"), ("y", "B"), ("z", "C")], [("x", "l", "y"), ("y", "l", "z"), ("z", "l", "x")]
+    )
+    assert cycle.radius_center() == ("x", 1)
+    sigma = plain_rule(cycle)
+    job = whole_graph_job(g, sigma)
+    assert len(match_snapshot(cycle, g.view(1))) == 4
+    assert job.size == pytest.approx(4.0)
+    assert (job.ship_in, job.ship_all) == (0, 10)
+    assert_job_matches_brute(g, sigma, job, frozenset(g.vertices))
+    # split: fragment 1 owns a1 and its triangles' b and c; its ball of a1
+    # is all owned, fragment 2's ball of a2 likewise
+    frags = [
+        Fragment(1, frozenset({"a1", "b0", "b1", "c1"})),
+        Fragment(2, frozenset({"a2", "b2", "b3", "c2"})),
+    ]
+    for job, frag in zip(build_jobs(g, [sigma], frags), frags):
+        assert (job.size, job.ship_in, job.ship_all) == (pytest.approx(2.0), 0, 5)
+        assert_job_matches_brute(g, sigma, job, frag.owned_vertices)
 
 
 def test_mean_fanout_with_wildcard_target_counts_sources_once():
@@ -217,12 +320,26 @@ def test_ccost_cut_edge_counts_for_both_sides():
     assert [(j.home, j.ship_in, j.ship_all) for j in jobs] == [(1, 1, 1), (2, 1, 1)]
 
 
+def exotic_rule(rng, name):
+    """A rule over an exotic pattern (cycles, diamonds, parallel labels,
+    wildcard hubs, self-loops) with an X constant and a constant Y, each
+    on a random variable, so sometimes on the anchor."""
+    pattern = exotic_pattern(rng)
+    var = lambda: rng.choice(pattern.vars)
+    return Tgfd(
+        name, pattern, Delta(0, 1),
+        [ConstantLiteral(var(), "rank", rng.choice(VALUE_POOL))],
+        [ConstantLiteral(var(), "code", rng.choice(VALUE_POOL))],
+    )
+
+
 def test_ccost_matches_direct_count_random():
     for seed in range(10):
         rng = random.Random(seed)
         g = random_graph(rng, 16, 30)
         g = apply_changes(g, random_changes(rng, g, 2, 8))
         rules = [random_tgfd(rng, f"r{i}", max_edges=4) for i in range(3)]
+        rules += [exotic_rule(rng, f"e{i}") for i in range(3)]
         frags = make_fragments(g, 3, seed=seed)
         for t in (1, 2):
             jobs = {j.name: j for j in build_jobs(g, rules, frags, g.view(t))}
