@@ -1,12 +1,16 @@
 """Incremental violation detection over a stream of match sets.
 
 Rules arrive in normal form, X -> l with one consequent literal l
-(`normalize_all` runs at every engine's boundary).  Each match is profiled
-once into one flat entry record: the values realizing the antecedent
-literals (an X key), its one Y read and its key halves.  Entries are
-partitioned by X key, and each class is bucketed by timestamp.  A new
-match at time t is compared only against the buckets of its class whose
-timestamps fall in its permissible range.
+(`normalize_all` runs at every engine's boundary).  Each live match becomes
+one flat entry record per timestamp: the values realizing the antecedent
+literals (an X key), its one Y read, its key halves and its text.  A
+replay keeps what is fixed per match in a memo (MatchProfiles): the text
+and the t-independent key digits for good, the literal values until a
+change set writes a slot they read.  So per-match work follows the
+distinct matches and the attribute writes, not matches times timestamps.
+Entries are partitioned by X key, and each class is bucketed by timestamp.
+A new match at time t is compared only against the buckets of its class
+whose timestamps fall in its permissible range.
 
 A violation is one int from the pairing to the report line: its report key
 and the ids of its two entries in the rule's entry table (KeyedViolations).
@@ -35,8 +39,8 @@ from typing import (
 )
 
 from .errors import InvalidGraph, InvalidOption, ReportKeyOverflow
-from .graph import Edge, GraphView, TemporalGraph, advance_view
-from .matcher import IncrementalMatcher
+from .graph import AttrDelete, AttrSet, Edge, GraphView, TemporalGraph, advance_view
+from .matcher import AssignmentKey, IncrementalMatcher
 from .model import (
     ConstantLiteral,
     Delta,
@@ -152,8 +156,10 @@ class ReportOrder:
     contributes hi (its digits as the earlier side) and lo (as the later
     side), both shifted left by 2·id_bits: a pair's report key is
     hi_i + lo_j, and a constant violation's is hi + lo of its one match.
+    Only the t digit moves with the timestamp, so hi = t·W1 + the match's
+    t-independent digits, and lo = t·W2 + its others.
     The low 2·id_bits (ID_BITS when the order is built) are left for the
-    two entry ids that RulePlan.profile adds; report keys are distinct, so
+    two entry ids that MatchProfiles.entries adds; report keys are distinct, so
     the ids never decide the order."""
 
     def __init__(self, vertex_ids: Iterable[str], T: int):
@@ -163,24 +169,26 @@ class ReportOrder:
         self.T = T
         self.id_bits = ID_BITS
 
-    def halves(self, sigma: Tgfd) -> Callable[[MatchBinding], Tuple[int, int]]:
-        """(hi, lo) of a match of sigma."""
+    def halves(
+        self, sigma: Tgfd
+    ) -> Tuple[int, int, Callable[[AssignmentKey], Tuple[int, int]]]:
+        """(W1, W2, digits) of sigma: a match of sigma with these items at
+        t has hi = t·W1 + digits(items)[0] and lo = t·W2 + digits(items)[1]."""
         rank, base, shift = self.rank, self.base, 2 * self.id_bits
         b = base ** len(sigma.pattern.labels)
         w2 = b ** 4 << shift
         w1, w3, w4, w5 = (self.T + 1) * w2, b ** 3 << shift, b ** 2 << shift, b << shift
 
-        def of(binding: MatchBinding) -> Tuple[int, int]:
-            ranks = [rank[vid] for _, vid in binding.items]
+        def digits(match_items: AssignmentKey) -> Tuple[int, int]:
+            ranks = [rank[vid] for _, vid in match_items]
             items = ids = 0
             for r in ranks:
                 items = items * base + r
             for r in sorted(ranks):
                 ids = ids * base + r
-            t = binding.t
-            return t * w1 + ids * w3 + items * w5, t * w2 + ids * w4 + (items << shift)
+            return ids * w3 + items * w5, ids * w4 + (items << shift)
 
-        return of
+        return w1, w2, digits
 
 
 class KeyedViolations:
@@ -216,27 +224,30 @@ class KeyedViolations:
         self.keys.extend(other.keys)
 
     def text_chunks(self) -> Iterator[str]:
-        """The report lines (format_violation's) of the violations, in the
-        keys' order, REPORT_CHUNK lines per string."""
+        """The report lines of the violations, in the keys' order,
+        REPORT_CHUNK lines per string: pair_line's and constant_line's
+        format, each line one f-string over its entries' cached pieces."""
         plan, keys = self.plan, self.keys
         if not keys:
             return
         name, table, bits = plan.sigma.name, plan.table, plan.id_bits
         mask = (1 << bits) - 1
-        # each entry's timestamp and text, read once for all its lines
-        ts = [e.t for e in table]
-        texts = [e.binding.text for e in table]
+        # each entry's timestamp as text and its match's memoized text,
+        # read once for all its lines
+        ts = [str(e.t) for e in table]
+        texts = [e.text for e in table]
+        failed = str(plan.y_literal)  # the y of every entry a constant rule reports
         for start in range(0, len(keys), REPORT_CHUNK):
             chunk = keys[start:start + REPORT_CHUNK]
             later = [k & mask for k in chunk]
             if plan.pair_based:
                 earlier = [k >> bits & mask for k in chunk]
                 lines = [
-                    pair_line(name, ts[i], ts[j], texts[i], texts[j])
+                    f"{name} PAIR t_i={ts[i]} t_j={ts[j]} {texts[i]} {texts[j]}"
                     for i, j in zip(earlier, later)
                 ]
             else:
-                lines = [constant_line(name, ts[j], texts[j], table[j].y) for j in later]
+                lines = [f"{name} CONST t={ts[j]} {texts[j]} failed={failed}" for j in later]
             lines.append("")
             yield "\n".join(lines)
 
@@ -250,11 +261,11 @@ Y_CONST, Y_SELF, Y_GENERAL = "const", "self", "general"
 
 
 class IndexEntry(NamedTuple):
-    """One profiled match: the values its rule's literals read, the
-    fragment owning it and its key halves.  y is the consequent's read: see
-    RulePlan.profile.  hi and lo are ReportOrder's halves with the entry's
-    id added, shifted into the earlier side's id field in hi: a pair's
-    KeyedViolations key is hi_i + lo_j."""
+    """One profiled match at one timestamp: the values its rule's literals
+    read, the fragment owning it, its key halves and its text.  y is the
+    consequent's read: see RulePlan.read.  hi and lo are ReportOrder's
+    halves with the entry's id added, shifted into the earlier side's id
+    field in hi: a pair's KeyedViolations key is hi_i + lo_j."""
 
     t: int
     binding: MatchBinding
@@ -264,6 +275,7 @@ class IndexEntry(NamedTuple):
     owner: int = 0    # fragment owning the binding's anchor; 0 when sequential
     hi: int = 0       # key halves, 0 when the plan keeps no table
     lo: int = 0
+    text: str = ""    # the binding's text (MatchBinding.text), one string per match
 
 
 class RulePlan:
@@ -271,21 +283,21 @@ class RulePlan:
 
     A match's items are sorted by variable and bind every pattern variable,
     so each variable sits at one fixed position of every match's items:
-    `slot` maps it there, and the profile reads each literal's vertex by
-    its slot.  X constants filter matches, self-form X values key the X
-    class, and general-form X values are compared pairwise.  The one Y
-    literal is constant, checked per match, or a variable literal,
-    self-form or general-form, compared between two matches.
+    `slot` maps it there, and `read` reads each literal's vertex by its
+    slot.  X constants filter matches, self-form X values key the X class,
+    and general-form X values are compared pairwise.  The one Y literal is
+    constant, checked per match, or a variable literal, self-form or
+    general-form, compared between two matches.
 
-    Built with a run's ReportOrder, the plan also numbers the entries it
-    profiles: `table` lists them in id order, and each entry's hi and lo
-    carry its key halves and its id (see KeyedViolations).  Without one,
-    entries carry no key and nothing is kept."""
+    Built with a run's ReportOrder, the plan also numbers the entries its
+    MatchProfiles build: `table` lists them in id order, and each entry's
+    hi and lo carry its key halves and its id (see KeyedViolations).
+    Without one, entries carry no key and nothing is kept."""
 
     def __init__(self, sigma: Tgfd, order: Optional[ReportOrder] = None):
         self.sigma = sigma
         self.table: List[IndexEntry] = []
-        self._halves = order.halves(sigma) if order is not None else None
+        self.halves = order.halves(sigma) if order is not None else None
         self.id_bits = order.id_bits if order is not None else ID_BITS
         slot = self.slot = {var: i for i, var in enumerate(sorted(sigma.pattern.vars))}
         # the X literals' (slot, attribute) reads, in literal order
@@ -306,6 +318,15 @@ class RulePlan:
             self.y_form, self._y = Y_SELF, (slot[y.var1], y.attr1)
         else:
             self.y_form, self._y = Y_GENERAL, (slot[y.var1], y.attr1, slot[y.var2], y.attr2)
+        # every (slot, attribute) that read reads: the slots whose writes
+        # change a match's values
+        reads = {(i, a) for i, a, _ in self._x_const} | set(self._x_self)
+        for i, a, j, b in self._x_general:
+            reads |= {(i, a), (j, b)}
+        reads.add(self._y[:2])
+        if self.y_form == Y_GENERAL:
+            reads.add(self._y[2:])
+        self.reads = sorted(reads)
         # Whether the consequent compares the two matches; a constant one
         # is checked per match instead.
         self.pair_based = self.y_form != Y_CONST
@@ -313,70 +334,33 @@ class RulePlan:
         # see pair_violates.
         self.one_orientation = not self._x_general and self.y_form != Y_GENERAL
 
-    def profile(self, binding: MatchBinding, view_attr, owner: int = 0) -> Optional[IndexEntry]:
-        """binding's entry, with the values view_attr (its timestamp's
-        `Snapshot.attr`) gives, numbered and keyed when the plan keeps a
-        table; None when the binding can never realize X with any partner.
-        The entry's y is the failed literal or None (constant Y), the value
-        or None when unset (self-form Y), or the (left, right) values
-        (general-form Y)."""
-        items = binding.items
-        for i, attr, value in self._x_const:
-            if view_attr(items[i][1], attr) != value:
-                return None
+    def read(self, items: AssignmentKey, attr) -> Tuple:
+        """(xkey, x_general, y): the values attr (a timestamp's
+        `Snapshot.attr`) gives the literals of the match with these items;
+        () when the match can never realize X with any partner.  y is the
+        failed literal or None (constant Y), the value or None when unset
+        (self-form Y), or the (left, right) values (general-form Y)."""
+        for i, a, value in self._x_const:
+            if attr(items[i][1], a) != value:
+                return ()
         xkey = []
-        for i, attr in self._x_self:
-            value = view_attr(items[i][1], attr)
+        for i, a in self._x_self:
+            value = attr(items[i][1], a)
             if value is None:
-                return None
+                return ()
             xkey.append(value)
         x_general = tuple(
-            (view_attr(items[i][1], a), view_attr(items[j][1], b))
-            for i, a, j, b in self._x_general
+            (attr(items[i][1], a), attr(items[j][1], b)) for i, a, j, b in self._x_general
         )
         if self.y_form == Y_GENERAL:
             i, a, j, b = self._y
-            y = (view_attr(items[i][1], a), view_attr(items[j][1], b))
+            y = (attr(items[i][1], a), attr(items[j][1], b))
         else:
             i, a = self._y
-            y = view_attr(items[i][1], a)
+            y = attr(items[i][1], a)
             if self.y_form == Y_CONST:
                 y = None if y == self.y_literal.value else self.y_literal
-        if self._halves is None:
-            hi = lo = 0
-        else:  # the entry's id is its position in the table
-            eid = len(self.table)
-            hi, lo = self._halves(binding)
-            hi, lo = hi + (eid << self.id_bits), lo + eid
-        entry = tuple.__new__(
-            IndexEntry, (binding.t, binding, tuple(xkey), x_general, y, owner, hi, lo)
-        )
-        if self._halves is not None:
-            self.table.append(entry)
-        return entry
-
-    def entries(
-        self,
-        matches: Iterable[MatchBinding],
-        attr,
-        owner_of: Optional[Callable[[MatchBinding], int]] = None,
-    ) -> List[IndexEntry]:
-        """One timestamp's matches as index entries, in items order: those
-        that can realize X, profiled with attr, that timestamp's
-        `Snapshot.attr`.  owner_of gives the fragment owning a match (0 for
-        all when omitted, as in the sequential engine)."""
-        profile = self.profile
-        out = []
-        for binding in sorted(matches, key=lambda b: b.items):
-            entry = profile(binding, attr, owner_of(binding) if owner_of is not None else 0)
-            if entry is not None:  # else it never enters the partitions
-                out.append(entry)
-        if len(self.table) > 1 << self.id_bits:
-            raise ReportKeyOverflow(
-                f"{self.sigma.name}: more than {1 << self.id_bits} profiled matches; "
-                f"a violation key numbers at most that many per rule"
-            )
-        return out
+        return (tuple(xkey), x_general, y)
 
     def pair_x_ok(self, a: IndexEntry, b: IndexEntry) -> bool:
         """General X literals, evaluated with a on the left."""
@@ -406,6 +390,113 @@ class RulePlan:
             if self.pair_x_ok(left, right) and not self.pair_y_ok(left, right):
                 return True
         return False
+
+
+class MatchProfiles:
+    """One replay's memo of one rule's matches on one graph: the one path
+    from live matches to index entries.
+
+    Per distinct match (its items) it keeps one record: the values
+    `RulePlan.read` gives it (or that it never realizes X), its
+    t-independent report-key digits and its text.  A timestamp's entries
+    are built from the records: the values are read again only for a match
+    whose record a change set invalidated, and the keys are t·W plus the
+    digits.  Moving to timestamp t invalidates the values of every match,
+    live or dead, that holds a slot a change set up to t wrote and the
+    plan reads (a dead match may come back).  Moving back to an earlier
+    timestamp invalidates every record.
+
+    The memo belongs to one graph: a run that profiles a plan on two graphs
+    (inject, clean and mutated) builds one memo per graph.  A fresh memo
+    reads every match."""
+
+    def __init__(self, plan: RulePlan, graph: TemporalGraph):
+        self.plan = plan
+        self.graph = graph
+        self.t = 0  # the timestamp the values hold for; 0 before any
+        # items -> [values or None once invalidated, hi digits, lo digits, text]
+        self.records: Dict[AssignmentKey, list] = {}
+        # (vertex, attribute) -> the records whose values read that slot
+        self.readers: Dict[Tuple[str, str], List[list]] = {}
+
+    def _move_to(self, t: int) -> None:
+        """Invalidate the values that change sets self.t + 1 .. t may have
+        changed: those reading a slot the sets write (every set or delete,
+        a superset of `changed_attrs`)."""
+        if t < self.t:
+            for record in self.records.values():
+                record[0] = None
+        elif self.records:
+            readers, changesets = self.readers, self.graph.changesets
+            for cs in changesets[self.t - 1:t - 1]:
+                for c in cs.changes:
+                    if type(c) is AttrSet or type(c) is AttrDelete:
+                        for record in readers.get((c.vid, c.name), ()):
+                            record[0] = None
+        self.t = t
+
+    def _record(self, binding: MatchBinding) -> list:
+        items, halves = binding.items, self.plan.halves
+        if halves is None:
+            hi = lo = 0
+        else:
+            _, _, digits = halves
+            hi, lo = digits(items)
+        record = self.records[items] = [None, hi, lo, binding.text]
+        readers = self.readers
+        for i, a in self.plan.reads:
+            readers.setdefault((items[i][1], a), []).append(record)
+        return record
+
+    def entries(
+        self,
+        matches: Iterable[MatchBinding],
+        t: int,
+        owner_of: Optional[Callable[[MatchBinding], int]] = None,
+    ) -> List[IndexEntry]:
+        """The index entries of timestamp t's matches, which come in items
+        order (`IncrementalMatcher.topological_matches`): those that can
+        realize X, in that order, numbered and keyed when the plan keeps a
+        table.  owner_of gives the fragment owning a match (0 for all when
+        omitted, as in the sequential engine)."""
+        attr = self.graph.snapshot(t).attr
+        self._move_to(t)
+        plan = self.plan
+        read, table, records = plan.read, plan.table, self.records
+        keyed = plan.halves is not None
+        if keyed:
+            bits = plan.id_bits
+            w1, w2, _ = plan.halves
+            t_hi, t_lo = t * w1, t * w2
+        new_entry = tuple.__new__
+        out = []
+        for binding in matches:
+            items = binding.items
+            record = records.get(items)
+            if record is None:
+                record = self._record(binding)
+            values = record[0]
+            if values is None:
+                values = record[0] = read(items, attr)
+            if not values:  # it never enters the partitions
+                continue
+            owner = owner_of(binding) if owner_of is not None else 0
+            if keyed:  # the entry's id is its position in the table
+                eid = len(table)
+                entry = new_entry(IndexEntry, (
+                    t, binding, *values, owner,
+                    t_hi + record[1] + (eid << bits), t_lo + record[2] + eid, record[3],
+                ))
+                table.append(entry)
+            else:
+                entry = new_entry(IndexEntry, (t, binding, *values, owner, 0, 0, record[3]))
+            out.append(entry)
+        if len(table) > 1 << plan.id_bits:
+            raise ReportKeyOverflow(
+                f"{plan.sigma.name}: more than {1 << plan.id_bits} profiled matches; "
+                f"a violation key numbers at most that many per rule"
+            )
+        return out
 
 
 class MatchIndex:
@@ -442,7 +533,7 @@ def incted_step(
     checked_pairs: Optional[List] = None,
     found: Optional[KeyedViolations] = None,
 ) -> KeyedViolations:
-    """Pair one timestamp's entries (`RulePlan.entries`, in items order)
+    """Pair one timestamp's entries (`MatchProfiles.entries`, in items order)
     with the indexed ones, index them, and append the key of each new
     violation, in the order found, to found (a fresh KeyedViolations of the
     index's plan when omitted), which is returned.
@@ -601,14 +692,14 @@ def detect_sequential(graph: TemporalGraph, tgfds: Sequence[Tgfd]) -> DetectionR
     rules = normalize_all(tgfds)
     order = ReportOrder(graph.vertices, graph.T)
     indexes = {sigma.name: MatchIndex(RulePlan(sigma, order)) for sigma in rules}
+    profiles = {name: MatchProfiles(index.plan, graph) for name, index in indexes.items()}
     found = {name: KeyedViolations(index.plan) for name, index in indexes.items()}
     matchers: Dict[str, IncrementalMatcher] = {}
     for t, matchers, _ in replay(graph, rules):
-        attr = graph.snapshot(t).attr
         for sigma in rules:
-            index = indexes[sigma.name]
-            entries = index.plan.entries(matchers[sigma.name].topological_matches(t), attr)
-            incted_step(index, sigma, entries, graph.T, found=found[sigma.name])
+            name = sigma.name
+            entries = profiles[name].entries(matchers[name].topological_matches(t), t)
+            incted_step(indexes[name], sigma, entries, graph.T, found=found[name])
     for keyed in found.values():
         keyed.keys.sort()
 

@@ -16,6 +16,7 @@ import math
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import InvalidLedger, InvalidOption
@@ -40,6 +41,7 @@ from .model import (
 from .detection import (
     IndexEntry,
     MatchIndex,
+    MatchProfiles,
     RulePlan,
     Violation,
     match_pair_id,
@@ -229,18 +231,18 @@ def inject_errors(
     # rule's matches are kept, one list per timestamp, for the ledger.
     plans = {sigma.name: RulePlan(sigma) for sigma in rules}
     indexes = {name: MatchIndex(plan) for name, plan in plans.items()}
+    profiles = {name: MatchProfiles(plan, graph) for name, plan in plans.items()}
     pools: Dict[str, List[Tuple[MatchBinding, MatchBinding]]] = {name: [] for name in plans}
     kept: Dict[str, List[List[MatchBinding]]] = {name: [] for name in plans}
     for t, matchers, _ in replay(graph, rules):
-        attr = graph.snapshot(t).attr
         for sigma in rules:
             name = sigma.name
             plan, index, pool = plans[name], indexes[name], pools[name]
             x_ok, y_ok = plan.pair_x_ok, plan.pair_y_ok
             matches = matchers[name].topological_matches(t)
-            kept[name].append(list(matches))
+            kept[name].append(matches)
             window = permissible_range(t, sigma.delta, graph.T)
-            for entry in plan.entries(matches, attr):
+            for entry in profiles[name].entries(matches, t):
                 binding = entry.binding
                 for bucket in index.buckets(entry, window):
                     pool.extend([
@@ -311,6 +313,7 @@ def inject_errors(
     # rewritten at its timestamp).  An untouched match reads alike on both
     # graphs, so each side walks the partners of the touched matches only:
     # on mutated through a fresh index, on graph through the pool's index.
+    # Each graph's replay profiles through its own fresh memo.
     slots = {(m.t, m.vid) for m in ledger.mutations}
     negative = {(m.t, m.vid) for m in ledger.mutations if m.kind == "-"}
     plus: Set[Tuple] = set()
@@ -318,12 +321,13 @@ def inject_errors(
     for sigma in rules:
         name, plan = sigma.name, plans[sigma.name]
         index = MatchIndex(plan)  # every match profiled on mutated
+        on_graph, on_mutated = MatchProfiles(plan, graph), MatchProfiles(plan, mutated)
         mine: List[IndexEntry] = []
         was: List[IndexEntry] = []
         for t, matches in enumerate(kept[name], start=1):
             touched = {id(b): b for b in matches if any((t, vid) in slots for _, vid in b.items)}
-            was.extend(plan.entries(touched.values(), graph.snapshot(t).attr))
-            for entry in plan.entries(matches, mutated.snapshot(t).attr):
+            was.extend(on_graph.entries(touched.values(), t))
+            for entry in on_mutated.entries(matches, t):
                 index.insert(entry)
                 if id(entry.binding) in touched:
                     mine.append(entry)
@@ -363,29 +367,57 @@ def score(violations: Iterable[Violation], ledger: InjectionLedger) -> Metrics:
     return Metrics(precision=precision, recall=recall, fpr=fpr, f1=f1, fpr_defined=fpr_defined)
 
 
-def _key_to_json(key: Tuple) -> List:
-    tgfd, (ti, ids_i), (tj, ids_j) = key
-    return [tgfd, [ti, list(ids_i)], [tj, list(ids_j)]]
-
-
 def _key_from_json(row: Sequence) -> Tuple:
     tgfd, (ti, ids_i), (tj, ids_j) = row
     return (tgfd, (ti, tuple(ids_i)), (tj, tuple(ids_j)))
 
 
+def _json_list(items: List[str], pad: str) -> str:
+    """A JSON list of already encoded items, laid out as
+    `json.dumps(indent=2)` lays out a list opened at indentation pad."""
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+
+
 def ledger_to_text(ledger: InjectionLedger) -> str:
-    doc = {
-        "pool_size": ledger.pool_size,
-        "sampled_positive": ledger.sampled_positive,
-        "sampled_negative": ledger.sampled_negative,
-        "flags": list(ledger.flags),
-        "mutations": [
-            [m.t, m.vid, m.attr, m.old, m.new, m.kind] for m in ledger.mutations
-        ],
-        "gamma_plus": [_key_to_json(k) for k in ledger.gamma_plus],
-        "gamma_minus": [_key_to_json(k) for k in ledger.gamma_minus],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The ledger as `json.dumps(doc, indent=2, sort_keys=True) + "\\n"`
+    writes its document, written directly: the pure-Python encoder that
+    indent selects costs more than the rest of inject's output.  A key's
+    sides repeat across keys, so each side is encoded once."""
+    sides: Dict[Tuple, str] = {}
+
+    def side(t: int, ids: Tuple[str, ...]) -> str:
+        text = sides.get((t, ids))
+        if text is None:
+            encoded = _json_list([encode_basestring_ascii(v) for v in ids], "        ")
+            text = sides[(t, ids)] = f"[\n        {t},\n        {encoded}\n      ]"
+        return text
+
+    def keys_json(keys: List[Tuple]) -> str:
+        return _json_list([
+            f"[\n      {encode_basestring_ascii(tgfd)},\n      {side(*i)},\n      {side(*j)}\n    ]"
+            for tgfd, i, j in keys
+        ], "  ")
+
+    mutations = [
+        _json_list([str(m.t), *(
+            "null" if v is None else encode_basestring_ascii(v)  # old is None when unset
+            for v in (m.vid, m.attr, m.old, m.new, m.kind)
+        )], "    ")
+        for m in ledger.mutations
+    ]
+    fields = [
+        ("flags", _json_list([encode_basestring_ascii(f) for f in ledger.flags], "  ")),
+        ("gamma_minus", keys_json(ledger.gamma_minus)),
+        ("gamma_plus", keys_json(ledger.gamma_plus)),
+        ("mutations", _json_list(mutations, "  ")),
+        ("pool_size", str(ledger.pool_size)),
+        ("sampled_negative", str(ledger.sampled_negative)),
+        ("sampled_positive", str(ledger.sampled_positive)),
+    ]
+    return "{\n" + ",\n".join(f'  "{name}": {value}' for name, value in fields) + "\n}\n"
 
 
 def ledger_from_text(text: str) -> InjectionLedger:

@@ -6,7 +6,8 @@ view that holds vertex types and edges only, and that its caller advances.
 An inserted edge seeds a whole-pattern search at every pattern edge it can
 play (`playable_edges`); a deleted edge drops the matches indexed under it;
 attribute changes never reach the matcher, since literals are evaluated in
-detection.  Both engines keep one matcher per rule on the full view: the
+detection.  The live matches are handed out in items order, sorted again
+only after a flip added or removed one.  Both engines keep one matcher per rule on the full view: the
 parallel engine splits its matches among fragments by anchor owner, and
 charges each fragment's job the searches `playable_edges` counts on that
 fragment's edge flips.
@@ -174,6 +175,10 @@ def match_vars(
                 used.discard(vid)
 
     backtrack(0)
+    # backtrack refers to itself through its closure cell: clearing the cell
+    # frees the closures, and the view they hold, now instead of at the
+    # next cyclic garbage collection
+    del backtrack
     return results
 
 
@@ -198,6 +203,8 @@ class IncrementalMatcher:
         self.view = view
         self.iso_searches = 0
         self._complete: Set[AssignmentKey] = set()
+        # _complete in items order; None once a match was added or removed
+        self._ordered: Optional[List[AssignmentKey]] = None
         # data edge -> complete matches that use it
         self._by_edge: Dict[Edge, Set[AssignmentKey]] = {}
         for binding in match_snapshot(pattern, view):
@@ -205,6 +212,7 @@ class IncrementalMatcher:
 
     def _add(self, key: AssignmentKey) -> None:
         self._complete.add(key)
+        self._ordered = None
         assignment = dict(key)
         for (src, label, dst) in self.pattern.edges:
             e = (assignment[src], label, assignment[dst])
@@ -238,6 +246,8 @@ class IncrementalMatcher:
 
     def _delete_edge(self, e: Edge) -> Set[AssignmentKey]:
         removed = self._by_edge.pop(e, set())
+        if removed:
+            self._ordered = None
         for key in removed:
             self._complete.discard(key)
             assignment = dict(key)
@@ -252,8 +262,11 @@ class IncrementalMatcher:
 
     # -- results --------------------------------------------------------------
 
-    def topological_matches(self, t: int) -> Set[MatchBinding]:
-        return {MatchBinding(t=t, items=key) for key in self._complete}
+    def topological_matches(self, t: int) -> List[MatchBinding]:
+        """The live matches as bindings at t, in items order."""
+        if self._ordered is None:
+            self._ordered = sorted(self._complete)
+        return [MatchBinding(t=t, items=key) for key in self._ordered]
 
 
 def _key(assignment: Mapping[str, str]) -> AssignmentKey:

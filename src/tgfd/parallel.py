@@ -68,6 +68,7 @@ from .detection import (
     KeyedViolations,
     MatchIndex,
     ReportOrder,
+    MatchProfiles,
     RulePlan,
     incted_step,
     nontrivially_exercised,
@@ -181,7 +182,7 @@ def build_cardinality_model(view: GraphView) -> CardinalityModel:
 
 def _anchor_candidates(view: GraphView, snap: Snapshot, sigma: Tgfd, anchor: str) -> List[str]:
     """The view's vertices of the anchor's label whose snapshot attributes
-    meet the anchor's X constants (the filter `RulePlan.profile` applies),
+    meet the anchor's X constants (the filter `RulePlan.read` applies),
     sorted."""
     label = sigma.pattern.label_of(anchor)
     pool = view.vertices() if label == WILDCARD else view.vertices_of_type(label)
@@ -554,6 +555,7 @@ def run_parallel(
     job_by_name = {job.name: job for job in jobs}
     order = ReportOrder(graph.vertices, graph.T)
     plans = {sigma.name: RulePlan(sigma, order) for sigma in rules}
+    profiles = {name: MatchProfiles(plan, graph) for name, plan in plans.items()}
     job_index = {job.name: MatchIndex(plans[job.tgfd]) for job in jobs}
     anchor_slots = {sigma.name: plans[sigma.name].slot[anchors[sigma.name]] for sigma in rules}
 
@@ -580,7 +582,6 @@ def run_parallel(
         # one matcher per rule on the full view; the views move here, on
         # this thread, and the workers only read them
         for t, matchers, flipped in replay(graph, rules, full):
-            attr = graph.snapshot(t).attr
             flips: Dict[int, List[Edge]] = {}
             if t > 1:
                 changed = changed_attrs(graph, t)
@@ -605,7 +606,7 @@ def run_parallel(
                 for b in matches:
                     counts[owner_of(b)] += 1
                 owned[sigma.name] = counts
-                profiled = plans[sigma.name].entries(matches, attr, owner_of)
+                profiled = profiles[sigma.name].entries(matches, t, owner_of)
                 entries[sigma.name] = profiled
                 split: Dict[int, List[IndexEntry]] = {r: [] for r in frag_by_id}
                 for e in profiled:

@@ -6,6 +6,7 @@ from tgfd.detection import (
     ConstantViolation,
     IndexEntry,
     MatchIndex,
+    MatchProfiles,
     PairViolation,
     ReportOrder,
     RulePlan,
@@ -234,10 +235,11 @@ def test_incted_step_returns_only_new_violations():
         [VariableLiteral("y", "code", "y", "code")],
     )
     index = MatchIndex(RulePlan(sigma, ReportOrder(g.vertices, g.T)))
+    profiles = MatchProfiles(index.plan, g)
     binding = {"x": "a", "y": "b"}
 
     def entries(t):
-        return index.plan.entries([MatchBinding.of(t, binding)], g.snapshot(t).attr)
+        return profiles.entries([MatchBinding.of(t, binding)], t)
 
     step1 = list(incted_step(index, sigma, entries(1), g.T))
     assert step1 == []
@@ -266,10 +268,11 @@ def test_index_partitions_are_consistent():
         [VariableLiteral("y", "code", "y", "code")],
     )
     index = MatchIndex(RulePlan(sigma, ReportOrder(g.vertices, g.T)))
+    profiles = MatchProfiles(index.plan, g)
     inserted = []
     for t in (1, 2, 3):
         matches = [MatchBinding.of(t, {"x": a, "y": "b"}) for a in names]
-        incted_step(index, sigma, index.plan.entries(matches, g.snapshot(t).attr), g.T)
+        incted_step(index, sigma, profiles.entries(matches, t), g.T)
         inserted += sorted(matches, key=lambda b: b.items)
     # every inserted match sits in the bucket of its X value and timestamp,
     # and buckets keep insertion order

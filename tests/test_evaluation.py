@@ -1,6 +1,8 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tgfd.detection import apply_mode, detect_sequential, pair_id
 from tgfd.errors import InvalidOption
@@ -569,6 +571,45 @@ def test_injected_graph_equals_rewritten_snapshots():
         assert_mutated_like_oracle(graph, mutated, ledger.mutations)
         assert_detects_like_reloaded(mutated, rules)
     assert at_ends == {1, 5}
+
+
+# any text: quotes, backslashes, control and non-ASCII characters
+TEXTS = st.text(max_size=6)
+KEYS = st.tuples(
+    TEXTS,
+    st.tuples(st.integers(0, 10**6), st.lists(TEXTS, max_size=3).map(tuple)),
+    st.tuples(st.integers(0, 10**6), st.lists(TEXTS, max_size=3).map(tuple)),
+)
+
+
+@given(
+    plus=st.lists(KEYS, max_size=4),
+    minus=st.lists(KEYS, max_size=4),
+    mutations=st.lists(st.builds(
+        Mutation, st.integers(1, 10**6), TEXTS, TEXTS, st.none() | TEXTS, TEXTS,
+        st.sampled_from("+-"),
+    ), max_size=4),
+    flags=st.lists(TEXTS, max_size=3),
+    counts=st.tuples(*[st.integers(0, 10**9)] * 3),
+)
+def test_ledger_text_is_json_dumps_of_its_document(plus, minus, mutations, flags, counts):
+    """The ledger writer lays the document out byte for byte as
+    json.dumps(indent=2, sort_keys=True) does: None old values, quotes,
+    non-ASCII text, empty flags, lists and id tuples."""
+    ledger = InjectionLedger(plus, minus, mutations, *counts, flags)
+    doc = {
+        "pool_size": ledger.pool_size,
+        "sampled_positive": ledger.sampled_positive,
+        "sampled_negative": ledger.sampled_negative,
+        "flags": list(ledger.flags),
+        "mutations": [[m.t, m.vid, m.attr, m.old, m.new, m.kind] for m in ledger.mutations],
+        "gamma_plus": [[r, [ti, list(i)], [tj, list(j)]] for r, (ti, i), (tj, j) in plus],
+        "gamma_minus": [[r, [ti, list(i)], [tj, list(j)]] for r, (ti, i), (tj, j) in minus],
+    }
+    text = ledger_to_text(ledger)
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    back = ledger_from_text(text)
+    assert (back.gamma_plus, back.gamma_minus, back.mutations) == (plus, minus, mutations)
 
 
 def test_ledger_roundtrip():

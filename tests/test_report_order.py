@@ -103,7 +103,11 @@ def instances(draw, T):
 def report_key(order: ReportOrder, sigma: Tgfd):
     """The integer report key of a violation of sigma, from ReportOrder's
     halves: the violation key without its two entry ids."""
-    halves = order.halves(sigma)
+    w1, w2, digits = order.halves(sigma)
+
+    def halves(b):
+        hi, lo = digits(b.items)
+        return b.t * w1 + hi, b.t * w2 + lo
 
     def key(v) -> int:
         if isinstance(v, PairViolation):

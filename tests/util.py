@@ -265,9 +265,18 @@ def brute_matches_all_maps(pattern: GraphPattern, view: GraphView) -> Set[MatchB
     return out
 
 
+def live_matches(matcher, t: int) -> Set[MatchBinding]:
+    """matcher.topological_matches(t) as a set, after checking that it lists
+    each live match once, in items order."""
+    found = matcher.topological_matches(t)
+    items = [b.items for b in found]
+    assert items == sorted(set(items)), "live matches not once each in items order"
+    return set(found)
+
+
 def complete_keys(matcher) -> Set[Tuple[Tuple[str, str], ...]]:
     """The matcher's complete matches as sorted (variable, vertex) pairs."""
-    return {b.items for b in matcher.topological_matches(matcher.view.t)}
+    return {b.items for b in live_matches(matcher, matcher.view.t)}
 
 
 # ---------------------------------------------------------------------------
