@@ -171,9 +171,11 @@ class ReportOrder:
 
     def halves(
         self, sigma: Tgfd
-    ) -> Tuple[int, int, Callable[[AssignmentKey], Tuple[int, int]]]:
-        """(W1, W2, digits) of sigma: a match of sigma with these items at
-        t has hi = t·W1 + digits(items)[0] and lo = t·W2 + digits(items)[1]."""
+    ) -> Tuple[int, int, int, Callable[[AssignmentKey], Tuple[int, int]]]:
+        """(W1, W2, W3, digits) of sigma: a match of sigma with these items
+        at t has hi = t·W1 + digits(items)[0] and lo = t·W2 +
+        digits(items)[1].  hi // W3 = t·(T+1)·B + the digits of its sorted
+        ids: its scoring side (t, sorted ids) as an int of the same order."""
         rank, base, shift = self.rank, self.base, 2 * self.id_bits
         b = base ** len(sigma.pattern.labels)
         w2 = b ** 4 << shift
@@ -188,7 +190,7 @@ class ReportOrder:
                 ids = ids * base + r
             return ids * w3 + items * w5, ids * w4 + (items << shift)
 
-        return w1, w2, digits
+        return w1, w2, w3, digits
 
 
 class KeyedViolations:
@@ -251,6 +253,38 @@ class KeyedViolations:
             lines.append("")
             yield "\n".join(lines)
 
+    def identities(self) -> Dict[Tuple[int, int], int]:
+        """Each violation's scoring identity (pair_id's two sides) as two
+        ints, mapped to the key of one violation holding it.  An entry's
+        side is hi // W3 (ReportOrder.halves), read once per entry.  A pair
+        at one timestamp is built in items order, which need not be the
+        order of its sorted ids, so the two sides are put in order."""
+        plan = self.plan
+        bits, w3 = plan.id_bits, plan.halves[2]
+        mask = (1 << bits) - 1
+        sides = [e.hi // w3 for e in plan.table]
+        out: Dict[Tuple[int, int], int] = {}
+        for k in self.keys:
+            a, b = sides[k >> bits & mask], sides[k & mask]
+            out[(a, b) if a <= b else (b, a)] = k
+        return out
+
+
+def identity_diff(new: KeyedViolations, old: KeyedViolations) -> List[Tuple]:
+    """The pair_ids of new's violations whose scoring identity no violation
+    of old holds: one rule's violations on two graphs with the same vertices
+    and T, so that their ReportOrders agree.  Only these keys are read back
+    into tuples."""
+    was = old.identities()
+    plan = new.plan
+    name, table, bits = plan.sigma.name, plan.table, plan.id_bits
+    mask = (1 << bits) - 1
+    return [
+        match_pair_id(name, table[k >> bits & mask].binding, table[k & mask].binding)
+        for sides, k in new.identities().items()
+        if sides not in was
+    ]
+
 
 # ---------------------------------------------------------------------------
 # rule plans and index entries
@@ -273,7 +307,7 @@ class IndexEntry(NamedTuple):
     x_general: Tuple  # (left, right) values per general X literal
     y: object
     owner: int = 0    # fragment owning the binding's anchor; 0 when sequential
-    hi: int = 0       # key halves, 0 when the plan keeps no table
+    hi: int = 0       # key halves with the entry's id (RulePlan.table)
     lo: int = 0
     text: str = ""    # the binding's text (MatchBinding.text), one string per match
 
@@ -291,14 +325,13 @@ class RulePlan:
 
     Built with a run's ReportOrder, the plan also numbers the entries its
     MatchProfiles build: `table` lists them in id order, and each entry's
-    hi and lo carry its key halves and its id (see KeyedViolations).
-    Without one, entries carry no key and nothing is kept."""
+    hi and lo carry its key halves and its id (see KeyedViolations)."""
 
-    def __init__(self, sigma: Tgfd, order: Optional[ReportOrder] = None):
+    def __init__(self, sigma: Tgfd, order: ReportOrder):
         self.sigma = sigma
         self.table: List[IndexEntry] = []
-        self.halves = order.halves(sigma) if order is not None else None
-        self.id_bits = order.id_bits if order is not None else ID_BITS
+        self.halves = order.halves(sigma)
+        self.id_bits = order.id_bits
         slot = self.slot = {var: i for i, var in enumerate(sorted(sigma.pattern.vars))}
         # the X literals' (slot, attribute) reads, in literal order
         self._x_const: List[Tuple[int, str, str]] = []
@@ -404,11 +437,8 @@ class MatchProfiles:
     digits.  Moving to timestamp t invalidates the values of every match,
     live or dead, that holds a slot a change set up to t wrote and the
     plan reads (a dead match may come back).  Moving back to an earlier
-    timestamp invalidates every record.
-
-    The memo belongs to one graph: a run that profiles a plan on two graphs
-    (inject, clean and mutated) builds one memo per graph.  A fresh memo
-    reads every match."""
+    timestamp invalidates every record.  The memo belongs to one graph; a
+    fresh memo reads every match."""
 
     def __init__(self, plan: RulePlan, graph: TemporalGraph):
         self.plan = plan
@@ -436,13 +466,8 @@ class MatchProfiles:
         self.t = t
 
     def _record(self, binding: MatchBinding) -> list:
-        items, halves = binding.items, self.plan.halves
-        if halves is None:
-            hi = lo = 0
-        else:
-            _, _, digits = halves
-            hi, lo = digits(items)
-        record = self.records[items] = [None, hi, lo, binding.text]
+        items = binding.items
+        record = self.records[items] = [None, *self.plan.halves[3](items), binding.text]
         readers = self.readers
         for i, a in self.plan.reads:
             readers.setdefault((items[i][1], a), []).append(record)
@@ -456,18 +481,15 @@ class MatchProfiles:
     ) -> List[IndexEntry]:
         """The index entries of timestamp t's matches, which come in items
         order (`IncrementalMatcher.topological_matches`): those that can
-        realize X, in that order, numbered and keyed when the plan keeps a
-        table.  owner_of gives the fragment owning a match (0 for all when
-        omitted, as in the sequential engine)."""
+        realize X, in that order, numbered and keyed in the plan's table.
+        owner_of gives the fragment owning a match (0 for all when omitted,
+        as in the sequential engine)."""
         attr = self.graph.snapshot(t).attr
         self._move_to(t)
         plan = self.plan
-        read, table, records = plan.read, plan.table, self.records
-        keyed = plan.halves is not None
-        if keyed:
-            bits = plan.id_bits
-            w1, w2, _ = plan.halves
-            t_hi, t_lo = t * w1, t * w2
+        read, table, records, bits = plan.read, plan.table, self.records, plan.id_bits
+        w1, w2, _, _ = plan.halves
+        t_hi, t_lo = t * w1, t * w2
         new_entry = tuple.__new__
         out = []
         for binding in matches:
@@ -481,15 +503,12 @@ class MatchProfiles:
             if not values:  # it never enters the partitions
                 continue
             owner = owner_of(binding) if owner_of is not None else 0
-            if keyed:  # the entry's id is its position in the table
-                eid = len(table)
-                entry = new_entry(IndexEntry, (
-                    t, binding, *values, owner,
-                    t_hi + record[1] + (eid << bits), t_lo + record[2] + eid, record[3],
-                ))
-                table.append(entry)
-            else:
-                entry = new_entry(IndexEntry, (t, binding, *values, owner, 0, 0, record[3]))
+            eid = len(table)  # the entry's id is its position in the table
+            entry = new_entry(IndexEntry, (
+                t, binding, *values, owner,
+                t_hi + record[1] + (eid << bits), t_lo + record[2] + eid, record[3],
+            ))
+            table.append(entry)
             out.append(entry)
         if len(table) > 1 << plan.id_bits:
             raise ReportKeyOverflow(
@@ -501,10 +520,10 @@ class MatchProfiles:
 
 class MatchIndex:
     """Per-rule partition of indexed matches by X values; each class maps a
-    timestamp to its entries in insertion order.  Every pairing (detection,
-    the coordinator, inject's pools and its ledger) walks a new entry's
-    partners through `buckets` and filters each bucket in one
-    comprehension."""
+    timestamp to its entries in insertion order.  Every pairing (detection
+    and the coordinator) walks a new entry's partners through `buckets` and
+    filters each bucket in one comprehension; window_pairs walks the pairs
+    of a whole index."""
 
     def __init__(self, plan: RulePlan):
         self.plan = plan
@@ -587,13 +606,11 @@ def incted_step(
     return found
 
 
-def nontrivially_exercised(index: MatchIndex, delta: Delta) -> bool:
-    """Whether some two distinct indexed matches inside the interval of
-    each other realize X, in either orientation, i.e. the rule constrained
-    at least one pair.  Sharing an X class realizes X unless X holds
-    general-form literals, which each pair is tested on; the walk stops at
-    the first pair found."""
-    general, x_ok = bool(index.plan._x_general), index.plan.pair_x_ok
+def window_pairs(index: MatchIndex, delta: Delta) -> Iterator[Tuple[IndexEntry, IndexEntry]]:
+    """Every two distinct indexed entries of one X class whose timestamps
+    lie inside delta of each other, as (earlier, later): by timestamp, and
+    in insertion order at one timestamp.  Each class walks only its indexed
+    timestamps in [t + p, t + q], found by bisection."""
     for by_t in index.classes.values():
         ts = sorted(by_t)
         for i, t in enumerate(ts):
@@ -601,13 +618,17 @@ def nontrivially_exercised(index: MatchIndex, delta: Delta) -> bool:
             lo = bisect_left(ts, t + delta.p, i)
             for k in range(lo, bisect_right(ts, t + delta.q, lo)):
                 u = ts[k]
-                pairs = combinations(bucket, 2) if u == t else product(bucket, by_t[u])
-                if not general:
-                    if next(pairs, None) is not None:
-                        return True
-                elif any(x_ok(a, b) or x_ok(b, a) for a, b in pairs):
-                    return True
-    return False
+                yield from combinations(bucket, 2) if u == t else product(bucket, by_t[u])
+
+
+def nontrivially_exercised(index: MatchIndex, delta: Delta) -> bool:
+    """Whether some two distinct indexed matches inside the interval of
+    each other realize X, in either orientation, i.e. the rule constrained
+    at least one pair.  Sharing an X class realizes X unless X holds
+    general-form literals, which each pair is tested on; the walk stops at
+    the first pair found."""
+    general, x_ok = bool(index.plan._x_general), index.plan.pair_x_ok
+    return any(not general or x_ok(a, b) or x_ok(b, a) for a, b in window_pairs(index, delta))
 
 
 class KeyedReport:

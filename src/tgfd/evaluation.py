@@ -2,11 +2,11 @@
 
 Positive errors break the consequent of sampled satisfying match pairs;
 negative errors retarget a consequent value into another rule's antecedent
-domain.  One replay of the change sets builds every rule's pool of
-satisfying pairs through detection's rule plan and X-value partitions;
-the ledger is detection on the mutated graph minus detection on graph,
-on the pairs that hold a mutated match.  Scoring compares detected
-violations against the ledger over canonical pair identities.
+domain.  Injection is two detections: every rule's pool of satisfying
+pairs comes from the entries that detection on the clean graph profiled,
+and the ledger is detection on the mutated graph minus detection on the
+clean graph, by scoring identity.  Scoring compares detected violations
+against the ledger over canonical pair identities.
 """
 
 from __future__ import annotations
@@ -39,15 +39,12 @@ from .model import (
     normalize_all,
 )
 from .detection import (
-    IndexEntry,
     MatchIndex,
-    MatchProfiles,
-    RulePlan,
     Violation,
-    match_pair_id,
+    detect_sequential,
+    identity_diff,
     pair_id,
-    permissible_range,
-    replay,
+    window_pairs,
 )
 
 CHANGE_PROFILES = {
@@ -178,29 +175,6 @@ def _donor_values(graph: TemporalGraph, rules: Sequence[Tgfd], name: str, attr: 
     return sorted(values)
 
 
-def _violations(
-    plan: RulePlan, entries: Iterable[IndexEntry], index: MatchIndex, T: int
-) -> Set[Tuple]:
-    """The scoring identities of the pairs that hold one of entries and
-    violate plan's rule, with partners from index, the partitions of the
-    graph entries were profiled on, filtered per bucket as in incted_step;
-    an entry is paired with itself when Y is constant."""
-    name, violates = plan.sigma.name, plan.pair_violates
-    found: Set[Tuple] = set()
-    for entry in entries:
-        binding = entry.binding
-        if not plan.pair_based:
-            partners = [entry] if violates(entry, entry) else []
-        else:
-            window = permissible_range(entry.t, plan.sigma.delta, T)
-            partners = [
-                o for bucket in index.buckets(entry, window) for o in bucket
-                if o.binding is not binding and violates(o, entry)
-            ]
-        found.update(match_pair_id(name, o.binding, binding) for o in partners)
-    return found
-
-
 def inject_errors(
     graph: TemporalGraph,
     tgfds: Sequence[Tgfd],
@@ -210,13 +184,13 @@ def inject_errors(
 ) -> Tuple[TemporalGraph, InjectionLedger]:
     """Mutate consequent values of sampled satisfying pairs.
 
+    A rule's pool is the window pairs (earlier, later) of the entries that
+    detection on graph indexed that satisfy X and Y in that orientation.
     Positive errors write a fresh out-of-domain value; negative errors write
     a value drawn from the antecedent domain of another rule sharing the
-    attribute name.  The ledger holds, for every rule, each pair that holds
-    a mutated match, violates on the mutated graph and did not violate on
-    graph (a match paired with itself when Y is constant), by scoring
-    identity: exactly what detection finds on the mutated graph and not on
-    graph among those pairs, collateral pairs included.
+    attribute name.  The ledger holds, by scoring identity, what detection
+    finds on the mutated graph and not on graph, collateral pairs included:
+    only pairs holding a mutated match can differ.
     """
     if not 0 <= err_rate <= 1:
         raise InvalidOption("error rate must lie in [0, 1]")
@@ -224,33 +198,20 @@ def inject_errors(
     rng = random.Random(seed)
     ledger = InjectionLedger()
 
-    # One replay builds every rule's pool as its matches stream by: the
-    # pairs (earlier, later) inside the rule's interval that satisfy X and
-    # Y, found through detection's X-value partitions.  Nothing reads a pool
-    # entry's report key, so the entries are built without one.  Each
-    # rule's matches are kept, one list per timestamp, for the ledger.
-    plans = {sigma.name: RulePlan(sigma) for sigma in rules}
-    indexes = {name: MatchIndex(plan) for name, plan in plans.items()}
-    profiles = {name: MatchProfiles(plan, graph) for name, plan in plans.items()}
-    pools: Dict[str, List[Tuple[MatchBinding, MatchBinding]]] = {name: [] for name in plans}
-    kept: Dict[str, List[List[MatchBinding]]] = {name: [] for name in plans}
-    for t, matchers, _ in replay(graph, rules):
-        for sigma in rules:
-            name = sigma.name
-            plan, index, pool = plans[name], indexes[name], pools[name]
-            x_ok, y_ok = plan.pair_x_ok, plan.pair_y_ok
-            matches = matchers[name].topological_matches(t)
-            kept[name].append(matches)
-            window = permissible_range(t, sigma.delta, graph.T)
-            for entry in profiles[name].entries(matches, t):
-                binding = entry.binding
-                for bucket in index.buckets(entry, window):
-                    pool.extend([
-                        (other.binding, binding) for other in bucket
-                        if x_ok(other, entry) and y_ok(other, entry)
-                    ])
-                index.insert(entry)
-    for pool in pools.values():  # by timestamps, then by the matches' items
+    # Each rule's pool: its clean entries (the plan's table, in insertion
+    # order) indexed again, and their window pairs that satisfy X and Y.
+    clean = detect_sequential(graph, rules)
+    pools: Dict[str, List[Tuple[MatchBinding, MatchBinding]]] = {}
+    for sigma in rules:
+        plan = clean.found[sigma.name].plan
+        index = MatchIndex(plan)
+        for entry in plan.table:
+            index.insert(entry)
+        x_ok, y_ok = plan.pair_x_ok, plan.pair_y_ok
+        pool = pools[sigma.name] = [
+            (a.binding, b.binding) for a, b in window_pairs(index, sigma.delta)
+            if x_ok(a, b) and y_ok(a, b)
+        ]
         pool.sort(key=lambda p: (p[0].t, p[1].t, p[0].items, p[1].items))
     ledger.pool_size = sum(len(p) for p in pools.values())
 
@@ -309,32 +270,15 @@ def inject_errors(
     mutated = apply_mutations(graph, ledger.mutations)
 
     # The ledger: detection on mutated minus detection on graph, by scoring
-    # identity, on the pairs that hold a touched match (one with a vertex
-    # rewritten at its timestamp).  An untouched match reads alike on both
-    # graphs, so each side walks the partners of the touched matches only:
-    # on mutated through a fresh index, on graph through the pool's index.
-    # Each graph's replay profiles through its own fresh memo.
-    slots = {(m.t, m.vid) for m in ledger.mutations}
+    # identity.
+    dirty = detect_sequential(mutated, rules)
     negative = {(m.t, m.vid) for m in ledger.mutations if m.kind == "-"}
-    plus: Set[Tuple] = set()
-    minus: Set[Tuple] = set()
-    for sigma in rules:
-        name, plan = sigma.name, plans[sigma.name]
-        index = MatchIndex(plan)  # every match profiled on mutated
-        on_graph, on_mutated = MatchProfiles(plan, graph), MatchProfiles(plan, mutated)
-        mine: List[IndexEntry] = []
-        was: List[IndexEntry] = []
-        for t, matches in enumerate(kept[name], start=1):
-            touched = {id(b): b for b in matches if any((t, vid) in slots for _, vid in b.items)}
-            was.extend(on_graph.entries(touched.values(), t))
-            for entry in on_mutated.entries(matches, t):
-                index.insert(entry)
-                if id(entry.binding) in touched:
-                    mine.append(entry)
-        new = _violations(plan, mine, index, graph.T)
-        for key in new - _violations(plan, was, indexes[name], graph.T):
+    plus: List[Tuple] = []
+    minus: List[Tuple] = []
+    for name, keyed in dirty.found.items():
+        for key in identity_diff(keyed, clean.found[name]):
             hit_negative = any((t, vid) in negative for t, ids in key[1:] for vid in ids)
-            (minus if hit_negative else plus).add(key)
+            (minus if hit_negative else plus).append(key)
 
     ledger.gamma_plus = sorted(plus)
     ledger.gamma_minus = sorted(minus)

@@ -303,7 +303,7 @@ def index_of(entries, general: bool = False) -> MatchIndex:
         [VariableLiteral("x", "name", "x", "rank")] if general else [],
         [VariableLiteral("x", "code", "x", "code")],
     )
-    index = MatchIndex(RulePlan(sigma))
+    index = MatchIndex(RulePlan(sigma, ReportOrder((), 1)))
     for e in entries:
         index.insert(e)
     return index

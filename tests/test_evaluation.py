@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tgfd.detection import apply_mode, detect_sequential, pair_id
 from tgfd.errors import InvalidOption
@@ -381,30 +381,42 @@ EMPTY_X_RULE = Tgfd(
 )
 
 
-def random_injection(seed):
+def random_injection(seed, rate=0.2):
     """(graph, normal-form rules, mutated, ledger): a random graph and rules
-    of every shape, injected at rate 0.2 with negative errors."""
+    of every shape, injected at rate with negative errors."""
     rng = random.Random(seed)
     graph = random_temporal_graph(rng, n_vertices=30, n_edges=120, T=6, chg=0.15)
     rules = [random_tgfd(rng, f"r{i}", max_edges=2, T=5) for i in range(3)]
     rules += [exotic_rule(rng, "exotic"), GENERAL_RULE, OVERLAP_RULE, CONSTANT_RULE]
     rules = normalize_all(rules + [LONG_RULE, EMPTY_X_RULE])
-    mutated, ledger = inject_errors(graph, rules, 0.2, seed=seed, include_negative=True)
+    mutated, ledger = inject_errors(graph, rules, rate, seed=seed, include_negative=True)
     return graph, rules, mutated, ledger
+
+
+def assert_ledger_equals_oracle(graph, rules, mutated, ledger):
+    """The pool size and both ledger halves equal tests/util.oracle_ledger's;
+    returns the oracle's (gamma_plus, gamma_minus)."""
+    plus, minus, pool_size = oracle_ledger(graph, mutated, rules, ledger.mutations)
+    assert ledger.pool_size == pool_size
+    assert ledger.gamma_plus == sorted(plus)
+    assert ledger.gamma_minus == sorted(minus)
+    return plus, minus
 
 
 def test_ledger_equals_pair_oracle_with_negative_errors():
     ledgered, negative = set(), set()
     for seed in range(8):
-        graph, rules, mutated, ledger = random_injection(seed)
-        plus, minus, pool_size = oracle_ledger(graph, mutated, rules, ledger.mutations)
-        assert ledger.pool_size == pool_size
-        assert ledger.gamma_plus == sorted(plus)
-        assert ledger.gamma_minus == sorted(minus)
+        plus, minus = assert_ledger_equals_oracle(*random_injection(seed))
         ledgered |= {key[0] for key in plus | minus}
         negative |= {key[0] for key in minus}
     assert {"general", "constant", "long", "empty"} <= ledgered
     assert {"general", "constant"} <= negative
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rate=st.floats(0, 1))
+def test_ledger_equals_pair_oracle_at_drawn_seeds_and_rates(seed, rate):
+    assert_ledger_equals_oracle(*random_injection(seed, rate))
 
 
 def assert_ledger_is_detection_diff(graph, rules, mutated, ledger):

@@ -57,6 +57,12 @@ CODE_RULES = [
 ]
 
 
+def unkeyed(entries):
+    """The entries without their key halves (hi, lo), which carry the
+    entry ids of the plan that numbered them."""
+    return [e[:6] + e[8:] for e in entries]
+
+
 def memo_replay(graph, rules):
     """Replay graph with one memo per rule, comparing each timestamp's
     entries with a fresh memo's on the same matches, and each entry's key
@@ -81,11 +87,11 @@ def memo_replay(graph, rules):
             matches = matchers[name].topological_matches(t)
             first = len(plans[name].table)
             got = memos[name].entries(matches, t)
-            want = MatchProfiles(RulePlan(sigma), graph).entries(matches, t)
-            # all but the key halves, which only the memo's plan numbers
-            assert [e[:6] + e[8:] for e in got] == [e[:6] + e[8:] for e in want], (name, t)
+            want = MatchProfiles(RulePlan(sigma, order), graph).entries(matches, t)
+            # all but the key halves, which carry each plan's own entry ids
+            assert unkeyed(got) == unkeyed(want), (name, t)
             assert all(e.text == e.binding.text for e in got)
-            w1, w2, digits = order.halves(sigma)
+            w1, w2, _, digits = order.halves(sigma)
             for eid, e in enumerate(got, start=first):
                 hi, lo = digits(e.binding.items)
                 assert (e.hi, e.lo) == (t * w1 + hi + (eid << bits), t * w2 + lo + eid)
@@ -100,11 +106,12 @@ def written_matches(graph, rules, t):
         if isinstance(c, (AttrSet, AttrDelete))
     }
     out = {}
+    order = ReportOrder(graph.vertices, graph.T)
     for t_, matchers, _ in replay(graph, normalize_all(rules)):
         if t_ != t:
             continue
         for sigma in normalize_all(rules):
-            plan = RulePlan(sigma)
+            plan = RulePlan(sigma, order)
             out[sigma.name] = {
                 b.items for b in matchers[sigma.name].topological_matches(t)
                 if any((b.items[i][1], a) in slots for i, a in plan.reads)
@@ -233,9 +240,10 @@ def test_memo_moved_back_to_an_earlier_timestamp_reads_every_match_again():
     )
     g = extend(g, [AttrSet("b", "code", "2")])
     sigma = CODE_RULES[3]  # y_self: y.code is its consequent
-    memo = MatchProfiles(RulePlan(sigma), g)
+    order = ReportOrder(g.vertices, g.T)
+    memo = MatchProfiles(RulePlan(sigma, order), g)
     for t in (1, 2, 1):
         matches = [MatchBinding.of(t, {"x": "a1", "y": "b"})]
         got = memo.entries(matches, t)
-        assert got == MatchProfiles(RulePlan(sigma), g).entries(matches, t)
+        assert unkeyed(got) == unkeyed(MatchProfiles(RulePlan(sigma, order), g).entries(matches, t))
         assert got[0].y == g.snapshot(t).attr("b", "code")

@@ -14,9 +14,12 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from tgfd.detection import (
+    KeyedViolations,
     PairViolation,
     ReportOrder,
     detect_sequential,
+    identity_diff,
+    pair_id,
     violation_key,
 )
 from tgfd.graph import AttrSet, EdgeDelete, EdgeInsert
@@ -27,10 +30,11 @@ from tgfd.model import (
     GraphPattern,
     Tgfd,
     VariableLiteral,
+    normalize_all,
 )
 from tgfd.parallel import run_parallel
 
-from util import build_graph, extend
+from util import build_graph, exotic_rule, extend, random_temporal_graph, random_tgfd
 
 # Numbers whose ids sort differently as strings: v1 < v10 < v100 < v11 < v9.
 VERTEX_NUMBERS = (1, 2, 9, 10, 11, 99, 100)
@@ -103,7 +107,7 @@ def instances(draw, T):
 def report_key(order: ReportOrder, sigma: Tgfd):
     """The integer report key of a violation of sigma, from ReportOrder's
     halves: the violation key without its two entry ids."""
-    w1, w2, digits = order.halves(sigma)
+    w1, w2, _, digits = order.halves(sigma)
 
     def halves(b):
         hi, lo = digits(b.items)
@@ -190,3 +194,83 @@ def test_automorphic_matches_with_string_ordered_ids():
         for v in pairs
     )
     assert seq.violations["auto_const"] and seq.violations["wild_pair"]
+
+
+def check_identities(result, order: ReportOrder, sigma: Tgfd) -> bool:
+    """`KeyedViolations.identities` maps one-to-one onto pair_id: there are
+    as many identities as distinct pair_ids, and each identity is its
+    violation's pair_id, side by side, as ReportOrder numbers a side: hi //
+    W3 of a match at t whose items are the side's sorted ids.  identity_diff
+    against an empty report gives every pair_id once.  Returns whether some
+    pair's earlier match has the later sorted ids (a pair at one timestamp
+    whose items order is not its sorted-ids order)."""
+    keyed = result.found[sigma.name]
+    w1, _, w3, digits = order.halves(sigma)
+    names = sorted(sigma.pattern.vars)
+
+    def side(t, ids) -> int:
+        return (t * w1 + digits(tuple(zip(names, ids)))[0]) // w3
+
+    found = dict(zip(keyed.keys, keyed))
+    pids = {pair_id(v) for v in found.values()}
+    identities = keyed.identities()
+    assert len(identities) == len(pids), sigma.name
+    for sides, k in identities.items():
+        _, a, b = pair_id(found[k])
+        assert sides == (side(*a), side(*b)), (sigma.name, found[k])
+    assert sorted(identity_diff(keyed, KeyedViolations(keyed.plan))) == sorted(pids)
+    assert identity_diff(keyed, keyed) == []
+    return any(
+        v.binding_i.t == v.binding_j.t and v.binding_i.sorted_ids > v.binding_j.sorted_ids
+        for v in found.values() if isinstance(v, PairViolation)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), T=st.sampled_from([1, 2, 4]))
+def test_violation_identities_map_one_to_one_onto_pair_id(data, T):
+    g, rules = data.draw(instances(T))
+    result, order = detect_sequential(g, rules), ReportOrder(g.vertices, g.T)
+    for sigma in rules:
+        check_identities(result, order, sigma)
+
+
+def test_identity_of_a_pair_whose_earlier_match_has_the_later_sorted_ids():
+    """At one timestamp (x=v1, y=v9) precedes (x=v10, y=v1) in items order,
+    but its sorted ids (v1, v9) follow (v1, v10), since v10 < v9 as strings:
+    the pair's identity puts the later match's side first, as pair_id does.
+    The constant rules report their violations as degenerate pairs."""
+    vids = ["v1", "v9", "v10"]
+    g = build_graph({v: "A" for v in vids}, [("v1", "l", "v9"), ("v10", "l", "v1")],
+                    {v: {"a": "1", "b": str(i)} for i, v in enumerate(vids)})
+    g = extend(g, [AttrSet("v9", "b", "1")])
+    rules = rules_for(Delta(0, 1))
+    result, order = detect_sequential(g, rules), ReportOrder(g.vertices, g.T)
+    swapped = {sigma.name: check_identities(result, order, sigma) for sigma in rules}
+    assert swapped["auto_empty_x"] and swapped["auto_pair"]
+    assert result.violations["auto_const"] and result.violations["wild_const"]
+
+
+def test_violation_identities_on_random_instances_at_several_seeds():
+    """Random graphs over ids v0..v29, whose string order is not their
+    numeric order, with random and exotic rules and, over one wildcard
+    edge, a general-form and a constant consequent: every match of an edge
+    at one timestamp meets every other in one X class."""
+    edge = GraphPattern([("x", WILDCARD), ("y", WILDCARD)], [("x", "knows", "y")])
+    swapped = set()
+    for seed in range(6):
+        rng = random.Random(seed)
+        g = random_temporal_graph(rng, n_vertices=30, n_edges=120, T=6, chg=0.15)
+        rules = normalize_all(
+            [random_tgfd(rng, f"r{i}", max_edges=2, T=5) for i in range(3)]
+            + [exotic_rule(rng, "exotic"),
+               Tgfd("edge_general", edge, Delta(0, 1), [],
+                    [VariableLiteral("x", "name", "y", "rank")]),
+               Tgfd("edge_const", edge, Delta(0, 1), [], [ConstantLiteral("y", "code", "a")])]
+        )
+        result, order = detect_sequential(g, rules), ReportOrder(g.vertices, g.T)
+        for sigma in rules:
+            if check_identities(result, order, sigma):
+                swapped.add(sigma.name)
+        assert result.violations["edge_const"], seed
+    assert "edge_general" in swapped
