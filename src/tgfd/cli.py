@@ -37,8 +37,8 @@ from .detection import (
     detect_sequential,
     pair_id,
 )
-from .model import parse_tgfd_file
-from .parallel import ParallelResult, build_jobs, clamp_job, gen_assign, make_fragments, run_parallel
+from .model import normalize_all, parse_tgfd_file
+from .parallel import ParallelResult, clamp_job, gen_assign, job_setup, make_fragments, run_parallel
 
 
 class _Parser(argparse.ArgumentParser):
@@ -345,7 +345,7 @@ def _run_gen(args) -> int:
 def _run_plan(args) -> int:
     graph, tgfds = _load_inputs(args)
     fragments = make_fragments(graph, args.workers, args.seed)
-    jobs = build_jobs(graph, tgfds, fragments)
+    _, _, _, jobs = job_setup(graph, normalize_all(tgfds), fragments)
     bounds = (args.tl, args.tu)
     assignment = gen_assign([clamp_job(j, bounds) for j in jobs], args.workers, bounds)
     lines = [

@@ -11,8 +11,7 @@ graph is immutable once built: `apply_changes` returns an extended graph.
 from __future__ import annotations
 
 import copy
-from collections import deque
-from itertools import chain
+from itertools import chain, islice
 from dataclasses import dataclass
 from typing import (
     AbstractSet,
@@ -304,24 +303,27 @@ def _flip_edges(
 
 def ball_vertices(
     view: GraphView, center: str, d: int, hops: Optional[Dict[str, int]] = None
-) -> Set[str]:
-    """Vertices within d undirected hops of center in the view.  An empty
-    dict passed as hops receives each reached vertex's hop distance."""
+) -> AbstractSet[str]:
+    """Vertices within d undirected hops of center in the view, as the keys
+    of hops: an empty dict passed as hops receives each reached vertex's hop
+    distance, in BFS order.  One hop level at a time."""
     if hops is None:
         hops = {}
     hops[center] = 0
-    frontier = deque([center])
-    while frontier:
-        vid = frontier.popleft()
-        dist = hops[vid]
-        if dist == d:
-            continue
-        for adjacent in (view.out_edges(vid), view.in_edges(vid)):
-            for _, nxt in adjacent:
-                if nxt not in hops:
-                    hops[nxt] = dist + 1
-                    frontier.append(nxt)
-    return set(hops)
+    frontier = [center]
+    out_map, in_map = view._out, view._in
+    for dist in range(1, d + 1):
+        start = len(hops)
+        for vid in frontier:
+            for _, nxt in out_map.get(vid, ()):
+                hops.setdefault(nxt, dist)
+            for _, nxt in in_map.get(vid, ()):
+                hops.setdefault(nxt, dist)
+        if len(hops) == start:
+            break
+        # hops keeps insertion order: the vertices first reached at dist
+        frontier = list(islice(hops, start, None))
+    return hops.keys()
 
 
 def repair_ball(
@@ -402,16 +404,6 @@ def repair_ball(
     return entered, dropped.difference(hops)
 
 
-def ball_edges(view: GraphView, ball: Set[str]) -> Set[Edge]:
-    """Edges of the view with both endpoints in ball, self-loops included."""
-    return {
-        (src, label, dst)
-        for src in ball
-        for label, dst in view.out_edges(src)
-        if dst in ball
-    }
-
-
 def changed_attrs(graph: TemporalGraph, t: int) -> List[Tuple[str, str]]:
     """(vertex, attribute) slots whose value differs between snapshots
     t - 1 and t, sorted; only the slots change set t writes can differ."""
@@ -455,10 +447,13 @@ def derive_changesets(graph: TemporalGraph) -> List[ChangeSet]:
 # ---------------------------------------------------------------------------
 
 
-def _quote(value: str) -> str:
-    if ' ' in value or '"' in value or '\t' in value:
-        return '"' + value.replace('"', '\\"') + '"'
-    return value
+def _quote(token: str) -> str:
+    """token as `_tokenize` reads it back whole: bare when it holds no
+    whitespace (any character `str.isspace()` accepts) and no `"`, or when
+    it is empty (the value of `name=`); else in quotes, `"` escaped."""
+    if token.isalnum() or not token or ('"' not in token and token.split() == [token]):
+        return token
+    return '"' + token.replace('"', '\\"') + '"'
 
 
 def _tokenize(line: str, lineno: int) -> List[str]:
@@ -613,7 +608,7 @@ def snapshot_to_text(graph: TemporalGraph) -> str:
     for vid in sorted(graph.vertices):
         parts = ["v", _quote(vid), _quote(graph.vertices[vid].type_label)]
         for name in sorted(snap.attrs.get(vid, {})):
-            parts.append(f"{name}={_quote(snap.attrs[vid][name])}")
+            parts.append(f"{_quote(name)}={_quote(snap.attrs[vid][name])}")
         lines.append(" ".join(parts))
     for src, label, dst in sorted(graph.base_edges):
         lines.append(f"e {_quote(src)} {_quote(label)} {_quote(dst)}")
@@ -631,9 +626,9 @@ def changes_to_text(changesets: Iterable[ChangeSet]) -> str:
             elif isinstance(c, EdgeDelete):
                 lines.append(f"-e {_quote(c.src)} {_quote(c.label)} {_quote(c.dst)}")
             elif isinstance(c, AttrSet):
-                lines.append(f"+a {_quote(c.vid)} {c.name}={_quote(c.value)}")
+                lines.append(f"+a {_quote(c.vid)} {_quote(c.name)}={_quote(c.value)}")
             elif isinstance(c, AttrDelete):
-                lines.append(f"-a {_quote(c.vid)} {c.name}")
+                lines.append(f"-a {_quote(c.vid)} {_quote(c.name)}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 

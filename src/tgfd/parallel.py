@@ -20,23 +20,31 @@ would read (the owned vertices plus the diameter balls around owned anchor
 candidates, whose cross edges are the "shipped" ones) holds every match
 anchored there.
 
+Each rule's shape (`RuleShape`: anchor, radius, ball radius, anchor slot,
+BFS tree from the anchor) is derived once per run, and each fragment's
+balls are searched once, by `anchor_balls`: one hop map per owned anchor
+candidate and ball radius.  Everything else reads those maps.
+
 Those fragment views remain as the cost model: the size time model and the
 shipped-edge counts are measured on them.  Each is a vertex set and an edge
-set, built once, at t = 1, and advanced in place from each change set
-(IncEval in the sense of GRAPE): a ball takes only the flips with an
-endpoint strictly inside its radius and repairs its hop map with a bounded
-dynamic BFS (`graph.repair_ball`); only the flipped edges and the edges from
-a vertex that entered or left a ball to that ball are checked again.  Balls
-keep the diameter as radius: the pattern radius around the anchor would
-hold the same matches with fewer shipped edges, but would change every
-reported shipped count.
+set, built once, at t = 1, from the fragment's balls, and advanced in place
+from each change set (IncEval in the sense of GRAPE): a ball takes only the
+flips with an endpoint strictly inside its radius and repairs its hop map
+with a bounded dynamic BFS (`graph.repair_ball`); only the flipped edges
+and the edges from a vertex that entered or left a ball to that ball are
+checked again.  Balls keep the diameter as radius: the pattern radius
+around the anchor would hold the same matches with fewer shipped edges, but
+would change every reported shipped count.
 
 Job estimates (`build_jobs`) read the anchor that splits the matches: a
 job's size is its fragment's anchor candidates times the mean fan-out of
 each edge of the pattern's BFS tree from the anchor, and its ship costs
-are the edges of each candidate's radius ball.  The paper estimates a job
-per path of a path decomposition instead, each path with its own center;
-one ball per rule prices the matches a job owns.
+are the edges of each candidate's radius ball, its ball's hop map cut at
+the radius; at a rebalance the maps are the kept views' repaired ones, so
+no ball is searched again.  `plan` and `run_parallel` share the first
+setup (`job_setup`); `plan` builds no view.  The paper estimates a job per
+path of a path decomposition instead, each path with its own center; one
+ball per rule prices the matches a job owns.
 """
 
 from __future__ import annotations
@@ -46,22 +54,22 @@ import random
 import time as _time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    AbstractSet, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple,
+)
 
 from .errors import InvalidOption, JobOutOfBounds
 from .graph import (
     Edge,
     Fragment,
     GraphView,
-    Snapshot,
     TemporalGraph,
-    ball_edges,
     ball_vertices,
     changed_attrs,
     repair_ball,
 )
 from .matcher import playable_edges
-from .model import WILDCARD, ConstantLiteral, GraphPattern, MatchBinding, Tgfd, normalize_all
+from .model import WILDCARD, ConstantLiteral, MatchBinding, Tgfd, normalize_all
 from .detection import (
     IndexEntry,
     KeyedReport,
@@ -138,10 +146,11 @@ class Assignment:
 
 @dataclass
 class CardinalityModel:
-    """Mean fan-out per edge signature (source type, label, target type)."""
+    """Mean fan-out per edge signature (source type, label, target type),
+    and the vertices of each type."""
 
     fanout: Dict[Tuple[str, str, str], float]
-    type_counts: Dict[str, int]
+    by_type: Dict[str, List[str]]
     total_vertices: int
 
     def mean_fanout(self, src_type: str, label: str, dst_type: str) -> float:
@@ -158,121 +167,147 @@ class CardinalityModel:
                 continue
             if dst_type != WILDCARD and d != dst_type:
                 continue
-            total += mean * self.type_counts.get(s, 0)
-        denom = self.total_vertices if src_type == WILDCARD else self.type_counts.get(src_type, 0)
+            total += mean * len(self.by_type.get(s, ()))
+        denom = self.total_vertices if src_type == WILDCARD else len(self.by_type.get(src_type, ()))
         return total / denom if denom else 0.0
 
 
-def build_cardinality_model(view: GraphView) -> CardinalityModel:
-    per_source: Dict[Tuple[str, str, str], Dict[str, int]] = {}
-    for (src, label, dst) in view.edges:
-        sig = (view.type_of(src), label, view.type_of(dst))
-        per_source.setdefault(sig, {}).setdefault(src, 0)
-        per_source[sig][src] += 1
-    type_counts: Dict[str, int] = {}
-    for vid in view.vertices():
-        type_counts[view.type_of(vid)] = type_counts.get(view.type_of(vid), 0) + 1
-    fanout: Dict[Tuple[str, str, str], float] = {}
-    for sig, counts in per_source.items():
-        n = type_counts.get(sig[0], 0)
-        if n:
-            fanout[sig] = sum(counts.values()) / n
-    return CardinalityModel(fanout, type_counts, len(view.vertices()))
+def build_cardinality_model(view: GraphView, owned: AbstractSet[str]) -> CardinalityModel:
+    """The model of the subgraph of view that owned induces."""
+    types = view.types
+    by_type: Dict[str, List[str]] = {}
+    edge_counts: Dict[Tuple[str, str, str], int] = {}
+    for src in owned:
+        src_type = types[src]
+        by_type.setdefault(src_type, []).append(src)
+        for label, dst in view.out_edges(src):
+            if dst in owned:
+                sig = (src_type, label, types[dst])
+                edge_counts[sig] = edge_counts.get(sig, 0) + 1
+    fanout = {sig: count / len(by_type[sig[0]]) for sig, count in edge_counts.items()}
+    return CardinalityModel(fanout, by_type, len(owned))
 
 
-def _anchor_candidates(view: GraphView, snap: Snapshot, sigma: Tgfd, anchor: str) -> List[str]:
-    """The view's vertices of the anchor's label whose snapshot attributes
-    meet the anchor's X constants (the filter `RulePlan.read` applies),
-    sorted."""
-    label = sigma.pattern.label_of(anchor)
-    pool = view.vertices() if label == WILDCARD else view.vertices_of_type(label)
-    lits = [l for l in sigma.x_literals if isinstance(l, ConstantLiteral) and l.var == anchor]
-    return sorted(vid for vid in pool if all(snap.attr(vid, l.attr) == l.value for l in lits))
+class RuleShape(NamedTuple):
+    """What the cost model and the match split read of a rule's pattern,
+    derived once per run: the anchor that splits its matches (the
+    pattern's `radius_center()`), the anchor's eccentricity (`radius`), the
+    anchor's slot in `MatchBinding.items`, `spec` (the anchor's label and
+    the radius of the balls the fragment views keep around anchor
+    candidates, the pattern diameter) and a BFS tree of the pattern from
+    the anchor, as pattern edges in their own orientation: for each other
+    variable, in vars order, the first pattern edge joining it to a
+    variable one hop nearer the anchor."""
 
+    sigma: Tgfd
+    anchor: str
+    radius: int
+    slot: int
+    spec: Tuple[str, int]
+    tree: Tuple[Edge, ...]
 
-def _anchor_tree(pattern: GraphPattern, anchor: str) -> List[Tuple[str, str, str]]:
-    """A BFS tree of the pattern from the anchor, as pattern edges in their
-    own orientation: for each other variable, in vars order, the first
-    pattern edge joining it to a variable one hop nearer the anchor."""
-    hops = pattern.distances_from(anchor)
-    return [
-        next(
-            (src, label, dst) for src, label, dst in pattern.edges
-            if (src == var and hops[dst] == hops[var] - 1)
-            or (dst == var and hops[src] == hops[var] - 1)
+    @classmethod
+    def of(cls, sigma: Tgfd) -> "RuleShape":
+        pattern = sigma.pattern
+        anchor, radius = pattern.radius_center()
+        hops = pattern.distances_from(anchor)
+        tree = tuple(
+            next(
+                (src, label, dst) for src, label, dst in pattern.edges
+                if (src == var and hops[dst] == hops[var] - 1)
+                or (dst == var and hops[src] == hops[var] - 1)
+            )
+            for var in pattern.vars if var != anchor
         )
-        for var in pattern.vars
-        if var != anchor
-    ]
+        spec = (pattern.label_of(anchor), pattern.diameter)
+        return cls(sigma, anchor, radius, sorted(pattern.vars).index(anchor), spec, tree)
 
 
-def _ball_ship(full: GraphView, center: str, radius: int, owned: frozenset) -> Tuple[int, int]:
-    """(edges with an endpoint off owned, all edges) inside center's
-    radius ball of the full view, counted by walking the ball's out-edges."""
-    ball = ball_vertices(full, center, radius)
-    crossing = inside = 0
-    for src in ball:
-        src_off = src not in owned
-        for _, dst in full.out_edges(src):
-            if dst in ball:
-                inside += 1
-                if src_off or dst not in owned:
-                    crossing += 1
-    return crossing, inside
+# (center, radius) -> hop distance of every vertex in that ball
+Balls = Dict[Tuple[str, int], Dict[str, int]]
+
+
+def anchor_balls(
+    full: GraphView, owned: AbstractSet[str], specs: Iterable[Tuple[str, int]]
+) -> Balls:
+    """The balls of the full view around a fragment's anchor candidates: for
+    each (anchor label, ball radius) in specs (`RuleShape.spec`), every
+    owned vertex the label admits centers one ball of that radius, searched
+    once, however many rules share it.  The one place fragment balls are
+    searched: the kept fragment views repair these maps in place, and
+    `build_jobs` reads them."""
+    balls: Balls = {}
+    for label, radius in sorted(set(specs)):
+        for center in owned if label == WILDCARD else owned & full.vertices_of_type(label):
+            if (center, radius) not in balls:
+                hops: Dict[str, int] = {}
+                ball_vertices(full, center, radius, hops)
+                balls[(center, radius)] = hops
+    return balls
 
 
 def build_jobs(
     graph: TemporalGraph,
-    tgfds: Sequence[Tgfd],
+    shapes: Sequence[RuleShape],
     fragments: Sequence[Fragment],
-    full: Optional[GraphView] = None,
+    full: GraphView,
+    balls: Sequence[Balls],
 ) -> List[Job]:
     """One job per (rule, fragment) at the timestamp of full, the graph's
-    full view there (graph.view(1) when omitted), covering the rule's
-    matches anchored on the fragment, the anchor being the pattern's
-    `radius_center()`.  size is the owned anchor candidates times the mean
-    fan-out, on the fragment's owned edges, of each edge of the pattern's
-    BFS tree from the anchor; the ship costs sum the edges of each
-    candidate's radius ball."""
-    rules = normalize_all(tgfds)
-    if full is None:
-        full = graph.view(1)
-    t = full.t
-    snap = graph.snapshot(t)
-    shapes = []  # (rule, anchor, radius, BFS tree from the anchor)
-    for sigma in rules:
-        anchor, radius = sigma.pattern.radius_center()
-        shapes.append((sigma, anchor, radius, _anchor_tree(sigma.pattern, anchor)))
+    full view there, covering the rule's matches anchored on the fragment.
+    size is the owned anchor candidates (the owned vertices of the
+    anchor's label that meet its X constants, the filter `RulePlan.read`
+    applies) times the mean fan-out, on the fragment's owned edges, of each
+    edge of the rule's BFS tree from the anchor.  The ship costs sum the
+    edges inside each candidate's radius ball, its ball in balls (one map
+    per fragment, in fragment order: `anchor_balls` at full's timestamp, or
+    the kept views' repaired maps) cut at the radius; no ball is searched
+    here."""
+    snap = graph.snapshot(full.t)
+    out_edges = full.out_edges
     jobs: List[Job] = []
-    for frag in fragments:
+    for frag, frag_balls in zip(fragments, balls):
         owned = frag.owned_vertices
-        owned_view = GraphView(
-            t,
-            {vid: graph.vertices[vid].type_label for vid in owned},
-            ball_edges(full, owned),
-        )
-        model = build_cardinality_model(owned_view)
-        for sigma, anchor, radius, tree in shapes:
+        model = build_cardinality_model(full, owned)
+        for sigma, anchor, radius, _, (anchor_label, ball), tree in shapes:
             label = sigma.pattern.label_of
             fanout = 1.0
             for src, elabel, dst in tree:
                 fanout *= model.mean_fanout(label(src), elabel, label(dst))
-            candidates = _anchor_candidates(owned_view, snap, sigma, anchor)
+            lits = [
+                (l.attr, l.value) for l in sigma.x_literals
+                if isinstance(l, ConstantLiteral) and l.var == anchor
+            ]
+            pool = owned if anchor_label == WILDCARD else model.by_type.get(anchor_label, [])
+            candidates = [
+                vid for vid in pool if all(snap.attr(vid, attr) == value for attr, value in lits)
+            ] if lits else pool
             ship_in = ship_all = 0
             for center in candidates:
-                crossing, inside = _ball_ship(full, center, radius, owned)
-                ship_in += crossing
-                ship_all += inside
-            jobs.append(
-                Job(
-                    tgfd=sigma.name,
-                    home=frag.worker_id,
-                    size=len(candidates) * fanout,
-                    ship_in=ship_in,
-                    ship_all=ship_all,
-                )
-            )
+                hops = frag_balls[(center, ball)]
+                inside = hops if ball == radius else {v for v, h in hops.items() if h <= radius}
+                for src in inside:
+                    src_off = src not in owned
+                    for _, dst in out_edges(src):
+                        if dst in inside:
+                            ship_all += 1
+                            ship_in += src_off or dst not in owned
+            size = len(candidates) * fanout
+            jobs.append(Job(sigma.name, frag.worker_id, size, ship_in, ship_all))
     return jobs
+
+
+def job_setup(
+    graph: TemporalGraph, rules: Sequence[Tgfd], fragments: Sequence[Fragment]
+) -> Tuple[List[RuleShape], GraphView, List[Balls], List[Job]]:
+    """The first assignment's inputs, which `plan` and `run_parallel`
+    share, for the normalized rules over the fragments: each rule's shape,
+    the full view at t = 1, each fragment's anchor balls there (in
+    fragment order) and the jobs they price."""
+    shapes = [RuleShape.of(sigma) for sigma in rules]
+    full = graph.view(1)
+    balls = [anchor_balls(full, f.owned_vertices, [s.spec for s in shapes]) for f in fragments]
+    return shapes, full, balls, build_jobs(graph, shapes, fragments, full, balls)
 
 
 # ---------------------------------------------------------------------------
@@ -393,29 +428,19 @@ class _FragmentView:
     """A fragment's share of the full view, kept across supersteps as the
     size model's and the ship counts' measure: the owned vertices plus the
     balls of the full view around owned anchor candidates, and every
-    full-view edge whose endpoints are both owned or lie in one ball.
-    anchor_specs lists (anchor label, ball radius).  No matcher reads it:
-    `vertices` and `edges` are the vertex and edge sets of the view a
-    matcher of this fragment alone would need."""
+    full-view edge whose endpoints are both owned or lie in one ball.  It
+    takes the balls from `anchor_balls` and keeps them repaired.  No
+    matcher reads it: `vertices` and `edges` are the vertex and edge sets of
+    the view a matcher of this fragment alone would need."""
 
-    def __init__(self, full: GraphView, owned: frozenset, anchor_specs: Sequence[Tuple[str, int]]):
+    def __init__(self, full: GraphView, owned: frozenset, balls: Balls):
         self.owned = owned
-        # (center, radius) -> hop distance of every vertex in the ball
-        self.balls: Dict[Tuple[str, int], Dict[str, int]] = {}
+        self.balls = balls
         # vertex -> keys of the balls holding it
         self.holders: Dict[str, Set[Tuple[str, int]]] = {}
-        for label, radius in anchor_specs:
-            candidates = owned if label == WILDCARD else [
-                v for v in owned if full.type_of(v) == label
-            ]
-            for center in sorted(candidates):
-                key = (center, radius)
-                if key not in self.balls:
-                    hops: Dict[str, int] = {}
-                    ball_vertices(full, center, radius, hops)
-                    self.balls[key] = hops
-                    for vid in hops:
-                        self.holders.setdefault(vid, set()).add(key)
+        for key, hops in balls.items():
+            for vid in hops:
+                self.holders.setdefault(vid, set()).add(key)
         self.vertices: Set[str] = set(owned).union(self.holders)
         self.edges: Set[Edge] = {
             (src, label, dst)
@@ -542,22 +567,13 @@ def run_parallel(
     if len(frags) != n:
         raise InvalidOption("fragment count must equal worker count")
     owners = owner_map(frags)
-    frag_by_id = {f.worker_id: f for f in frags}
-
-    # each rule's designated anchor: the pattern's minimum-radius center
-    anchors = {sigma.name: sigma.pattern.radius_center()[0] for sigma in rules}
-    anchor_specs = sorted({
-        (sigma.pattern.label_of(anchors[sigma.name]), sigma.pattern.diameter) for sigma in rules
-    })
-    full = graph.view(1)
-    jobs = build_jobs(graph, rules, frags, full)
+    shapes, full, balls, jobs = job_setup(graph, rules, frags)
     # a rebalance reassigns jobs by name, and a job's rule and home never change
     job_by_name = {job.name: job for job in jobs}
     order = ReportOrder(graph.vertices, graph.T)
     plans = {sigma.name: RulePlan(sigma, order) for sigma in rules}
     profiles = {name: MatchProfiles(plan, graph) for name, plan in plans.items()}
     job_index = {job.name: MatchIndex(plans[job.tgfd]) for job in jobs}
-    anchor_slots = {sigma.name: plans[sigma.name].slot[anchors[sigma.name]] for sigma in rules}
 
     assignment = gen_assign([clamp_job(j, bounds) for j in jobs], n, bounds)
     report = RunReport()
@@ -567,10 +583,7 @@ def run_parallel(
     coord_index: Dict[str, MatchIndex] = {s.name: MatchIndex(plans[s.name]) for s in rules}
     found: Dict[str, KeyedViolations] = {s.name: KeyedViolations(plans[s.name]) for s in rules}
 
-    kept = {
-        r: _FragmentView(full, frag_by_id[r].owned_vertices, anchor_specs)
-        for r in sorted(frag_by_id)
-    }
+    kept = {f.worker_id: _FragmentView(full, f.owned_vertices, b) for f, b in zip(frags, balls)}
 
     lo_band = (1 - zeta) * bounds[0]
     hi_band = (1 + zeta) * bounds[1]
@@ -585,7 +598,7 @@ def run_parallel(
             flips: Dict[int, List[Edge]] = {}
             if t > 1:
                 changed = changed_attrs(graph, t)
-                for r in sorted(frag_by_id):
+                for r in kept:
                     flips[r] = kept[r].advance(full, flipped, changed)
 
             # every match lies in the ball around its anchor, which the
@@ -595,20 +608,20 @@ def run_parallel(
             entries: Dict[str, List[IndexEntry]] = {}
             shares: Dict[str, Dict[int, List[IndexEntry]]] = {}
             owned: Dict[str, Dict[int, int]] = {}  # matches per owner
-            for sigma in rules:
-                slot = anchor_slots[sigma.name]
+            for shape in shapes:
+                sigma = shape.sigma
 
-                def owner_of(b: MatchBinding, slot: int = slot) -> int:
+                def owner_of(b: MatchBinding, slot: int = shape.slot) -> int:
                     return owners[b.items[slot][1]]
 
                 matches = matchers[sigma.name].topological_matches(t)
-                counts = {r: 0 for r in frag_by_id}
+                counts = {r: 0 for r in kept}
                 for b in matches:
                     counts[owner_of(b)] += 1
                 owned[sigma.name] = counts
                 profiled = profiles[sigma.name].entries(matches, t, owner_of)
                 entries[sigma.name] = profiled
-                split: Dict[int, List[IndexEntry]] = {r: [] for r in frag_by_id}
+                split: Dict[int, List[IndexEntry]] = {r: [] for r in kept}
                 for e in profiled:
                     split[e.owner].append(e)
                 shares[sigma.name] = split
@@ -669,7 +682,7 @@ def run_parallel(
                     found=found[sigma.name],
                 )
 
-            shipped_now = {r: kept[r].shipped for r in sorted(frag_by_id)}
+            shipped_now = {r: kept[r].shipped for r in sorted(kept)}
             worker_times = {
                 w: sum(job_times[name] for name in worker_jobs[w]) for w in sorted(worker_jobs)
             }
@@ -687,8 +700,11 @@ def run_parallel(
                 if measured < lo_band or measured > hi_band
             ]
             if out_of_band and t < graph.T:
-                # at t = 1 the full view is still the one jobs were built on
-                fresh = jobs if t == 1 else build_jobs(graph, rules, frags, full)
+                # at t = 1 the full view is still the one jobs were built on;
+                # later, the kept views hold the balls repaired to t
+                fresh = jobs if t == 1 else build_jobs(
+                    graph, shapes, frags, full, [kept[f.worker_id].balls for f in frags]
+                )
                 fresh_by_name = {j.name: j for j in fresh}
                 new_assignment = gen_assign([clamp_job(j, bounds) for j in fresh], n, bounds)
                 moved_cost = 0.0

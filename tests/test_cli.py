@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 
 import tgfd
 from tgfd.cli import _RUNNERS, _build_parser, main
-from tgfd.graph import load_graph
+from tgfd.graph import apply_changes, graph_to_texts, load_graph
 
 from conftest import (
     CONFLICT_RULES,
@@ -19,6 +20,7 @@ from conftest import (
     MEDICATION_RULES,
     MEDICATION_SNAPSHOT,
 )
+from util import exotic_rule, format_tgfd, random_changes, random_graph, random_tgfd
 
 
 @pytest.fixture
@@ -433,6 +435,34 @@ def test_plan_prints_assignment(capsys, med_files):
     assert out.startswith("makespan=")
     assert "job=dosage_rule@f1 worker=" in out
     assert "job=dosage_rule@f2 worker=" in out
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_plan_jobs_equal_the_first_parallel_assignment(capsys, tmp_path, seed):
+    """plan prints the assignment detect-parallel starts from: its job lines
+    are detect-parallel's `assignment t=1` lines, for random instances,
+    worker counts, fragment seeds and job-time bounds."""
+    rng = random.Random(600 + seed)
+    g = random_graph(rng, 16, 36)
+    for t in range(2, 5):
+        g = apply_changes(g, random_changes(rng, g, t, 6))
+    rules = [random_tgfd(rng, "r", T=g.T), exotic_rule(rng, "e")]
+    snap_text, changes_text = graph_to_texts(g)
+    rules_text = "\n".join(map(format_tgfd, rules))
+    files = {"graph": snap_text, "changes": changes_text, "tgfds": rules_text}
+    argv = []
+    for flag, text in files.items():
+        (tmp_path / flag).write_text(text, encoding="utf-8")
+        argv += [f"--{flag}", str(tmp_path / flag)]
+    argv += ["--workers", str(1 + seed % 4), "--seed", str(seed), "--tl", "0"]
+    argv += ["--tu", "inf" if seed % 2 else "1e6"]
+    code, plan, _ = run(capsys, ["plan", *argv])
+    assert code == 0
+    code, parallel, _ = run(capsys, ["detect-parallel", *argv])
+    assert code == 0
+    first = [line[len("assignment t=1 "):] for line in parallel.splitlines()
+             if line.startswith("assignment t=1 ")]
+    assert first and plan.splitlines()[1:] == first
 
 
 SELF_LOOP_SNAPSHOT = """\

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -44,6 +45,7 @@ from tgfd.model import (
 )
 
 from util import (
+    Renaming,
     build_graph,
     engine_violation_keys,
     extend,
@@ -710,6 +712,49 @@ def test_time_reversal_relation_at_long_t():
         for sigma in rules:
             shapes |= shapes_with_wildcard(sigma, g.T)
     assert {"general X", "general Y", "q >= T", "wildcard"} <= shapes
+
+
+def renamed_pair_id(v, ids):
+    """pair_id of v after renaming its vertex ids, sides sorted again."""
+    name, (ti, ids_i), (tj, ids_j) = pair_id(v)
+    sides = [(ti, tuple(sorted(ids[x] for x in ids_i))), (tj, tuple(sorted(ids[x] for x in ids_j)))]
+    return (name, *sorted(sides))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), order=st.randoms(use_true_random=False))
+@example(seed=4, order=random.Random(1))
+@example(seed=30, order=random.Random(2))
+def test_renaming_relation_on_shaped_rules(seed, order):
+    """Renaming the vertex ids by a drawn bijection, and the types, labels,
+    attribute names and values by their own, renames detect's violations
+    the same way, compared by pair_id with their multiplicities, and keeps
+    the nontrivial verdicts: detection reads names only through equality,
+    and the report order only through its sort."""
+    g, rules = shaped_instance(seed)
+    vids = sorted(g.vertices)
+    targets = [f"n{i}" for i in range(len(vids))]
+    order.shuffle(targets)
+    renaming = Renaming(dict(zip(vids, targets)))
+    before = detect_sequential(g, rules)
+    after = detect_sequential(renaming.graph(g), [renaming.rule(sigma) for sigma in rules])
+    want = Counter(renamed_pair_id(v, renaming.ids) for v in before.iter_violations())
+    assert Counter(pair_id(v) for v in after.iter_violations()) == want
+    assert after.nontrivial == before.nontrivial
+
+
+def test_renaming_examples_hold_a_wildcard_anchor_under_general_x():
+    # the explicit examples above always run: each has a rule anchored on a
+    # wildcard whose X holds a general-form literal, and that rule violates
+    for seed in (4, 30):
+        g, rules = shaped_instance(seed)
+        found = detect_sequential(g, rules)
+        assert any(
+            sigma.pattern.label_of(sigma.pattern.radius_center()[0]) == WILDCARD
+            and "general X" in rule_shapes(sigma, g.T)
+            and found.violations[sigma.name]
+            for sigma in rules
+        )
 
 
 def test_interval_split_is_a_disjoint_union_at_size():

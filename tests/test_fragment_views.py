@@ -30,7 +30,7 @@ from tgfd.graph import (
 )
 from tgfd.matcher import IncrementalMatcher, match_snapshot
 from tgfd.model import Delta, GraphPattern, Tgfd, VariableLiteral, normalize_all
-from tgfd.parallel import _FragmentView, make_fragments, owner_map, run_parallel
+from tgfd.parallel import _FragmentView, anchor_balls, make_fragments, owner_map, run_parallel
 
 from util import (
     ATTR_POOL,
@@ -136,7 +136,10 @@ def check_kept_views(graph, frags, specs):
     """Advance one kept view per fragment through the graph's change sets,
     comparing it with the view rebuilt from scratch at every timestamp."""
     full = graph.view(1)
-    kept = [_FragmentView(full, f.owned_vertices, specs) for f in frags]
+    kept = [
+        _FragmentView(full, f.owned_vertices, anchor_balls(full, f.owned_vertices, specs))
+        for f in frags
+    ]
     prev = [fragment_view_from_scratch(graph.view(1), f.owned_vertices, specs) for f in frags]
     for fv, want, frag in zip(kept, prev, frags):
         assert_same_view(fv, want, full)
@@ -250,7 +253,8 @@ def test_ball_loses_its_only_shortest_path_and_gains_a_shortcut():
     ]
     check_kept_views(g, frags, [("T", 3)])
     full = g.view(1)
-    fv = _FragmentView(full, frags[0].owned_vertices, [("T", 3)])
+    owned = frags[0].owned_vertices
+    fv = _FragmentView(full, owned, anchor_balls(full, owned, [("T", 3)]))
     seen = []
     for t in range(2, g.T + 1):
         fv.advance(full, advance_view(full, g.changesets[t - 2]), changed_attrs(g, t))
@@ -270,7 +274,8 @@ def test_single_node_balls_hold_only_their_center():
     graph = churned_graph(rng, max_vertices=6, max_T=10)
     frag = make_fragments(graph, 2, 3)[0]
     full = graph.view(1)
-    fv = _FragmentView(full, frag.owned_vertices, [("_", 0)])
+    owned = frag.owned_vertices
+    fv = _FragmentView(full, owned, anchor_balls(full, owned, [("_", 0)]))
     for t in range(2, graph.T + 1):
         fv.advance(full, advance_view(full, graph.changesets[t - 2]), changed_attrs(graph, t))
         assert all(ball.keys() == {center} for (center, _), ball in fv.balls.items())

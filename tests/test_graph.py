@@ -15,7 +15,6 @@ from tgfd.graph import (
     Vertex,
     advance_view,
     apply_changes,
-    ball_edges,
     ball_vertices,
     changes_to_text,
     derive_changesets,
@@ -29,6 +28,7 @@ from tgfd.graph import (
 )
 
 from util import (
+    ball_edges,
     build_graph,
     extend,
     full_diff_changesets,
@@ -341,6 +341,73 @@ def test_graph_to_texts_roundtrip_random():
     for t in range(1, g.T + 1):
         assert g.view(t).edges == g2.view(t).edges
         assert nonempty_attrs(g.snapshot(t).attrs) == nonempty_attrs(g2.snapshot(t).attrs)
+
+
+# What a file token may hold: any character but a line boundary (the
+# parsers read a file by str.splitlines), with whitespace, quotes,
+# backslashes and `=` drawn often.  A name holds no `=` (it ends the name)
+# and no token ends in a backslash (in quotes it would escape the closing
+# one); no file can hold those.
+LINE_BOUNDARIES = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+FILE_CHARS = st.characters(
+    blacklist_categories=("Cs",), blacklist_characters=LINE_BOUNDARIES
+) | st.sampled_from([" ", "\t", "\xa0", "\u3000", "\u200b", '"', "\\", "=", "#", "a"])
+FILE_VALUES = st.text(FILE_CHARS, max_size=5).filter(lambda s: not s.endswith("\\"))
+FILE_TOKENS = FILE_VALUES.filter(bool)
+FILE_NAMES = FILE_TOKENS.filter(lambda s: "=" not in s)
+
+
+@st.composite
+def graphs_of_odd_tokens(draw):
+    """A graph whose ids, types, labels, attribute names and values hold
+    whitespace and quotes, with one change set that inserts and deletes an
+    edge and sets and deletes attributes."""
+    vids = draw(st.lists(FILE_TOKENS, min_size=1, max_size=4, unique=True))
+    vertices = {vid: Vertex(vid, draw(FILE_TOKENS)) for vid in vids}
+    edge = st.tuples(st.sampled_from(vids), FILE_TOKENS, st.sampled_from(vids))
+    edges = draw(st.sets(edge, max_size=4))
+    names = draw(st.lists(FILE_NAMES, min_size=1, max_size=3, unique=True))
+    attrs = {
+        vid: draw(st.dictionaries(st.sampled_from(names), FILE_VALUES, max_size=2)) for vid in vids
+    }
+    changes = [EdgeDelete(*e) for e in sorted(edges)[:1]]
+    changes += [EdgeInsert(*e) for e in draw(st.lists(edge, max_size=2))]
+    for vid in draw(st.lists(st.sampled_from(vids), max_size=3)):
+        name, value = draw(st.sampled_from(names)), draw(st.none() | FILE_VALUES)
+        changes.append(AttrDelete(vid, name) if value is None else AttrSet(vid, name, value))
+    return apply_changes(TemporalGraph(vertices, edges, attrs), ChangeSet(2, tuple(changes)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_of_odd_tokens())
+@example(apply_changes(
+    TemporalGraph({"a": Vertex("a", "T")}, [], {"a": {"n m": "x\xa0y", "a0": ""}}),
+    ChangeSet(2, (AttrSet("a", "p\tq", 'say "hi"'), AttrDelete("a", "n m"))),
+))
+def test_graph_texts_round_trip_any_token(g):
+    snap_text, changes_text = graph_to_texts(g)
+    reloaded = load_graph(snap_text, changes_text)
+    assert reloaded.vertices == g.vertices
+    assert reloaded.T == g.T
+    for t in range(1, g.T + 1):
+        assert reloaded.view(t).edges == g.view(t).edges
+        assert nonempty_attrs(reloaded.snapshot(t).attrs) == nonempty_attrs(g.snapshot(t).attrs)
+
+
+def test_tokens_that_round_trip_keep_their_bytes():
+    # quoting only what the tokenizer would split or unquote: bare tokens,
+    # the empty value and tokens quoted for a space, a tab or `"` are
+    # written as before
+    g = build_graph(
+        {"v1": "city", "v 2": "ci_ty"},
+        [("v1", "near-by", "v 2")],
+        {"v1": {"name": 'New "York"', "code": "", "a.b": "x\ty"}},
+    )
+    assert snapshot_to_text(g) == (
+        'v "v 2" ci_ty\n'
+        'v v1 city a.b="x\ty" code= name="New \\"York\\""\n'
+        'e v1 near-by "v 2"\n'
+    )
 
 
 def test_derived_changesets_from_kept_sets_equal_full_diffs():

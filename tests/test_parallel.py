@@ -29,6 +29,8 @@ from tgfd.model import (
 from tgfd.detection import detect_sequential
 from tgfd.parallel import (
     Job,
+    RuleShape,
+    anchor_balls,
     build_cardinality_model,
     build_jobs,
     gen_assign,
@@ -129,8 +131,19 @@ def plain_rule(pattern, name="r"):
     )
 
 
+def jobs_at(graph, rules, frags, t=1):
+    """build_jobs at t, reading the anchor balls of the full view there,
+    which equal the balls the kept fragment views hold at t
+    (tests/test_fragment_views.py)."""
+    shapes = [RuleShape.of(sigma) for sigma in normalize_all(rules)]
+    full = graph.view(t)
+    specs = [shape.spec for shape in shapes]
+    balls = [anchor_balls(full, frag.owned_vertices, specs) for frag in frags]
+    return build_jobs(graph, shapes, frags, full, balls)
+
+
 def whole_graph_job(graph, sigma):
-    [job] = build_jobs(graph, [sigma], [Fragment(1, frozenset(graph.vertices))])
+    [job] = jobs_at(graph, [sigma], [Fragment(1, frozenset(graph.vertices))])
     return job
 
 
@@ -255,7 +268,7 @@ def test_estimate_cycle_follows_the_bfs_tree_from_the_anchor():
         Fragment(1, frozenset({"a1", "b0", "b1", "c1"})),
         Fragment(2, frozenset({"a2", "b2", "b3", "c2"})),
     ]
-    for job, frag in zip(build_jobs(g, [sigma], frags), frags):
+    for job, frag in zip(jobs_at(g, [sigma], frags), frags):
         assert (job.size, job.ship_in, job.ship_all) == (pytest.approx(2.0), 0, 5)
         assert_job_matches_brute(g, sigma, job, frag.owned_vertices)
 
@@ -267,7 +280,7 @@ def test_mean_fanout_with_wildcard_target_counts_sources_once():
         {"a1": "A", "a2": "A", "b1": "B", "b2": "B", "c1": "C"},
         [("a1", "l", "b1"), ("a1", "l", "c1"), ("a2", "l", "b2")],
     )
-    model = build_cardinality_model(g.view(1))
+    model = build_cardinality_model(g.view(1), frozenset(g.vertices))
     assert model.mean_fanout("A", "l", WILDCARD) == pytest.approx(1.5)
     assert model.mean_fanout("A", "l", "B") == pytest.approx(1.0)
     assert model.mean_fanout(WILDCARD, "l", "B") == pytest.approx(2 / 5)
@@ -316,7 +329,7 @@ def test_ccost_cut_edge_counts_for_both_sides():
     g = build_graph({"a": "N", "b": "N"}, [("a", "l", "b")])
     sigma = plain_rule(GraphPattern([("x", "N"), ("y", "N")], [("x", "l", "y")]))
     frags = [Fragment(1, frozenset({"a"})), Fragment(2, frozenset({"b"}))]
-    jobs = build_jobs(g, [sigma], frags)
+    jobs = jobs_at(g, [sigma], frags)
     assert [(j.home, j.ship_in, j.ship_all) for j in jobs] == [(1, 1, 1), (2, 1, 1)]
 
 
@@ -342,12 +355,118 @@ def test_ccost_matches_direct_count_random():
         rules += [exotic_rule(rng, f"e{i}") for i in range(3)]
         frags = make_fragments(g, 3, seed=seed)
         for t in (1, 2):
-            jobs = {j.name: j for j in build_jobs(g, rules, frags, g.view(t))}
+            jobs = {j.name: j for j in jobs_at(g, rules, frags, t)}
             assert len(jobs) == len(rules) * len(frags)
             for sigma in rules:
                 for frag in frags:
                     job = jobs[f"{sigma.name}@f{frag.worker_id}"]
                     assert_job_matches_brute(g, sigma, job, frag.owned_vertices, t)
+
+
+def anchor_constant_rules(rng):
+    """Rules whose anchor carries an X constant: a wildcard-anchored star
+    (x: _ knows a person and is in a city) and a typed chain anchored on
+    its middle, plus two exotic rules."""
+    star = GraphPattern(
+        [("x", WILDCARD), ("y", "person"), ("z", "city")], [("x", "knows", "y"), ("x", "in", "z")]
+    )
+    chain = GraphPattern(
+        [("x", "person"), ("y", "team"), ("z", "person")],
+        [("x", "plays", "y"), ("z", "plays", "y")],
+    )
+    rules = [
+        Tgfd(name, pattern, Delta(0, 2),
+             [ConstantLiteral(pattern.radius_center()[0], "rank", rng.choice(VALUE_POOL))],
+             [VariableLiteral("y", "code", "y", "code")])
+        for name, pattern in (("star", star), ("chain", chain))
+    ]
+    assert [sigma.pattern.radius_center()[0] for sigma in rules] == ["x", "y"]
+    return rules + [exotic_rule(rng, f"e{i}") for i in range(2)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rebalanced_jobs_equal_counts_from_scratch(seed, monkeypatch):
+    """A rebalance forced at every t rebuilds the jobs from the kept,
+    repaired balls; each rebuilt job equals brute_job at that t, and
+    build_jobs searches no ball, in the graph or in a pattern."""
+    import tgfd.graph
+    import tgfd.model
+    import tgfd.parallel
+
+    rng = random.Random(300 + seed)
+    g = random_graph(rng, 18, 40)
+    for t in range(2, 6):
+        g = apply_changes(g, random_changes(rng, g, t, 8))
+    rules = anchor_constant_rules(rng)
+    n = 1 + seed % 3
+    built, inside = [], []
+
+    def no_search(*args, **kwargs):
+        assert not inside, "build_jobs searched a ball"
+        return searched(*args, **kwargs)
+
+    searched = tgfd.graph.ball_vertices
+    for module in (tgfd.graph, tgfd.model, tgfd.parallel):
+        monkeypatch.setattr(module, "ball_vertices", no_search)
+    estimate = tgfd.parallel.build_jobs
+
+    def recorded(graph, shapes, fragments, full, balls):
+        inside.append(True)
+        try:
+            jobs = estimate(graph, shapes, fragments, full, balls)
+        finally:
+            inside.pop()
+        built.append((full.t, jobs))
+        return jobs
+
+    monkeypatch.setattr(tgfd.parallel, "build_jobs", recorded)
+    spike = lambda t, name, size: 2e9 if name.endswith("@f1") else size
+    result = run_parallel(g, rules, n, seed=seed, bounds=(0.0, 1e9), time_hook=spike)
+    assert result.report.rebalances == g.T - 1
+    assert [t for t, _ in built] == list(range(1, g.T))
+    frags = {f.worker_id: f.owned_vertices for f in make_fragments(g, n, seed)}
+    by_name = {sigma.name: sigma for sigma in rules}
+    for t, jobs in built:
+        assert len(jobs) == len(rules) * n
+        for job in jobs:
+            assert_job_matches_brute(g, by_name[job.tgfd], job, frags[job.home], t)
+
+
+def test_balls_are_searched_once_per_anchor_candidate(monkeypatch):
+    """Over a whole run with rebalances, the engine searches one ball per
+    (fragment, owned anchor candidate, ball radius) and no other."""
+    import tgfd.parallel
+
+    rng = random.Random(41)
+    g = random_graph(rng, 20, 45)
+    for t in range(2, 5):
+        g = apply_changes(g, random_changes(rng, g, t, 8))
+    rules = anchor_constant_rules(rng)
+    calls = []
+    search = tgfd.parallel.ball_vertices
+
+    def counted(view, center, d, hops=None):
+        calls.append((center, d))
+        return search(view, center, d, hops)
+
+    monkeypatch.setattr(tgfd.parallel, "ball_vertices", counted)
+    spike = lambda t, name, size: 2e9 if t > 1 else size
+    result = run_parallel(g, rules, 3, seed=2, bounds=(0.0, 1e9), time_hook=spike)
+    assert result.report.rebalances == g.T - 2
+    types = {vid: v.type_label for vid, v in g.vertices.items()}
+    want = []
+    for frag in make_fragments(g, 3, 2):
+        specs = {
+            (sigma.pattern.label_of(sigma.pattern.radius_center()[0]), sigma.pattern.diameter)
+            for sigma in rules
+        }
+        want += list({
+            (vid, radius)
+            for label, radius in specs
+            for vid in frag.owned_vertices
+            if label in (WILDCARD, types[vid])
+        })
+    assert sorted(calls) == sorted(want)
 
 
 # ---------------------------------------------------------------------------
@@ -841,7 +960,7 @@ def test_build_jobs_shapes():
     rng = random.Random(6)
     g = random_graph(rng, 14, 25)
     frags = make_fragments(g, 2, seed=6)
-    jobs = build_jobs(g, [simple_rule()], frags)
+    jobs = jobs_at(g, [simple_rule()], frags)
     assert len(jobs) == 2
     for job in jobs:
         assert job.size >= 0

@@ -24,8 +24,8 @@ from tgfd.graph import (
     GraphView,
     TemporalGraph,
     Vertex,
+    Edge,
     apply_changes,
-    ball_edges,
     ball_vertices,
     derive_changesets,
 )
@@ -146,6 +146,60 @@ def reversed_graph(graph: TemporalGraph) -> TemporalGraph:
         inverted.append(ChangeSet(T + 2 - cs.t, tuple(changes)))
     base = TemporalGraph(graph.vertices, graph.view(T).edges, graph.snapshot(T).attrs)
     return apply_changes(base, *inverted)
+
+
+class Renaming:
+    """A renaming of a temporal graph and its rules: vertex ids by the given
+    bijection, and types, edge labels, attribute names and values each by
+    its own injective map on strings.  The wildcard `_` and the variable
+    and rule names stay."""
+
+    def __init__(self, ids: Dict[str, str]):
+        self.ids = ids
+        self.type = lambda s: s if s == "_" else f"T.{s[::-1]}"
+        self.label = lambda s: f"L.{s[::-1]}"
+        self.attr = lambda s: f"A.{s[::-1]}"
+        self.value = lambda s: f"V.{s[::-1]}"
+
+    def graph(self, graph: TemporalGraph) -> TemporalGraph:
+        ids, label, attr, value = self.ids, self.label, self.attr, self.value
+        edge = lambda src, l, dst: (ids[src], label(l), ids[dst])
+        vertices = {
+            ids[vid]: Vertex(ids[vid], self.type(v.type_label)) for vid, v in graph.vertices.items()
+        }
+        attrs = {
+            ids[vid]: {attr(name): value(val) for name, val in named.items()}
+            for vid, named in graph.snapshot(1).attrs.items()
+        }
+        sets = []
+        for cs in graph.changesets:
+            changes: List = []
+            for c in cs.changes:
+                if isinstance(c, (EdgeInsert, EdgeDelete)):
+                    changes.append(type(c)(*edge(c.src, c.label, c.dst)))
+                elif isinstance(c, AttrSet):
+                    changes.append(AttrSet(ids[c.vid], attr(c.name), value(c.value)))
+                else:
+                    changes.append(AttrDelete(ids[c.vid], attr(c.name)))
+            sets.append(ChangeSet(cs.t, tuple(changes)))
+        base = TemporalGraph(vertices, [edge(*e) for e in graph.base_edges], attrs)
+        return apply_changes(base, *sets)
+
+    def literal(self, lit: Literal) -> Literal:
+        if isinstance(lit, ConstantLiteral):
+            return ConstantLiteral(lit.var, self.attr(lit.attr), self.value(lit.value))
+        return VariableLiteral(lit.var1, self.attr(lit.attr1), lit.var2, self.attr(lit.attr2))
+
+    def rule(self, sigma: Tgfd) -> Tgfd:
+        pattern = GraphPattern(
+            [(var, self.type(label)) for var, label in sigma.pattern.nodes],
+            [(src, self.label(l), dst) for src, l, dst in sigma.pattern.edges],
+        )
+        return Tgfd(
+            sigma.name, pattern, sigma.delta,
+            [self.literal(l) for l in sigma.x_literals],
+            [self.literal(l) for l in sigma.y_literals],
+        )
 
 
 def mutated_attr_maps(graph: TemporalGraph, mutations) -> List[Dict[str, Dict[str, str]]]:
@@ -307,6 +361,16 @@ def format_tgfd(sigma: Tgfd) -> str:
 # ---------------------------------------------------------------------------
 # fragment views from scratch
 # ---------------------------------------------------------------------------
+
+
+def ball_edges(view: GraphView, ball: Set[str]) -> Set[Edge]:
+    """Edges of the view with both endpoints in ball, self-loops included."""
+    return {
+        (src, label, dst)
+        for src in ball
+        for label, dst in view.out_edges(src)
+        if dst in ball
+    }
 
 
 def fragment_view_from_scratch(
