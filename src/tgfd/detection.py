@@ -1,13 +1,14 @@
 """Incremental violation detection over a stream of match sets.
 
 Rules arrive in normal form, X -> l with one consequent literal l
-(`normalize_all` runs at every engine's boundary).  Each live match becomes
-one flat entry record per timestamp: the values realizing the antecedent
-literals (an X key), its one Y read, its key halves and its text.  A
-replay keeps what is fixed per match in a memo (MatchProfiles): the text
-and the t-independent key digits for good, the literal values until a
-change set writes a slot they read.  So per-match work follows the
-distinct matches and the attribute writes, not matches times timestamps.
+(`normalize_all` runs at every engine's boundary).  A match is its items
+from the matcher to the report line.  Each live match becomes one flat
+entry record per timestamp: its items, the values realizing the antecedent
+literals (an X key), its one Y read, its key halves and its text.  Each
+rule's RulePlan keeps what is fixed per match in a memo: the text and the
+t-independent key digits for good, the literal values until a change set
+writes a slot they read.  So per-match work follows the distinct matches
+and the attribute writes, not matches times timestamps.
 Entries are partitioned by X key, and each class is bucketed by timestamp.
 A new match at time t is compared only against the buckets of its class
 whose timestamps fall in its permissible range.
@@ -16,7 +17,7 @@ A violation is one int from the pairing to the report line: its report key
 and the ids of its two entries in the rule's entry table (KeyedViolations).
 Each rule sorts its ints once; the text report is written from them and
 the table, and the violation tuples of the API are built from them on
-first use.
+first use, with one MatchBinding per entry they name.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .model import (
     Delta,
     MatchBinding,
     Tgfd,
+    items_text,
     literal_sort_key,
     normalize_all,
 )
@@ -82,31 +84,15 @@ def violation_key(v: Violation) -> Tuple:
     return (v.tgfd, a.t, b.t, a.sorted_ids, b.sorted_ids, a.items, b.items)
 
 
-def match_pair_id(tgfd: str, a: MatchBinding, b: MatchBinding) -> Tuple:
-    """(rule, (t, vertex ids) of one match, of the other), sides sorted."""
-    side_a, side_b = (a.t, a.sorted_ids), (b.t, b.sorted_ids)
-    if side_b < side_a:
-        side_a, side_b = side_b, side_a
-    return (tgfd, side_a, side_b)
-
-
 def pair_id(v: Violation) -> Tuple:
-    """Scoring identity: (rule, (t_i, ids_i), (t_j, ids_j)); constant
-    violations count as degenerate pairs."""
+    """Scoring identity: (rule, (t, vertex ids) of one match, of the other),
+    sides sorted; constant violations count as degenerate pairs."""
     if isinstance(v, PairViolation):
-        return match_pair_id(v.tgfd, v.binding_i, v.binding_j)
-    return match_pair_id(v.tgfd, v.binding, v.binding)
-
-
-def pair_line(tgfd: str, t_i: int, t_j: int, text_i: str, text_j: str) -> str:
-    """The report line of a pair violation, from each match's timestamp and
-    `MatchBinding.text`."""
-    return f"{tgfd} PAIR t_i={t_i} t_j={t_j} {text_i} {text_j}"
-
-
-def constant_line(tgfd: str, t: int, text: str, failed: ConstantLiteral) -> str:
-    """The report line of a constant violation."""
-    return f"{tgfd} CONST t={t} {text} failed={failed}"
+        a, b = v.binding_i, v.binding_j
+    else:
+        a = b = v.binding
+    side_a, side_b = (a.t, a.sorted_ids), (b.t, b.sorted_ids)
+    return (v.tgfd, side_a, side_b) if side_a <= side_b else (v.tgfd, side_b, side_a)
 
 
 def format_violation(v: Violation) -> str:
@@ -114,9 +100,9 @@ def format_violation(v: Violation) -> str:
     straight from the keys."""
     if type(v) is PairViolation:
         tgfd, a, b = v
-        return pair_line(tgfd, a.t, b.t, a.text, b.text)
+        return f"{tgfd} PAIR t_i={a.t} t_j={b.t} {a.text} {b.text}"
     tgfd, binding, failed = v
-    return constant_line(tgfd, binding.t, binding.text, failed)
+    return f"{tgfd} CONST t={binding.t} {binding.text} failed={failed}"
 
 
 def permissible_range(i: int, delta: Delta, T: int) -> List[int]:
@@ -159,7 +145,7 @@ class ReportOrder:
     Only the t digit moves with the timestamp, so hi = t·W1 + the match's
     t-independent digits, and lo = t·W2 + its others.
     The low 2·id_bits (ID_BITS when the order is built) are left for the
-    two entry ids that MatchProfiles.entries adds; report keys are distinct, so
+    two entry ids that RulePlan.entries adds; report keys are distinct, so
     the ids never decide the order."""
 
     def __init__(self, vertex_ids: Iterable[str], T: int):
@@ -193,6 +179,19 @@ class ReportOrder:
         return w1, w2, w3, digits
 
 
+class _Bindings(dict):
+    """One read-back's MatchBinding per entry id of a plan's table, each
+    built on first use."""
+
+    def __init__(self, table: List["IndexEntry"]) -> None:
+        self.table = table
+
+    def __missing__(self, eid: int) -> MatchBinding:
+        e = self.table[eid]
+        binding = self[eid] = MatchBinding(e.t, e.items)
+        return binding
+
+
 class KeyedViolations:
     """One rule's violations, each one int key
     `report key << 2·id_bits | earlier entry id << id_bits | later entry id`,
@@ -210,15 +209,17 @@ class KeyedViolations:
 
     def __iter__(self) -> Iterator[Violation]:
         plan = self.plan
-        name, table, bits = plan.sigma.name, plan.table, plan.id_bits
+        name, bits = plan.sigma.name, plan.id_bits
         mask = (1 << bits) - 1
+        bindings = _Bindings(plan.table)
         new_tuple = tuple.__new__  # PairViolation(...) runs a Python-level __new__
         for k in self.keys:
-            b = table[k & mask]
             if plan.pair_based:
-                yield new_tuple(PairViolation, (name, table[k >> bits & mask].binding, b.binding))
+                yield new_tuple(
+                    PairViolation, (name, bindings[k >> bits & mask], bindings[k & mask])
+                )
             else:
-                yield ConstantViolation(name, b.binding, b.y)
+                yield ConstantViolation(name, bindings[k & mask], plan.y_literal)
 
     def extend(self, other: "KeyedViolations") -> None:
         """Append other's keys: entry ids are the rule's, so keys of one
@@ -227,8 +228,8 @@ class KeyedViolations:
 
     def text_chunks(self) -> Iterator[str]:
         """The report lines of the violations, in the keys' order,
-        REPORT_CHUNK lines per string: pair_line's and constant_line's
-        format, each line one f-string over its entries' cached pieces."""
+        REPORT_CHUNK lines per string: format_violation's format, each line
+        one f-string over its entries' cached pieces."""
         plan, keys = self.plan, self.keys
         if not keys:
             return
@@ -276,14 +277,9 @@ def identity_diff(new: KeyedViolations, old: KeyedViolations) -> List[Tuple]:
     and T, so that their ReportOrders agree.  Only these keys are read back
     into tuples."""
     was = old.identities()
-    plan = new.plan
-    name, table, bits = plan.sigma.name, plan.table, plan.id_bits
-    mask = (1 << bits) - 1
-    return [
-        match_pair_id(name, table[k >> bits & mask].binding, table[k & mask].binding)
-        for sides, k in new.identities().items()
-        if sides not in was
-    ]
+    diff = KeyedViolations(new.plan)
+    diff.keys = [k for sides, k in new.identities().items() if sides not in was]
+    return [pair_id(v) for v in diff]
 
 
 # ---------------------------------------------------------------------------
@@ -295,25 +291,26 @@ Y_CONST, Y_SELF, Y_GENERAL = "const", "self", "general"
 
 
 class IndexEntry(NamedTuple):
-    """One profiled match at one timestamp: the values its rule's literals
-    read, the fragment owning it, its key halves and its text.  y is the
-    consequent's read: see RulePlan.read.  hi and lo are ReportOrder's
-    halves with the entry's id added, shifted into the earlier side's id
-    field in hi: a pair's KeyedViolations key is hi_i + lo_j."""
+    """One profiled match at one timestamp: its items, the values its rule's
+    literals read, its owner, key halves and text.  y is the consequent's
+    read: see RulePlan.read.  hi and lo are ReportOrder's halves with the
+    entry's id added, shifted into the earlier side's id field in hi: a
+    pair's KeyedViolations key is hi_i + lo_j."""
 
     t: int
-    binding: MatchBinding
+    items: AssignmentKey
     xkey: XKey        # self-form X values: the match's X class
     x_general: Tuple  # (left, right) values per general X literal
     y: object
-    owner: int = 0    # fragment owning the binding's anchor; 0 when sequential
+    owner: int = 0    # fragment owning the match's anchor; 0 when sequential
     hi: int = 0       # key halves with the entry's id (RulePlan.table)
     lo: int = 0
-    text: str = ""    # the binding's text (MatchBinding.text), one string per match
+    text: str = ""    # items_text(items), one string per match
 
 
 class RulePlan:
-    """How a normal-form rule reads a match.
+    """How a normal-form rule reads a match, and its memo of the matches of
+    one replay of graph: the one path from live matches to index entries.
 
     A match's items are sorted by variable and bind every pattern variable,
     so each variable sits at one fixed position of every match's items:
@@ -323,15 +320,27 @@ class RulePlan:
     constant, checked per match, or a variable literal, self-form or
     general-form, compared between two matches.
 
-    Built with a run's ReportOrder, the plan also numbers the entries its
-    MatchProfiles build: `table` lists them in id order, and each entry's
-    hi and lo carry its key halves and its id (see KeyedViolations)."""
+    Per distinct match (its items) the memo keeps one record: the values
+    `read` gives it (or that it never realizes X), its t-independent
+    report-key digits and its text.  The values are read again only for a
+    match whose record a change set invalidated: moving to timestamp t
+    invalidates every match, live or dead (it may come back), holding a
+    slot that a change set up to t wrote and the plan reads; moving back
+    invalidates every record.  `table` lists the entries the plan built in
+    id order, and each entry's hi and lo carry its key halves and its id
+    (see KeyedViolations)."""
 
-    def __init__(self, sigma: Tgfd, order: ReportOrder):
+    def __init__(self, sigma: Tgfd, order: ReportOrder, graph: TemporalGraph):
         self.sigma = sigma
+        self.graph = graph
         self.table: List[IndexEntry] = []
         self.halves = order.halves(sigma)
         self.id_bits = order.id_bits
+        self.t = 0  # the timestamp the memo's values hold for; 0 before any
+        # items -> [values or None once invalidated, hi digits, lo digits, text]
+        self.records: Dict[AssignmentKey, list] = {}
+        # (vertex, attribute) -> the records whose values read that slot
+        self.readers: Dict[Tuple[str, str], List[list]] = {}
         slot = self.slot = {var: i for i, var in enumerate(sorted(sigma.pattern.vars))}
         # the X literals' (slot, attribute) reads, in literal order
         self._x_const: List[Tuple[int, str, str]] = []
@@ -424,31 +433,6 @@ class RulePlan:
                 return True
         return False
 
-
-class MatchProfiles:
-    """One replay's memo of one rule's matches on one graph: the one path
-    from live matches to index entries.
-
-    Per distinct match (its items) it keeps one record: the values
-    `RulePlan.read` gives it (or that it never realizes X), its
-    t-independent report-key digits and its text.  A timestamp's entries
-    are built from the records: the values are read again only for a match
-    whose record a change set invalidated, and the keys are t·W plus the
-    digits.  Moving to timestamp t invalidates the values of every match,
-    live or dead, that holds a slot a change set up to t wrote and the
-    plan reads (a dead match may come back).  Moving back to an earlier
-    timestamp invalidates every record.  The memo belongs to one graph; a
-    fresh memo reads every match."""
-
-    def __init__(self, plan: RulePlan, graph: TemporalGraph):
-        self.plan = plan
-        self.graph = graph
-        self.t = 0  # the timestamp the values hold for; 0 before any
-        # items -> [values or None once invalidated, hi digits, lo digits, text]
-        self.records: Dict[AssignmentKey, list] = {}
-        # (vertex, attribute) -> the records whose values read that slot
-        self.readers: Dict[Tuple[str, str], List[list]] = {}
-
     def _move_to(self, t: int) -> None:
         """Invalidate the values that change sets self.t + 1 .. t may have
         changed: those reading a slot the sets write (every set or delete,
@@ -465,54 +449,50 @@ class MatchProfiles:
                             record[0] = None
         self.t = t
 
-    def _record(self, binding: MatchBinding) -> list:
-        items = binding.items
-        record = self.records[items] = [None, *self.plan.halves[3](items), binding.text]
+    def _record(self, items: AssignmentKey) -> list:
+        record = self.records[items] = [None, *self.halves[3](items), items_text(items)]
         readers = self.readers
-        for i, a in self.plan.reads:
+        for i, a in self.reads:
             readers.setdefault((items[i][1], a), []).append(record)
         return record
 
     def entries(
         self,
-        matches: Iterable[MatchBinding],
+        matches: Iterable[AssignmentKey],
         t: int,
-        owner_of: Optional[Callable[[MatchBinding], int]] = None,
+        owner_of: Optional[Callable[[AssignmentKey], int]] = None,
     ) -> List[IndexEntry]:
-        """The index entries of timestamp t's matches, which come in items
-        order (`IncrementalMatcher.topological_matches`): those that can
-        realize X, in that order, numbered and keyed in the plan's table.
+        """The index entries of timestamp t's matches, given by their items
+        in items order (`IncrementalMatcher.topological_matches`): those
+        that can realize X, in that order, numbered and keyed in the table.
         owner_of gives the fragment owning a match (0 for all when omitted,
         as in the sequential engine)."""
         attr = self.graph.snapshot(t).attr
         self._move_to(t)
-        plan = self.plan
-        read, table, records, bits = plan.read, plan.table, self.records, plan.id_bits
-        w1, w2, _, _ = plan.halves
-        t_hi, t_lo = t * w1, t * w2
+        read, table, records, bits = self.read, self.table, self.records, self.id_bits
+        t_hi, t_lo = t * self.halves[0], t * self.halves[1]
         new_entry = tuple.__new__
         out = []
-        for binding in matches:
-            items = binding.items
+        for items in matches:
             record = records.get(items)
             if record is None:
-                record = self._record(binding)
+                record = self._record(items)
             values = record[0]
             if values is None:
                 values = record[0] = read(items, attr)
             if not values:  # it never enters the partitions
                 continue
-            owner = owner_of(binding) if owner_of is not None else 0
+            owner = owner_of(items) if owner_of is not None else 0
             eid = len(table)  # the entry's id is its position in the table
             entry = new_entry(IndexEntry, (
-                t, binding, *values, owner,
+                t, items, *values, owner,
                 t_hi + record[1] + (eid << bits), t_lo + record[2] + eid, record[3],
             ))
             table.append(entry)
             out.append(entry)
-        if len(table) > 1 << plan.id_bits:
+        if len(table) > 1 << bits:
             raise ReportKeyOverflow(
-                f"{plan.sigma.name}: more than {1 << plan.id_bits} profiled matches; "
+                f"{self.sigma.name}: more than {1 << bits} profiled matches; "
                 f"a violation key numbers at most that many per rule"
             )
         return out
@@ -552,7 +532,7 @@ def incted_step(
     checked_pairs: Optional[List] = None,
     found: Optional[KeyedViolations] = None,
 ) -> KeyedViolations:
-    """Pair one timestamp's entries (`MatchProfiles.entries`, in items order)
+    """Pair one timestamp's entries (`RulePlan.entries`, in items order)
     with the indexed ones, index them, and append the key of each new
     violation, in the order found, to found (a fresh KeyedViolations of the
     index's plan when omitted), which is returned.
@@ -560,14 +540,14 @@ def incted_step(
     Every partner was indexed before the entry: at an earlier timestamp, or
     at this one with smaller items.  So each (partner, entry) pair is built
     in canonical order, (t_i, items_i) < (t_j, items_j), no entry meets
-    itself, since a binding occurs once per rule and timestamp, and the
+    itself, since a match occurs once per rule and timestamp, and the
     pair's key is partner.hi + entry.lo.  Each partner bucket is filtered
     in one comprehension: by the y values when one test of Y decides the
     pair (self-form Y, no general-form X), else by `pair_violates`.
     With cross_only, a bucket first drops the partners whose owner is the
     entry's, so only pairs across fragments are compared (the
     coordinator's role); checked_pairs, when given, records every pair
-    compared.
+    compared as (partner entry, entry).
     """
     plan = index.plan
     if found is None:
@@ -589,8 +569,7 @@ def incted_step(
                     bucket = [other for other in bucket if other.owner != owner]
                 compared += len(bucket)
                 if checked_pairs is not None:
-                    binding = entry.binding
-                    checked_pairs.extend([(other.binding, binding) for other in bucket])
+                    checked_pairs.extend([(other, entry) for other in bucket])
                 if not by_y:
                     add_keys([other.hi + lo for other in bucket if violates(other, entry)])
                 elif y is None:
@@ -712,15 +691,14 @@ def detect_sequential(graph: TemporalGraph, tgfds: Sequence[Tgfd]) -> DetectionR
     each timestamp's matches as it streams by."""
     rules = normalize_all(tgfds)
     order = ReportOrder(graph.vertices, graph.T)
-    indexes = {sigma.name: MatchIndex(RulePlan(sigma, order)) for sigma in rules}
-    profiles = {name: MatchProfiles(index.plan, graph) for name, index in indexes.items()}
+    indexes = {sigma.name: MatchIndex(RulePlan(sigma, order, graph)) for sigma in rules}
     found = {name: KeyedViolations(index.plan) for name, index in indexes.items()}
     matchers: Dict[str, IncrementalMatcher] = {}
     for t, matchers, _ in replay(graph, rules):
         for sigma in rules:
-            name = sigma.name
-            entries = profiles[name].entries(matchers[name].topological_matches(t), t)
-            incted_step(indexes[name], sigma, entries, graph.T, found=found[name])
+            index = indexes[sigma.name]
+            entries = index.plan.entries(matchers[sigma.name].topological_matches(), t)
+            incted_step(index, sigma, entries, graph.T, found=found[sigma.name])
     for keyed in found.values():
         keyed.keys.sort()
 

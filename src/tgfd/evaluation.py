@@ -34,11 +34,11 @@ from .graph import (
 from .model import (
     ConstantLiteral,
     Literal,
-    MatchBinding,
     Tgfd,
     normalize_all,
 )
 from .detection import (
+    IndexEntry,
     MatchIndex,
     Violation,
     detect_sequential,
@@ -201,7 +201,7 @@ def inject_errors(
     # Each rule's pool: its clean entries (the plan's table, in insertion
     # order) indexed again, and their window pairs that satisfy X and Y.
     clean = detect_sequential(graph, rules)
-    pools: Dict[str, List[Tuple[MatchBinding, MatchBinding]]] = {}
+    pools: Dict[str, List[Tuple[IndexEntry, IndexEntry]]] = {}
     for sigma in rules:
         plan = clean.found[sigma.name].plan
         index = MatchIndex(plan)
@@ -209,8 +209,7 @@ def inject_errors(
             index.insert(entry)
         x_ok, y_ok = plan.pair_x_ok, plan.pair_y_ok
         pool = pools[sigma.name] = [
-            (a.binding, b.binding) for a, b in window_pairs(index, sigma.delta)
-            if x_ok(a, b) and y_ok(a, b)
+            (a, b) for a, b in window_pairs(index, sigma.delta) if x_ok(a, b) and y_ok(a, b)
         ]
         pool.sort(key=lambda p: (p[0].t, p[1].t, p[0].items, p[1].items))
     ledger.pool_size = sum(len(p) for p in pools.values())
@@ -228,8 +227,8 @@ def inject_errors(
         order = list(range(len(pool)))
         rng.shuffle(order)
         taken: Set[Tuple] = set()
-        picked_pos: List[Tuple[MatchBinding, MatchBinding]] = []
-        picked_neg: List[Tuple[MatchBinding, MatchBinding]] = []
+        picked_pos: List[Tuple[IndexEntry, IndexEntry]] = []
+        picked_neg: List[Tuple[IndexEntry, IndexEntry]] = []
         for idx in order:
             hi, hj = pool[idx]
             endpoint = (hj.t, hj.items)
@@ -244,10 +243,11 @@ def inject_errors(
                 break
 
         var, attr = _y_target(sigma)
+        target = clean.found[sigma.name].plan.slot[var]  # var's place in a match's items
         donors: Optional[List[str]] = None  # drawn at the rule's first negative error
         for kind, picked in (("+", picked_pos), ("-", picked_neg)):
             for hi, hj in picked:
-                vid = hj.assignment[var]
+                vid = hj.items[target][1]
                 slot = (hj.t, vid, attr)
                 old = written[slot] if slot in written else graph.snapshot(hj.t).attr(vid, attr)
                 if kind == "+":

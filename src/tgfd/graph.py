@@ -450,10 +450,10 @@ def derive_changesets(graph: TemporalGraph) -> List[ChangeSet]:
 def _quote(token: str) -> str:
     """token as `_tokenize` reads it back whole: bare when it holds no
     whitespace (any character `str.isspace()` accepts) and no `"`, or when
-    it is empty (the value of `name=`); else in quotes, `"` escaped."""
+    it is empty (the value of `name=`); else in quotes, `\\` and `"` escaped."""
     if token.isalnum() or not token or ('"' not in token and token.split() == [token]):
         return token
-    return '"' + token.replace('"', '\\"') + '"'
+    return '"' + token.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _tokenize(line: str, lineno: int) -> List[str]:
@@ -470,8 +470,8 @@ def _tokenize(line: str, lineno: int) -> List[str]:
     while i < len(line):
         ch = line[i]
         if quoted:
-            if ch == "\\" and i + 1 < len(line) and line[i + 1] == '"':
-                buf.append('"')
+            if ch == "\\" and i + 1 < len(line) and line[i + 1] in '"\\':
+                buf.append(line[i + 1])
                 i += 1
             elif ch == '"':
                 quoted = False

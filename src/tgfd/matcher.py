@@ -6,11 +6,11 @@ view that holds vertex types and edges only, and that its caller advances.
 An inserted edge seeds a whole-pattern search at every pattern edge it can
 play (`playable_edges`); a deleted edge drops the matches indexed under it;
 attribute changes never reach the matcher, since literals are evaluated in
-detection.  The live matches are handed out in items order, sorted again
-only after a flip added or removed one.  Both engines keep one matcher per rule on the full view: the
-parallel engine splits its matches among fragments by anchor owner, and
-charges each fragment's job the searches `playable_edges` counts on that
-fragment's edge flips.
+detection.  The live matches are handed out as their items, in items
+order, sorted again only after a flip added or removed one.  Both engines
+keep one matcher per rule on the full view: the parallel engine splits its
+matches among fragments by anchor owner, and charges each fragment's job
+the searches `playable_edges` counts on that fragment's edge flips.
 
 Searches are local: a variable's candidates come from the edges of its
 already placed pattern neighbours (the label-filtered adjacency of each,
@@ -262,11 +262,12 @@ class IncrementalMatcher:
 
     # -- results --------------------------------------------------------------
 
-    def topological_matches(self, t: int) -> List[MatchBinding]:
-        """The live matches as bindings at t, in items order."""
+    def topological_matches(self) -> List[AssignmentKey]:
+        """The live matches' items in items order: the matcher's own list,
+        which callers only read."""
         if self._ordered is None:
             self._ordered = sorted(self._complete)
-        return [MatchBinding(t=t, items=key) for key in self._ordered]
+        return self._ordered
 
 
 def _key(assignment: Mapping[str, str]) -> AssignmentKey:

@@ -168,6 +168,11 @@ class GraphPattern:
         return f"GraphPattern(nodes={list(self.nodes)}, edges={list(self.edges)})"
 
 
+def items_text(items: Tuple[Tuple[str, str], ...]) -> str:
+    """A match's report text, `var=vid,...` in items order."""
+    return ",".join(f"{v}={vid}" for v, vid in items)
+
+
 @dataclass(frozen=True)
 class MatchBinding:
     """A pattern match at one timestamp: variable -> vertex-id, injective."""
@@ -200,7 +205,7 @@ class MatchBinding:
 
     @cached_property
     def text(self) -> str:
-        return ",".join(f"{v}={vid}" for v, vid in self.items)
+        return items_text(self.items)
 
     def __str__(self) -> str:
         return self.text

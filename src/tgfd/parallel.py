@@ -1,11 +1,12 @@
 """Coordinator/worker detection over fragmented graphs.
 
-Workers are concurrent in-process units.  The vertex set is partitioned into
-fragments; each (rule, fragment) pair forms a job that owns the rule's
-matches anchored on the fragment's vertices.  A job's only state is its
-match index, which moves with it between workers: its rule and home
-fragment are read from its `Job`, and its entries are its home's share of
-its rule's, which the run profiles, and so numbers, once per superstep.
+Workers are concurrent in-process units, at most MAX_WORKERS.  The vertex
+set is partitioned into fragments; each (rule, fragment) pair forms a job
+that owns the rule's matches anchored on the fragment's vertices.  A job's
+only state is its match index, which moves with it between workers: its
+rule and home fragment are read from its `Job`, and its entries are its
+home's share of its rule's, which the rule's one RulePlan profiles, and so
+numbers, once per superstep; a match's owner is read from its items.
 Each superstep processes one timestamp under a barrier: workers detect
 violations among the matches their jobs own, the coordinator pairs matches
 across fragments, and job runtimes outside the allowed band trigger a
@@ -20,10 +21,10 @@ would read (the owned vertices plus the diameter balls around owned anchor
 candidates, whose cross edges are the "shipped" ones) holds every match
 anchored there.
 
-Each rule's shape (`RuleShape`: anchor, radius, ball radius, anchor slot,
-BFS tree from the anchor) is derived once per run, and each fragment's
-balls are searched once, by `anchor_balls`: one hop map per owned anchor
-candidate and ball radius.  Everything else reads those maps.
+Each rule's shape (`RuleShape`: anchor, radius, ball radius, BFS tree from
+the anchor) is derived once per run, and each fragment's balls are searched
+once, by `anchor_balls`: one hop map per owned anchor candidate and ball
+radius.  Everything else reads those maps.
 
 Those fragment views remain as the cost model: the size time model and the
 shipped-edge counts are measured on them.  Each is a vertex set and an edge
@@ -68,15 +69,14 @@ from .graph import (
     changed_attrs,
     repair_ball,
 )
-from .matcher import playable_edges
-from .model import WILDCARD, ConstantLiteral, MatchBinding, Tgfd, normalize_all
+from .matcher import AssignmentKey, playable_edges
+from .model import WILDCARD, ConstantLiteral, Tgfd, normalize_all
 from .detection import (
     IndexEntry,
     KeyedReport,
     KeyedViolations,
     MatchIndex,
     ReportOrder,
-    MatchProfiles,
     RulePlan,
     incted_step,
     nontrivially_exercised,
@@ -85,6 +85,9 @@ from .detection import (
 
 REBALANCE_FIXED_COST = 1.0
 REBALANCE_EDGE_UNIT = 0.01
+# The most workers a run takes: far above any real use, and low enough that
+# a mistyped count fails at once instead of building millions of fragments.
+MAX_WORKERS = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -92,10 +95,17 @@ REBALANCE_EDGE_UNIT = 0.01
 # ---------------------------------------------------------------------------
 
 
-def make_fragments(graph: TemporalGraph, n: int, seed: Optional[int] = None) -> List[Fragment]:
-    """Partition the vertex set over n workers; seeded order when given."""
+def check_workers(n: int) -> None:
+    """Raise InvalidOption unless 1 <= n <= MAX_WORKERS."""
     if n < 1:
         raise InvalidOption("need at least one worker")
+    if n > MAX_WORKERS:
+        raise InvalidOption(f"{n} workers exceed the most a run takes, {MAX_WORKERS}")
+
+
+def make_fragments(graph: TemporalGraph, n: int, seed: Optional[int] = None) -> List[Fragment]:
+    """Partition the vertex set over n workers; seeded order when given."""
+    check_workers(n)
     vids = sorted(graph.vertices)
     if seed is not None:
         random.Random(seed).shuffle(vids)
@@ -191,18 +201,16 @@ def build_cardinality_model(view: GraphView, owned: AbstractSet[str]) -> Cardina
 class RuleShape(NamedTuple):
     """What the cost model and the match split read of a rule's pattern,
     derived once per run: the anchor that splits its matches (the
-    pattern's `radius_center()`), the anchor's eccentricity (`radius`), the
-    anchor's slot in `MatchBinding.items`, `spec` (the anchor's label and
-    the radius of the balls the fragment views keep around anchor
-    candidates, the pattern diameter) and a BFS tree of the pattern from
-    the anchor, as pattern edges in their own orientation: for each other
-    variable, in vars order, the first pattern edge joining it to a
-    variable one hop nearer the anchor."""
+    pattern's `radius_center()`), the anchor's eccentricity (`radius`),
+    `spec` (the anchor's label and the radius of the balls the fragment
+    views keep around anchor candidates, the pattern diameter) and a BFS
+    tree of the pattern from the anchor, as pattern edges in their own
+    orientation: for each other variable, in vars order, the first pattern
+    edge joining it to a variable one hop nearer the anchor."""
 
     sigma: Tgfd
     anchor: str
     radius: int
-    slot: int
     spec: Tuple[str, int]
     tree: Tuple[Edge, ...]
 
@@ -220,7 +228,7 @@ class RuleShape(NamedTuple):
             for var in pattern.vars if var != anchor
         )
         spec = (pattern.label_of(anchor), pattern.diameter)
-        return cls(sigma, anchor, radius, sorted(pattern.vars).index(anchor), spec, tree)
+        return cls(sigma, anchor, radius, spec, tree)
 
 
 # (center, radius) -> hop distance of every vertex in that ball
@@ -269,7 +277,7 @@ def build_jobs(
     for frag, frag_balls in zip(fragments, balls):
         owned = frag.owned_vertices
         model = build_cardinality_model(full, owned)
-        for sigma, anchor, radius, _, (anchor_label, ball), tree in shapes:
+        for sigma, anchor, radius, (anchor_label, ball), tree in shapes:
             label = sigma.pattern.label_of
             fanout = 1.0
             for src, elabel, dst in tree:
@@ -404,7 +412,8 @@ class RunReport:
     rebalance_overhead: float = 0.0
     total_time: float = 0.0
     assignments: List[Tuple[int, Dict[str, int]]] = field(default_factory=list)
-    cross_checked: Dict[str, List[Tuple[MatchBinding, MatchBinding]]] = field(default_factory=dict)
+    # per rule, the (partner, entry) pairs the coordinator compared
+    cross_checked: Dict[str, List[Tuple[IndexEntry, IndexEntry]]] = field(default_factory=dict)
 
     def overhead_fraction(self) -> float:
         if self.total_time <= 0:
@@ -555,24 +564,27 @@ def run_parallel(
     can play one of the rule's pattern edges, plus one per match it owns
     (deterministic); "wall" measures real elapsed time.  time_hook may
     rewrite a job's measured time (tests use it to force rebalances).
+    Given fragments must carry worker ids 1..n, each once, and own every
+    vertex of the graph once.
     """
-    if n < 1:
-        raise InvalidOption("need at least one worker")
+    check_workers(n)
     if time_model not in ("size", "wall"):
         raise InvalidOption(f"unknown time model {time_model!r}")
     if not zeta >= 0:  # also false when zeta is NaN
         raise InvalidOption(f"zeta {zeta} must be a number >= 0")
     rules = normalize_all(tgfds)
     frags = list(fragments) if fragments is not None else make_fragments(graph, n, seed)
-    if len(frags) != n:
-        raise InvalidOption("fragment count must equal worker count")
+    if sorted(f.worker_id for f in frags) != list(range(1, n + 1)):
+        raise InvalidOption(f"fragments must carry worker ids 1..{n}, each once")
     owners = owner_map(frags)
+    owned_twice = sum(len(f.owned_vertices) for f in frags) != len(owners)
+    if owned_twice or owners.keys() != graph.vertices.keys():
+        raise InvalidOption("fragments must own every vertex of the graph once")
     shapes, full, balls, jobs = job_setup(graph, rules, frags)
     # a rebalance reassigns jobs by name, and a job's rule and home never change
     job_by_name = {job.name: job for job in jobs}
     order = ReportOrder(graph.vertices, graph.T)
-    plans = {sigma.name: RulePlan(sigma, order) for sigma in rules}
-    profiles = {name: MatchProfiles(plan, graph) for name, plan in plans.items()}
+    plans = {sigma.name: RulePlan(sigma, order, graph) for sigma in rules}
     job_index = {job.name: MatchIndex(plans[job.tgfd]) for job in jobs}
 
     assignment = gen_assign([clamp_job(j, bounds) for j in jobs], n, bounds)
@@ -609,22 +621,19 @@ def run_parallel(
             shares: Dict[str, Dict[int, List[IndexEntry]]] = {}
             owned: Dict[str, Dict[int, int]] = {}  # matches per owner
             for shape in shapes:
-                sigma = shape.sigma
+                name, plan = shape.sigma.name, plans[shape.sigma.name]
 
-                def owner_of(b: MatchBinding, slot: int = shape.slot) -> int:
-                    return owners[b.items[slot][1]]
+                def owner_of(items: AssignmentKey, slot: int = plan.slot[shape.anchor]) -> int:
+                    return owners[items[slot][1]]
 
-                matches = matchers[sigma.name].topological_matches(t)
-                counts = {r: 0 for r in kept}
-                for b in matches:
-                    counts[owner_of(b)] += 1
-                owned[sigma.name] = counts
-                profiled = profiles[sigma.name].entries(matches, t, owner_of)
-                entries[sigma.name] = profiled
-                split: Dict[int, List[IndexEntry]] = {r: [] for r in kept}
-                for e in profiled:
+                matches = matchers[name].topological_matches()
+                owned[name] = counts = {r: 0 for r in kept}
+                for items in matches:
+                    counts[owner_of(items)] += 1
+                entries[name] = plan.entries(matches, t, owner_of)
+                shares[name] = split = {r: [] for r in kept}
+                for e in entries[name]:
                     split[e.owner].append(e)
-                shares[sigma.name] = split
 
             worker_jobs: Dict[int, List[str]] = {w: [] for w in range(1, n + 1)}
             for name, worker in assignment.mapping.items():

@@ -395,7 +395,7 @@ def test_criterion_9_cross_worker_pairs():
     sigma = simple_rule("sigma", Delta(0, 3))
     result = run_parallel(g, [sigma], n=2, fragments=frags, bounds=(0.0, float("inf")))
     checked = {
-        tuple(sorted([(a.t, a.get("x")), (b.t, b.get("x"))]))
+        tuple(sorted([(a.t, dict(a.items)["x"]), (b.t, dict(b.items)["x"])]))
         for a, b in result.report.cross_checked["sigma"]
     }
     expected = {

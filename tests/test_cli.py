@@ -260,6 +260,24 @@ def test_option_errors_exit_2(capsys, med_files, argv, message):
     assert err.startswith(message)
 
 
+@pytest.mark.parametrize("command", ["plan", "detect-parallel"])
+def test_worker_count_above_the_cap_exit_2_before_any_fragment(capsys, med_files, monkeypatch,
+                                                               command):
+    from tgfd import parallel
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built before the worker count was checked")
+
+    monkeypatch.setattr(parallel, "Fragment", forbidden)
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", forbidden)
+    snap, changes, rules = med_files
+    n = parallel.MAX_WORKERS + 1
+    argv = [command, "--graph", str(snap), "--changes", str(changes), "--tgfds", str(rules),
+            "--workers", str(n), "--tl", "0", "--tu", "inf"]
+    message = f"error: {n} workers exceed the most a run takes, {parallel.MAX_WORKERS}\n"
+    assert run(capsys, argv) == (2, "", message)
+
+
 def test_repeated_rule_name_exit_2(capsys, med_files, tmp_path):
     snap, changes, _ = med_files
     rules = tmp_path / "twice.tgfd"

@@ -7,7 +7,6 @@ from tgfd.detection import (
     ConstantViolation,
     IndexEntry,
     MatchIndex,
-    MatchProfiles,
     PairViolation,
     ReportOrder,
     RulePlan,
@@ -236,12 +235,11 @@ def test_incted_step_returns_only_new_violations():
         [VariableLiteral("x", "name", "x", "name")],
         [VariableLiteral("y", "code", "y", "code")],
     )
-    index = MatchIndex(RulePlan(sigma, ReportOrder(g.vertices, g.T)))
-    profiles = MatchProfiles(index.plan, g)
-    binding = {"x": "a", "y": "b"}
+    index = MatchIndex(RulePlan(sigma, ReportOrder(g.vertices, g.T), g))
+    match = (("x", "a"), ("y", "b"))
 
     def entries(t):
-        return profiles.entries([MatchBinding.of(t, binding)], t)
+        return index.plan.entries([match], t)
 
     step1 = list(incted_step(index, sigma, entries(1), g.T))
     assert step1 == []
@@ -269,12 +267,11 @@ def test_index_partitions_are_consistent():
         [VariableLiteral("x", "name", "x", "name")],
         [VariableLiteral("y", "code", "y", "code")],
     )
-    index = MatchIndex(RulePlan(sigma, ReportOrder(g.vertices, g.T)))
-    profiles = MatchProfiles(index.plan, g)
+    index = MatchIndex(RulePlan(sigma, ReportOrder(g.vertices, g.T), g))
     inserted = []
     for t in (1, 2, 3):
         matches = [MatchBinding.of(t, {"x": a, "y": "b"}) for a in names]
-        incted_step(index, sigma, profiles.entries(matches, t), g.T)
+        incted_step(index, sigma, index.plan.entries([b.items for b in matches], t), g.T)
         inserted += sorted(matches, key=lambda b: b.items)
     # every inserted match sits in the bucket of its X value and timestamp,
     # and buckets keep insertion order
@@ -283,7 +280,7 @@ def test_index_partitions_are_consistent():
         xkey = (g.snapshot(b.t).attr(b.get("x"), "name"),)
         want.setdefault(xkey, {}).setdefault(b.t, []).append(b)
     got = {
-        key: {t: [e.binding for e in entries] for t, entries in by_t.items()}
+        key: {t: [MatchBinding(e.t, e.items) for e in entries] for t, entries in by_t.items()}
         for key, by_t in index.classes.items()
     }
     assert got == want
@@ -292,9 +289,7 @@ def test_index_partitions_are_consistent():
 
 
 def entry(t: int, key: str, n: int, x_general=()) -> IndexEntry:
-    return IndexEntry(
-        t=t, binding=MatchBinding.of(t, {"x": f"v{n}"}), xkey=(key,), x_general=x_general, y=None
-    )
+    return IndexEntry(t=t, items=(("x", f"v{n}"),), xkey=(key,), x_general=x_general, y=None)
 
 
 def index_of(entries, general: bool = False) -> MatchIndex:
@@ -305,7 +300,7 @@ def index_of(entries, general: bool = False) -> MatchIndex:
         [VariableLiteral("x", "name", "x", "rank")] if general else [],
         [VariableLiteral("x", "code", "x", "code")],
     )
-    index = MatchIndex(RulePlan(sigma, ReportOrder((), 1)))
+    index = MatchIndex(RulePlan(sigma, ReportOrder((), 1), build_graph({}, [])))
     for e in entries:
         index.insert(e)
     return index

@@ -29,7 +29,7 @@ from tgfd.graph import (
     changed_attrs,
 )
 from tgfd.matcher import IncrementalMatcher, match_snapshot
-from tgfd.model import Delta, GraphPattern, Tgfd, VariableLiteral, normalize_all
+from tgfd.model import Delta, GraphPattern, MatchBinding, Tgfd, VariableLiteral, normalize_all
 from tgfd.parallel import _FragmentView, anchor_balls, make_fragments, owner_map, run_parallel
 
 from util import (
@@ -307,10 +307,11 @@ def test_run_parallel_on_churned_graphs(seed, monkeypatch):
     n = rng.randint(1, 4)
     topological_matches = IncrementalMatcher.topological_matches
 
-    def checked(self, t):
-        found = topological_matches(self, t)
-        assert [b.items for b in found] == sorted({b.items for b in found})
-        assert self.view.t == t and set(found) == match_snapshot(self.pattern, self.view)
+    def checked(self):
+        found = topological_matches(self)
+        assert found == sorted(set(found))
+        bindings = {MatchBinding(self.view.t, items) for items in found}
+        assert bindings == match_snapshot(self.pattern, self.view)
         return found
 
     monkeypatch.setattr(IncrementalMatcher, "topological_matches", checked)
@@ -384,7 +385,8 @@ def reference_costs(graph, rules, frags):
                     matcher.apply(e)
                 searches = matcher.iso_searches - searches
                 mine = sum(
-                    1 for b in matcher.topological_matches(t) if owners[b.get(anchors[sigma.name])] == r
+                    1 for items in matcher.topological_matches()
+                    if owners[dict(items)[anchors[sigma.name]]] == r
                 )
                 times[name] = 1.0 + len(flips) + units + 2.0 * searches + mine
         out.append((times, shipped))

@@ -345,14 +345,13 @@ def test_graph_to_texts_roundtrip_random():
 
 # What a file token may hold: any character but a line boundary (the
 # parsers read a file by str.splitlines), with whitespace, quotes,
-# backslashes and `=` drawn often.  A name holds no `=` (it ends the name)
-# and no token ends in a backslash (in quotes it would escape the closing
-# one); no file can hold those.
+# backslashes and `=` drawn often.  A name holds no `=` (it ends the name);
+# no file can hold that.
 LINE_BOUNDARIES = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 FILE_CHARS = st.characters(
     blacklist_categories=("Cs",), blacklist_characters=LINE_BOUNDARIES
 ) | st.sampled_from([" ", "\t", "\xa0", "\u3000", "\u200b", '"', "\\", "=", "#", "a"])
-FILE_VALUES = st.text(FILE_CHARS, max_size=5).filter(lambda s: not s.endswith("\\"))
+FILE_VALUES = st.text(FILE_CHARS, max_size=5)
 FILE_TOKENS = FILE_VALUES.filter(bool)
 FILE_NAMES = FILE_TOKENS.filter(lambda s: "=" not in s)
 
@@ -384,6 +383,15 @@ def graphs_of_odd_tokens(draw):
     TemporalGraph({"a": Vertex("a", "T")}, [], {"a": {"n m": "x\xa0y", "a0": ""}}),
     ChangeSet(2, (AttrSet("a", "p\tq", 'say "hi"'), AttrDelete("a", "n m"))),
 ))
+# backslashes in quoted tokens: trailing, doubled, before a quote, and bare
+@example(apply_changes(
+    TemporalGraph(
+        {"v \\": Vertex("v \\", "T\\"), "w": Vertex("w", "T")},
+        [("v \\", "l \\\\", "w")],
+        {"v \\": {"n": "x \\", "m\\": 'a\\" b', "k": "\\"}},
+    ),
+    ChangeSet(2, (AttrSet("w", "n", "y \\\\"), AttrSet("v \\", "k", '\\"\\'))),
+))
 def test_graph_texts_round_trip_any_token(g):
     snap_text, changes_text = graph_to_texts(g)
     reloaded = load_graph(snap_text, changes_text)
@@ -408,6 +416,16 @@ def test_tokens_that_round_trip_keep_their_bytes():
         'v v1 city a.b="x\ty" code= name="New \\"York\\""\n'
         'e v1 near-by "v 2"\n'
     )
+
+
+def test_backslash_in_a_quoted_token_is_escaped():
+    # a quoted token doubles its backslashes, so one that ends in a
+    # backslash no longer escapes its own closing quote; bare tokens keep
+    # theirs as they are
+    g = build_graph({"v": "T"}, [], {"v": {"n": "x \\", "m": 'a\\"b c', "k": "y\\"}})
+    text = snapshot_to_text(g)
+    assert text == 'v v T k=y\\ m="a\\\\\\"b c" n="x \\\\"\n'
+    assert parse_snapshot_text(text).snapshots[0].attrs == g.snapshots[0].attrs
 
 
 def test_derived_changesets_from_kept_sets_equal_full_diffs():
@@ -475,6 +493,8 @@ TOKEN_CHARS = st.sampled_from(
 @example("v a\tT0\x0bname=x\u3000rank=y")
 @example('v a T0 name="two words" code="say \\"hi\\""')
 @example('v a T0 name="open')
+@example('v a T0 name="x \\\\" code="\\\\\\"q"')
+@example('v a T0 name="x \\"')
 @example('""')
 @example('"" ""')
 @example("\x0b\u3000")

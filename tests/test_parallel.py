@@ -15,12 +15,14 @@ from tgfd.graph import (
     Fragment,
     apply_changes,
 )
+from tgfd import parallel
 from tgfd.matcher import match_snapshot
 from tgfd.model import (
     WILDCARD,
     ConstantLiteral,
     Delta,
     GraphPattern,
+    MatchBinding,
     Tgfd,
     VariableLiteral,
     normalize,
@@ -28,6 +30,7 @@ from tgfd.model import (
 )
 from tgfd.detection import detect_sequential
 from tgfd.parallel import (
+    MAX_WORKERS,
     Job,
     RuleShape,
     anchor_balls,
@@ -865,7 +868,7 @@ def test_coordinator_validates_exactly_the_cross_pairs():
         g, [sigma], n=2, fragments=frags, bounds=(0.0, float("inf"))
     )
     checked = {
-        tuple(sorted([(a.t, a.get("x")), (b.t, b.get("x"))]))
+        tuple(sorted([(a.t, dict(a.items)["x"]), (b.t, dict(b.items)["x"])]))
         for a, b in result.report.cross_checked["sigma"]
     }
     assert checked == {
@@ -977,7 +980,7 @@ def test_no_double_counting_between_local_and_cross():
     result = run_parallel(g, [sigma], n=2, fragments=frags, bounds=(0.0, float("inf")))
     owners = owner_map(frags)
     for a, b in result.report.cross_checked["sigma"]:
-        assert owners[a.get("x")] != owners[b.get("x")]
+        assert owners[dict(a.items)["x"]] != owners[dict(b.items)["x"]]
     vios = result.all_violations()
     assert {(v.binding_i.t, v.binding_j.t) for v in vios} == {(4, 5)}
     keys = [
@@ -1094,3 +1097,106 @@ def test_make_fragments_partition():
         assert not (seen & f.owned_vertices)
         seen |= f.owned_vertices
     assert seen == set(g.vertices)
+
+
+# ---------------------------------------------------------------------------
+# worker counts and given fragments
+# ---------------------------------------------------------------------------
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("built before the worker count was checked")
+
+
+@pytest.mark.parametrize("n", [MAX_WORKERS + 1, 3_000_000])
+def test_worker_count_above_the_cap_is_refused_before_any_fragment_or_thread(monkeypatch, n):
+    g = build_graph({"a": "person", "b": "team"}, [("a", "plays", "b")])
+    monkeypatch.setattr(parallel, "Fragment", _forbidden)
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", _forbidden)
+    message = f"{n} workers exceed the most a run takes, {MAX_WORKERS}"
+    with pytest.raises(InvalidOption, match=message):
+        make_fragments(g, n)
+    with pytest.raises(InvalidOption, match=message):
+        run_parallel(g, [simple_rule()], n)
+    frags = [Fragment(worker_id=1, owned_vertices=frozenset({"a", "b"}))]
+    with pytest.raises(InvalidOption, match=message):
+        run_parallel(g, [simple_rule()], n, fragments=frags)
+
+
+def test_worker_count_at_the_cap_is_taken():
+    g = build_graph({"a": "person", "b": "team"}, [("a", "plays", "b")])
+    frags = make_fragments(g, MAX_WORKERS, seed=1)
+    assert [f.worker_id for f in frags] == list(range(1, MAX_WORKERS + 1))
+    assert owner_map(frags).keys() == g.vertices.keys()
+
+
+def _frags(*owned):
+    """Fragments with worker ids and owned sets (worker id, vertices...)."""
+    return [Fragment(worker_id=w, owned_vertices=frozenset(vids)) for w, *vids in owned]
+
+
+@pytest.mark.parametrize(
+    "frags, message",
+    [
+        (_frags((1, "a1", "b1"), (2, "a2")), "own every vertex of the graph once"),
+        (_frags((1, "a1", "b1", "a2"), (2, "a2", "b2")), "own every vertex of the graph once"),
+        (_frags((1, "a1", "b1", "zz"), (2, "a2", "b2")), "own every vertex of the graph once"),
+        (_frags((1, "a1", "b1"), (1, "a2", "b2")), r"worker ids 1\.\.2, each once"),
+        (_frags((1, "a1", "b1"), (3, "a2", "b2")), r"worker ids 1\.\.2, each once"),
+        (_frags((1, "a1", "b1"), (2, "a2"), (3, "b2")), r"worker ids 1\.\.2, each once"),
+        (_frags((1, "a1", "b1", "a2", "b2")), r"worker ids 1\.\.2, each once"),
+    ],
+    ids=["missing", "owned-twice", "unknown", "repeated-id", "id-out-of-range", "too-many",
+         "too-few"],
+)
+def test_given_fragments_must_partition_the_vertices_over_workers_1_to_n(
+    monkeypatch, frags, message
+):
+    g, _ = cross_worker_fixture()
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", _forbidden)
+    with pytest.raises(InvalidOption, match=message):
+        run_parallel(g, [simple_rule()], n=2, fragments=frags)
+
+
+def test_given_fragments_in_any_order_are_taken():
+    g, frags = cross_worker_fixture()
+    want = run_parallel(g, [simple_rule()], n=2, fragments=frags)
+    got = run_parallel(g, [simple_rule()], n=2, fragments=frags[::-1])
+    assert got.all_violations() == want.all_violations() == detect_sequential(
+        g, [simple_rule()]
+    ).all_violations()
+
+
+# ---------------------------------------------------------------------------
+# a match is its items: bindings are built by the batch match only
+# ---------------------------------------------------------------------------
+
+
+def test_bindings_are_built_only_by_the_first_batch_match(monkeypatch):
+    """Both engines replay T = 60 timestamps and build one MatchBinding per
+    t = 1 batch match (`match_snapshot`, one per rule's matcher), however
+    many (match, timestamp) entries they profile."""
+    from util import shaped_instance
+
+    g, rules = shaped_instance(0, T=60, changes=4)
+    rules = normalize_all(rules)
+    batch = sum(len(match_snapshot(sigma.pattern, g.view(1))) for sigma in rules)
+    built = []
+    init = MatchBinding.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MatchBinding, "__init__", counted)
+    seq = detect_sequential(g, rules)
+    assert len(built) == batch
+    entries = sum(len(keyed.plan.table) for keyed in seq.found.values())
+    assert batch > 0 and entries > 20 * batch
+    del built[:]
+    par = run_parallel(g, rules, 3, seed=1)
+    assert len(built) == batch
+    # reading the violations back builds at most one binding per entry
+    del built[:]
+    assert par.all_violations() == seq.all_violations()
+    assert len(built) <= 2 * entries

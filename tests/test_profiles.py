@@ -1,8 +1,8 @@
-"""The per-match profile memo (`MatchProfiles`) against profiling every
-match at every timestamp.
+"""The per-match profile memo (each rule's `RulePlan`) against profiling
+every match at every timestamp.
 
-A replay keeps one memo per rule: each timestamp's entries must equal those
-of a fresh memo, which reads every match, on the same matches.  The
+A replay keeps one plan per rule: each timestamp's entries must equal those
+of a fresh plan, whose memo reads every match, on the same matches.  The
 instances write, restore, delete and rewrite the slots the rules read, let
 a match die and come back after its vertex was written, and inject errors
 whose written consequent attribute is another rule's antecedent attribute.
@@ -11,7 +11,6 @@ whose written consequent attribute is another rule's antecedent attribute.
 import random
 
 from tgfd.detection import (
-    MatchProfiles,
     ReportOrder,
     RulePlan,
     detect_sequential,
@@ -64,14 +63,13 @@ def unkeyed(entries):
 
 
 def memo_replay(graph, rules):
-    """Replay graph with one memo per rule, comparing each timestamp's
-    entries with a fresh memo's on the same matches, and each entry's key
+    """Replay graph with one plan per rule, comparing each timestamp's
+    entries with a fresh plan's on the same matches, and each entry's key
     halves with ReportOrder's.  Returns {(rule, t): matches read}: the
     matches whose values the memo read at t."""
     order = ReportOrder(graph.vertices, graph.T)
     rules = normalize_all(rules)
-    plans = {sigma.name: RulePlan(sigma, order) for sigma in rules}
-    memos = {name: MatchProfiles(plan, graph) for name, plan in plans.items()}
+    plans = {sigma.name: RulePlan(sigma, order, graph) for sigma in rules}
     reads = {}
     for name, plan in plans.items():
         def counted(items, attr, read=plan.read, name=name):
@@ -84,16 +82,16 @@ def memo_replay(graph, rules):
         for sigma in rules:
             name = sigma.name
             reads[name, t] = set()
-            matches = matchers[name].topological_matches(t)
+            matches = matchers[name].topological_matches()
             first = len(plans[name].table)
-            got = memos[name].entries(matches, t)
-            want = MatchProfiles(RulePlan(sigma, order), graph).entries(matches, t)
+            got = plans[name].entries(matches, t)
+            want = RulePlan(sigma, order, graph).entries(matches, t)
             # all but the key halves, which carry each plan's own entry ids
             assert unkeyed(got) == unkeyed(want), (name, t)
-            assert all(e.text == e.binding.text for e in got)
+            assert all(e.text == MatchBinding(t, e.items).text for e in got)
             w1, w2, _, digits = order.halves(sigma)
             for eid, e in enumerate(got, start=first):
-                hi, lo = digits(e.binding.items)
+                hi, lo = digits(e.items)
                 assert (e.hi, e.lo) == (t * w1 + hi + (eid << bits), t * w2 + lo + eid)
     return reads
 
@@ -111,10 +109,10 @@ def written_matches(graph, rules, t):
         if t_ != t:
             continue
         for sigma in normalize_all(rules):
-            plan = RulePlan(sigma, order)
+            plan = RulePlan(sigma, order, graph)
             out[sigma.name] = {
-                b.items for b in matchers[sigma.name].topological_matches(t)
-                if any((b.items[i][1], a) in slots for i, a in plan.reads)
+                items for items in matchers[sigma.name].topological_matches()
+                if any((items[i][1], a) in slots for i, a in plan.reads)
             }
     return out
 
@@ -241,9 +239,9 @@ def test_memo_moved_back_to_an_earlier_timestamp_reads_every_match_again():
     g = extend(g, [AttrSet("b", "code", "2")])
     sigma = CODE_RULES[3]  # y_self: y.code is its consequent
     order = ReportOrder(g.vertices, g.T)
-    memo = MatchProfiles(RulePlan(sigma, order), g)
+    memo = RulePlan(sigma, order, g)
     for t in (1, 2, 1):
-        matches = [MatchBinding.of(t, {"x": "a1", "y": "b"})]
+        matches = [(("x", "a1"), ("y", "b"))]
         got = memo.entries(matches, t)
-        assert unkeyed(got) == unkeyed(MatchProfiles(RulePlan(sigma, order), g).entries(matches, t))
+        assert unkeyed(got) == unkeyed(RulePlan(sigma, order, g).entries(matches, t))
         assert got[0].y == g.snapshot(t).attr("b", "code")

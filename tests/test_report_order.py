@@ -136,7 +136,8 @@ def check_engine_keys(result, order: ReportOrder, sigma: Tgfd) -> None:
     for k, v in zip(keys, found):
         a, b = (v.binding_i, v.binding_j) if isinstance(v, PairViolation) else (v.binding,) * 2
         assert k >> 2 * bits << 2 * bits == key(v)
-        assert table[k >> bits & mask].binding == a and table[k & mask].binding == b
+        for eid, binding in ((k >> bits & mask, a), (k & mask, b)):
+            assert (table[eid].t, table[eid].items) == (binding.t, binding.items)
 
 
 def check_report_order(g, rules, seed: int, workers=range(1, 5)) -> None:

@@ -226,7 +226,8 @@ def nonempty_attrs(attrs) -> Dict[str, Dict[str, str]]:
 def tokenize_by_characters(line: str, lineno: int) -> List[str]:
     """The graph parser's character-by-character tokenizer, kept as the
     reference for its split() fast path: whitespace (str.isspace) separates
-    tokens outside quotes; inside them, \\" is a quote and " ends the quote."""
+    tokens outside quotes; inside them, \\" is a quote, \\\\ a backslash
+    and " ends the quote."""
     tokens: List[str] = []
     buf: List[str] = []
     quoted = False
@@ -234,8 +235,8 @@ def tokenize_by_characters(line: str, lineno: int) -> List[str]:
     while i < len(line):
         ch = line[i]
         if quoted:
-            if ch == "\\" and i + 1 < len(line) and line[i + 1] == '"':
-                buf.append('"')
+            if ch == "\\" and i + 1 < len(line) and line[i + 1] in '"\\':
+                buf.append(line[i + 1])
                 i += 1
             elif ch == '"':
                 quoted = False
@@ -320,12 +321,11 @@ def brute_matches_all_maps(pattern: GraphPattern, view: GraphView) -> Set[MatchB
 
 
 def live_matches(matcher, t: int) -> Set[MatchBinding]:
-    """matcher.topological_matches(t) as a set, after checking that it lists
-    each live match once, in items order."""
-    found = matcher.topological_matches(t)
-    items = [b.items for b in found]
-    assert items == sorted(set(items)), "live matches not once each in items order"
-    return set(found)
+    """matcher.topological_matches() as a set of bindings at t, after
+    checking that it lists each live match's items once, in items order."""
+    found = matcher.topological_matches()
+    assert found == sorted(set(found)), "live matches not once each in items order"
+    return {MatchBinding(t, items) for items in found}
 
 
 def complete_keys(matcher) -> Set[Tuple[Tuple[str, str], ...]]:
