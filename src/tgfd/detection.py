@@ -9,9 +9,11 @@ rule's RulePlan keeps what is fixed per match in a memo: the text and the
 t-independent key digits for good, the literal values until a change set
 writes a slot they read.  So per-match work follows the distinct matches
 and the attribute writes, not matches times timestamps.
-Entries are partitioned by X key, and each class is bucketed by timestamp.
-A new match at time t is compared only against the buckets of its class
-whose timestamps fall in its permissible range.
+Entries are partitioned by X key, and each class is one list of its
+entries in timestamp order beside the list of their timestamps.  A new
+match at time t is compared only against one slice of its class, the
+entries from t - q to t - p that were indexed before it, bounded by two
+bisections: its cost follows the partners, not the interval's width.
 
 A violation is one int from the pairing to the report line: its report key
 and the ids of its two entries in the rule's entry table (KeyedViolations).
@@ -25,7 +27,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import repeat
 from typing import (
     Callable,
     Dict,
@@ -106,7 +108,9 @@ def format_violation(v: Violation) -> str:
 
 
 def permissible_range(i: int, delta: Delta, T: int) -> List[int]:
-    """Timestamps j in [1, T] with p <= |j - i| <= q, ascending."""
+    """Timestamps j in [1, T] with p <= |j - i| <= q, ascending: the
+    definition; pairing reads the earlier half of it as one slice of a
+    class (MatchIndex.partners)."""
     if not 1 <= i <= T:
         raise InvalidGraph(f"timestamp {i} outside [1, {T}]")
     lo, hi = max(1, i - delta.q), min(T, i + delta.q)
@@ -254,32 +258,42 @@ class KeyedViolations:
             lines.append("")
             yield "\n".join(lines)
 
-    def identities(self) -> Dict[Tuple[int, int], int]:
-        """Each violation's scoring identity (pair_id's two sides) as two
-        ints, mapped to the key of one violation holding it.  An entry's
-        side is hi // W3 (ReportOrder.halves), read once per entry.  A pair
-        at one timestamp is built in items order, which need not be the
-        order of its sorted ids, so the two sides are put in order."""
+    def identity_keys(self) -> List[int]:
+        """Each violation's scoring identity (pair_id's two sides) as one
+        int, in the keys' order: the smaller side shifted left by the
+        plan's side_bits, or'ed with the larger.  An entry's side is
+        hi // W3 (ReportOrder.halves), read once per entry.  A pair at one
+        timestamp is built in items order, which need not be the order of
+        its sorted ids, so the two sides are put in order."""
         plan = self.plan
-        bits, w3 = plan.id_bits, plan.halves[2]
+        bits, w3, shift = plan.id_bits, plan.halves[2], plan.side_bits
         mask = (1 << bits) - 1
         sides = [e.hi // w3 for e in plan.table]
-        out: Dict[Tuple[int, int], int] = {}
-        for k in self.keys:
-            a, b = sides[k >> bits & mask], sides[k & mask]
-            out[(a, b) if a <= b else (b, a)] = k
-        return out
+        pairs = ((sides[k >> bits & mask], sides[k & mask]) for k in self.keys)
+        return [a << shift | b if a <= b else b << shift | a for a, b in pairs]
 
 
 def identity_diff(new: KeyedViolations, old: KeyedViolations) -> List[Tuple]:
     """The pair_ids of new's violations whose scoring identity no violation
-    of old holds: one rule's violations on two graphs with the same vertices
-    and T, so that their ReportOrders agree.  Only these keys are read back
-    into tuples."""
-    was = old.identities()
-    diff = KeyedViolations(new.plan)
-    diff.keys = [k for sides, k in new.identities().items() if sides not in was]
-    return [pair_id(v) for v in diff]
+    of old holds, each once, in the order of its first violation in new:
+    one rule's violations on two graphs with the same vertices and T, so
+    that their ReportOrders agree.  The identities are compared as ints
+    (KeyedViolations.identity_keys); a pair_id is built from the table's
+    entries only for the identities kept."""
+    plan = new.plan
+    seen = set(old.identity_keys())
+    name, table, bits = plan.sigma.name, plan.table, plan.id_bits
+    mask = (1 << bits) - 1
+    out = []
+    for ident, k in zip(new.identity_keys(), new.keys):
+        if ident in seen:
+            continue
+        seen.add(ident)
+        a, b = table[k >> bits & mask], table[k & mask]
+        side_a = (a.t, tuple(sorted(vid for _, vid in a.items)))
+        side_b = (b.t, tuple(sorted(vid for _, vid in b.items)))
+        out.append((name, side_a, side_b) if side_a <= side_b else (name, side_b, side_a))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +350,9 @@ class RulePlan:
         self.table: List[IndexEntry] = []
         self.halves = order.halves(sigma)
         self.id_bits = order.id_bits
+        # a scoring side hi // W3 = t·(T+1)·B + sorted-id digits lies below
+        # (T+1)²·B: KeyedViolations.identity_keys packs two in one int
+        self.side_bits = ((order.T + 1) ** 2 * order.base ** len(sigma.pattern.labels)).bit_length()
         self.t = 0  # the timestamp the memo's values hold for; 0 before any
         # items -> [values or None once invalidated, hi digits, lo digits, text]
         self.records: Dict[AssignmentKey, list] = {}
@@ -499,35 +516,56 @@ class RulePlan:
 
 
 class MatchIndex:
-    """Per-rule partition of indexed matches by X values; each class maps a
-    timestamp to its entries in insertion order.  Every pairing (detection
-    and the coordinator) walks a new entry's partners through `buckets` and
-    filters each bucket in one comprehension; window_pairs walks the pairs
-    of a whole index."""
+    """Per-rule partition of indexed matches by X values.  Each class is
+    one list of its entries in insertion order, which must be timestamp
+    order (`insert` rejects an entry older than its class's last), beside
+    the list of their timestamps.  So the entries of a class inside an
+    interval are one slice, bounded by bisection: every pairing (detection
+    and the coordinator) takes a new entry's partners as one slice
+    (`partners`) and filters it in one comprehension, and window_pairs
+    walks the pairs of a whole index slice by slice."""
 
     def __init__(self, plan: RulePlan):
         self.plan = plan
-        self.classes: Dict[XKey, Dict[int, List[IndexEntry]]] = {}
+        # X key -> (entries, their timestamps), both in insertion order
+        self.classes: Dict[XKey, Tuple[List[IndexEntry], List[int]]] = {}
         self.pairs_compared = 0
 
     def insert(self, entry: IndexEntry) -> None:
-        by_t = self.classes.setdefault(entry.xkey, {})
-        by_t.setdefault(entry.t, []).append(entry)
+        cls = self.classes.get(entry.xkey)
+        if cls is None:
+            self.classes[entry.xkey] = ([entry], [entry.t])
+            return
+        entries, ts = cls
+        if entry.t < ts[-1]:
+            raise InvalidGraph(
+                f"{self.plan.sigma.name}: entry at t={entry.t} indexed after one at "
+                f"t={ts[-1]} of its X class; a match index takes entries in timestamp order"
+            )
+        entries.append(entry)
+        ts.append(entry.t)
 
-    def buckets(self, entry: IndexEntry, rng: Sequence[int]) -> List[List[IndexEntry]]:
-        """The non-empty buckets of entry's class at the ascending
-        timestamps rng, in that order, each in insertion order."""
-        by_t = self.classes.get(entry.xkey)
-        if not by_t:
+    def partners(self, entry: IndexEntry, delta: Delta) -> List[IndexEntry]:
+        """The entries of entry's class indexed before it whose timestamps
+        lie in [t - q, t - p], in insertion order, for an entry at t no
+        older than its class: with p = 0 the slice runs to the class's end,
+        taking the entries at t indexed before it."""
+        cls = self.classes.get(entry.xkey)
+        if cls is None:
             return []
-        return [bucket for j in rng if (bucket := by_t.get(j))]
+        entries, ts = cls
+        t = entry.t
+        lo = bisect_left(ts, t - delta.q)
+        if delta.p == 0:
+            return entries[lo:]
+        return entries[lo:bisect_right(ts, t - delta.p, lo)]
 
 
 def incted_step(
     index: MatchIndex,
     sigma: Tgfd,
     entries: Iterable[IndexEntry],
-    T: int,
+    *,
     cross_only: bool = False,
     checked_pairs: Optional[List] = None,
     found: Optional[KeyedViolations] = None,
@@ -541,10 +579,11 @@ def incted_step(
     at this one with smaller items.  So each (partner, entry) pair is built
     in canonical order, (t_i, items_i) < (t_j, items_j), no entry meets
     itself, since a match occurs once per rule and timestamp, and the
-    pair's key is partner.hi + entry.lo.  Each partner bucket is filtered
+    pair's key is partner.hi + entry.lo.  An entry's partners are one slice
+    of its class (`MatchIndex.partners` under sigma's interval), filtered
     in one comprehension: by the y values when one test of Y decides the
     pair (self-form Y, no general-form X), else by `pair_violates`.
-    With cross_only, a bucket first drops the partners whose owner is the
+    With cross_only, the slice first drops the partners whose owner is the
     entry's, so only pairs across fragments are compared (the
     coordinator's role); checked_pairs, when given, records every pair
     compared as (partner entry, entry).
@@ -557,25 +596,25 @@ def incted_step(
     # violating: the partner's y unset or unequal to the entry's
     by_y = plan.one_orientation and plan.y_form == Y_SELF
     violates = plan.pair_violates
-    rng_t, rng = None, []
+    partners, delta = index.partners, sigma.delta
     compared = 0
     for entry in entries:
         if pair_based:
-            if entry.t != rng_t:
-                rng_t, rng = entry.t, permissible_range(entry.t, sigma.delta, T)
-            lo, y, owner = entry.lo, entry.y, entry.owner
-            for bucket in index.buckets(entry, rng):
-                if cross_only:
-                    bucket = [other for other in bucket if other.owner != owner]
-                compared += len(bucket)
+            others = partners(entry, delta)
+            if cross_only:
+                owner = entry.owner
+                others = [other for other in others if other.owner != owner]
+            if others:
+                compared += len(others)
                 if checked_pairs is not None:
-                    checked_pairs.extend([(other, entry) for other in bucket])
+                    checked_pairs.extend([(other, entry) for other in others])
+                lo, y = entry.lo, entry.y
                 if not by_y:
-                    add_keys([other.hi + lo for other in bucket if violates(other, entry)])
+                    add_keys([other.hi + lo for other in others if violates(other, entry)])
                 elif y is None:
-                    add_keys([other.hi + lo for other in bucket])
+                    add_keys([other.hi + lo for other in others])
                 else:
-                    add_keys([other.hi + lo for other in bucket if other.y != y])
+                    add_keys([other.hi + lo for other in others if other.y != y])
         elif not cross_only:
             # the unary check is the degenerate pair of the match with itself
             if entry.y is not None and plan.pair_x_ok(entry, entry):
@@ -587,17 +626,16 @@ def incted_step(
 
 def window_pairs(index: MatchIndex, delta: Delta) -> Iterator[Tuple[IndexEntry, IndexEntry]]:
     """Every two distinct indexed entries of one X class whose timestamps
-    lie inside delta of each other, as (earlier, later): by timestamp, and
-    in insertion order at one timestamp.  Each class walks only its indexed
-    timestamps in [t + p, t + q], found by bisection."""
-    for by_t in index.classes.values():
-        ts = sorted(by_t)
+    lie inside delta of each other, as (earlier, later): each entry of a
+    class, in insertion order, with the one slice of the entries after it
+    at t + p .. t + q, found by bisection, in insertion order."""
+    p, q = delta.p, delta.q
+    for entries, ts in index.classes.values():
         for i, t in enumerate(ts):
-            bucket = by_t[t]
-            lo = bisect_left(ts, t + delta.p, i)
-            for k in range(lo, bisect_right(ts, t + delta.q, lo)):
-                u = ts[k]
-                yield from combinations(bucket, 2) if u == t else product(bucket, by_t[u])
+            lo = i + 1 if p == 0 else bisect_left(ts, t + p, i + 1)
+            hi = bisect_right(ts, t + q, lo)
+            if lo < hi:
+                yield from zip(repeat(entries[i]), entries[lo:hi])
 
 
 def nontrivially_exercised(index: MatchIndex, delta: Delta) -> bool:
@@ -698,7 +736,7 @@ def detect_sequential(graph: TemporalGraph, tgfds: Sequence[Tgfd]) -> DetectionR
         for sigma in rules:
             index = indexes[sigma.name]
             entries = index.plan.entries(matchers[sigma.name].topological_matches(), t)
-            incted_step(index, sigma, entries, graph.T, found=found[sigma.name])
+            incted_step(index, sigma, entries, found=found[sigma.name])
     for keyed in found.values():
         keyed.keys.sort()
 

@@ -89,4 +89,5 @@ class InvalidLedger(TgfdError, ValueError):
 
 class InvalidGraph(TgfdError, ValueError):
     """A temporal graph's snapshots or change sets break the timestamp order
-    1..T, or a query names a timestamp outside it."""
+    1..T, a query names a timestamp outside it, or a match index is given
+    an entry older than the last of its X class."""

@@ -328,21 +328,62 @@ def clamp_job(job: Job, bounds: Tuple[float, float]) -> Job:
     return replace(job, size=min(max(job.size, bounds[0]), bounds[1]))
 
 
-def _greedy_pack(jobs: Sequence[Job], n: int, cap: float) -> Optional[Dict[str, int]]:
-    """Size-descending first-fit under a makespan cap, preferring the worker
-    with the least added communication cost."""
-    order = sorted(jobs, key=lambda j: (-j.size, j.ship_in, j.name))
-    loads = {w: 0.0 for w in range(1, n + 1)}
+def _greedy_pack(order: Sequence[Job], n: int, cap: float) -> Optional[Dict[str, int]]:
+    """First-fit of the jobs, in the given order, under a makespan cap: a
+    job goes to the worker of least communication cost among those it
+    fits on, the lowest id among equals, as sorting them by
+    (cost_on(w), w) picks.  Only two workers can win: its home, at
+    ship_in, and the lowest-id fitting worker other than home, at
+    ship_all.  A tree of minimum loads over the worker ids finds the
+    lowest fitting id at or after a start in O(log n); it tests a subtree
+    with the fit test itself, `load + size <= cap + eps`, on its least
+    load, which fits if any load there does."""
+    leaves = 1
+    while leaves < n:
+        leaves *= 2
+    tree = [0.0] * (2 * leaves)  # node i covers its children 2i, 2i + 1
+    for leaf in range(leaves + n, 2 * leaves):
+        tree[leaf] = float("inf")  # no worker there
+    for i in range(leaves - 1, 0, -1):
+        tree[i] = min(tree[2 * i], tree[2 * i + 1])
+    limit = cap + 1e-9
+
+    def first_fit(size: float, start: int) -> int:
+        """The lowest worker index >= start (id - 1) that size fits on, or -1."""
+        if start >= n:
+            return -1
+        i = leaves + start
+        while not tree[i] + size <= limit:
+            while i & 1:  # a right child, or the root: climb to the next subtree
+                i >>= 1
+            if not i:
+                return -1
+            i += 1
+        while i < leaves:
+            i *= 2
+            if not tree[i] + size <= limit:
+                i += 1
+        return i - leaves if i - leaves < n else -1
+
     mapping: Dict[str, int] = {}
-    eps = 1e-9
     for job in order:
-        options = [w for w in loads if loads[w] + job.size <= cap + eps]
-        if not options:
-            return None
-        options.sort(key=lambda w: (job.cost_on(w), w))
-        chosen = options[0]
-        mapping[job.name] = chosen
-        loads[chosen] += job.size
+        size, home = job.size, job.home - 1
+        if 0 <= home < n and tree[leaves + home] + size <= limit and job.ship_in < job.ship_all:
+            w = home
+        else:
+            w = first_fit(size, 0)
+            if w < 0:
+                return None
+            if w == home and job.ship_in > job.ship_all:
+                other = first_fit(size, home + 1)  # home costs more than any other
+                if other >= 0:
+                    w = other
+        mapping[job.name] = w + 1
+        i = leaves + w
+        tree[i] += size
+        while i > 1:
+            i >>= 1
+            tree[i] = min(tree[2 * i], tree[2 * i + 1])
     return mapping
 
 
@@ -351,8 +392,9 @@ def gen_assign(
     n: int,
     bounds: Tuple[float, float],
 ) -> Assignment:
-    """Bisection on the candidate makespan with greedy packing at each probe;
-    returns the feasible assignment with the smallest makespan found."""
+    """Bisection on the candidate makespan with greedy packing at each probe,
+    the jobs sorted once, by size descending; returns the feasible
+    assignment with the smallest makespan found."""
     t_l, t_u = bounds
     if not t_l <= t_u:  # also false when either bound is NaN
         raise InvalidOption(
@@ -367,14 +409,15 @@ def gen_assign(
     biggest = max(j.size for j in jobs)
     lo = max(total / n, biggest)
     hi = total
-    best = _greedy_pack(jobs, n, hi)
+    order = sorted(jobs, key=lambda j: (-j.size, j.ship_in, j.name))
+    best = _greedy_pack(order, n, hi)
     assert best is not None  # one worker can always absorb everything
     best_cap = hi
     for _ in range(64):
         if hi - lo < 1e-9:
             break
         mid = (lo + hi) / 2
-        packed = _greedy_pack(jobs, n, mid)
+        packed = _greedy_pack(order, n, mid)
         if packed is not None:
             best, best_cap = packed, mid
             hi = mid
@@ -647,7 +690,7 @@ def run_parallel(
                     job, index = job_by_name[name], job_index[name]
                     home = job.home
                     started = _time.perf_counter()
-                    local = incted_step(index, index.plan.sigma, shares[job.tgfd][home], graph.T)
+                    local = incted_step(index, index.plan.sigma, shares[job.tgfd][home])
                     elapsed = _time.perf_counter() - started
                     if time_model == "wall":
                         measured = elapsed
@@ -685,7 +728,6 @@ def run_parallel(
                     coord_index[sigma.name],
                     sigma,
                     entries[sigma.name],
-                    graph.T,
                     cross_only=True,
                     checked_pairs=report.cross_checked[sigma.name],
                     found=found[sigma.name],

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tgfd.detection import (
@@ -20,6 +21,7 @@ from tgfd.detection import (
     replay,
     violation_key,
 )
+from tgfd.errors import InvalidGraph
 from tgfd.evaluation import generate_synthetic
 from tgfd.graph import (
     AttrSet,
@@ -241,11 +243,11 @@ def test_incted_step_returns_only_new_violations():
     def entries(t):
         return index.plan.entries([match], t)
 
-    step1 = list(incted_step(index, sigma, entries(1), g.T))
+    step1 = list(incted_step(index, sigma, entries(1)))
     assert step1 == []
-    step2 = list(incted_step(index, sigma, entries(2), g.T))
+    step2 = list(incted_step(index, sigma, entries(2)))
     assert len(step2) == 1 and step2[0].binding_j.t == 2
-    step3 = list(incted_step(index, sigma, entries(3), g.T))
+    step3 = list(incted_step(index, sigma, entries(3)))
     # two fresh pairs (1,3) and (2,3); the (1,2) pair is not re-reported
     assert len(step3) == 2
     assert all(v.binding_j.t == 3 for v in step3)
@@ -271,21 +273,26 @@ def test_index_partitions_are_consistent():
     inserted = []
     for t in (1, 2, 3):
         matches = [MatchBinding.of(t, {"x": a, "y": "b"}) for a in names]
-        incted_step(index, sigma, index.plan.entries([b.items for b in matches], t), g.T)
+        incted_step(index, sigma, index.plan.entries([b.items for b in matches], t))
         inserted += sorted(matches, key=lambda b: b.items)
-    # every inserted match sits in the bucket of its X value and timestamp,
-    # and buckets keep insertion order
+    # every inserted match sits in the class of its X value, the class
+    # lists its entries in insertion order, which is timestamp order, and
+    # beside them their timestamps
     want = {}
     for b in inserted:
         xkey = (g.snapshot(b.t).attr(b.get("x"), "name"),)
-        want.setdefault(xkey, {}).setdefault(b.t, []).append(b)
+        want.setdefault(xkey, []).append(b)
     got = {
-        key: {t: [MatchBinding(e.t, e.items) for e in entries] for t, entries in by_t.items()}
-        for key, by_t in index.classes.items()
+        key: [MatchBinding(e.t, e.items) for e in entries]
+        for key, (entries, _) in index.classes.items()
     }
     assert got == want
+    for entries, ts in index.classes.values():
+        assert ts == [e.t for e in entries] == sorted(ts)
     assert set(got) == {("x",), ("z",)}
-    assert [b.get("x") for b in got[("x",)][2]] == ["a1", "a2", "a3"]
+    assert [(b.t, b.get("x")) for b in got[("x",)]] == [
+        (1, "a1"), (1, "a2"), (2, "a1"), (2, "a2"), (2, "a3"), (3, "a1"), (3, "a2"), (3, "a3")
+    ]
 
 
 def entry(t: int, key: str, n: int, x_general=()) -> IndexEntry:
@@ -312,23 +319,42 @@ deltas = st.integers(0, 40).flatmap(lambda p: st.tuples(st.just(p), st.integers(
 
 
 @settings(max_examples=200, deadline=None)
-@given(specs=entry_specs, pq=deltas, T=st.integers(1, 30), probe=st.integers(1, 30))
-def test_buckets_are_the_class_entries_in_the_permissible_range(specs, pq, T, probe):
-    specs = [(min(t, T), key) for t, key in specs]
+@given(specs=entry_specs, pq=deltas, probe=st.sampled_from("abc"))
+@example(specs=[(4, "a"), (4, "a"), (4, "b")], pq=(0, 0), probe="a")  # p = 0 at one t
+@example(specs=[(1, "a"), (3, "a"), (4, "a"), (6, "a")], pq=(2, 3), probe="a")  # p > 0
+@example(specs=[(1, "a"), (2, "b"), (30, "a")], pq=(0, 40), probe="a")  # q >= T
+@example(specs=[(1, "a"), (2, "a")], pq=(0, 5), probe="c")  # an empty class
+def test_partners_are_the_earlier_class_entries_in_the_interval(specs, pq, probe):
+    """Indexed in timestamp order, each entry's partners are exactly the
+    entries of its class indexed before it whose timestamps lie inside
+    the interval of its own, in insertion order; so is a last entry's of
+    class probe, at the last timestamp."""
+    delta = Delta(*pq)
+    specs = sorted(specs, key=lambda spec: spec[0])  # stable: one t keeps its order
     entries = [entry(t, key, n) for n, (t, key) in enumerate(specs)]
-    index = index_of(entries)
-    new = entry(min(probe, T), "a", len(entries))
-    rng = permissible_range(new.t, Delta(*pq), T)
-    buckets = index.buckets(new, rng)
-    want = sorted(
-        (e for e in entries if e.xkey == ("a",) and Delta(*pq).contains(e.t - new.t)),
-        key=lambda e: e.t,
-    )
-    # by timestamp, then insertion order; one non-empty bucket per timestamp
-    assert [e for bucket in buckets for e in bucket] == want
-    assert all(bucket for bucket in buckets)
-    assert [bucket[0].t for bucket in buckets] == sorted({e.t for e in want})
-    assert all(len({e.t for e in bucket}) == 1 for bucket in buckets)
+    entries.append(entry(specs[-1][0] if specs else 1, probe, len(entries)))
+    index = index_of([])
+    for n, new in enumerate(entries):
+        want = [e for e in entries[:n] if e.xkey == new.xkey and delta.contains(new.t - e.t)]
+        assert index.partners(new, delta) == want
+        index.insert(new)
+
+
+def test_an_entry_older_than_its_class_is_rejected():
+    """An index takes each class's entries in timestamp order: an entry
+    at the class's last timestamp or later goes in, an older one raises
+    InvalidGraph naming both timestamps and leaves the index as it was;
+    other classes keep their own order."""
+    index = index_of([entry(3, "a", 0), entry(3, "a", 1), entry(5, "a", 2), entry(1, "b", 3)])
+    before = {key: (list(es), list(ts)) for key, (es, ts) in index.classes.items()}
+    with pytest.raises(InvalidGraph, match=r"r: entry at t=4 indexed after one at t=5"):
+        index.insert(entry(4, "a", 4))
+    assert index.classes == before
+    index.insert(entry(2, "b", 5))
+    index.insert(entry(5, "a", 6))
+    assert [ts for _, ts in index.classes.values()] == [[3, 3, 5, 5], [1, 2]]
+    with pytest.raises(InvalidGraph):
+        incted_step(index, index.plan.sigma, [entry(4, "a", 7)])
 
 
 # (left, right) values of one general-form X literal per indexed entry
@@ -356,6 +382,7 @@ def test_nontrivially_exercised_equals_pairwise_definition(specs, pq, values):
     entries = [
         entry(t, key, n, (values[n],) if general else ()) for n, (t, key) in enumerate(specs)
     ]
+    entries.sort(key=lambda e: e.t)  # an index takes them in timestamp order
     delta = Delta(*pq)
 
     def x_ok(a, b):  # a on the left
@@ -387,27 +414,6 @@ def knows_rule() -> Tgfd:
         [VariableLiteral("x", "name", "x", "name")],
         [VariableLiteral("y", "code", "y", "code")],
     )
-
-
-def test_permissible_range_is_built_once_per_step(monkeypatch):
-    """incted_step builds one timestamp's range once, not once per entry;
-    the pairs it compares stay the same."""
-    import tgfd.detection as detection
-
-    rng = random.Random(4)
-    g = random_graph(rng, 30, 90)
-    for t in range(2, 6):
-        g = apply_changes(g, random_changes(rng, g, t, 8))
-    want = detect_sequential(g, [knows_rule()]).pairs_compared
-    calls = []
-
-    def counted(i, delta, T):
-        calls.append(i)
-        return permissible_range(i, delta, T)
-
-    monkeypatch.setattr(detection, "permissible_range", counted)
-    assert detect_sequential(g, [knows_rule()]).pairs_compared == want
-    assert want["k"] > 0 and 0 < len(calls) <= g.T and len(set(calls)) == len(calls)
 
 
 def detect_lines(graph, rules):
@@ -707,6 +713,29 @@ def test_time_reversal_relation_at_long_t():
         for sigma in rules:
             shapes |= shapes_with_wildcard(sigma, g.T)
     assert {"general X", "general Y", "q >= T", "wildcard"} <= shapes
+
+
+def test_interval_clamp_relation_on_shaped_rules():
+    """Two timestamps of a graph lie at most T - 1 apart, so every q >=
+    T - 1 admits the same pairs: with each rule's p clamped to T - 1,
+    detection under q = T, 2T and 10⁹ gives the report, the comparisons
+    and the nontrivial verdicts of q = T - 1, each rule keeping its name."""
+    shapes = set()
+    found = 0
+    for seed in range(40):
+        g, rules = shaped_instance(seed)
+        last = g.T - 1
+        runs = []
+        for q in (last, g.T, 2 * g.T, 10**9):
+            clamped = [s.with_delta(Delta(min(s.delta.p, last), q)) for s in rules]
+            result = detect_sequential(g, clamped)
+            runs.append(("".join(result.text_chunks()), result.pairs_compared, result.nontrivial))
+        assert all(run == runs[0] for run in runs), f"seed={seed}"
+        found += runs[0][0].count("\n")
+        for sigma in rules:
+            shapes |= shapes_with_wildcard(sigma, g.T)
+    assert shapes >= {"general X", "general Y", "constant X", "empty X", "constant Y", "wildcard"}
+    assert found > 0
 
 
 def renamed_pair_id(v, ids):

@@ -5,6 +5,7 @@ import re
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tgfd.errors import InvalidOption, JobOutOfBounds
 from tgfd.graph import (
@@ -31,6 +32,7 @@ from tgfd.model import (
 from tgfd.detection import detect_sequential
 from tgfd.parallel import (
     MAX_WORKERS,
+    _greedy_pack,
     Job,
     RuleShape,
     anchor_balls,
@@ -43,6 +45,8 @@ from tgfd.parallel import (
 )
 
 from util import (
+    reference_gen_assign,
+    reference_greedy_pack,
     LABEL_POOL,
     VALUE_POOL,
     build_graph,
@@ -553,6 +557,45 @@ def test_gen_assign_prefers_cheap_worker():
     assert a.mapping[j1.name] == 1
     assert a.mapping[j2.name] == 2
     assert a.total_cost == 0
+
+
+# sizes drawn from a few values, some of whose sums tie only up to rounding
+job_sizes = st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.0, 1 / 3, 2.5, 7.0]) | st.floats(0.0, 50.0)
+
+
+@st.composite
+def job_sets(draw):
+    """(jobs, n): n <= 64 workers and jobs with homes in 0..n + 1, so that
+    some home lies outside the workers, and ship costs in either order."""
+    n = draw(st.integers(1, 64))
+    rows = draw(st.lists(
+        st.tuples(st.integers(0, n + 1), job_sizes, st.integers(0, 4), st.integers(0, 4)),
+        max_size=24,
+    ))
+    return [Job(f"j{i}", home, size, ship_in, ship_all)
+            for i, (home, size, ship_in, ship_all) in enumerate(rows)], n
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=job_sets(), fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+@example(drawn=([Job("a", 1, 0.1, 0, 1), Job("b", 2, 0.2, 0, 1), Job("c", 2, 0.3, 0, 1)], 2),
+         fractions=[0.5])  # 0.1 + 0.2 > 0.3 in floating point
+@example(drawn=([Job("a", 2, 1.0, 3, 1), Job("b", 2, 1.0, 3, 1), Job("c", 1, 1.0, 3, 1)], 3),
+         fractions=[0.34])  # home costs more than elsewhere
+@example(drawn=([Job("a", 1, 0.1, 1, 0)], 1), fractions=[1.0])  # ... and is the last worker
+def test_gen_assign_maps_every_job_as_the_reference_packer(drawn, fractions):
+    """The packer behind gen_assign picks, for each job, the worker the
+    reference (every fitting worker sorted by (cost, id)) picks, at every
+    cap, ties under floating-point rounding included, and caps at which a
+    job fills a worker exactly to the limit (cap + 1e-9); so gen_assign
+    returns the reference's assignment."""
+    jobs, n = drawn
+    order = sorted(jobs, key=lambda j: (-j.size, j.ship_in, j.name))
+    total = sum(j.size for j in jobs)
+    exact = [j.size - 1e-9 for j in order[:2]]
+    for cap in [total * fraction for fraction in fractions] + exact:
+        assert _greedy_pack(order, n, cap) == reference_greedy_pack(jobs, n, cap)
+    assert gen_assign(jobs, n, (0, 100)) == reference_gen_assign(jobs, n, (0, 100))
 
 
 # ---------------------------------------------------------------------------

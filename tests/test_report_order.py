@@ -198,32 +198,37 @@ def test_automorphic_matches_with_string_ordered_ids():
 
 
 def check_identities(result, order: ReportOrder, sigma: Tgfd) -> bool:
-    """`KeyedViolations.identities` maps one-to-one onto pair_id: there are
-    as many identities as distinct pair_ids, and each identity is its
-    violation's pair_id, side by side, as ReportOrder numbers a side: hi //
-    W3 of a match at t whose items are the side's sorted ids.  identity_diff
-    against an empty report gives every pair_id once.  Returns whether some
+    """`KeyedViolations.identity_keys` maps one-to-one onto pair_id: each
+    violation's identity is its pair_id's two sides, each numbered as
+    ReportOrder numbers a side (hi // W3 of a match at t whose items are
+    the side's sorted ids), the smaller shifted left by the plan's
+    side_bits, and there are as many distinct identities as distinct
+    pair_ids.  identity_diff against an empty report gives every pair_id
+    once, in the order of its first violation.  Returns whether some
     pair's earlier match has the later sorted ids (a pair at one timestamp
     whose items order is not its sorted-ids order)."""
     keyed = result.found[sigma.name]
     w1, _, w3, digits = order.halves(sigma)
     names = sorted(sigma.pattern.vars)
+    shift = keyed.plan.side_bits
 
     def side(t, ids) -> int:
-        return (t * w1 + digits(tuple(zip(names, ids)))[0]) // w3
+        number = (t * w1 + digits(tuple(zip(names, ids)))[0]) // w3
+        assert 0 <= number < 1 << shift
+        return number
 
-    found = dict(zip(keyed.keys, keyed))
-    pids = {pair_id(v) for v in found.values()}
-    identities = keyed.identities()
-    assert len(identities) == len(pids), sigma.name
-    for sides, k in identities.items():
-        _, a, b = pair_id(found[k])
-        assert sides == (side(*a), side(*b)), (sigma.name, found[k])
-    assert sorted(identity_diff(keyed, KeyedViolations(keyed.plan))) == sorted(pids)
+    violations = list(keyed)
+    pids = [pair_id(v) for v in violations]
+    identities = keyed.identity_keys()
+    assert len(identities) == len(pids) == len(keyed.keys), sigma.name
+    for ident, (_, a, b), v in zip(identities, pids, violations):
+        assert ident == side(*a) << shift | side(*b), (sigma.name, v)
+    assert len(set(identities)) == len(set(pids)), sigma.name
+    assert identity_diff(keyed, KeyedViolations(keyed.plan)) == list(dict.fromkeys(pids))
     assert identity_diff(keyed, keyed) == []
     return any(
         v.binding_i.t == v.binding_j.t and v.binding_i.sorted_ids > v.binding_j.sorted_ids
-        for v in found.values() if isinstance(v, PairViolation)
+        for v in violations if isinstance(v, PairViolation)
     )
 
 

@@ -1052,3 +1052,55 @@ def rule_shapes(sigma: Tgfd, T: int) -> Set[str]:
     if sigma.delta.q >= T:
         shapes.add("q >= T")
     return shapes
+
+
+# ---------------------------------------------------------------------------
+# the reference packer
+# ---------------------------------------------------------------------------
+
+
+def reference_greedy_pack(jobs, n: int, cap: float) -> Optional[Dict[str, int]]:
+    """Size-descending first-fit under a makespan cap, each job on the
+    fitting worker of least (cost_on(w), w): every job sorts all n
+    workers.  gen_assign's packer must map every job as this one does."""
+    order = sorted(jobs, key=lambda j: (-j.size, j.ship_in, j.name))
+    loads = {w: 0.0 for w in range(1, n + 1)}
+    mapping: Dict[str, int] = {}
+    eps = 1e-9
+    for job in order:
+        options = [w for w in loads if loads[w] + job.size <= cap + eps]
+        if not options:
+            return None
+        options.sort(key=lambda w: (job.cost_on(w), w))
+        chosen = options[0]
+        mapping[job.name] = chosen
+        loads[chosen] += job.size
+    return mapping
+
+
+def reference_gen_assign(jobs, n: int, bounds: Tuple[float, float]):
+    """gen_assign's bisection on the makespan over reference_greedy_pack,
+    for jobs inside bounds."""
+    from tgfd.parallel import Assignment
+
+    if not jobs:
+        return Assignment({}, 0.0, 0.0)
+    total = sum(j.size for j in jobs)
+    lo, hi = max(total / n, max(j.size for j in jobs)), total
+    best = reference_greedy_pack(jobs, n, hi)
+    for _ in range(64):
+        if hi - lo < 1e-9:
+            break
+        mid = (lo + hi) / 2
+        packed = reference_greedy_pack(jobs, n, mid)
+        if packed is not None:
+            best, hi = packed, mid
+        else:
+            lo = mid
+    by_name = {j.name: j for j in jobs}
+    loads: Dict[int, float] = {}
+    cost = 0.0
+    for name, worker in best.items():
+        loads[worker] = loads.get(worker, 0.0) + by_name[name].size
+        cost += by_name[name].cost_on(worker)
+    return Assignment(dict(sorted(best.items())), max(loads.values()), cost)
