@@ -32,7 +32,6 @@ from .detection import (
     Violation,
     detect_sequential,
     incted_step,
-    permissible_range,
 )
 from .foundations import (
     Embedding,

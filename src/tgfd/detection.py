@@ -107,16 +107,6 @@ def format_violation(v: Violation) -> str:
     return f"{tgfd} CONST t={binding.t} {binding.text} failed={failed}"
 
 
-def permissible_range(i: int, delta: Delta, T: int) -> List[int]:
-    """Timestamps j in [1, T] with p <= |j - i| <= q, ascending: the
-    definition; pairing reads the earlier half of it as one slice of a
-    class (MatchIndex.partners)."""
-    if not 1 <= i <= T:
-        raise InvalidGraph(f"timestamp {i} outside [1, {T}]")
-    lo, hi = max(1, i - delta.q), min(T, i + delta.q)
-    return [j for j in range(lo, hi + 1) if delta.contains(j - i)]
-
-
 # ---------------------------------------------------------------------------
 # report order
 # ---------------------------------------------------------------------------

@@ -106,7 +106,7 @@ def apply_mutations(graph: TemporalGraph, mutations: Sequence[Mutation]) -> Temp
     graph, in one pass, each change set checked as it is applied.
     """
     final = {(m.t, m.vid, m.attr): m.new for m in mutations}
-    base = dict(graph.snapshot(1).attrs)
+    base = dict(graph.base_attrs)
     first: Dict[int, List[Change]] = {}
     last: Dict[int, List[Change]] = {}
     for (t, vid, attr), value in sorted(final.items()):
@@ -149,11 +149,10 @@ def _attr_names(literals: Iterable[Literal]) -> Set[str]:
 
 
 def _domain_values(graph: TemporalGraph, attr: str) -> List[str]:
-    values = set()
-    for snap in graph.snapshots:
-        for named in snap.attrs.values():
-            if attr in named:
-                values.add(named[attr])
+    """Every value attr takes at some t: in the base map or a slot's versions."""
+    values = {named[attr] for named in graph.base_attrs.values() if attr in named}
+    values.update(v for (_, name), (_, held) in graph.versions.items() if name == attr for v in held)
+    values.discard(None)
     return sorted(values)
 
 

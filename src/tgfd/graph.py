@@ -3,14 +3,15 @@
 A temporal graph is a fixed vertex set observed at timestamps t = 1..T
 (1-based), kept as a base snapshot (directed labeled edges and string-valued
 vertex attributes at t = 1) plus the ordered change sets that produce each
-later timestamp from the one before.  Per timestamp the graph keeps only an
-attribute map; the edges at t are replayed into a `GraphView` on demand.  A
-graph is immutable once built: `apply_changes` returns an extended graph.
+later timestamp from the one before.  No map is copied per timestamp: a slot
+a change set writes keeps one version list, and the edges at t are replayed
+into a `GraphView`.  A graph is immutable: `apply_changes` extends a copy.
 """
 
 from __future__ import annotations
 
 import copy
+from bisect import bisect_right
 from itertools import chain, islice
 from dataclasses import dataclass
 from typing import (
@@ -73,16 +74,27 @@ class ChangeSet:
     changes: Tuple[Change, ...]
 
 
-@dataclass(frozen=True)
+# (vertex, attribute) -> (timestamps, the value from each on or None when
+# unset), both ascending from t = 1
+Versions = Dict[Tuple[str, str], Tuple[List[int], List[Optional[str]]]]
+
+
+@dataclass(frozen=True, eq=False, slots=True)
 class Snapshot:
-    """One timestamp's vertex attributes: vertex id -> name -> value.  Its
-    edges are not stored; `TemporalGraph.view(t)` replays them."""
+    """One timestamp's vertex attributes: `attr` bisects a written slot's
+    versions, else reads the base map.  `TemporalGraph.view(t)` replays its
+    edges."""
 
     t: int
-    attrs: Mapping[str, Mapping[str, str]]
+    base: Mapping[str, Mapping[str, str]]
+    versions: Versions
 
     def attr(self, vid: str, name: str) -> Optional[str]:
-        return self.attrs.get(vid, {}).get(name)
+        history = self.versions.get((vid, name))
+        if history is None:
+            return self.base.get(vid, {}).get(name)
+        times, values = history
+        return values[bisect_right(times, self.t) - 1]
 
 
 class GraphView:
@@ -157,11 +169,11 @@ class GraphView:
 class TemporalGraph:
     """Fixed vertex set plus its history over t = 1..T, each part kept once.
 
-    - `base_edges`: the edges at t = 1.
+    - `base_edges`, `base_attrs`: the edges and the attribute map at t = 1.
     - `changesets`: the change sets turning t - 1 into t, for t = 2..T, as
       `apply_changes` applied them, no-ops included.
-    - `snapshots`: one attribute map per timestamp; consecutive maps share
-      every vertex dict that the change set between them does not write.
+    - `versions`: per (vertex, attribute) slot that a change set writes,
+      its value at t = 1 and at each t written since; `snapshots` read them.
 
     No edge set is kept per timestamp: `view(t)` advances a view of the base
     by change sets 2..t.  Only the edge set of the last timestamp is kept,
@@ -183,7 +195,9 @@ class TemporalGraph:
         for vid in attrs:
             if vid not in self.vertices:
                 raise UnknownVertex(f"attributed vertex {vid} missing at t=1")
-        self.snapshots: Tuple[Snapshot, ...] = (Snapshot(t=1, attrs=attrs),)
+        self.base_attrs = attrs
+        self.versions: Versions = {}
+        self.snapshots: Tuple[Snapshot, ...] = (Snapshot(1, attrs, self.versions),)
         self.changesets: Tuple[ChangeSet, ...] = ()
         self._last_edges: AbstractSet[Edge] = self.base_edges
 
@@ -220,20 +234,17 @@ def apply_changes(graph: TemporalGraph, *changesets: ChangeSet) -> TemporalGraph
     must target the timestamp after the last.
 
     Changes apply in list order, and each change set is checked as it is
-    applied.  The result shares graph's history and adds, per change set,
-    the set plus the attribute map of its timestamp, which shares with the
-    previous map the dict of every vertex the set does not write; a written
-    vertex's dict is copied on its first write.  graph itself is left as it
-    was, also when a change set is refused.
+    applied.  The result shares graph's history and adds the change sets,
+    a snapshot per set and, for each slot a set writes, the value at its
+    timestamp (a later write in one set replaces it); a slot's version
+    list is copied on its first write, so graph itself is left as it was,
+    also when a change set is refused.
     """
     edges = set(graph._last_edges)
-    snapshots = list(graph.snapshots)
-    attrs = snapshots[-1].attrs
-    for cs in changesets:
-        if cs.t != len(snapshots) + 1:
-            raise InvalidGraph(f"change set targets t={cs.t}, expected {len(snapshots) + 1}")
-        attrs = dict(attrs)
-        written: Set[str] = set()
+    written: Versions = {}  # the slots these sets write, each list copied once
+    for t, cs in enumerate(changesets, graph.T + 1):
+        if cs.t != t:
+            raise InvalidGraph(f"change set targets t={cs.t}, expected {t}")
         for change in cs.changes:
             if isinstance(change, EdgeInsert):
                 _require_vertex(graph, change.src)
@@ -245,23 +256,24 @@ def apply_changes(graph: TemporalGraph, *changesets: ChangeSet) -> TemporalGraph
                     raise DeleteMissingEdge(f"{e} absent at t={cs.t}")
                 edges.discard(e)
             elif isinstance(change, (AttrSet, AttrDelete)):
-                vid = change.vid
-                _require_vertex(graph, vid)
-                if vid not in written:
-                    written.add(vid)
-                    attrs[vid] = dict(attrs.get(vid, {}))
-                if isinstance(change, AttrSet):
-                    attrs[vid][change.name] = change.value
-                else:
-                    attrs[vid].pop(change.name, None)
+                _require_vertex(graph, change.vid)
+                slot = (change.vid, change.name)
+                history = written.get(slot)
+                if history is None:
+                    times, values = graph.versions.get(slot, ([1], [graph.snapshots[0].attr(*slot)]))
+                    history = written[slot] = (times[:], values[:])
+                times, values = history
+                if times[-1] == t:  # a later write in one set replaces the earlier
+                    del times[-1], values[-1]
+                times.append(t)
+                values.append(change.value if isinstance(change, AttrSet) else None)
             else:  # pragma: no cover - guarded by Change union
                 raise TypeError(f"unknown change {change!r}")
-        for vid in written:
-            if not attrs[vid]:
-                del attrs[vid]
-        snapshots.append(Snapshot(t=cs.t, attrs=attrs))
     extended = copy.copy(graph)
-    extended.snapshots = tuple(snapshots)
+    extended.versions = versions = {**graph.versions, **written}
+    extended.snapshots = graph.snapshots + tuple(
+        Snapshot(cs.t, graph.base_attrs, versions) for cs in changesets
+    )
     extended.changesets = graph.changesets + changesets
     extended._last_edges = edges
     return extended
@@ -603,12 +615,12 @@ def load_graph(snapshot_text: str, changes_text: Optional[str] = None) -> Tempor
 
 def snapshot_to_text(graph: TemporalGraph) -> str:
     """Serialize the base snapshot (t=1)."""
-    snap = graph.snapshots[0]
     lines = []
     for vid in sorted(graph.vertices):
         parts = ["v", _quote(vid), _quote(graph.vertices[vid].type_label)]
-        for name in sorted(snap.attrs.get(vid, {})):
-            parts.append(f"{_quote(name)}={_quote(snap.attrs[vid][name])}")
+        named = graph.base_attrs.get(vid, {})
+        for name in sorted(named):
+            parts.append(f"{_quote(name)}={_quote(named[name])}")
         lines.append(" ".join(parts))
     for src, label, dst in sorted(graph.base_edges):
         lines.append(f"e {_quote(src)} {_quote(label)} {_quote(dst)}")

@@ -17,7 +17,6 @@ from tgfd.detection import (
     incted_step,
     nontrivially_exercised,
     pair_id,
-    permissible_range,
     replay,
     violation_key,
 )
@@ -47,6 +46,7 @@ from tgfd.model import (
 
 from util import (
     Renaming,
+    attrs_at,
     build_graph,
     engine_violation_keys,
     extend,
@@ -59,38 +59,6 @@ from util import (
     rule_shapes,
     shaped_instance,
 )
-
-
-# ---------------------------------------------------------------------------
-# permissible ranges
-# ---------------------------------------------------------------------------
-
-
-def test_permissible_range_gfd_case():
-    assert permissible_range(3, Delta(0, 0), 5) == [3]
-
-
-def test_permissible_range_excludes_far_timestamps():
-    assert permissible_range(1, Delta(0, 3), 5) == [1, 2, 3, 4]
-
-
-def test_permissible_range_exhaustive():
-    for T in range(1, 9):
-        for i in range(1, T + 1):
-            for p in range(0, 4):
-                for q in range(p, 6):
-                    expect = [j for j in range(1, T + 1) if p <= abs(j - i) <= q]
-                    assert permissible_range(i, Delta(p, q), T) == expect
-
-
-def test_permissible_range_symmetry():
-    delta = Delta(1, 3)
-    for T in (5, 8):
-        for i in range(1, T + 1):
-            for j in range(1, T + 1):
-                assert (j in permissible_range(i, delta, T)) == (
-                    i in permissible_range(j, delta, T)
-                )
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +426,8 @@ def test_parsed_changesets_detect_like_derived_ones():
     )
     g = load_graph(snapshot_to_text(base), changes)
     clean = canonical(g)
-    assert clean.snapshots == g.snapshots
+    assert clean.T == g.T
+    assert all(attrs_at(clean, t) == attrs_at(g, t) for t in range(1, g.T + 1))
     assert all(clean.view(t).edges == g.view(t).edges for t in range(1, g.T + 1))
     assert list(g.changesets) != list(clean.changesets) == derive_changesets(g)
     replayed = detect_lines(g, [team_rule])
@@ -479,7 +448,8 @@ def test_parsed_changesets_detect_like_derived_ones():
         rules = [random_tgfd(rng, f"r{i}", max_edges=2, T=5) for i in range(3)]
         rules.append(knows_rule())
         parsed = load_graph(snapshot_to_text(g), changes_to_text(noisy))
-        assert parsed.snapshots == g.snapshots
+        assert parsed.T == g.T
+        assert all(attrs_at(parsed, t) == attrs_at(g, t) for t in range(1, g.T + 1))
         assert all(parsed.view(t).edges == g.view(t).edges for t in range(1, g.T + 1))
         assert list(parsed.changesets) == noisy != derive_changesets(parsed)
         assert detect_lines(parsed, rules) == detect_lines(canonical(parsed), rules), seed
@@ -506,7 +476,7 @@ def noop_changes(rng: random.Random, graph, t: int):
     """Changes that leave snapshot t as it is: an insert and delete of an
     absent edge, a re-insert of a present edge, a delete and re-insert of
     another, and a write of an attribute's current value."""
-    snap, edges = graph.snapshot(t), graph.view(t).edges
+    attrs, edges = attrs_at(graph, t), graph.view(t).edges
     present = sorted(edges)
     vids = sorted({e[0] for e in present} | {e[2] for e in present})
     absent = next(
@@ -514,13 +484,13 @@ def noop_changes(rng: random.Random, graph, t: int):
         if e not in edges
     )
     kept, redone = rng.sample(present, 2)
-    vid = rng.choice(sorted(snap.attrs))
-    name = rng.choice(sorted(snap.attrs[vid]))
+    vid = rng.choice(sorted(attrs))
+    name = rng.choice(sorted(attrs[vid]))
     return (
         EdgeInsert(*absent), EdgeDelete(*absent),
         EdgeInsert(*kept),
         EdgeDelete(*redone), EdgeInsert(*redone),
-        AttrSet(vid, name, snap.attrs[vid][name]),
+        AttrSet(vid, name, attrs[vid][name]),
     )
 
 

@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tgfd.detection import apply_mode, detect_sequential, pair_id
 from tgfd.errors import InvalidOption
@@ -16,6 +16,7 @@ from tgfd.evaluation import (
     ledger_from_text,
     ledger_to_text,
     score,
+    _domain_values,
 )
 from tgfd.graph import AttrDelete, AttrSet, EdgeInsert, graph_to_texts, load_graph
 from tgfd.model import (
@@ -30,10 +31,15 @@ from tgfd.model import (
 
 from util import (
     GOLDEN_RULES,
+    SLOT_NAMES,
+    attr_history_graph,
+    attr_slots,
+    attr_writes,
+    attrs_at,
+    base_attr_maps,
     exotic_rule,
     extend,
     mutated_attr_maps,
-    nonempty_attrs,
     oracle_ledger,
     pair_isolated_instance,
     pair_satisfies,
@@ -53,7 +59,8 @@ def test_zero_change_rate_keeps_snapshots_identical():
     g = generate_synthetic(30, 60, 3, 2, T=5, chg_rate=0.0, seed=1)
     for t in range(2, g.T + 1):
         assert g.view(t).edges == g.view(1).edges
-        assert g.snapshot(t).attrs == g.snapshot(1).attrs
+        assert attrs_at(g, t) == attrs_at(g, 1)
+        assert all(g.snapshot(t).attr(*slot) == g.snapshot(1).attr(*slot) for slot in attr_slots(g))
 
 
 def test_change_count_matches_rate():
@@ -83,8 +90,9 @@ def test_generator_deterministic():
     g2 = generate_synthetic(30, 60, 3, 2, T=4, chg_rate=0.05, seed=42)
     assert g1.base_edges == g2.base_edges
     assert g1.changesets == g2.changesets
-    for s1, s2 in zip(g1.snapshots, g2.snapshots):
-        assert s1.attrs == s2.attrs
+    assert g1.T == g2.T
+    for t in range(1, g1.T + 1):
+        assert attrs_at(g1, t) == attrs_at(g2, t)
 
 
 def test_generator_refuses_more_edges_than_the_graph_holds():
@@ -141,13 +149,38 @@ def test_generator_takes_free_slots_when_draws_run_out(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+@settings(max_examples=150, deadline=None)
+@given(base_attr_maps, attr_writes)
+# values that only change sets write, one of them deleted later and one
+# overwritten by a later write in its own change set, so never held
+@example(
+    {"a": {"n": "0"}},
+    [[AttrSet("b", "n", "1"), AttrSet("c", "n", ""), AttrSet("c", "n", "0")], [AttrDelete("b", "n"), AttrDelete("a", "n")]],
+)
+# a base value that a write replaces at t = 2
+@example({"a": {"m": "1"}, "b": {"n": "0"}}, [[AttrSet("a", "m", "0")], [AttrDelete("b", "n")]])
+def test_domain_values_are_the_values_held_at_some_timestamp(base, sets):
+    graph = attr_history_graph(base, sets)
+    for name in SLOT_NAMES:
+        held = {
+            named[name]
+            for t in range(1, graph.T + 1)
+            for named in attrs_at(graph, t).values()
+            if name in named
+        }
+        assert _domain_values(graph, name) == sorted(held), name
+
+
 def test_inject_zero_rate_is_noop():
     graph, sigma = pair_isolated_instance(20, slots=2)
     mutated, ledger = inject_errors(graph, [sigma], 0.0, seed=1)
     assert not ledger.mutations
     assert not ledger.gamma_plus and not ledger.gamma_minus
-    for s1, s2 in zip(graph.snapshots, mutated.snapshots):
-        assert s1.attrs == s2.attrs
+    assert mutated.T == graph.T
+    for t in range(1, graph.T + 1):
+        assert attrs_at(mutated, t) == attrs_at(graph, t)
+        for slot in attr_slots(graph) | attr_slots(mutated):
+            assert mutated.snapshot(t).attr(*slot) == graph.snapshot(t).attr(*slot), (t, slot)
 
 
 def test_inject_exact_positive_count():
@@ -522,11 +555,16 @@ def test_ledger_skips_an_identity_that_violated_through_another_match():
 
 def assert_mutated_like_oracle(graph, mutated, mutations):
     """mutated holds graph's edges at every t, and the attributes that the
-    oracle writes into each timestamp's map."""
+    oracle writes into each timestamp's map: replayed, and read slot by
+    slot."""
     maps = mutated_attr_maps(graph, mutations)
     assert mutated.T == graph.T
+    slots = attr_slots(graph) | attr_slots(mutated)
     for t in range(1, graph.T + 1):
-        assert nonempty_attrs(mutated.snapshot(t).attrs) == nonempty_attrs(maps[t - 1]), t
+        attrs = maps[t - 1]
+        assert attrs_at(mutated, t) == attrs, t
+        for vid, name in slots:
+            assert mutated.snapshot(t).attr(vid, name) == attrs.get(vid, {}).get(name), (t, vid, name)
         assert mutated.view(t).edges == graph.view(t).edges, t
 
 

@@ -33,6 +33,7 @@ from tgfd.model import Delta, GraphPattern, MatchBinding, Tgfd, VariableLiteral,
 from tgfd.parallel import _FragmentView, anchor_balls, make_fragments, owner_map, run_parallel
 
 from util import (
+    attrs_at,
     ATTR_POOL,
     LABEL_POOL,
     TYPE_POOL,
@@ -113,11 +114,12 @@ def cross_edges(view, owned):
 def net_changed_attrs(graph, t):
     """(vertex, attribute) slots whose value differs between snapshots
     t - 1 and t, over every slot of both."""
-    before, after = graph.snapshot(t - 1), graph.snapshot(t)
-    slots = {
-        (vid, name) for snap in (before, after) for vid, named in snap.attrs.items() for name in named
+    before, after = attrs_at(graph, t - 1), attrs_at(graph, t)
+    slots = {(vid, name) for attrs in (before, after) for vid, named in attrs.items() for name in named}
+    return {
+        (vid, name) for vid, name in slots
+        if before.get(vid, {}).get(name) != after.get(vid, {}).get(name)
     }
-    return {k for k in slots if before.attr(*k) != after.attr(*k)}
 
 
 def assert_same_view(kept, want, full):

@@ -27,14 +27,24 @@ from tgfd.graph import (
     _tokenize,
 )
 
+from tgfd.evaluation import Mutation, apply_mutations
+
 from util import (
+    SLOT_NAMES,
+    SLOT_VIDS,
+    SLOT_VALUES,
+    attr_history_graph,
+    attr_slots,
+    attr_writes,
+    attrs_at,
+    base_attr_maps,
     ball_edges,
     build_graph,
     extend,
     full_diff_changesets,
     neighbors,
-    nonempty_attrs,
     random_changes,
+    mutated_attr_maps,
     random_graph,
     tokenize_by_characters,
 )
@@ -53,7 +63,8 @@ def test_apply_changes_empty_is_identity():
     g2 = extend(g, [])
     assert g2.T == 2
     assert g2.view(2).edges == g2.view(1).edges
-    assert g2.snapshots[1].attrs == g2.snapshots[0].attrs
+    assert attrs_at(g2, 2) == attrs_at(g2, 1) == {"c": {"name": "center"}}
+    assert g2.snapshot(2).attr("c", "name") == "center"
 
 
 def test_apply_changes_edge_insert_only_affects_new_snapshot():
@@ -109,7 +120,9 @@ def test_one_pass_load_equals_step_by_step_chaining():
         assert g.changesets == chained.changesets
         assert g._last_edges == chained._last_edges
         for t in range(1, g.T + 1):
-            assert g.snapshot(t).attrs == chained.snapshot(t).attrs, t
+            assert attrs_at(g, t) == attrs_at(chained, t), t
+            for slot in attr_slots(g):
+                assert g.snapshot(t).attr(*slot) == chained.snapshot(t).attr(*slot), (t, slot)
             assert g.view(t).edges == chained.view(t).edges, t
     assert base.T == 1 and not base.changesets
 
@@ -117,17 +130,30 @@ def test_one_pass_load_equals_step_by_step_chaining():
 def test_one_pass_load_refuses_a_bad_set_and_leaves_the_graph():
     g = extend(star_graph(), [AttrSet("a", "name", "x")])
     snapshots, changesets = g.snapshots, g.changesets
-    good = ChangeSet(3, (EdgeDelete("c", "to", "a"),))
+    # the good set and each bad one write slots g already holds or writes
+    good = ChangeSet(3, (EdgeDelete("c", "to", "a"), AttrSet("a", "name", "y"), AttrDelete("c", "name")))
+    written = [AttrSet("a", "name", "z"), AttrSet("b", "name", "w"), AttrDelete("c", "name")]
+    slots = [(vid, "name") for vid in "abcd"]
+    reads = [[g.snapshot(t).attr(*slot) for slot in slots] for t in (1, 2)]
+    versions = {slot: (list(times), list(values)) for slot, (times, values) in g.versions.items()}
+    assert reads == [[None, None, "center", None], ["x", None, "center", None]]
     for bad, error in (
-        (ChangeSet(4, (EdgeDelete("c", "to", "a"),)), DeleteMissingEdge),
-        (ChangeSet(4, (AttrSet("nope", "name", "x"),)), UnknownVertex),
-        (ChangeSet(5, ()), InvalidGraph),
+        (ChangeSet(4, (*written, EdgeDelete("c", "to", "a"))), DeleteMissingEdge),
+        (ChangeSet(4, (*written, AttrSet("nope", "name", "x"))), UnknownVertex),
+        (ChangeSet(5, tuple(written)), InvalidGraph),
     ):
         with pytest.raises(error):
             apply_changes(g, good, bad)
         assert g.snapshots is snapshots and g.changesets is changesets
+        assert [[g.snapshot(t).attr(*slot) for slot in slots] for t in (1, 2)] == reads
+        assert attrs_at(g, 1) == {"c": {"name": "center"}}
+        assert attrs_at(g, 2) == {"a": {"name": "x"}, "c": {"name": "center"}}
+        assert g.versions == versions
         assert g._last_edges == g.view(2).edges
         assert ("c", "to", "a") in g._last_edges
+    # the good set alone still extends g
+    extended = apply_changes(g, good)
+    assert [extended.snapshot(3).attr(*slot) for slot in slots] == ["y", None, None, None]
 
 
 def test_replay_matches_rebuild_from_scratch():
@@ -136,10 +162,12 @@ def test_replay_matches_rebuild_from_scratch():
     g = random_graph(rng, 30, 60)
     for t in (2, 3, 4):
         g = apply_changes(g, random_changes(rng, g, t, 34))
-    final = g.snapshots[-1]
-    rebuilt = TemporalGraph(g.vertices, g.view(g.T).edges, final.attrs)
+    final = attrs_at(g, g.T)
+    rebuilt = TemporalGraph(g.vertices, g.view(g.T).edges, final)
     assert rebuilt.view(1).edges == g.view(4).edges
-    assert rebuilt.snapshots[0].attrs == final.attrs
+    assert attrs_at(rebuilt, 1) == final
+    for slot in attr_slots(g):
+        assert rebuilt.snapshot(1).attr(*slot) == g.snapshot(g.T).attr(*slot), slot
 
 
 def test_replay_determinism():
@@ -149,9 +177,10 @@ def test_replay_determinism():
     for t in (2, 3):
         g1 = apply_changes(g1, random_changes(random.Random(t), g1, t, 10))
         g2 = apply_changes(g2, random_changes(random.Random(t), g2, t, 10))
+    assert g1.T == g2.T
     for t in range(1, g1.T + 1):
         assert g1.view(t).edges == g2.view(t).edges
-        assert g1.snapshot(t).attrs == g2.snapshot(t).attrs
+        assert attrs_at(g1, t) == attrs_at(g2, t)
 
 
 def test_snapshot_immutability_under_apply():
@@ -162,6 +191,64 @@ def test_snapshot_immutability_under_apply():
     assert before.attr("c", "name") == "center"
     # the first extension left g's own last edge set as it was
     assert ("c", "to", "a") in extend(g, []).view(2).edges
+
+
+def assert_reads_replay(graph):
+    """Every slot over SLOT_VIDS x SLOT_NAMES reads at every t what the
+    replay `attrs_at` holds there, None where it holds nothing."""
+    for t in range(1, graph.T + 1):
+        attrs, snap = attrs_at(graph, t), graph.snapshot(t)
+        for vid in SLOT_VIDS:
+            for name in SLOT_NAMES:
+                assert snap.attr(vid, name) == attrs.get(vid, {}).get(name), (t, vid, name)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    base_attr_maps,
+    attr_writes,
+    st.lists(
+        st.tuples(st.integers(1, 7), *(st.sampled_from(p) for p in (SLOT_VIDS, SLOT_NAMES, SLOT_VALUES))),
+        max_size=4,
+    ),
+)
+# a deletion, then a set of the deleted slot
+@example({"a": {"n": "0"}}, [[AttrDelete("a", "n")], [], [AttrSet("a", "n", "1")]], [])
+# two writes of one slot in one change set: the later one holds
+@example(
+    {"a": {"n": "0"}},
+    [[AttrSet("a", "n", "1"), AttrSet("a", "n", "0")], [AttrSet("a", "n", "1"), AttrDelete("a", "n")]],
+    [],
+)
+# writes of the current value
+@example({"a": {"n": "0"}}, [[AttrSet("a", "n", "0")], [AttrSet("b", "m", "1")], [AttrSet("b", "m", "1")]], [])
+# a slot absent at t = 1, set, deleted and set to the empty value
+@example({}, [[AttrSet("b", "m", "1")], [AttrDelete("b", "m")], [AttrSet("b", "m", "")]], [])
+# a graph built by apply_mutations: at t = 1, on an unwritten slot, at T
+@example({"a": {"n": "0"}}, [[AttrSet("a", "n", "1")], []], [(1, "a", "n", "1"), (2, "b", "m", "0"), (3, "a", "n", "")])
+def test_every_slot_reads_its_replayed_value(base, sets, mutations):
+    graph = attr_history_graph(base, sets)
+    assert len(graph.snapshots) == graph.T == len(sets) + 1
+    # the attribute state is the base map and one version list per written slot
+    assert graph.base_attrs == base
+    written = {(c.vid, c.name) for cs in graph.changesets for c in cs.changes}
+    assert set(graph.versions) == written
+    for times, values in graph.versions.values():
+        assert times[0] == 1 and times == sorted(set(times)) and len(values) == len(times)
+    assert_reads_replay(graph)
+    # one change set per call: every shorter graph still reads its own
+    # history, also when extended again by a set that unsets every slot
+    chained = [attr_history_graph(base, [])]
+    for cs in graph.changesets:
+        chained.append(apply_changes(chained[-1], cs))
+    unset = tuple(AttrDelete(vid, name) for vid in SLOT_VIDS for name in SLOT_NAMES)
+    for g in chained:
+        assert_reads_replay(g)
+        assert_reads_replay(apply_changes(g, ChangeSet(g.T + 1, unset)))
+    muts = [Mutation(t, vid, name, None, value) for t, vid, name, value in mutations if t <= graph.T]
+    mutated = apply_mutations(graph, muts)
+    assert_reads_replay(mutated)
+    assert [attrs_at(mutated, t) for t in range(1, graph.T + 1)] == mutated_attr_maps(graph, muts)
 
 
 def test_ball_vertices_zero_radius():
@@ -340,7 +427,7 @@ def test_graph_to_texts_roundtrip_random():
     assert g2.T == g.T
     for t in range(1, g.T + 1):
         assert g.view(t).edges == g2.view(t).edges
-        assert nonempty_attrs(g.snapshot(t).attrs) == nonempty_attrs(g2.snapshot(t).attrs)
+        assert attrs_at(g, t) == attrs_at(g2, t)
 
 
 # What a file token may hold: any character but a line boundary (the
@@ -399,7 +486,7 @@ def test_graph_texts_round_trip_any_token(g):
     assert reloaded.T == g.T
     for t in range(1, g.T + 1):
         assert reloaded.view(t).edges == g.view(t).edges
-        assert nonempty_attrs(reloaded.snapshot(t).attrs) == nonempty_attrs(g.snapshot(t).attrs)
+        assert attrs_at(reloaded, t) == attrs_at(g, t)
 
 
 def test_tokens_that_round_trip_keep_their_bytes():
@@ -425,7 +512,7 @@ def test_backslash_in_a_quoted_token_is_escaped():
     g = build_graph({"v": "T"}, [], {"v": {"n": "x \\", "m": 'a\\"b c', "k": "y\\"}})
     text = snapshot_to_text(g)
     assert text == 'v v T k=y\\ m="a\\\\\\"b c" n="x \\\\"\n'
-    assert parse_snapshot_text(text).snapshots[0].attrs == g.snapshots[0].attrs
+    assert parse_snapshot_text(text).base_attrs == g.base_attrs
 
 
 def test_derived_changesets_from_kept_sets_equal_full_diffs():

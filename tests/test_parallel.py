@@ -45,6 +45,7 @@ from tgfd.parallel import (
 )
 
 from util import (
+    attrs_at,
     reference_gen_assign,
     reference_greedy_pack,
     LABEL_POOL,
@@ -1039,13 +1040,13 @@ def test_no_double_counting_between_local_and_cross():
 
 
 def net_attr_changes(graph, t):
-    """Attributes whose value differs between snapshots t - 1 and t."""
-    before, after = graph.snapshot(t - 1), graph.snapshot(t)
+    """Attributes whose value differs between the maps at t - 1 and t."""
+    before, after = attrs_at(graph, t - 1), attrs_at(graph, t)
     return sum(
         1
         for vid in graph.vertices
-        for name in set(before.attrs.get(vid, {})) | set(after.attrs.get(vid, {}))
-        if before.attr(vid, name) != after.attr(vid, name)
+        for name in set(before.get(vid, {})) | set(after.get(vid, {}))
+        if before.get(vid, {}).get(name) != after.get(vid, {}).get(name)
     )
 
 
@@ -1055,14 +1056,14 @@ def test_size_model_charges_net_attribute_changes():
     rng = random.Random(21)
     g = random_graph(rng, 16, 30)
     for t in range(2, 6):
-        snap = g.snapshots[-1]
-        vid = rng.choice(sorted(snap.attrs))
-        name = rng.choice(sorted(snap.attrs[vid]))
-        other = rng.choice(sorted(snap.attrs))
+        attrs = attrs_at(g, g.T)
+        vid = rng.choice(sorted(attrs))
+        name = rng.choice(sorted(attrs[vid]))
+        other = rng.choice(sorted(attrs))
         noops = [
-            AttrSet(vid, name, snap.attrs[vid][name]),     # the current value
+            AttrSet(vid, name, attrs[vid][name]),          # the current value
             AttrSet(other, "rank", "zz"),                  # set, then reset
-            AttrSet(other, "rank", snap.attr(other, "rank")),
+            AttrSet(other, "rank", attrs[other].get("rank")),
             AttrDelete(vid, "absent"),                     # no such attribute
         ]
         real = random_changes(rng, g, t, 4, profile=(1.0, 0.0, 0.0)).changes

@@ -11,6 +11,7 @@ import itertools
 import random
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from hypothesis import strategies as st
 from networkx import DiGraph, is_weakly_connected
 from networkx.algorithms.isomorphism import DiGraphMatcher
 
@@ -103,6 +104,60 @@ def extend(graph: TemporalGraph, changes: Sequence) -> TemporalGraph:
 # ---------------------------------------------------------------------------
 
 
+def attrs_at(graph: TemporalGraph, t: int) -> Dict[str, Dict[str, str]]:
+    """The attribute map at t, replayed from the base map through change
+    sets 2..t in order, each change as written, without the graph's version
+    lists: vertex -> name -> value, omitting unset slots and the vertices
+    left with none."""
+    assert 1 <= t <= graph.T, t
+    attrs = {vid: dict(named) for vid, named in graph.base_attrs.items()}
+    for cs in graph.changesets[: t - 1]:
+        for c in cs.changes:
+            if isinstance(c, AttrSet):
+                attrs.setdefault(c.vid, {})[c.name] = c.value
+            elif isinstance(c, AttrDelete):
+                attrs.get(c.vid, {}).pop(c.name, None)
+    return {vid: named for vid, named in attrs.items() if named}
+
+
+# Attribute histories over three vertices, two names and three values (the
+# empty string among them): a base map, and change sets of attribute writes.
+SLOT_VIDS, SLOT_NAMES, SLOT_VALUES = ("a", "b", "c"), ("n", "m"), ("0", "1", "")
+base_attr_maps = st.dictionaries(
+    st.sampled_from(SLOT_VIDS),
+    st.dictionaries(st.sampled_from(SLOT_NAMES), st.sampled_from(SLOT_VALUES), max_size=2),
+    max_size=3,
+)
+attr_writes = st.lists(
+    st.lists(
+        st.one_of(
+            st.builds(AttrSet, *(st.sampled_from(p) for p in (SLOT_VIDS, SLOT_NAMES, SLOT_VALUES))),
+            st.builds(AttrDelete, st.sampled_from(SLOT_VIDS), st.sampled_from(SLOT_NAMES)),
+        ),
+        max_size=5,
+    ),
+    max_size=6,
+)
+
+
+def attr_history_graph(base, sets) -> TemporalGraph:
+    """A graph over SLOT_VIDS, without edges: base at t = 1, then one change
+    set per list in sets, loaded in one pass."""
+    vertices = {vid: Vertex(vid, "T") for vid in SLOT_VIDS}
+    return apply_changes(
+        TemporalGraph(vertices, [], base), *(ChangeSet(t, tuple(cs)) for t, cs in enumerate(sets, 2))
+    )
+
+
+def attr_slots(graph: TemporalGraph) -> Set[Tuple[str, str]]:
+    """Every (vertex, attribute) slot that the base map holds or a change
+    set writes."""
+    slots = {(vid, name) for vid, named in graph.base_attrs.items() for name in named}
+    for cs in graph.changesets:
+        slots.update((c.vid, c.name) for c in cs.changes if isinstance(c, (AttrSet, AttrDelete)))
+    return slots
+
+
 def full_diff_changesets(graph: TemporalGraph) -> List[ChangeSet]:
     """The change sets turning each snapshot into the next, from a full
     diff of their edge sets and of every attribute either one holds, in the
@@ -113,7 +168,9 @@ def full_diff_changesets(graph: TemporalGraph) -> List[ChangeSet]:
     for t in range(2, graph.T + 1):
         prev, cur = graph.snapshot(t - 1), graph.snapshot(t)
         old, new = views[t - 2].edges, views[t - 1].edges
-        keys = {(vid, name) for snap in (prev, cur) for vid, named in snap.attrs.items() for name in named}
+        keys = {
+            (vid, name) for u in (t - 1, t) for vid, named in attrs_at(graph, u).items() for name in named
+        }
         unset = sorted(k for k in keys if cur.attr(*k) is None and prev.attr(*k) is not None)
         sets = sorted((*k, cur.attr(*k)) for k in keys if cur.attr(*k) not in (None, prev.attr(*k)))
         changes = [EdgeDelete(*e) for e in sorted(old - new)]
@@ -144,7 +201,7 @@ def reversed_graph(graph: TemporalGraph) -> TemporalGraph:
                 value = before.attr(c.vid, c.name)
                 changes.append(AttrDelete(c.vid, c.name) if value is None else AttrSet(c.vid, c.name, value))
         inverted.append(ChangeSet(T + 2 - cs.t, tuple(changes)))
-    base = TemporalGraph(graph.vertices, graph.view(T).edges, graph.snapshot(T).attrs)
+    base = TemporalGraph(graph.vertices, graph.view(T).edges, attrs_at(graph, T))
     return apply_changes(base, *inverted)
 
 
@@ -169,7 +226,7 @@ class Renaming:
         }
         attrs = {
             ids[vid]: {attr(name): value(val) for name, val in named.items()}
-            for vid, named in graph.snapshot(1).attrs.items()
+            for vid, named in graph.base_attrs.items()
         }
         sets = []
         for cs in graph.changesets:
@@ -203,19 +260,12 @@ class Renaming:
 
 
 def mutated_attr_maps(graph: TemporalGraph, mutations) -> List[Dict[str, Dict[str, str]]]:
-    """Each timestamp's attribute map with the mutations written into it, in
-    order, each at its own timestamp only: the map is copied, then the
-    mutated vertex's dict is copied with the one attribute set."""
-    maps = [dict(snap.attrs) for snap in graph.snapshots]
+    """Each timestamp's attribute map (`attrs_at`) with the mutations
+    written into it, in order, each at its own timestamp only."""
+    maps = [attrs_at(graph, t) for t in range(1, graph.T + 1)]
     for m in mutations:
-        attrs = maps[m.t - 1]
-        attrs[m.vid] = {**attrs.get(m.vid, {}), m.attr: m.new}
+        maps[m.t - 1].setdefault(m.vid, {})[m.attr] = m.new
     return maps
-
-
-def nonempty_attrs(attrs) -> Dict[str, Dict[str, str]]:
-    """An attribute map without vertices that hold no attribute."""
-    return {vid: dict(named) for vid, named in attrs.items() if named}
 
 
 # ---------------------------------------------------------------------------
